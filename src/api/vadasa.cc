@@ -112,10 +112,10 @@ Status Session::Warm() {
   VADASA_RETURN_NOT_OK(core::ValidateQiWidth(qis, ctx.semantics));
   // Build the incremental group index over (table, AnonSet, semantics). Its
   // Stats() go through the same collapse/aggregation machinery in the same
-  // order as ComputeWarmGroupStats, so the warm stats are unchanged — but
-  // keeping the index makes this session a delta base: Apply() patches it
-  // instead of re-collapsing the whole table. Under the columnar plane the
-  // index also materializes the shared view every later evaluation reads.
+  // order as a cold ComputeGroupStats, so the warm stats equal a cold pass —
+  // and keeping the index makes this session a delta base: Apply() patches it
+  // instead of re-collapsing the whole table. The index also materializes the
+  // shared view every later evaluation reads.
   auto index =
       std::make_shared<core::GroupIndex>(*table_, qis, ctx.semantics);
   warm_ = std::shared_ptr<const core::GroupStats>(index, &index->Stats());
@@ -135,12 +135,11 @@ Result<Session> Session::Apply(const core::DeltaBatch& batch) const {
   child.dictionary_ = dictionary_;
   child.conflicts_ = conflicts_;
   child.options_ = options_;
-  // Incremental warm-state maintenance: a warmed parent on the active plane
-  // hands the child a delta-patched index — only groups the batch touched are
-  // re-aggregated. Stats() is forced before the child is published so the
-  // shared state is immutable from here on.
-  if (delta_index_ != nullptr &&
-      delta_index_->data_plane() == core::ActiveDataPlane()) {
+  // Incremental warm-state maintenance: a warmed parent hands the child a
+  // delta-patched index — only groups the batch touched are re-aggregated.
+  // Stats() is forced before the child is published so the shared state is
+  // immutable from here on.
+  if (delta_index_ != nullptr) {
     std::shared_ptr<core::GroupIndex> next_index =
         delta_index_->ApplyDelta(*child.table_, plan);
     child.warm_ = std::shared_ptr<const core::GroupStats>(next_index,

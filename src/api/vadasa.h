@@ -165,13 +165,13 @@ class Session {
   /// sampling weight returns TypeError, in both cases leaving nothing to
   /// observe.
   ///
-  /// Warm-state maintenance: when this session is Warm()ed on the active
-  /// data plane, the child inherits a delta-patched group index — only
-  /// groups the batch touches are re-aggregated, and the child's warm stats
-  /// are bit-identical to a cold Warm() over the post-delta table (the
-  /// delta-vs-full-recompute-bit-identical property pins this on both data
-  /// planes). Otherwise the child starts cold and the next Warm() pays the
-  /// full collapse. Dictionary, conflicts and options carry over unchanged.
+  /// Warm-state maintenance: when this session is Warm()ed, the child
+  /// inherits a delta-patched group index — only groups the batch touches
+  /// are re-aggregated, and the child's warm stats are bit-identical to a
+  /// cold Warm() over the post-delta table (the
+  /// delta-vs-full-recompute-bit-identical property pins this). Otherwise the
+  /// child starts cold and the next Warm() pays the full collapse.
+  /// Dictionary, conflicts and options carry over unchanged.
   Result<Session> Apply(const core::DeltaBatch& batch) const;
 
   /// Precomputes the group statistics for this session's (table, AnonSet,
@@ -181,17 +181,17 @@ class Session {
 
   /// Adopts warm statistics (and, optionally, the columnar view they were
   /// computed through) produced elsewhere — the scheduler's coalesced warmup.
-  /// They must come from ComputeWarmGroupStats over this session's table and
-  /// semantics.
+  /// They must be the warm_stats() (and warm_view()) of a Warm()ed session
+  /// over this session's exact table, AnonSet and semantics.
   void AdoptWarmStats(std::shared_ptr<const core::GroupStats> stats,
                       std::shared_ptr<const core::ColumnarView> view = nullptr) {
     warm_ = std::move(stats);
     if (view != nullptr) warm_view_ = std::move(view);
   }
   const std::shared_ptr<const core::GroupStats>& warm_stats() const { return warm_; }
-  /// The shared columnar materialization created by Warm() under the
-  /// columnar plane (null otherwise) — handed to sibling sessions alongside
-  /// the warm stats so a batch interns each column once.
+  /// The shared columnar materialization created by Warm() (null before) —
+  /// handed to sibling sessions alongside the warm stats so a batch interns
+  /// each column once.
   const std::shared_ptr<const core::ColumnarView>& warm_view() const {
     return warm_view_;
   }

@@ -1,9 +1,6 @@
 #include "core/columnar.h"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,18 +8,6 @@
 namespace vadasa::core {
 
 namespace {
-
-std::atomic<int>& PlaneFlag() {
-  static std::atomic<int>* flag = [] {
-    auto* f = new std::atomic<int>(static_cast<int>(DataPlane::kColumnar));
-    const char* env = std::getenv("VADASA_DATA_PLANE");
-    if (env != nullptr && std::string(env) == "row") {
-      f->store(static_cast<int>(DataPlane::kRow));
-    }
-    return f;
-  }();
-  return *flag;
-}
 
 void RecordInternSeconds(double seconds) {
 #ifndef VADASA_DISABLE_OBS
@@ -35,15 +20,6 @@ void RecordInternSeconds(double seconds) {
 }
 
 }  // namespace
-
-DataPlane ActiveDataPlane() {
-  return static_cast<DataPlane>(PlaneFlag().load(std::memory_order_relaxed));
-}
-
-DataPlane SetDataPlane(DataPlane plane) {
-  return static_cast<DataPlane>(
-      PlaneFlag().exchange(static_cast<int>(plane), std::memory_order_relaxed));
-}
 
 ColumnarView::ColumnarView(const MicrodataTable& table)
     : num_rows_(table.num_rows()), columns_(table.num_columns()) {

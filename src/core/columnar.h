@@ -1,6 +1,7 @@
 #ifndef VADASA_CORE_COLUMNAR_H_
 #define VADASA_CORE_COLUMNAR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,24 +12,26 @@
 
 namespace vadasa::core {
 
-/// Which data plane the grouping/risk hot paths run on.
-///
-/// The columnar plane (default) materializes QI columns into dictionary
-/// codes once and groups/hashes/compares packed uint32_t rows; the row plane
-/// is the original Value-vector implementation, kept as the differential
-/// reference for the `columnar-vs-row-bit-identical` property. Both planes
-/// produce bit-identical results by construction (same pattern order, same
-/// floating-point accumulation order).
-enum class DataPlane {
-  kColumnar,
-  kRow,
-};
+/// A row's quasi-identifier projection as packed dictionary codes, one per
+/// QI column — the key every grouping structure hashes and compares. Code
+/// equality coincides with Value::Equals (see common/dictionary.h), so
+/// grouping on codes is grouping on values.
+using CodeRow = std::vector<uint32_t>;
 
-/// The active plane: VADASA_DATA_PLANE=row in the environment selects the
-/// row plane at startup, otherwise columnar. SetDataPlane overrides at
-/// runtime (differential tests); returns the previous plane.
-DataPlane ActiveDataPlane();
-DataPlane SetDataPlane(DataPlane plane);
+/// splitmix64-style mix over a code row. Only hash-table layout depends on
+/// this, never results.
+struct CodeRowHash {
+  size_t operator()(const CodeRow& row) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ row.size();
+    for (const uint32_t x : row) {
+      uint64_t z = (h ^ x) + 0x9e3779b97f4a7c15ULL;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      h = z ^ (z >> 31);
+    }
+    return static_cast<size_t>(h);
+  }
+};
 
 /// A columnar (SoA) materialization of a MicrodataTable: one dense
 /// uint32_t code array per column, one Dictionary per column as the decode

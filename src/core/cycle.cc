@@ -15,34 +15,13 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-std::vector<Value> QiPattern(const MicrodataTable& table,
-                             const std::vector<size_t>& qis, size_t row) {
-  std::vector<Value> p;
-  p.reserve(qis.size());
-  for (const size_t c : qis) p.push_back(table.cell(row, c));
-  return p;
-}
-
-bool MaybeMatchesAny(const std::vector<Value>& pattern,
-                     const std::vector<std::vector<Value>>& others) {
-  for (const auto& o : others) {
-    bool match = true;
-    for (size_t i = 0; i < pattern.size() && match; ++i) {
-      match = pattern[i].MaybeEquals(o[i]);
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
 /// Code-space QI projection of a row's *current* cells. Translated through
 /// the view's dictionaries (CodeForQuery) rather than read from the code
 /// arrays, because the shared view is only refreshed at iteration end while
 /// this guard must see mid-iteration mutations.
-std::vector<uint32_t> QiCodePattern(const ColumnarView& view,
-                                    const MicrodataTable& table,
-                                    const std::vector<size_t>& qis, size_t row) {
-  std::vector<uint32_t> p;
+CodeRow QiCodePattern(const ColumnarView& view, const MicrodataTable& table,
+                      const std::vector<size_t>& qis, size_t row) {
+  CodeRow p;
   p.reserve(qis.size());
   for (const size_t c : qis) p.push_back(view.CodeForQuery(c, table.cell(row, c)));
   return p;
@@ -50,8 +29,7 @@ std::vector<uint32_t> QiCodePattern(const ColumnarView& view,
 
 /// Maybe-match over packed codes: equal code, or either side in the null
 /// band (a labelled null matches anything — Value::MaybeEquals).
-bool MaybeMatchesAnyCodes(const std::vector<uint32_t>& pattern,
-                          const std::vector<std::vector<uint32_t>>& others) {
+bool MaybeMatchesAnyCodes(const CodeRow& pattern, const std::vector<CodeRow>& others) {
   for (const auto& o : others) {
     bool match = true;
     for (size_t i = 0; i < pattern.size() && match; ++i) {
@@ -166,34 +144,27 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
         OrderRiskyTuples(*table, risky, risks, options_.tuple_order);
     // What-if oracle for the QI-choice heuristic: the cache's incremental
     // index. Updates are batched to the end of the iteration, so mid-iteration
-    // queries see the iteration-start state — exactly the snapshot the
-    // per-iteration PatternUniverse used to provide.
-    const PatternOracle& universe = cache.Index(*table, qis, options_.risk.semantics);
-    // Group-touch guard state: QI patterns anonymized earlier this iteration.
-    // Under the columnar plane the guard compares packed dictionary codes;
-    // under the row plane it compares Values. Same maybe-match relation.
+    // queries see the iteration-start state.
+    const GroupIndex& index = cache.Index(*table, qis, options_.risk.semantics);
+    // Group-touch guard state: QI patterns anonymized earlier this iteration,
+    // as packed dictionary codes.
     const std::shared_ptr<const ColumnarView> guard_view = cache.SharedView(*table);
-    std::vector<std::vector<Value>> touched_patterns;
-    std::vector<std::vector<uint32_t>> touched_codes;
+    std::vector<CodeRow> touched_codes;
     std::vector<uint32_t> iteration_changed;
     bool progressed = false;
 
     for (const size_t r : order) {
       if (!options_.single_step && !cluster_elevated[r] &&
           options_.risk.semantics == NullSemantics::kMaybeMatch) {
-        const bool touched =
-            guard_view != nullptr
-                ? MaybeMatchesAnyCodes(QiCodePattern(*guard_view, *table, qis, r),
-                                       touched_codes)
-                : MaybeMatchesAny(QiPattern(*table, qis, r), touched_patterns);
-        if (touched) {
+        if (MaybeMatchesAnyCodes(QiCodePattern(*guard_view, *table, qis, r),
+                                 touched_codes)) {
           // An earlier step this iteration may already have widened this
           // tuple's group; re-check at the next risk evaluation.
           continue;
         }
       }
       auto col = ChooseQiColumn(*table, qis, r, options_.qi_choice, *anonymizer_,
-                                universe);
+                                index);
       if (!col.ok()) {
         if (col.status().code() == StatusCode::kNotFound) {
           unresolvable[r] = true;
@@ -226,11 +197,7 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
       }
       if (options_.single_step) break;  // Paper-literal: back to risk eval.
       if (step.affected_rows > 1) break;  // Global recoding: groups shifted broadly.
-      if (guard_view != nullptr) {
-        touched_codes.push_back(QiCodePattern(*guard_view, *table, qis, r));
-      } else {
-        touched_patterns.push_back(QiPattern(*table, qis, r));
-      }
+      touched_codes.push_back(QiCodePattern(*guard_view, *table, qis, r));
     }
     meters.anonymize_seconds->Record(SecondsSince(t_anon));
     if (!iteration_changed.empty()) {

@@ -11,24 +11,19 @@
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 
-// Dual-plane grouping
+// Code-space grouping
 // -------------------
-// The pattern machinery below is templated on a "plane": the representation
-// rows are projected into before grouping. The row plane keys patterns on
-// std::vector<Value> (the original implementation, kept as the differential
-// reference); the columnar plane keys them on std::vector<uint32_t>
-// dictionary codes read out of a ColumnarView, which turns per-cell variant
-// hashing and comparison into flat word operations.
-//
-// Both planes run the *same* algorithm skeleton — identical shard
-// decomposition, identical first-occurrence pattern order, identical
-// ascending-row weight accumulation, identical ascending-class-mask
-// aggregation — and code equality coincides with Value::Equals exactly (the
+// Rows are projected onto packed dictionary codes read out of a ColumnarView
+// (core/columnar.h), so per-cell hashing and comparison are flat word
+// operations. Code equality coincides with Value::Equals exactly (the
 // Dictionary interns through ValueHash/Equals, and labelled nulls get one
 // code per label in a reserved band). No output depends on a hash table's
-// iteration order or on the numeric value of a code, so the two planes are
-// bit-identical by construction; the `columnar-vs-row-bit-identical`
-// property in src/testing/properties.cc enforces this end to end.
+// iteration order or on the numeric value of a code: pattern ids follow
+// first-occurrence row order, weights accumulate in ascending row order and
+// classes aggregate in ascending mask order, so results are deterministic
+// for any thread count. The `grouping-matches-naive-oracle` property in
+// src/testing/properties.cc checks every output against a linear scan over
+// the Value cells.
 
 namespace vadasa::core {
 
@@ -39,112 +34,49 @@ namespace {
 /// result — is identical for every thread count.
 constexpr size_t kCollapseGrain = 2048;
 
-struct VecHash {
-  size_t operator()(const std::vector<Value>& v) const { return HashValues(v); }
-};
-struct VecEq {
-  bool operator()(const std::vector<Value>& a, const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].Equals(b[i])) return false;
-    }
-    return true;
-  }
-};
-
-/// splitmix64-style mix over packed code rows. Only hash-table layout depends
-/// on this, never results.
-struct CodeVecHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-    for (const uint32_t x : v) {
-      uint64_t z = (h ^ x) + 0x9e3779b97f4a7c15ULL;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-struct CodeVecEq {
-  bool operator()(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) const {
-    return a == b;
-  }
-};
-
-/// The original Value-space plane. Keys are QI projections of the table rows;
-/// equality/hashing go through Value (cross-kind numeric identity included).
-struct RowPlane {
-  using Key = std::vector<Value>;
-  using Hash = VecHash;
-  using Eq = VecEq;
-
-  const MicrodataTable* table = nullptr;
-  const std::vector<size_t>* qis = nullptr;
-
-  void Bind(const MicrodataTable& t, const std::vector<size_t>& q) {
-    table = &t;
-    qis = &q;
-  }
-  Key MakeKey(size_t r) const {
-    Key p;
-    p.reserve(qis->size());
-    for (const size_t c : *qis) p.push_back(table->cell(r, c));
-    return p;
-  }
-  double Weight(size_t r) const { return table->RowWeight(r); }
-  static bool IsNull(const Value& v) { return v.is_null(); }
-};
-
-/// The code-space plane. Keys are packed dictionary codes read from a
-/// ColumnarView; labelled nulls live in the reserved code band so the null
-/// test is one unsigned compare. Bind caches raw pointers to the code and
-/// weight arrays — UpdateRows rewrites them in place and never reallocates,
-/// so the pointers stay valid for the life of the binding.
-struct ColumnarPlane {
-  using Key = std::vector<uint32_t>;
-  using Hash = CodeVecHash;
-  using Eq = CodeVecEq;
-
+/// The QI code columns and weights of a view, bound for one AnonSet. Caches
+/// raw pointers to the code and weight arrays — ColumnarView::UpdateRows
+/// rewrites them in place and never reallocates, so the pointers stay valid
+/// for as long as `view` keeps the view alive.
+struct BoundColumns {
   std::shared_ptr<const ColumnarView> view;
   std::vector<const uint32_t*> cols;
   const double* weights = nullptr;
 
-  void Bind(const MicrodataTable& t, const std::vector<size_t>& q) {
-    view->EnsureColumns(t, q);
+  void Bind(std::shared_ptr<const ColumnarView> v, const MicrodataTable& table,
+            const std::vector<size_t>& qis) {
+    view = std::move(v);
+    view->EnsureColumns(table, qis);
     cols.clear();
-    cols.reserve(q.size());
-    for (const size_t c : q) cols.push_back(view->Codes(c).data());
+    cols.reserve(qis.size());
+    for (const size_t c : qis) cols.push_back(view->Codes(c).data());
     weights = view->Weights().data();
   }
-  Key MakeKey(size_t r) const {
-    Key p;
+  CodeRow Row(size_t r) const {
+    CodeRow p;
     p.reserve(cols.size());
     for (const uint32_t* col : cols) p.push_back(col[r]);
     return p;
   }
   double Weight(size_t r) const { return weights[r]; }
-  static bool IsNull(uint32_t code) { return IsNullCode(code); }
 };
 
 /// Null positions of a key, confined to the mask width: bit i is set iff
 /// key[i] is null and i < kMaxMaybeMatchQis. The explicit bound keeps
 /// `1u << i` defined for arbitrarily wide AnonSets (ValidateQiWidth rejects
 /// maybe-match grouping beyond the mask width at the risk-measure level).
-template <class Plane>
-uint32_t NullMaskOfKey(const typename Plane::Key& key) {
+uint32_t NullMaskOf(const CodeRow& key) {
   uint32_t mask = 0;
   const size_t limit = std::min(key.size(), kMaxMaybeMatchQis);
   for (size_t i = 0; i < limit; ++i) {
-    if (Plane::IsNull(key[i])) mask |= (1u << i);
+    if (IsNullCode(key[i])) mask |= (1u << i);
   }
   return mask;
 }
 
 /// Projection of a key onto the positions NOT in `mask`.
-template <class Key>
-Key ProjectOutKey(const Key& key, uint32_t mask) {
-  Key out;
+CodeRow ProjectOut(const CodeRow& key, uint32_t mask) {
+  CodeRow out;
   out.reserve(key.size());
   const size_t limit = std::min(key.size(), kMaxMaybeMatchQis);
   for (size_t i = 0; i < limit; ++i) {
@@ -156,114 +88,28 @@ Key ProjectOutKey(const Key& key, uint32_t mask) {
 
 using ProjIndexKey = std::pair<uint32_t, uint32_t>;  // (class mask, union mask)
 
-/// Plane-dependent container types of the pattern machinery.
-template <class Plane>
-struct PlaneTraits {
-  using Key = typename Plane::Key;
-  struct PatternInfo {
-    Key pattern;
-    uint32_t null_mask = 0;  // Bit i set iff pattern[i] is a labelled null.
-    double count = 0.0;
-    double weight_sum = 0.0;
-    std::vector<uint32_t> rows;  // Ascending.
-  };
-  using KeyIdMap = std::unordered_map<Key, size_t, typename Plane::Hash, typename Plane::Eq>;
-  /// Projection index of one null-mask class under one union mask:
-  /// projected key -> (count, weight) totals.
-  using ProjIndex =
-      std::unordered_map<Key, std::pair<double, double>, typename Plane::Hash,
-                         typename Plane::Eq>;
-  struct Collapsed {
-    std::vector<PatternInfo> patterns;
-    std::vector<size_t> row_pattern;
-  };
+struct PatternInfo {
+  CodeRow pattern;
+  uint32_t null_mask = 0;  // Bit i set iff pattern[i] is a labelled null.
+  double count = 0.0;
+  double weight_sum = 0.0;
+  std::vector<uint32_t> rows;  // Ascending.
 };
 
-/// Rows collapsed into distinct strict-equality patterns. Pattern ids are
-/// assigned in first-occurrence (row) order and per-pattern aggregates are
-/// accumulated in row order, so the output is independent of the thread
-/// count — and of the plane.
-template <class Plane>
-typename PlaneTraits<Plane>::Collapsed CollapseRows(const Plane& plane, size_t n,
-                                                    NullSemantics semantics) {
-  using Traits = PlaneTraits<Plane>;
-  using Key = typename Plane::Key;
-  typename Traits::Collapsed out;
-  out.row_pattern.assign(n, 0);
-  if (n == 0) return out;
+using PatternIds = std::unordered_map<CodeRow, size_t, CodeRowHash>;
+/// Projection index of one null-mask class under one union mask:
+/// projected key -> (count, weight) totals.
+using ProjIndex = std::unordered_map<CodeRow, std::pair<double, double>, CodeRowHash>;
 
-  // Parallel phase: each fixed shard of rows builds its own pattern table —
-  // the per-row projection, hashing and equality probing is the hot part.
-  struct ShardPattern {
-    Key values;
-    std::vector<uint32_t> rows;
-  };
-  const size_t num_shards = (n + kCollapseGrain - 1) / kCollapseGrain;
-  std::vector<std::vector<ShardPattern>> shards(num_shards);
-  ThreadPool::Global().ParallelFor(
-      0, n, kCollapseGrain, [&](size_t lo, size_t hi, size_t shard) {
-        auto& local = shards[shard];
-        typename Traits::KeyIdMap ids;
-        ids.reserve((hi - lo) * 2);
-        for (size_t r = lo; r < hi; ++r) {
-          Key p = plane.MakeKey(r);
-          auto it = ids.find(p);
-          size_t id;
-          if (it == ids.end()) {
-            id = local.size();
-            ids.emplace(p, id);
-            local.push_back(ShardPattern{std::move(p), {}});
-          } else {
-            id = it->second;
-          }
-          local[id].rows.push_back(static_cast<uint32_t>(r));
-        }
-      });
-
-  // Deterministic merge: shards are contiguous row ranges visited in order,
-  // so global first-occurrence order equals row order and every pattern's
-  // count/weight accumulates in ascending row order — exactly what a
-  // sequential pass produces.
-  typename Traits::KeyIdMap ids;
-  ids.reserve(n * 2);
-  for (auto& shard : shards) {
-    for (auto& sp : shard) {
-      auto it = ids.find(sp.values);
-      size_t id;
-      if (it == ids.end()) {
-        id = out.patterns.size();
-        typename Traits::PatternInfo info;
-        info.null_mask =
-            semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey<Plane>(sp.values) : 0;
-        info.pattern = std::move(sp.values);
-        out.patterns.push_back(std::move(info));
-        ids.emplace(out.patterns.back().pattern, id);
-      } else {
-        id = it->second;
-      }
-      typename Traits::PatternInfo& info = out.patterns[id];
-      for (const uint32_t r : sp.rows) {
-        info.count += 1.0;
-        info.weight_sum += plane.Weight(r);
-        info.rows.push_back(r);
-        out.row_pattern[r] = id;
-      }
-    }
-  }
-  return out;
-}
-
-template <class Plane>
-typename PlaneTraits<Plane>::ProjIndex BuildProjIndex(
-    const std::vector<typename PlaneTraits<Plane>::PatternInfo>& patterns,
-    const std::vector<size_t>& class_ids, uint32_t union_mask) {
+ProjIndex BuildProjIndex(const std::vector<PatternInfo>& patterns,
+                         const std::vector<size_t>& class_ids, uint32_t union_mask) {
   // Canonical accumulation order: class members sorted by their first row,
   // patterns emptied by deletes skipped. On a cold build this is exactly the
   // given id order (ids are assigned in first-occurrence row order and every
   // pattern is non-empty), so it changes nothing; on an incrementally
-  // maintained core (UpdateRows / ApplyDelta) it reproduces the order a cold
-  // rebuild of the current table would use, which keeps the floating-point
-  // weight sums bit-identical to that rebuild.
+  // maintained partition (UpdateRows / ApplyDelta) it reproduces the order a
+  // cold rebuild of the current table would use, which keeps the
+  // floating-point weight sums bit-identical to that rebuild.
   std::vector<size_t> ordered;
   ordered.reserve(class_ids.size());
   for (const size_t p : class_ids) {
@@ -272,11 +118,10 @@ typename PlaneTraits<Plane>::ProjIndex BuildProjIndex(
   std::sort(ordered.begin(), ordered.end(), [&patterns](size_t a, size_t b) {
     return patterns[a].rows[0] < patterns[b].rows[0];
   });
-  typename PlaneTraits<Plane>::ProjIndex index;
+  ProjIndex index;
   index.reserve(ordered.size() * 2);
   for (const size_t p : ordered) {
-    auto key = ProjectOutKey(patterns[p].pattern, union_mask);
-    auto& agg = index[std::move(key)];
+    auto& agg = index[ProjectOut(patterns[p].pattern, union_mask)];
     agg.first += patterns[p].count;
     agg.second += patterns[p].weight_sum;
   }
@@ -290,15 +135,10 @@ typename PlaneTraits<Plane>::ProjIndex BuildProjIndex(
 /// re-aggregating); missing indexes are built in parallel, and the
 /// per-pattern sums run one class per task. All sums are accumulated in
 /// ascending class-mask order — deterministic for any thread count.
-template <class Plane>
-void AggregateMaybeMatch(
-    const std::vector<typename PlaneTraits<Plane>::PatternInfo>& patterns,
-    const std::map<uint32_t, std::vector<size_t>>& classes,
-    std::map<ProjIndexKey, typename PlaneTraits<Plane>::ProjIndex>* memo,
-    std::vector<double>* pat_freq, std::vector<double>* pat_wsum) {
-  using ProjIndex = typename PlaneTraits<Plane>::ProjIndex;
-  pat_freq->assign(patterns.size(), 0.0);
-  pat_wsum->assign(patterns.size(), 0.0);
+void AggregateMaybeMatch(const std::vector<PatternInfo>& patterns,
+                         const std::map<uint32_t, std::vector<size_t>>& classes,
+                         std::map<ProjIndexKey, ProjIndex>* memo,
+                         std::vector<double>* pat_freq, std::vector<double>* pat_wsum) {
   std::vector<uint32_t> masks;
   masks.reserve(classes.size());
   for (const auto& [mask, ids] : classes) {
@@ -322,7 +162,7 @@ void AggregateMaybeMatch(
   ThreadPool::Global().ParallelFor(0, missing.size(), 1,
                                    [&](size_t lo, size_t hi, size_t) {
                                      for (size_t i = lo; i < hi; ++i) {
-                                       built[i] = BuildProjIndex<Plane>(
+                                       built[i] = BuildProjIndex(
                                            patterns, classes.at(missing[i].first),
                                            missing[i].second);
                                      }
@@ -344,8 +184,7 @@ void AggregateMaybeMatch(
             for (const uint32_t mask2 : masks) {
               const uint32_t u = mask1 | mask2;
               const ProjIndex& index = memo->at({mask2, u});
-              const auto proj = ProjectOutKey(patterns[p1].pattern, u);
-              auto hit = index.find(proj);
+              auto hit = index.find(ProjectOut(patterns[p1].pattern, u));
               if (hit != index.end()) {
                 freq += hit->second.first;
                 wsum += hit->second.second;
@@ -358,91 +197,141 @@ void AggregateMaybeMatch(
       });
 }
 
-/// The plane-generic pattern partition: distinct keys, row membership,
-/// null-mask classes, memoized projection indexes. Shared by both GroupIndex
-/// impls (and, through GroupIndex, by PatternUniverse).
-template <class Plane>
-struct PlaneCore {
-  using Traits = PlaneTraits<Plane>;
-  using Key = typename Plane::Key;
-  using PatternInfo = typename Traits::PatternInfo;
-
-  Plane plane;
+/// The pattern partition of a table's QI projection: distinct code rows, row
+/// membership, null-mask classes and memoized projection indexes. A cold
+/// ComputeGroupStats builds one and discards it; a GroupIndex keeps one and
+/// patches it in place.
+struct PatternPartition {
+  NullSemantics semantics = NullSemantics::kMaybeMatch;
+  BoundColumns columns;
   std::vector<PatternInfo> patterns;
-  typename Traits::KeyIdMap pattern_ids;
+  PatternIds pattern_ids;
   std::vector<size_t> row_pattern;
   std::map<uint32_t, std::vector<size_t>> classes;  // mask -> pattern ids
 
   // Memoized projection indexes, shared by Stats() re-aggregation and
   // Query(); entries of a dirty class are dropped on UpdateRows.
-  mutable std::map<ProjIndexKey, typename Traits::ProjIndex> proj_indexes;
+  mutable std::map<ProjIndexKey, ProjIndex> proj_indexes;
 
-  void Build(size_t n, NullSemantics semantics) {
-    auto collapsed = CollapseRows(plane, n, semantics);
-    patterns = std::move(collapsed.patterns);
-    row_pattern = std::move(collapsed.row_pattern);
+  uint32_t ClassMask(const CodeRow& key) const {
+    return semantics == NullSemantics::kMaybeMatch ? NullMaskOf(key) : 0;
+  }
+
+  /// Collapses rows [0, n) into distinct strict-equality patterns. Pattern
+  /// ids are assigned in first-occurrence (row) order and per-pattern
+  /// aggregates accumulate in row order, so the partition is independent of
+  /// the thread count.
+  void Build(size_t n) {
+    patterns.clear();
     pattern_ids.clear();
-    pattern_ids.reserve(patterns.size() * 2);
     classes.clear();
-    for (size_t id = 0; id < patterns.size(); ++id) {
-      pattern_ids.emplace(patterns[id].pattern, id);
-      classes[patterns[id].null_mask].push_back(id);
-    }
     proj_indexes.clear();
+    row_pattern.assign(n, 0);
+    if (n == 0) return;
+
+    // Parallel phase: each fixed shard of rows builds its own pattern table —
+    // the per-row projection, hashing and equality probing is the hot part.
+    struct ShardPattern {
+      CodeRow values;
+      std::vector<uint32_t> rows;
+    };
+    const size_t num_shards = (n + kCollapseGrain - 1) / kCollapseGrain;
+    std::vector<std::vector<ShardPattern>> shards(num_shards);
+    ThreadPool::Global().ParallelFor(
+        0, n, kCollapseGrain, [&](size_t lo, size_t hi, size_t shard) {
+          auto& local = shards[shard];
+          PatternIds ids;
+          ids.reserve((hi - lo) * 2);
+          for (size_t r = lo; r < hi; ++r) {
+            CodeRow p = columns.Row(r);
+            auto it = ids.find(p);
+            size_t id;
+            if (it == ids.end()) {
+              id = local.size();
+              ids.emplace(p, id);
+              local.push_back(ShardPattern{std::move(p), {}});
+            } else {
+              id = it->second;
+            }
+            local[id].rows.push_back(static_cast<uint32_t>(r));
+          }
+        });
+
+    // Deterministic merge: shards are contiguous row ranges visited in order,
+    // so global first-occurrence order equals row order and every pattern's
+    // count/weight accumulates in ascending row order — exactly what a
+    // sequential pass produces.
+    pattern_ids.reserve(n * 2);
+    for (auto& shard : shards) {
+      for (auto& sp : shard) {
+        auto it = pattern_ids.find(sp.values);
+        size_t id;
+        if (it == pattern_ids.end()) {
+          id = patterns.size();
+          PatternInfo info;
+          info.null_mask = ClassMask(sp.values);
+          info.pattern = std::move(sp.values);
+          patterns.push_back(std::move(info));
+          pattern_ids.emplace(patterns.back().pattern, id);
+          classes[patterns.back().null_mask].push_back(id);
+        } else {
+          id = it->second;
+        }
+        PatternInfo& info = patterns[id];
+        for (const uint32_t r : sp.rows) {
+          info.count += 1.0;
+          info.weight_sum += columns.Weight(r);
+          info.rows.push_back(r);
+          row_pattern[r] = id;
+        }
+      }
+    }
+    // Shrink the buckets sized for n rows to the pattern count: a GroupIndex
+    // keeps its partition, and every delta clone copies the id map with its
+    // bucket array.
+    pattern_ids.rehash(patterns.size() * 2);
   }
 
   /// Re-derives a pattern's count/weight from its row list in row order, so
   /// the aggregates never drift through subtract-then-add rounding.
-  void RecomputePatternAggregates(PatternInfo* info) {
+  void RecomputePatternAggregates(PatternInfo* info) const {
     info->count = static_cast<double>(info->rows.size());
     info->weight_sum = 0.0;
-    for (const uint32_t r : info->rows) info->weight_sum += plane.Weight(r);
+    for (const uint32_t r : info->rows) info->weight_sum += columns.Weight(r);
   }
 
-  /// Moves the given rows between patterns per their current keys; returns
-  /// the dirtied null-mask classes (their projection indexes are dropped).
-  std::set<uint32_t> UpdateRows(const std::vector<uint32_t>& rows,
-                                NullSemantics semantics) {
-    std::set<uint32_t> dirty_classes;
-    for (const uint32_t r : rows) {
-      Key p = plane.MakeKey(r);
-      const size_t old_id = row_pattern[r];
-      if (typename Plane::Eq{}(p, patterns[old_id].pattern)) continue;  // No-op change.
-
-      // Detach the row from its old pattern.
-      PatternInfo& old_pat = patterns[old_id];
-      old_pat.rows.erase(std::find(old_pat.rows.begin(), old_pat.rows.end(), r));
-      RecomputePatternAggregates(&old_pat);
-      dirty_classes.insert(old_pat.null_mask);
-
-      // Attach it to the (possibly new) pattern of its current projection.
-      const uint32_t mask =
-          semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey<Plane>(p) : 0;
-      auto it = pattern_ids.find(p);
-      size_t id;
-      if (it == pattern_ids.end()) {
-        id = patterns.size();
-        PatternInfo info;
-        info.null_mask = mask;
-        info.pattern = std::move(p);
-        patterns.push_back(std::move(info));
-        pattern_ids.emplace(patterns.back().pattern, id);
-        classes[mask].push_back(id);
-      } else {
-        id = it->second;
-      }
-      PatternInfo& new_pat = patterns[id];
-      new_pat.rows.insert(
-          std::upper_bound(new_pat.rows.begin(), new_pat.rows.end(), r), r);
-      RecomputePatternAggregates(&new_pat);
-      dirty_classes.insert(new_pat.null_mask);
-      row_pattern[r] = id;
+  /// Finds or creates the pattern of `p` and inserts row `r` into its list
+  /// (push_back when `at_tail` — appends carry the largest indices).
+  size_t AttachKey(CodeRow p, uint32_t r, bool at_tail) {
+    auto it = pattern_ids.find(p);
+    size_t id;
+    if (it == pattern_ids.end()) {
+      id = patterns.size();
+      PatternInfo info;
+      info.null_mask = ClassMask(p);
+      info.pattern = std::move(p);
+      patterns.push_back(std::move(info));
+      pattern_ids.emplace(patterns.back().pattern, id);
+      classes[patterns.back().null_mask].push_back(id);
+    } else {
+      id = it->second;
     }
-    if (dirty_classes.empty()) return dirty_classes;
-    VADASA_METRIC_COUNT("group_index.dirty_classes", dirty_classes.size());
+    PatternInfo& pat = patterns[id];
+    if (at_tail) {
+      pat.rows.push_back(r);
+    } else {
+      pat.rows.insert(std::upper_bound(pat.rows.begin(), pat.rows.end(), r), r);
+    }
+    return id;
+  }
 
-    // Dirty-group invalidation: only projection indexes involving a touched
-    // null-mask class are rebuilt by the next Stats()/Query().
+  static void DetachRow(PatternInfo* pat, uint32_t r) {
+    pat->rows.erase(std::find(pat->rows.begin(), pat->rows.end(), r));
+  }
+
+  /// Dirty-group invalidation: only projection indexes involving a touched
+  /// null-mask class are rebuilt by the next Stats()/Query().
+  void DropProjIndexes(const std::set<uint32_t>& dirty_classes) {
     size_t dropped = 0;
     for (auto it = proj_indexes.begin(); it != proj_indexes.end();) {
       if (dirty_classes.count(it->first.first) > 0) {
@@ -453,20 +342,42 @@ struct PlaneCore {
       }
     }
     VADASA_METRIC_COUNT("group_index.proj_indexes_dropped", dropped);
-    return dirty_classes;
   }
 
-  /// Patches a core cloned from the pre-delta state into the post-delta
-  /// partition. Precondition: `plane` is already bound to the post-delta
-  /// table/view and `plan` came from the ApplyDeltaToTable call that produced
-  /// that table. Deleted rows are detached and the row numbering compacted
+  /// Moves the given rows between patterns per their current keys and drops
+  /// the projection indexes of the dirtied null-mask classes; returns whether
+  /// any row changed pattern.
+  bool UpdateRows(const std::vector<uint32_t>& rows) {
+    std::set<uint32_t> dirty_classes;
+    for (const uint32_t r : rows) {
+      CodeRow p = columns.Row(r);
+      const size_t old_id = row_pattern[r];
+      if (p == patterns[old_id].pattern) continue;  // No-op change.
+      PatternInfo& old_pat = patterns[old_id];
+      DetachRow(&old_pat, r);
+      RecomputePatternAggregates(&old_pat);
+      dirty_classes.insert(old_pat.null_mask);
+      const size_t id = AttachKey(std::move(p), r, /*at_tail=*/false);
+      RecomputePatternAggregates(&patterns[id]);
+      dirty_classes.insert(patterns[id].null_mask);
+      row_pattern[r] = id;
+    }
+    if (dirty_classes.empty()) return false;
+    VADASA_METRIC_COUNT("group_index.dirty_classes", dirty_classes.size());
+    DropProjIndexes(dirty_classes);
+    return true;
+  }
+
+  /// Patches a partition cloned from the pre-delta state into the post-delta
+  /// one. Precondition: `columns` is already bound to the post-delta view and
+  /// `plan` came from the ApplyDeltaToTable call that produced that table.
+  /// Deleted rows are detached and the row numbering compacted
   /// (order-preserving, so untouched patterns keep their ascending row lists
   /// and therefore their exact weight sums); updated rows are re-projected
   /// like UpdateRows; appended rows are attached at the tail. Only touched
   /// patterns are re-aggregated and only dirty classes lose projection
   /// indexes. Returns (patterns touched, null-mask classes dirtied).
   std::pair<size_t, size_t> ApplyDeltaPlan(const DeltaRowPlan& plan,
-                                           NullSemantics semantics,
                                            size_t new_num_rows) {
     std::set<size_t> touched;
     std::set<uint32_t> dirty_classes;
@@ -475,7 +386,7 @@ struct PlaneCore {
     //    at the end, not per detach.
     for (const uint32_t r : plan.deleted_old_rows) {
       PatternInfo& pat = patterns[row_pattern[r]];
-      pat.rows.erase(std::find(pat.rows.begin(), pat.rows.end(), r));
+      DetachRow(&pat, r);
       touched.insert(row_pattern[r]);
       dirty_classes.insert(pat.null_mask);
     }
@@ -487,22 +398,11 @@ struct PlaneCore {
     if (!plan.deleted_old_rows.empty()) {
       const size_t old_n = row_pattern.size();
       std::vector<uint32_t> del_before(old_n, 0);
-      {
-        size_t next_del = 0;
-        uint32_t count = 0;
-        for (size_t r = 0; r < old_n; ++r) {
-          del_before[r] = count;
-          if (next_del < plan.deleted_old_rows.size() &&
-              plan.deleted_old_rows[next_del] == r) {
-            ++count;
-            ++next_del;
-          }
-        }
-      }
       std::vector<size_t> compacted;
       compacted.reserve(new_num_rows);
       size_t next_del = 0;
       for (size_t r = 0; r < old_n; ++r) {
+        del_before[r] = static_cast<uint32_t>(next_del);
         if (next_del < plan.deleted_old_rows.size() &&
             plan.deleted_old_rows[next_del] == r) {
           ++next_del;
@@ -524,11 +424,10 @@ struct PlaneCore {
       const size_t old_id = row_pattern[r];
       touched.insert(old_id);
       dirty_classes.insert(patterns[old_id].null_mask);
-      Key p = plane.MakeKey(r);
-      if (typename Plane::Eq{}(p, patterns[old_id].pattern)) continue;
-      PatternInfo& old_pat = patterns[old_id];
-      old_pat.rows.erase(std::find(old_pat.rows.begin(), old_pat.rows.end(), r));
-      const size_t id = AttachKey(std::move(p), r, semantics, /*at_tail=*/false);
+      CodeRow p = columns.Row(r);
+      if (p == patterns[old_id].pattern) continue;
+      DetachRow(&patterns[old_id], r);
+      const size_t id = AttachKey(std::move(p), r, /*at_tail=*/false);
       touched.insert(id);
       dirty_classes.insert(patterns[id].null_mask);
       row_pattern[r] = id;
@@ -536,8 +435,8 @@ struct PlaneCore {
 
     // 4. Attach appended rows at the tail, in ascending row order.
     for (size_t r = new_num_rows - plan.appended_rows; r < new_num_rows; ++r) {
-      const size_t id = AttachKey(plane.MakeKey(r), static_cast<uint32_t>(r),
-                                  semantics, /*at_tail=*/true);
+      const size_t id =
+          AttachKey(columns.Row(r), static_cast<uint32_t>(r), /*at_tail=*/true);
       touched.insert(id);
       dirty_classes.insert(patterns[id].null_mask);
       row_pattern[r] = id;
@@ -548,50 +447,11 @@ struct PlaneCore {
     for (const size_t id : touched) RecomputePatternAggregates(&patterns[id]);
 
     // 6. Dirty-group invalidation, exactly as in UpdateRows.
-    size_t dropped = 0;
-    for (auto it = proj_indexes.begin(); it != proj_indexes.end();) {
-      if (dirty_classes.count(it->first.first) > 0) {
-        it = proj_indexes.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    VADASA_METRIC_COUNT("group_index.proj_indexes_dropped", dropped);
+    DropProjIndexes(dirty_classes);
     return {touched.size(), dirty_classes.size()};
   }
 
-  /// Finds or creates the pattern of `p` and inserts row `r` into its list
-  /// (push_back when `at_tail` — appends carry the largest indices).
-  size_t AttachKey(Key p, uint32_t r, NullSemantics semantics, bool at_tail) {
-    const uint32_t mask =
-        semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey<Plane>(p) : 0;
-    auto it = pattern_ids.find(p);
-    size_t id;
-    if (it == pattern_ids.end()) {
-      id = patterns.size();
-      PatternInfo info;
-      info.null_mask = mask;
-      info.pattern = std::move(p);
-      patterns.push_back(std::move(info));
-      pattern_ids.emplace(patterns.back().pattern, id);
-      classes[mask].push_back(id);
-    } else {
-      id = it->second;
-    }
-    PatternInfo& pat = patterns[id];
-    if (at_tail) {
-      pat.rows.push_back(r);
-    } else {
-      pat.rows.insert(std::upper_bound(pat.rows.begin(), pat.rows.end(), r), r);
-    }
-    return id;
-  }
-
-  void RecomputeStats(size_t num_rows, NullSemantics semantics,
-                      GroupStats* stats) const {
-    stats->frequency.assign(num_rows, 0.0);
-    stats->weight_sum.assign(num_rows, 0.0);
+  void RecomputeStats(GroupStats* stats) const {
     std::vector<double> pat_freq(patterns.size(), 0.0);
     std::vector<double> pat_wsum(patterns.size(), 0.0);
     if (semantics == NullSemantics::kStandard) {
@@ -600,16 +460,18 @@ struct PlaneCore {
         pat_wsum[p] = patterns[p].weight_sum;
       }
     } else {
-      AggregateMaybeMatch<Plane>(patterns, classes, &proj_indexes, &pat_freq,
-                                 &pat_wsum);
+      AggregateMaybeMatch(patterns, classes, &proj_indexes, &pat_freq, &pat_wsum);
     }
-    for (size_t r = 0; r < num_rows; ++r) {
+    const size_t n = row_pattern.size();
+    stats->frequency.assign(n, 0.0);
+    stats->weight_sum.assign(n, 0.0);
+    for (size_t r = 0; r < n; ++r) {
       stats->frequency[r] = pat_freq[row_pattern[r]];
       stats->weight_sum[r] = pat_wsum[row_pattern[r]];
     }
   }
 
-  PatternMass QueryKey(const Key& key, NullSemantics semantics) const {
+  PatternMass QueryKey(const CodeRow& key) const {
     PatternMass mass;
     if (semantics == NullSemantics::kStandard) {
       auto it = pattern_ids.find(key);
@@ -619,17 +481,16 @@ struct PlaneCore {
       }
       return mass;
     }
-    const uint32_t qmask = NullMaskOfKey<Plane>(key);
+    const uint32_t qmask = NullMaskOf(key);
     for (const auto& [cmask, ids] : classes) {
       const uint32_t u = qmask | cmask;
       const ProjIndexKey pkey{cmask, u};
       auto it = proj_indexes.find(pkey);
       if (it == proj_indexes.end()) {
         VADASA_METRIC_COUNT("group_index.proj_indexes_built", 1);
-        it = proj_indexes.emplace(pkey, BuildProjIndex<Plane>(patterns, ids, u)).first;
+        it = proj_indexes.emplace(pkey, BuildProjIndex(patterns, ids, u)).first;
       }
-      const auto proj = ProjectOutKey(key, u);
-      auto hit = it->second.find(proj);
+      auto hit = it->second.find(ProjectOut(key, u));
       if (hit != it->second.end()) {
         mass.count += hit->second.first;
         mass.weight += hit->second.second;
@@ -639,41 +500,20 @@ struct PlaneCore {
   }
 };
 
-template <class Plane>
-GroupStats ComputeStatsOnPlane(const Plane& plane, size_t n, NullSemantics semantics) {
-  GroupStats stats;
-  stats.frequency.assign(n, 0.0);
-  stats.weight_sum.assign(n, 0.0);
-
-  // 1. Collapse rows into distinct patterns (strict equality; null labels
-  //    distinguish). Under kStandard this already yields the answer.
-  auto collapsed = CollapseRows(plane, n, semantics);
-  const auto& patterns = collapsed.patterns;
-
-  std::vector<double> pat_freq(patterns.size(), 0.0);
-  std::vector<double> pat_wsum(patterns.size(), 0.0);
-
-  if (semantics == NullSemantics::kStandard) {
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      pat_freq[p] = patterns[p].count;
-      pat_wsum[p] = patterns[p].weight_sum;
-    }
-  } else {
-    // 2. Maybe-match: group patterns by null-mask class and exchange mass
-    //    between classes through shared projections.
-    std::map<uint32_t, std::vector<size_t>> classes;  // mask -> pattern ids
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      classes[patterns[p].null_mask].push_back(p);
-    }
-    std::map<ProjIndexKey, typename PlaneTraits<Plane>::ProjIndex> memo;
-    AggregateMaybeMatch<Plane>(patterns, classes, &memo, &pat_freq, &pat_wsum);
+/// A partition of `table` under `semantics`, read through `view` (a fresh
+/// materialization when null or stale).
+PatternPartition Partition(const MicrodataTable& table,
+                           const std::vector<size_t>& qi_columns,
+                           NullSemantics semantics,
+                           std::shared_ptr<const ColumnarView> view) {
+  if (view == nullptr || view->num_rows() != table.num_rows()) {
+    view = std::make_shared<ColumnarView>(table);
   }
-
-  for (size_t r = 0; r < n; ++r) {
-    stats.frequency[r] = pat_freq[collapsed.row_pattern[r]];
-    stats.weight_sum[r] = pat_wsum[collapsed.row_pattern[r]];
-  }
-  return stats;
+  PatternPartition partition;
+  partition.semantics = semantics;
+  partition.columns.Bind(std::move(view), table, qi_columns);
+  partition.Build(table.num_rows());
+  return partition;
 }
 
 }  // namespace
@@ -694,45 +534,29 @@ GroupStats ComputeGroupStats(const MicrodataTable& table,
                              const std::vector<size_t>& qi_columns,
                              NullSemantics semantics,
                              std::shared_ptr<const ColumnarView> shared_view) {
-  const size_t n = table.num_rows();
-  if (ActiveDataPlane() == DataPlane::kColumnar) {
-    std::shared_ptr<const ColumnarView> view = std::move(shared_view);
-    if (view == nullptr || view->num_rows() != n) {
-      view = std::make_shared<ColumnarView>(table);
-    }
-    ColumnarPlane plane;
-    plane.view = std::move(view);
-    plane.Bind(table, qi_columns);
-    return ComputeStatsOnPlane(plane, n, semantics);
-  }
-  RowPlane plane;
-  plane.Bind(table, qi_columns);
-  return ComputeStatsOnPlane(plane, n, semantics);
+  GroupStats stats;
+  Partition(table, qi_columns, semantics, std::move(shared_view)).RecomputeStats(&stats);
+  return stats;
 }
 
 EquivalenceClassStats ComputeEquivalenceClasses(
     const MicrodataTable& table, const std::vector<size_t>& qi_columns) {
   EquivalenceClassStats stats;
   stats.histogram.assign(10, 0);
-  std::unordered_map<std::vector<Value>, size_t, VecHash, VecEq> classes;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<Value> key;
-    key.reserve(qi_columns.size());
-    for (const size_t c : qi_columns) key.push_back(table.cell(r, c));
-    classes[std::move(key)]++;
-  }
-  stats.num_classes = classes.size();
-  if (classes.empty()) return stats;
+  const PatternPartition partition =
+      Partition(table, qi_columns, NullSemantics::kStandard, nullptr);
+  stats.num_classes = partition.patterns.size();
+  if (partition.patterns.empty()) return stats;
   stats.min_class_size = table.num_rows();
-  for (const auto& [key, size] : classes) {
-    (void)key;
+  for (const PatternInfo& pattern : partition.patterns) {
+    const size_t size = pattern.rows.size();
     if (size == 1) ++stats.uniques;
     stats.min_class_size = std::min(stats.min_class_size, size);
     stats.max_class_size = std::max(stats.max_class_size, size);
     stats.histogram[std::min<size_t>(size, 10) - 1]++;
   }
   stats.mean_class_size =
-      static_cast<double>(table.num_rows()) / static_cast<double>(classes.size());
+      static_cast<double>(table.num_rows()) / static_cast<double>(stats.num_classes);
   return stats;
 }
 
@@ -753,14 +577,17 @@ double CountMatches(const MicrodataTable& table, const std::vector<size_t>& qi_c
 
 // ---------------------------------------------------------------------------
 // GroupIndex: the incremental index behind the cycle's risk-evaluation loop.
-// One abstract Impl per plane; both delegate to the shared PlaneCore.
 // ---------------------------------------------------------------------------
 
 struct GroupIndex::Impl {
   std::vector<size_t> qi_columns;
-  NullSemantics semantics = NullSemantics::kMaybeMatch;
-  DataPlane plane = DataPlane::kRow;
   size_t num_rows = 0;
+  /// The mutable handle to the view `partition.columns` reads. When
+  /// owns_view, this index refreshes the view's codes itself in UpdateRows;
+  /// otherwise the owner (RiskEvalCache) refreshes once per batch first.
+  std::shared_ptr<ColumnarView> view;
+  bool owns_view = true;
+  PatternPartition partition;
 
   mutable GroupStats stats;
   mutable bool stats_dirty = true;
@@ -768,172 +595,20 @@ struct GroupIndex::Impl {
   size_t full_builds = 0;
   size_t incremental_updates = 0;
 
-  virtual ~Impl() = default;
-  virtual void Build(const MicrodataTable& table) = 0;
-  /// Precondition: the table shape matches num_rows (GroupIndex::UpdateRows
-  /// rebuilds otherwise).
-  virtual void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) = 0;
-  virtual void Recompute() const = 0;
-  virtual PatternMass QueryPattern(const std::vector<Value>& pattern) const = 0;
-  virtual size_t pattern_count() const = 0;
-  virtual void AdoptSharedView(std::shared_ptr<ColumnarView> view) { (void)view; }
-  /// A patched copy of this impl over the post-delta table (see
-  /// GroupIndex::ApplyDelta). Never mutates *this.
-  virtual std::unique_ptr<Impl> CloneForDelta(const MicrodataTable& new_table,
-                                              const DeltaRowPlan& plan) const = 0;
-  virtual std::shared_ptr<const ColumnarView> SharedViewHandle() const { return nullptr; }
-
- protected:
-  /// Shared bookkeeping of CloneForDelta: copies the plane-independent fields
-  /// onto `clone` and counts the delta as one absorbed incremental update.
-  void CopyMetaTo(Impl* clone, size_t new_num_rows) const {
-    clone->qi_columns = qi_columns;
-    clone->semantics = semantics;
-    clone->plane = plane;
-    clone->num_rows = new_num_rows;
-    clone->stats_dirty = true;
-    clone->full_builds = full_builds;
-    clone->incremental_updates = incremental_updates + 1;
-  }
-};
-
-namespace {
-
-struct RowImpl final : GroupIndex::Impl {
-  PlaneCore<RowPlane> core;
-
-  void Build(const MicrodataTable& table) override {
+  void Build(const MicrodataTable& table) {
     obs::Span span("group_index.build");
     VADASA_METRIC_COUNT("group_index.full_builds", 1);
     num_rows = table.num_rows();
-    core.plane.Bind(table, qi_columns);
-    core.Build(num_rows, semantics);
-    stats_dirty = true;
-    ++full_builds;
-  }
-
-  void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) override {
-    core.plane.Bind(table, qi_columns);
-    if (!core.UpdateRows(rows, semantics).empty()) stats_dirty = true;
-  }
-
-  void Recompute() const override {
-    obs::Span span("group_index.recompute_stats");
-    core.RecomputeStats(num_rows, semantics, &stats);
-    stats_dirty = false;
-  }
-
-  PatternMass QueryPattern(const std::vector<Value>& pattern) const override {
-    return core.QueryKey(pattern, semantics);
-  }
-
-  size_t pattern_count() const override { return core.patterns.size(); }
-
-  std::unique_ptr<GroupIndex::Impl> CloneForDelta(
-      const MicrodataTable& new_table, const DeltaRowPlan& plan) const override {
-    auto clone = std::make_unique<RowImpl>();
-    CopyMetaTo(clone.get(), new_table.num_rows());
-    clone->core = core;
-    clone->core.plane.Bind(new_table, clone->qi_columns);
-    const auto [dirtied, classes_dirtied] =
-        clone->core.ApplyDeltaPlan(plan, semantics, clone->num_rows);
-    VADASA_METRIC_COUNT("delta.groups_dirtied", dirtied);
-    VADASA_METRIC_COUNT("delta.groups_recomputed", dirtied);
-    VADASA_METRIC_COUNT("delta.classes_dirtied", classes_dirtied);
-    return clone;
-  }
-};
-
-struct ColumnarImpl final : GroupIndex::Impl {
-  PlaneCore<ColumnarPlane> core;
-  /// The mutable handle to the view the plane reads. When owns_view, this
-  /// index refreshes the view's codes itself inside Update; otherwise the
-  /// owner (RiskEvalCache) refreshes once per batch before calling it.
-  std::shared_ptr<ColumnarView> view;
-  bool owns_view = true;
-
-  void Rebind(const MicrodataTable& table) {
-    if (view == nullptr || view->num_rows() != table.num_rows()) {
+    if (view == nullptr || view->num_rows() != num_rows) {
       view = std::make_shared<ColumnarView>(table);
+      owns_view = true;
     }
-    core.plane.view = view;
-    core.plane.Bind(table, qi_columns);
-  }
-
-  void Build(const MicrodataTable& table) override {
-    obs::Span span("group_index.build");
-    VADASA_METRIC_COUNT("group_index.full_builds", 1);
-    num_rows = table.num_rows();
-    Rebind(table);
-    core.Build(num_rows, semantics);
+    partition.columns.Bind(view, table, qi_columns);
+    partition.Build(num_rows);
     stats_dirty = true;
     ++full_builds;
   }
-
-  void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) override {
-    if (core.plane.view.get() != view.get()) {
-      // The shared view was swapped (AdoptSharedView) — rebind and rebuild.
-      Build(table);
-      return;
-    }
-    if (owns_view) view->UpdateRows(table, rows);
-    if (!core.UpdateRows(rows, semantics).empty()) stats_dirty = true;
-  }
-
-  void Recompute() const override {
-    obs::Span span("group_index.recompute_stats");
-    core.RecomputeStats(num_rows, semantics, &stats);
-    stats_dirty = false;
-  }
-
-  PatternMass QueryPattern(const std::vector<Value>& pattern) const override {
-    std::vector<uint32_t> key;
-    key.reserve(pattern.size());
-    for (size_t i = 0; i < pattern.size(); ++i) {
-      key.push_back(view->CodeForQuery(qi_columns[i], pattern[i]));
-    }
-    return core.QueryKey(key, semantics);
-  }
-
-  size_t pattern_count() const override { return core.patterns.size(); }
-
-  void AdoptSharedView(std::shared_ptr<ColumnarView> v) override {
-    view = std::move(v);
-  }
-
-  std::shared_ptr<const ColumnarView> SharedViewHandle() const override {
-    return view;
-  }
-
-  std::unique_ptr<GroupIndex::Impl> CloneForDelta(
-      const MicrodataTable& new_table, const DeltaRowPlan& plan) const override {
-    auto clone = std::make_unique<ColumnarImpl>();
-    CopyMetaTo(clone.get(), new_table.num_rows());
-    clone->core = core;
-    // Delta-clone the view: inherited dictionaries and code arrays, deleted
-    // rows compacted out, changed rows re-interned (see columnar.h). Updated
-    // rows are already in new-table numbering; appends occupy the tail.
-    std::vector<uint32_t> changed = plan.updated_new_rows;
-    changed.reserve(changed.size() + plan.appended_rows);
-    for (size_t r = new_table.num_rows() - plan.appended_rows;
-         r < new_table.num_rows(); ++r) {
-      changed.push_back(static_cast<uint32_t>(r));
-    }
-    clone->view = std::make_shared<ColumnarView>(*view, new_table,
-                                                 plan.deleted_old_rows, changed);
-    clone->owns_view = true;
-    clone->core.plane.view = clone->view;
-    clone->core.plane.Bind(new_table, clone->qi_columns);
-    const auto [dirtied, classes_dirtied] =
-        clone->core.ApplyDeltaPlan(plan, semantics, clone->num_rows);
-    VADASA_METRIC_COUNT("delta.groups_dirtied", dirtied);
-    VADASA_METRIC_COUNT("delta.groups_recomputed", dirtied);
-    VADASA_METRIC_COUNT("delta.classes_dirtied", classes_dirtied);
-    return clone;
-  }
 };
-
-}  // namespace
 
 GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
                        NullSemantics semantics)
@@ -941,22 +616,14 @@ GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_colum
 
 GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
                        NullSemantics semantics,
-                       std::shared_ptr<ColumnarView> shared_view) {
-  if (ActiveDataPlane() == DataPlane::kColumnar) {
-    auto impl = std::make_unique<ColumnarImpl>();
-    if (shared_view != nullptr) {
-      impl->view = std::move(shared_view);
-      impl->owns_view = false;
-    }
-    impl->plane = DataPlane::kColumnar;
-    impl_ = std::move(impl);
-  } else {
-    auto impl = std::make_unique<RowImpl>();
-    impl->plane = DataPlane::kRow;
-    impl_ = std::move(impl);
+                       std::shared_ptr<ColumnarView> shared_view)
+    : impl_(std::make_unique<Impl>()) {
+  if (shared_view != nullptr) {
+    impl_->view = std::move(shared_view);
+    impl_->owns_view = false;
   }
   impl_->qi_columns = std::move(qi_columns);
-  impl_->semantics = semantics;
+  impl_->partition.semantics = semantics;
   impl_->Build(table);
 }
 
@@ -965,70 +632,82 @@ GroupIndex::~GroupIndex() = default;
 void GroupIndex::UpdateRows(const MicrodataTable& table,
                             const std::vector<uint32_t>& rows) {
   Impl& im = *impl_;
-  if (table.num_rows() != im.num_rows) {
-    // Shape changed under us — incremental bookkeeping is void.
+  if (table.num_rows() != im.num_rows || im.partition.columns.view != im.view) {
+    // Shape changed under us, or AdoptView swapped the shared view —
+    // incremental bookkeeping is void.
     im.Build(table);
     return;
   }
   obs::Span span("group_index.update_rows");
   ++im.incremental_updates;
   VADASA_METRIC_COUNT("group_index.incremental_updates", 1);
-  im.Update(table, rows);
+  if (im.owns_view) im.view->UpdateRows(table, rows);
+  if (im.partition.UpdateRows(rows)) im.stats_dirty = true;
 }
 
 std::unique_ptr<GroupIndex> GroupIndex::ApplyDelta(const MicrodataTable& new_table,
                                                    const DeltaRowPlan& plan) const {
   obs::Span span("group_index.apply_delta");
   VADASA_METRIC_COUNT("delta.index_applies", 1);
+  auto clone = std::make_unique<Impl>();
+  clone->qi_columns = impl_->qi_columns;
+  clone->num_rows = new_table.num_rows();
+  clone->full_builds = impl_->full_builds;
+  clone->incremental_updates = impl_->incremental_updates + 1;
+  clone->partition = impl_->partition;
+  // Delta-clone the view: inherited dictionaries and code arrays, deleted
+  // rows compacted out, changed rows re-interned (see columnar.h). Updated
+  // rows are already in new-table numbering; appends occupy the tail.
+  std::vector<uint32_t> changed = plan.updated_new_rows;
+  changed.reserve(changed.size() + plan.appended_rows);
+  for (size_t r = new_table.num_rows() - plan.appended_rows; r < new_table.num_rows();
+       ++r) {
+    changed.push_back(static_cast<uint32_t>(r));
+  }
+  clone->view = std::make_shared<ColumnarView>(*impl_->view, new_table,
+                                               plan.deleted_old_rows, changed);
+  clone->partition.columns.Bind(clone->view, new_table, clone->qi_columns);
+  const auto [dirtied, classes_dirtied] =
+      clone->partition.ApplyDeltaPlan(plan, clone->num_rows);
+  VADASA_METRIC_COUNT("delta.groups_dirtied", dirtied);
+  VADASA_METRIC_COUNT("delta.groups_recomputed", dirtied);
+  VADASA_METRIC_COUNT("delta.classes_dirtied", classes_dirtied);
   auto out = std::unique_ptr<GroupIndex>(new GroupIndex());
-  out->impl_ = impl_->CloneForDelta(new_table, plan);
+  out->impl_ = std::move(clone);
   return out;
 }
 
 const GroupStats& GroupIndex::Stats() const {
-  if (impl_->stats_dirty) impl_->Recompute();
+  if (impl_->stats_dirty) {
+    obs::Span span("group_index.recompute_stats");
+    impl_->partition.RecomputeStats(&impl_->stats);
+    impl_->stats_dirty = false;
+  }
   return impl_->stats;
 }
 
 PatternMass GroupIndex::Query(const std::vector<Value>& pattern) const {
   if (pattern.size() != impl_->qi_columns.size()) return PatternMass{};
-  return impl_->QueryPattern(pattern);
+  CodeRow key;
+  key.reserve(pattern.size());
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    key.push_back(impl_->view->CodeForQuery(impl_->qi_columns[i], pattern[i]));
+  }
+  return impl_->partition.QueryKey(key);
 }
 
 const std::vector<size_t>& GroupIndex::qi_columns() const { return impl_->qi_columns; }
-NullSemantics GroupIndex::semantics() const { return impl_->semantics; }
+NullSemantics GroupIndex::semantics() const { return impl_->partition.semantics; }
 size_t GroupIndex::num_rows() const { return impl_->num_rows; }
-size_t GroupIndex::num_patterns() const { return impl_->pattern_count(); }
-DataPlane GroupIndex::data_plane() const { return impl_->plane; }
+size_t GroupIndex::num_patterns() const { return impl_->partition.patterns.size(); }
 void GroupIndex::AdoptView(std::shared_ptr<ColumnarView> view) {
-  impl_->AdoptSharedView(std::move(view));
+  impl_->view = std::move(view);
 }
 std::shared_ptr<const ColumnarView> GroupIndex::shared_view() const {
-  return impl_->SharedViewHandle();
+  return impl_->view;
 }
 size_t GroupIndex::full_builds() const { return impl_->full_builds; }
 size_t GroupIndex::incremental_updates() const { return impl_->incremental_updates; }
-
-// ---------------------------------------------------------------------------
-// PatternUniverse: an immutable what-if snapshot. A thin wrapper over
-// GroupIndex (shared_ptr for cheap copies) — both planes, one code path.
-// ---------------------------------------------------------------------------
-
-struct PatternUniverse::Impl {
-  std::unique_ptr<GroupIndex> index;
-};
-
-PatternUniverse::PatternUniverse(const MicrodataTable& table,
-                                 std::vector<size_t> qi_columns,
-                                 NullSemantics semantics) {
-  impl_ = std::make_shared<Impl>();
-  impl_->index = std::make_unique<GroupIndex>(table, std::move(qi_columns), semantics);
-  pattern_count_ = impl_->index->num_patterns();
-}
-
-PatternUniverse::Mass PatternUniverse::Query(const std::vector<Value>& pattern) const {
-  return impl_->index->Query(pattern);
-}
 
 // ---------------------------------------------------------------------------
 // RiskEvalCache
@@ -1048,11 +727,10 @@ struct RiskEvalCache::Impl {
   uint64_t version = 0;
 
   /// One columnar materialization shared by every index of this cache (and
-  /// by the cycle's pattern guards). Null under the row plane.
+  /// by the cycle's pattern guards).
   std::shared_ptr<ColumnarView> view;
 
   std::shared_ptr<ColumnarView> EnsureView(const MicrodataTable& table) {
-    if (ActiveDataPlane() != DataPlane::kColumnar) return nullptr;
     if (view == nullptr || view->num_rows() != table.num_rows()) {
       view = std::make_shared<ColumnarView>(table);
     }
@@ -1075,8 +753,7 @@ GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
              .emplace(key, std::make_unique<GroupIndex>(table, qi_columns, semantics,
                                                         std::move(shared)))
              .first;
-  } else if (it->second->num_rows() != table.num_rows() ||
-             it->second->data_plane() != ActiveDataPlane()) {
+  } else if (it->second->num_rows() != table.num_rows()) {
     VADASA_METRIC_COUNT("risk_cache.index_misses", 1);
     it->second = std::make_unique<GroupIndex>(table, qi_columns, semantics,
                                               std::move(shared));

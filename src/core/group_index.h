@@ -53,15 +53,13 @@ struct GroupStats {
 /// O(#rows + #null-set-classes^2 · #patterns · |qi|) rather than the naive
 /// O(#rows^2 · |qi|).
 ///
-/// The row→pattern projection and hashing run on ThreadPool::Global(); the
-/// result is bit-identical for any thread count (see thread_pool.h) and for
-/// either data plane (see columnar.h — the columnar plane groups packed
-/// dictionary codes instead of Value vectors, but pattern order and
-/// floating-point accumulation order are unchanged).
+/// Rows are grouped as packed dictionary codes (see columnar.h). The
+/// row→pattern projection and hashing run on ThreadPool::Global(); the result
+/// is bit-identical for any thread count (see thread_pool.h).
 ///
 /// `shared_view` lets warm callers reuse an existing columnar
-/// materialization; it is consulted only under the columnar plane and only
-/// when its row count matches the table.
+/// materialization; it is consulted only when its row count matches the
+/// table.
 GroupStats ComputeGroupStats(const MicrodataTable& table,
                              const std::vector<size_t>& qi_columns,
                              NullSemantics semantics,
@@ -70,7 +68,8 @@ GroupStats ComputeGroupStats(const MicrodataTable& table,
 /// Counts rows of `table` whose QI projection maybe-matches `pattern`
 /// (`pattern` has one entry per qi_column; nulls are wildcards). Under
 /// kStandard, nulls match only nulls with the same label. Linear scan —
-/// intended for small tables and tests; the heuristics use PatternUniverse.
+/// intended for small tables and tests; GroupIndex::Query answers the same
+/// question from the index.
 double CountMatches(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
                     const std::vector<Value>& pattern, NullSemantics semantics);
 
@@ -99,41 +98,11 @@ struct PatternMass {
   double weight = 0.0;
 };
 
-/// Read-only what-if interface over a table's QI patterns: "how many rows
-/// would maybe-match this (possibly null-bearing) pattern?". Implemented by
-/// the immutable PatternUniverse snapshot and by the incremental GroupIndex;
-/// the heuristics accept either.
-class PatternOracle {
- public:
-  virtual ~PatternOracle() = default;
-  /// `pattern` has one entry per qi column; nulls are wildcards under
-  /// kMaybeMatch.
-  virtual PatternMass Query(const std::vector<Value>& pattern) const = 0;
-};
-
-/// A compiled snapshot of the distinct QI patterns of a table supporting fast
-/// what-if queries. Used by the most-risky-first quasi-identifier heuristic
-/// (Section 4.4) to score candidate suppressions without rescanning the
-/// table. Projection indexes are built lazily per (null-class, query mask)
-/// pair and memoized.
-class PatternUniverse : public PatternOracle {
- public:
-  PatternUniverse(const MicrodataTable& table, std::vector<size_t> qi_columns,
-                  NullSemantics semantics);
-
-  using Mass = PatternMass;
-  Mass Query(const std::vector<Value>& pattern) const override;
-
-  size_t num_patterns() const { return pattern_count_; }
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-  size_t pattern_count_ = 0;
-};
-
 /// The incremental QI group index — the cycle's replacement for re-running
-/// ComputeGroupStats and rebuilding a PatternUniverse on every iteration.
+/// ComputeGroupStats on every iteration, and its what-if oracle: Query()
+/// answers "how many rows would maybe-match this (possibly null-bearing)
+/// pattern?" for the most-risky-first quasi-identifier heuristic (Section 4.4)
+/// without rescanning the table.
 ///
 /// Built once from the table, then kept in sync via UpdateRows() as the
 /// anonymizer suppresses or recodes cells. Updates move only the touched rows
@@ -145,19 +114,18 @@ class PatternUniverse : public PatternOracle {
 /// members in canonical first-row order, so incremental maintenance never
 /// drifts from the cold answer (see docs/performance.md and the
 /// delta-vs-full-recompute-bit-identical property).
-class GroupIndex : public PatternOracle {
+class GroupIndex {
  public:
   GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
              NullSemantics semantics);
 
-  /// Columnar-plane constructor sharing a caller-owned view: the caller (the
-  /// RiskEvalCache) updates the view once per batch of row changes before
-  /// calling UpdateRows, so indexes over different QI subsets never re-intern
-  /// the same cells. Ignored (may be null) under the row plane; a null view
-  /// under the columnar plane makes the index materialize its own.
+  /// Constructor sharing a caller-owned view: the caller (the RiskEvalCache)
+  /// updates the view once per batch of row changes before calling
+  /// UpdateRows, so indexes over different QI subsets never re-intern the
+  /// same cells. A null view makes the index materialize its own.
   GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
              NullSemantics semantics, std::shared_ptr<ColumnarView> shared_view);
-  ~GroupIndex() override;
+  ~GroupIndex();
 
   GroupIndex(const GroupIndex&) = delete;
   GroupIndex& operator=(const GroupIndex&) = delete;
@@ -186,25 +154,23 @@ class GroupIndex : public PatternOracle {
   /// Per-row group statistics; re-aggregated lazily after updates.
   const GroupStats& Stats() const;
 
-  PatternMass Query(const std::vector<Value>& pattern) const override;
+  /// Row count and weight mass compatible with `pattern` (one entry per QI
+  /// column; nulls are wildcards under kMaybeMatch). Projection indexes are
+  /// built lazily per (null-class, query mask) pair and memoized.
+  PatternMass Query(const std::vector<Value>& pattern) const;
 
   const std::vector<size_t>& qi_columns() const;
   NullSemantics semantics() const;
   size_t num_rows() const;
   size_t num_patterns() const;
 
-  /// Which plane this index was built on (fixed at construction; the cache
-  /// rebuilds an index whose plane no longer matches ActiveDataPlane()).
-  DataPlane data_plane() const;
-
   /// Replaces the shared columnar view (cache-internal, used when the table
   /// shape changed and the cache rematerialized). The next UpdateRows
-  /// detects the swap and rebuilds from the new view. No-op on the row plane.
+  /// detects the swap and rebuilds from the new view.
   void AdoptView(std::shared_ptr<ColumnarView> view);
 
   /// The columnar view backing this index — what api::Session shares with
-  /// risk evaluation as the warm view after an ApplyDelta. Null on the row
-  /// plane.
+  /// risk evaluation as the warm view after an ApplyDelta.
   std::shared_ptr<const ColumnarView> shared_view() const;
 
   /// Observability: how many times the index was built from scratch (1 unless
@@ -213,11 +179,9 @@ class GroupIndex : public PatternOracle {
   size_t full_builds() const;
   size_t incremental_updates() const;
 
-  /// Opaque implementation base; one derived impl per data plane (defined in
-  /// group_index.cc). Public only so those impls can inherit from it.
+ private:
   struct Impl;
 
- private:
   /// Uninitialized shell for ApplyDelta to graft a cloned impl onto.
   GroupIndex() = default;
 
@@ -257,7 +221,7 @@ class RiskEvalCache {
                          const std::vector<uint32_t>& rows);
 
   /// The columnar view shared by this cache's indexes, created on first use
-  /// (and recreated when the table shape changes). Null under the row plane.
+  /// (and recreated when the table shape changes).
   /// The cycle and SUDA reuse it for code-space pattern guards and
   /// projections instead of materializing their own.
   std::shared_ptr<const ColumnarView> SharedView(const MicrodataTable& table);

@@ -44,7 +44,7 @@ std::vector<size_t> OrderRiskyTuples(const MicrodataTable& table,
 Result<size_t> ChooseQiColumn(const MicrodataTable& table,
                               const std::vector<size_t>& qi_columns, size_t row,
                               QiChoice choice, const Anonymizer& anonymizer,
-                              const PatternOracle& universe) {
+                              const GroupIndex& index) {
   std::vector<size_t> applicable;
   for (const size_t c : qi_columns) {
     if (anonymizer.CanApply(table, row, c)) applicable.push_back(c);
@@ -90,7 +90,7 @@ Result<size_t> ChooseQiColumn(const MicrodataTable& table,
         }
         const Value saved = pattern[pos];
         pattern[pos] = Value::Null(0);  // Wildcard for the what-if query.
-        const double count = universe.Query(pattern).count;
+        const double count = index.Query(pattern).count;
         pattern[pos] = saved;
         if (count > best_count) {
           best_count = count;

@@ -44,14 +44,13 @@ std::vector<size_t> OrderRiskyTuples(const MicrodataTable& table,
                                      const std::vector<double>& risks, TupleOrder order);
 
 /// Picks the quasi-identifier column of `row` to anonymize, among columns the
-/// anonymizer can act on. `universe` provides what-if frequencies for
-/// kMostRiskyFirst — either a PatternUniverse snapshot or the cycle's
-/// incremental GroupIndex. Fails with NotFound when no column is applicable
-/// (e.g. everything already suppressed).
+/// anonymizer can act on. `index` provides what-if frequencies for
+/// kMostRiskyFirst (GroupIndex::Query). Fails with NotFound when no column is
+/// applicable (e.g. everything already suppressed).
 Result<size_t> ChooseQiColumn(const MicrodataTable& table,
                               const std::vector<size_t>& qi_columns, size_t row,
                               QiChoice choice, const Anonymizer& anonymizer,
-                              const PatternOracle& universe);
+                              const GroupIndex& index);
 
 }  // namespace vadasa::core
 

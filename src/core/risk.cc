@@ -156,7 +156,7 @@ Result<std::vector<double>> IndividualRisk::ComputeRisks(const MicrodataTable& t
   // of row draws into thousands of pair draws per evaluation. Pair ids are
   // assigned in first-row order and sampled in fixed shards with one Rng
   // stream each, so the vector is deterministic in (table, seed) and
-  // bit-identical for any thread count (and either data plane).
+  // bit-identical for any thread count.
   const int draws = context.posterior_draws;
   const uint64_t seed = context.seed;
   struct PairHash {
@@ -194,16 +194,6 @@ Result<std::vector<double>> IndividualRisk::ComputeRisks(const MicrodataTable& t
       });
   for (size_t r = 0; r < risks.size(); ++r) risks[r] = pair_risk[row_pair[r]];
   return risks;
-}
-
-Result<std::shared_ptr<const GroupStats>> ComputeWarmGroupStats(
-    const MicrodataTable& table, const RiskContext& context) {
-  obs::Span span("risk.warm_group_stats");
-  const auto qis = context.ResolveQiColumns(table);
-  VADASA_RETURN_NOT_OK(ValidateQiWidth(qis, context.semantics));
-  auto stats = std::make_shared<GroupStats>(
-      ComputeGroupStats(table, qis, context.semantics, context.warm_view));
-  return std::shared_ptr<const GroupStats>(std::move(stats));
 }
 
 Result<std::unique_ptr<RiskMeasure>> MakeRiskMeasure(const std::string& name) {

@@ -45,20 +45,15 @@ struct RiskContext {
 
   /// Optional shared columnar materialization of the table (see columnar.h),
   /// with the same contract as warm_stats: valid for the exact current table
-  /// contents only. Consulted under the columnar plane by cache-less
-  /// evaluations that must compute group stats from scratch (e.g. a serve job
-  /// whose warm_stats cover a different AnonSet, or SUDA's projections), so
-  /// concurrent jobs on one immutable dataset intern each column once.
+  /// contents only. Consulted by cache-less evaluations that must compute
+  /// group stats from scratch (e.g. a serve job whose warm_stats cover a
+  /// different AnonSet, or SUDA's projections), so concurrent jobs on one
+  /// immutable dataset intern each column once.
   std::shared_ptr<const ColumnarView> warm_view;
 
   /// Resolves qi_columns against the table's schema.
   std::vector<size_t> ResolveQiColumns(const MicrodataTable& table) const;
 };
-
-/// Computes group statistics for `context` over `table` once, wrapped for
-/// sharing via RiskContext::warm_stats. Validates the QI width first.
-Result<std::shared_ptr<const GroupStats>> ComputeWarmGroupStats(
-    const MicrodataTable& table, const RiskContext& context);
 
 /// A pluggable per-tuple statistical disclosure risk estimator. All risks are
 /// in [0,1]; a tuple is "risky" when its risk exceeds the cycle threshold T.

@@ -14,43 +14,6 @@ namespace vadasa::core {
 
 namespace {
 
-struct VecHash {
-  size_t operator()(const std::vector<Value>& v) const { return HashValues(v); }
-};
-struct VecEq {
-  bool operator()(const std::vector<Value>& a, const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].Equals(b[i])) return false;
-    }
-    return true;
-  }
-};
-struct ValueIsNull {
-  bool operator()(const Value& v) const { return v.is_null(); }
-};
-
-struct CodeVecHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-    for (const uint32_t x : v) {
-      uint64_t z = (h ^ x) + 0x9e3779b97f4a7c15ULL;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-struct CodeVecEq {
-  bool operator()(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) const {
-    return a == b;
-  }
-};
-struct CodeIsNull {
-  bool operator()(uint32_t code) const { return IsNullCode(code); }
-};
-
 int Popcount(uint32_t m) { return __builtin_popcount(m); }
 
 /// Enumerates all masks over `q` bits with exactly `s` bits set.
@@ -78,21 +41,19 @@ std::string DetailsMemoKey(const RiskContext& context, const SudaOptions& option
   return key;
 }
 
-/// The MSU search over pre-projected rows. Elem is a Value (row plane) or a
-/// dictionary code (columnar plane); code equality coincides with
-/// Value::Equals and the null-band test with Value::is_null, and every
-/// decision (prune, candidate, minimality) plus the merge order is
-/// plane-independent, so both instantiations produce identical details.
-template <class Hash, class Eq, class IsNull, class Elem>
-void FindMsus(const std::vector<std::vector<Elem>>& proj, int q, int max_size,
-              bool exhaustive, SudaDetails* details) {
+/// The MSU search over rows pre-projected onto the full AnonSet as
+/// dictionary codes. Code equality coincides with Value::Equals and the
+/// null-band test with Value::is_null, so counting code projections counts
+/// value projections.
+void FindMsus(const std::vector<CodeRow>& proj, int q, int max_size, bool exhaustive,
+              SudaDetails* details) {
   const size_t n = proj.size();
 
   // Candidates: rows unique on the full AnonSet (a sample unique on any
   // subset implies uniqueness on the full set).
   std::vector<uint32_t> candidates;
   {
-    std::unordered_map<std::vector<Elem>, int, Hash, Eq> counts;
+    std::unordered_map<CodeRow, int, CodeRowHash> counts;
     counts.reserve(n * 2);
     for (size_t r = 0; r < n; ++r) counts[proj[r]]++;
     for (size_t r = 0; r < n; ++r) {
@@ -148,11 +109,11 @@ void FindMsus(const std::vector<std::vector<Elem>>& proj, int q, int max_size,
     std::vector<std::vector<UniqueHit>> hits(eval.size());
     ThreadPool::Global().ParallelFor(
         0, eval.size(), 1, [&](size_t lo, size_t hi, size_t /*shard*/) {
-          std::vector<Elem> key;
+          CodeRow key;
           for (size_t i = lo; i < hi; ++i) {
             const uint32_t mask = eval[i];
             // Count projections of ALL rows onto this combination.
-            std::unordered_map<std::vector<Elem>, int, Hash, Eq> counts;
+            std::unordered_map<CodeRow, int, CodeRowHash> counts;
             counts.reserve(n * 2);
             for (size_t r = 0; r < n; ++r) {
               key.clear();
@@ -166,7 +127,7 @@ void FindMsus(const std::vector<std::vector<Elem>>& proj, int q, int max_size,
               bool has_null = false;
               for (int b = 0; b < q; ++b) {
                 if (mask & (1u << b)) {
-                  if (IsNull{}(proj[r][b])) has_null = true;
+                  if (IsNullCode(proj[r][b])) has_null = true;
                   key.push_back(proj[r][b]);
                 }
               }
@@ -227,37 +188,25 @@ Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
       options_.max_search_size > 0 ? std::min(options_.max_search_size, q)
                                    : std::min(context.k, q);
 
-  if (ActiveDataPlane() == DataPlane::kColumnar) {
-    // Columnar plane: project every row once onto the full AnonSet as
-    // dictionary codes; the per-combination counting maps then hash and
-    // compare flat words. Reuse the cache's (or the context's warm) view so
-    // the interning is shared with the grouping measures.
-    std::shared_ptr<const ColumnarView> view =
-        cache != nullptr ? cache->SharedView(table) : context.warm_view;
-    if (view == nullptr || view->num_rows() != n) {
-      view = std::make_shared<ColumnarView>(table);
-    }
-    view->EnsureColumns(table, qis);
-    std::vector<const uint32_t*> cols;
-    cols.reserve(qis.size());
-    for (const size_t c : qis) cols.push_back(view->Codes(c).data());
-    std::vector<std::vector<uint32_t>> proj(n);
-    for (size_t r = 0; r < n; ++r) {
-      proj[r].reserve(cols.size());
-      for (const uint32_t* col : cols) proj[r].push_back(col[r]);
-    }
-    FindMsus<CodeVecHash, CodeVecEq, CodeIsNull>(proj, q, max_size,
-                                                 options_.exhaustive, &details);
-  } else {
-    // Row plane: project every row once onto the full AnonSet as Values.
-    std::vector<std::vector<Value>> proj(n);
-    for (size_t r = 0; r < n; ++r) {
-      proj[r].reserve(qis.size());
-      for (const size_t c : qis) proj[r].push_back(table.cell(r, c));
-    }
-    FindMsus<VecHash, VecEq, ValueIsNull>(proj, q, max_size, options_.exhaustive,
-                                          &details);
+  // Project every row once onto the full AnonSet as dictionary codes; the
+  // per-combination counting maps then hash and compare flat words. Reuse the
+  // cache's (or the context's warm) view so the interning is shared with the
+  // grouping measures.
+  std::shared_ptr<const ColumnarView> view =
+      cache != nullptr ? cache->SharedView(table) : context.warm_view;
+  if (view == nullptr || view->num_rows() != n) {
+    view = std::make_shared<ColumnarView>(table);
   }
+  view->EnsureColumns(table, qis);
+  std::vector<const uint32_t*> cols;
+  cols.reserve(qis.size());
+  for (const size_t c : qis) cols.push_back(view->Codes(c).data());
+  std::vector<CodeRow> proj(n);
+  for (size_t r = 0; r < n; ++r) {
+    proj[r].reserve(cols.size());
+    for (const uint32_t* col : cols) proj[r].push_back(col[r]);
+  }
+  FindMsus(proj, q, max_size, options_.exhaustive, &details);
   if (cache != nullptr) cache->SetMemo(memo_key, std::make_shared<SudaDetails>(details));
   return details;
 }

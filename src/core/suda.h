@@ -14,6 +14,8 @@ namespace vadasa::core {
 struct MinimalSampleUnique {
   uint32_t column_mask = 0;  ///< Bit i = i-th resolved QI column.
   int size = 0;
+
+  bool operator==(const MinimalSampleUnique&) const = default;
 };
 
 /// Full per-row output of the MSU search, for explanation and tests.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_map>
 
 #include "core/anonymize.h"
@@ -21,6 +22,19 @@ namespace {
 constexpr double kEps = 1e-9;
 
 std::string RowTag(size_t row) { return "row " + std::to_string(row); }
+
+/// Whether rows `a` and `b` hold equal values (Value::Equals) in every QI
+/// column selected by `mask`.
+bool EqualOn(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
+             size_t a, size_t b, uint32_t mask) {
+  for (size_t i = 0; i < qi_columns.size(); ++i) {
+    if ((mask & (1u << i)) != 0 &&
+        !table.cell(a, qi_columns[i]).Equals(table.cell(b, qi_columns[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -274,6 +288,88 @@ Status CheckInfoLossMonotone(const core::MicrodataTable& table, size_t steps,
     last_paper = paper;
   }
   return Status::OK();
+}
+
+GroupStats NaiveGroupStats(const MicrodataTable& table,
+                           const std::vector<size_t>& qi_columns,
+                           NullSemantics semantics) {
+  const size_t n = table.num_rows();
+  GroupStats stats;
+  stats.frequency.assign(n, 0.0);
+  stats.weight_sum.assign(n, 0.0);
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<Value> pattern;
+    for (const size_t c : qi_columns) pattern.push_back(table.cell(r, c));
+    const core::PatternMass mass =
+        NaivePatternMass(table, qi_columns, pattern, semantics);
+    stats.frequency[r] = mass.count;
+    stats.weight_sum[r] = mass.weight;
+  }
+  return stats;
+}
+
+core::PatternMass NaivePatternMass(const MicrodataTable& table,
+                                   const std::vector<size_t>& qi_columns,
+                                   const std::vector<Value>& pattern,
+                                   NullSemantics semantics) {
+  core::PatternMass mass;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    bool match = true;
+    for (size_t i = 0; i < qi_columns.size() && match; ++i) {
+      const Value& cell = table.cell(r, qi_columns[i]);
+      match = semantics == NullSemantics::kMaybeMatch ? cell.MaybeEquals(pattern[i])
+                                                      : cell.Equals(pattern[i]);
+    }
+    if (match) {
+      mass.count += 1.0;
+      mass.weight += table.RowWeight(r);
+    }
+  }
+  return mass;
+}
+
+std::vector<std::vector<core::MinimalSampleUnique>> NaiveMsus(
+    const MicrodataTable& table, const std::vector<size_t>& qi_columns, int max_size) {
+  const size_t n = table.num_rows();
+  const uint32_t limit = 1u << qi_columns.size();
+  std::vector<std::vector<core::MinimalSampleUnique>> msus(n);
+  std::vector<std::vector<uint32_t>> uniques(n);  // Per row, ascending size.
+  for (int size = 1; size <= max_size; ++size) {
+    for (uint32_t mask = 1; mask < limit; ++mask) {
+      if (__builtin_popcount(mask) != size) continue;
+      for (size_t r = 0; r < n; ++r) {
+        bool suppressed = false;
+        for (size_t i = 0; i < qi_columns.size(); ++i) {
+          if ((mask & (1u << i)) != 0 && table.cell(r, qi_columns[i]).is_null()) {
+            suppressed = true;
+          }
+        }
+        if (suppressed) continue;
+        size_t equal_rows = 0;
+        for (size_t o = 0; o < n; ++o) {
+          if (EqualOn(table, qi_columns, r, o, mask)) ++equal_rows;
+        }
+        if (equal_rows != 1) continue;
+        bool minimal = true;
+        for (const uint32_t u : uniques[r]) {
+          if ((u & mask) == u) minimal = false;
+        }
+        uniques[r].push_back(mask);
+        if (minimal) msus[r].push_back(core::MinimalSampleUnique{mask, size});
+      }
+    }
+  }
+  return msus;
+}
+
+Result<std::vector<double>> NaiveStatsMeasure::ComputeRisks(
+    const MicrodataTable& table, const core::RiskContext& context,
+    core::RiskEvalCache* cache) const {
+  (void)cache;  // The cache's stats are exactly what this decorator replaces.
+  core::RiskContext naive = context;
+  naive.warm_stats = std::make_shared<const GroupStats>(
+      NaiveGroupStats(table, context.ResolveQiColumns(table), context.semantics));
+  return inner_->ComputeRisks(table, naive);
 }
 
 }  // namespace vadasa::testing

@@ -11,6 +11,7 @@
 #include "core/cycle.h"
 #include "core/microdata.h"
 #include "core/risk.h"
+#include "core/suda.h"
 
 namespace vadasa::testing {
 
@@ -68,6 +69,58 @@ Status CheckClusterRiskBounds(const core::MicrodataTable& table,
 /// suppressions.
 Status CheckInfoLossMonotone(const core::MicrodataTable& table, size_t steps,
                              Rng* rng);
+
+/// Linear-scan reference for QI-group statistics — the =⊥ definition of
+/// Section 4.3 evaluated literally. For every row r, frequency[r] counts the
+/// rows whose QI cells all match r's, cell by cell (Value::MaybeEquals under
+/// kMaybeMatch, Value::Equals under kStandard, as in core::CountMatches), and
+/// weight_sum[r] adds up those rows' sampling weights. O(n² · |qi|) with no
+/// hashing, dictionary codes or projection indexes, so it shares nothing with
+/// core::ComputeGroupStats / core::GroupIndex that could hide a grouping bug.
+///
+/// Comparing its output with == is sound on generated tables: RandomTable
+/// draws weights as small integers, so every partial sum is an integer far
+/// below 2^53 and every summation order yields the same double.
+core::GroupStats NaiveGroupStats(const core::MicrodataTable& table,
+                                 const std::vector<size_t>& qi_columns,
+                                 core::NullSemantics semantics);
+
+/// Linear-scan reference for core::GroupIndex::Query: count and weight mass
+/// of the rows matching `pattern` (one entry per QI column) cell by cell
+/// under `semantics`.
+core::PatternMass NaivePatternMass(const core::MicrodataTable& table,
+                                   const std::vector<size_t>& qi_columns,
+                                   const std::vector<Value>& pattern,
+                                   core::NullSemantics semantics);
+
+/// Brute-force minimal sample uniques (Algorithm 6): every column
+/// combination of at most `max_size` QIs is checked against every row. Row r
+/// is sample unique on a combination when none of its cells there is
+/// suppressed and no other row equals it on all of them; the combination is
+/// an MSU of r when no proper subset is also sample unique. Per row, MSUs are
+/// listed by size, then by ascending column mask — the order SudaRisk
+/// reports them in.
+std::vector<std::vector<core::MinimalSampleUnique>> NaiveMsus(
+    const core::MicrodataTable& table, const std::vector<size_t>& qi_columns,
+    int max_size);
+
+/// Test-only RiskMeasure decorator whose group statistics come from
+/// NaiveGroupStats: ComputeRisks hands the wrapped measure the naive stats of
+/// the current table as RiskContext::warm_stats, and no cache, so the risks
+/// are the wrapped measure's formula over the oracle's groups. Wrapping a
+/// measure that does not group (SUDA) changes nothing.
+class NaiveStatsMeasure : public core::RiskMeasure {
+ public:
+  explicit NaiveStatsMeasure(const core::RiskMeasure* inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  Result<std::vector<double>> ComputeRisks(
+      const core::MicrodataTable& table, const core::RiskContext& context,
+      core::RiskEvalCache* cache = nullptr) const override;
+
+ private:
+  const core::RiskMeasure* inner_;
+};
 
 }  // namespace vadasa::testing
 

@@ -16,12 +16,12 @@
 #include "common/thread_pool.h"
 #include "core/anonymize.h"
 #include "core/business.h"
-#include "core/columnar.h"
 #include "core/cycle.h"
 #include "core/delta.h"
 #include "core/group_index.h"
 #include "core/microdata.h"
 #include "core/risk.h"
+#include "core/suda.h"
 #include "core/vadalog_bridge.h"
 #include "serve/dataset_registry.h"
 #include "serve/protocol.h"
@@ -454,63 +454,135 @@ Status EvalChaosServeNeverCorrupts(const ReproCase& repro) {
   return Status::OK();
 }
 
-Status EvalColumnarRowBitIdentical(const ReproCase& repro) {
-  // The columnar plane is a pure representation change (docs/performance.md):
-  // every risk vector and every released byte must match the row plane
-  // exactly. Run the four measures plus a full audited cycle under each
-  // plane and compare.
-  const std::string measure_name = Param(repro, "measure", "k-anonymity");
-  core::CycleOptions options;
-  options.threshold = ParamDouble(repro, "threshold", 0.5);
-  options.risk = ContextFrom(repro);
-
-  struct PlaneOutput {
-    std::vector<std::vector<double>> risks;  // One vector per measure.
-    std::string released_csv;
-  };
-  const char* kMeasures[] = {"k-anonymity", "reidentification", "individual",
-                             "suda"};
-  auto run_on_plane = [&](core::DataPlane plane) -> Result<PlaneOutput> {
-    const core::DataPlane previous = core::ActiveDataPlane();
-    core::SetDataPlane(plane);
-    auto run = [&]() -> Result<PlaneOutput> {
-      PlaneOutput out;
-      for (const char* name : kMeasures) {
-        VADASA_ASSIGN_OR_RETURN(const auto measure, core::MakeRiskMeasure(name));
-        VADASA_ASSIGN_OR_RETURN(std::vector<double> risks,
-                                measure->ComputeRisks(repro.table, options.risk));
-        out.risks.push_back(std::move(risks));
-      }
-      VADASA_ASSIGN_OR_RETURN(const auto cycle_measure,
-                              core::MakeRiskMeasure(measure_name));
-      core::LocalSuppression suppression;
-      core::AnonymizationCycle cycle(cycle_measure.get(), &suppression, options);
-      MicrodataTable released = repro.table;
-      VADASA_RETURN_NOT_OK(cycle.Run(&released).status());
-      out.released_csv = WriteCsv(released.ToCsv());
-      return out;
-    };
-    Result<PlaneOutput> result = run();
-    core::SetDataPlane(previous);
-    return result;
-  };
-
-  VADASA_ASSIGN_OR_RETURN(const PlaneOutput row,
-                          run_on_plane(core::DataPlane::kRow));
-  VADASA_ASSIGN_OR_RETURN(const PlaneOutput columnar,
-                          run_on_plane(core::DataPlane::kColumnar));
-  for (size_t m = 0; m < std::size(kMeasures); ++m) {
-    // Bit-identical, not approximately equal: memcmp via the == on doubles.
-    if (row.risks[m] != columnar.risks[m]) {
+/// OK when `got` equals the naive scan's `want` exactly (== on doubles);
+/// otherwise names `what` and the first differing row.
+Status SameStats(const core::GroupStats& got, const core::GroupStats& want,
+                 const std::string& what) {
+  if (got.frequency.size() != want.frequency.size() ||
+      got.weight_sum.size() != want.weight_sum.size()) {
+    return Status::FailedPrecondition(what + ": stats cover " +
+                                      std::to_string(got.frequency.size()) +
+                                      " rows, the table has " +
+                                      std::to_string(want.frequency.size()));
+  }
+  for (size_t r = 0; r < want.frequency.size(); ++r) {
+    if (got.frequency[r] != want.frequency[r] ||
+        got.weight_sum[r] != want.weight_sum[r]) {
       return Status::FailedPrecondition(
-          std::string(kMeasures[m]) +
-          ": columnar risks differ from the row plane");
+          what + ": row " + std::to_string(r) + " has frequency " +
+          std::to_string(got.frequency[r]) + " and weight " +
+          std::to_string(got.weight_sum[r]) + ", the naive scan " +
+          std::to_string(want.frequency[r]) + " and " +
+          std::to_string(want.weight_sum[r]));
     }
   }
-  if (row.released_csv != columnar.released_csv) {
+  return Status::OK();
+}
+
+Status EvalGroupingMatchesNaiveOracle(const ReproCase& repro) {
+  // Every grouping consumer against the definition of Section 4.3, evaluated
+  // as a linear scan over the Value cells (oracles.h says why == is sound):
+  // cold stats, an incrementally maintained cache and its what-if queries,
+  // the grouping measures, SUDA's MSUs and a full cycle.
+  const MicrodataTable& table = repro.table;
+  const RiskContext ctx = ContextFrom(repro);
+  const std::vector<size_t> qis = ctx.ResolveQiColumns(table);
+  VADASA_RETURN_NOT_OK(SameStats(core::ComputeGroupStats(table, qis, ctx.semantics),
+                                 NaiveGroupStats(table, qis, ctx.semantics),
+                                 "ComputeGroupStats"));
+
+  // A RiskEvalCache driven through local-suppression steps the way the cycle
+  // drives it, probed after every step.
+  Rng aux(repro.seed);
+  MicrodataTable evolving = table;
+  core::RiskEvalCache cache;
+  core::LocalSuppression suppression;
+  const size_t steps = ParamU64(repro, "steps", 4);
+  for (size_t step = 0; step <= steps && !qis.empty() && table.num_rows() > 0; ++step) {
+    if (step > 0) {
+      const size_t row = aux.NextBelow(evolving.num_rows());
+      const size_t column = qis[aux.NextBelow(qis.size())];
+      if (suppression.CanApply(evolving, row, column)) {
+        VADASA_ASSIGN_OR_RETURN(const core::AnonymizationStep applied,
+                                suppression.Apply(&evolving, row, column));
+        cache.NotifyRowsChanged(evolving, applied.changed_rows);
+      }
+    }
+    const std::string at = "RiskEvalCache after " + std::to_string(step) + " step(s)";
+    VADASA_RETURN_NOT_OK(SameStats(cache.Stats(evolving, qis, ctx.semantics),
+                                   NaiveGroupStats(evolving, qis, ctx.semantics), at));
+    // What-if probes: a row's own pattern with one cell replaced by a null
+    // or by a value no column holds.
+    const core::GroupIndex& index = cache.Index(evolving, qis, ctx.semantics);
+    for (int probe = 0; probe < 4; ++probe) {
+      std::vector<Value> pattern;
+      const size_t row = aux.NextBelow(evolving.num_rows());
+      for (const size_t c : qis) pattern.push_back(evolving.cell(row, c));
+      pattern[aux.NextBelow(qis.size())] =
+          probe % 2 == 0 ? Value::Null(static_cast<int>(aux.NextBelow(60)))
+                         : Value::String("absent-from-every-column");
+      const core::PatternMass got = index.Query(pattern);
+      const core::PatternMass want =
+          NaivePatternMass(evolving, qis, pattern, ctx.semantics);
+      if (got.count != want.count || got.weight != want.weight) {
+        return Status::FailedPrecondition(
+            at + ": Query probe " + std::to_string(probe) + " gives count " +
+            std::to_string(got.count) + " and weight " + std::to_string(got.weight) +
+            ", the naive scan " + std::to_string(want.count) + " and " +
+            std::to_string(want.weight));
+      }
+    }
+  }
+
+  // The grouping measures: their risks over the production stats equal
+  // their formulas over the naive stats.
+  for (const char* name : {"k-anonymity", "reidentification", "individual"}) {
+    VADASA_ASSIGN_OR_RETURN(const auto measure, core::MakeRiskMeasure(name));
+    VADASA_ASSIGN_OR_RETURN(const std::vector<double> got,
+                            measure->ComputeRisks(table, ctx));
+    VADASA_ASSIGN_OR_RETURN(const std::vector<double> want,
+                            NaiveStatsMeasure(measure.get()).ComputeRisks(table, ctx));
+    if (got != want) {
+      return Status::FailedPrecondition(std::string(name) +
+                                        ": risks differ from the naive stats' risks");
+    }
+  }
+
+  // SUDA's pruned lattice search against brute-force enumeration.
+  VADASA_ASSIGN_OR_RETURN(const core::SudaDetails details,
+                          core::SudaRisk().ComputeDetails(table, ctx));
+  const auto naive_msus =
+      NaiveMsus(table, qis, std::min(ctx.k, static_cast<int>(qis.size())));
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (details.msus[r] != naive_msus[r]) {
+      return Status::FailedPrecondition(
+          "suda: row " + std::to_string(r) + " has " +
+          std::to_string(details.msus[r].size()) + " MSU(s), brute force finds " +
+          std::to_string(naive_msus[r].size()) + " or different ones");
+    }
+  }
+
+  // A full cycle releases the same bytes when its risks come from the
+  // oracle.
+  const std::string measure_name = Param(repro, "measure", "k-anonymity");
+  VADASA_ASSIGN_OR_RETURN(const auto cycle_measure, core::MakeRiskMeasure(measure_name));
+  const NaiveStatsMeasure naive_measure(cycle_measure.get());
+  core::CycleOptions options;
+  options.threshold = ParamDouble(repro, "threshold", 0.5);
+  options.risk = ctx;
+  auto release = [&](const core::RiskMeasure* measure) -> Result<std::string> {
+    core::LocalSuppression cycle_suppression;
+    core::AnonymizationCycle cycle(measure, &cycle_suppression, options);
+    MicrodataTable released = table;
+    VADASA_RETURN_NOT_OK(cycle.Run(&released).status());
+    return WriteCsv(released.ToCsv());
+  };
+  VADASA_ASSIGN_OR_RETURN(const std::string production, release(cycle_measure.get()));
+  VADASA_ASSIGN_OR_RETURN(const std::string naive, release(&naive_measure));
+  if (production != naive) {
     return Status::FailedPrecondition(
         "cycle(" + measure_name +
-        "): columnar release is not byte-identical to the row plane");
+        "): release differs from the cycle whose risks come from the naive scan");
   }
   return Status::OK();
 }
@@ -559,8 +631,7 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
   // The incremental-maintenance contract (docs/api.md §"Streaming deltas"):
   // a session maintained through Session::Apply must be indistinguishable —
   // risk vectors, released bytes, audit text — from a cold session built
-  // from scratch over the exact post-delta table, on both data planes and
-  // across chained delta steps.
+  // from scratch over the exact post-delta table, across chained delta steps.
   api::SessionOptions options;
   options.risk_measure = Param(repro, "measure", "k-anonymity");
   options.k = static_cast<int>(ParamU64(repro, "k", 2));
@@ -568,57 +639,45 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
   options.standard_nulls = Param(repro, "semantics", "maybe") == "standard";
   const size_t steps = ParamU64(repro, "steps", 2);
 
-  auto run_on_plane = [&](core::DataPlane plane) -> Status {
-    const core::DataPlane previous = core::ActiveDataPlane();
-    core::SetDataPlane(plane);
-    auto run = [&]() -> Status {
-      Rng aux(repro.seed);
-      const auto shared = std::make_shared<const MicrodataTable>(repro.table);
-      VADASA_ASSIGN_OR_RETURN(
-          api::Session session,
-          api::Session::FromShared(shared, nullptr, options));
-      VADASA_RETURN_NOT_OK(session.Warm());
-      for (size_t s = 0; s < steps; ++s) {
-        VADASA_ASSIGN_OR_RETURN(const core::DeltaBatch batch,
-                                RandomDelta(&aux, *session.shared_table()));
-        VADASA_ASSIGN_OR_RETURN(api::Session child, session.Apply(batch));
-        VADASA_ASSIGN_OR_RETURN(
-            api::Session cold,
-            api::Session::FromShared(child.shared_table(), nullptr, options));
-        VADASA_RETURN_NOT_OK(cold.Warm());
-        VADASA_ASSIGN_OR_RETURN(const api::RiskReport incremental, child.Risk());
-        VADASA_ASSIGN_OR_RETURN(const api::RiskReport reference, cold.Risk());
-        if (incremental.tuple_risks != reference.tuple_risks) {
-          return Status::FailedPrecondition(
-              "step " + std::to_string(s) +
-              ": incremental risks differ from the cold rebuild");
-        }
-        VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse inc_release,
-                                child.Anonymize());
-        VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse ref_release,
-                                cold.Anonymize());
-        if (WriteCsv(inc_release.table.ToCsv()) !=
-            WriteCsv(ref_release.table.ToCsv())) {
-          return Status::FailedPrecondition(
-              "step " + std::to_string(s) +
-              ": incremental release is not byte-identical to the cold rebuild");
-        }
-        if (inc_release.ToText() != ref_release.ToText()) {
-          return Status::FailedPrecondition(
-              "step " + std::to_string(s) +
-              ": incremental audit text differs from the cold rebuild");
-        }
-        session = std::move(child);
-      }
-      return Status::OK();
-    };
-    const Status status = run();
-    core::SetDataPlane(previous);
-    return status;
-  };
-
-  VADASA_RETURN_NOT_OK(run_on_plane(core::DataPlane::kRow));
-  return run_on_plane(core::DataPlane::kColumnar);
+  Rng aux(repro.seed);
+  const auto shared = std::make_shared<const MicrodataTable>(repro.table);
+  VADASA_ASSIGN_OR_RETURN(
+      api::Session session,
+      api::Session::FromShared(shared, nullptr, options));
+  VADASA_RETURN_NOT_OK(session.Warm());
+  for (size_t s = 0; s < steps; ++s) {
+    VADASA_ASSIGN_OR_RETURN(const core::DeltaBatch batch,
+                            RandomDelta(&aux, *session.shared_table()));
+    VADASA_ASSIGN_OR_RETURN(api::Session child, session.Apply(batch));
+    VADASA_ASSIGN_OR_RETURN(
+        api::Session cold,
+        api::Session::FromShared(child.shared_table(), nullptr, options));
+    VADASA_RETURN_NOT_OK(cold.Warm());
+    VADASA_ASSIGN_OR_RETURN(const api::RiskReport incremental, child.Risk());
+    VADASA_ASSIGN_OR_RETURN(const api::RiskReport reference, cold.Risk());
+    if (incremental.tuple_risks != reference.tuple_risks) {
+      return Status::FailedPrecondition(
+          "step " + std::to_string(s) +
+          ": incremental risks differ from the cold rebuild");
+    }
+    VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse inc_release,
+                            child.Anonymize());
+    VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse ref_release,
+                            cold.Anonymize());
+    if (WriteCsv(inc_release.table.ToCsv()) !=
+        WriteCsv(ref_release.table.ToCsv())) {
+      return Status::FailedPrecondition(
+          "step " + std::to_string(s) +
+          ": incremental release is not byte-identical to the cold rebuild");
+    }
+    if (inc_release.ToText() != ref_release.ToText()) {
+      return Status::FailedPrecondition(
+          "step " + std::to_string(s) +
+          ": incremental audit text differs from the cold rebuild");
+    }
+    session = std::move(child);
+  }
+  return Status::OK();
 }
 
 Status EvalCachedResultBitIdentical(const ReproCase& repro) {
@@ -627,7 +686,7 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
   // hitting across interleaved unique-policy traffic, and replacing the
   // dataset's content can never serve a stale payload — the first hot
   // request after a one-cell edit must miss and match the edited table's
-  // cold run. Checked through the live protocol stack on both data planes.
+  // cold run. Checked through the live protocol stack.
   failpoint::DisarmAll();  // A leaked serve.cache.fill fault would drop fills.
 
   const size_t storm = ParamU64(repro, "njobs", 4);
@@ -707,144 +766,132 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
   };
 
   const char* kActions[] = {"risk", "anonymize"};
-  auto run_on_plane = [&](core::DataPlane plane) -> Status {
-    const core::DataPlane previous = core::ActiveDataPlane();
-    core::SetDataPlane(plane);
-    auto run = [&]() -> Status {
-      // References: the identical protocol stack with caching disabled,
-      // before and after the content edit.
-      std::map<std::string, std::string> reference;
-      {
-        serve::DatasetRegistry registry;
-        VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
-        serve::SchedulerOptions scheduler_options;
-        scheduler_options.workers = workers;
-        scheduler_options.shards = shards;
-        scheduler_options.max_queue = storm + 4;
-        serve::JobScheduler scheduler(scheduler_options);
-        serve::Protocol protocol(&registry, &scheduler);
-        for (const char* action : kActions) {
-          VADASA_ASSIGN_OR_RETURN(const Outcome cold,
-                                  run_job(&protocol, action, 0));
-          if (cold.cached) {
-            return Status::FailedPrecondition(
-                "cache-free stack reported cached:true");
-          }
-          reference[action] = cold.payload;
-        }
-        if (can_edit) {
-          VADASA_RETURN_NOT_OK(registry.Replace("cache-mem", edited));
-          for (const char* action : kActions) {
-            VADASA_ASSIGN_OR_RETURN(const Outcome cold,
-                                    run_job(&protocol, action, 0));
-            reference[std::string(action) + "+edit"] = cold.payload;
-          }
-        }
-        scheduler.Shutdown(/*drain=*/true);
+  // References: the identical protocol stack with caching disabled,
+  // before and after the content edit.
+  std::map<std::string, std::string> reference;
+  {
+    serve::DatasetRegistry registry;
+    VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
+    serve::SchedulerOptions scheduler_options;
+    scheduler_options.workers = workers;
+    scheduler_options.shards = shards;
+    scheduler_options.max_queue = storm + 4;
+    serve::JobScheduler scheduler(scheduler_options);
+    serve::Protocol protocol(&registry, &scheduler);
+    for (const char* action : kActions) {
+      VADASA_ASSIGN_OR_RETURN(const Outcome cold,
+                              run_job(&protocol, action, 0));
+      if (cold.cached) {
+        return Status::FailedPrecondition(
+            "cache-free stack reported cached:true");
       }
-      // The cached stack under test.
-      serve::ResultCache cache;
-      serve::DatasetRegistry registry;
-      registry.set_result_cache(&cache);
-      VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
-      serve::SchedulerOptions scheduler_options;
-      scheduler_options.workers = workers;
-      scheduler_options.shards = shards;
-      scheduler_options.max_queue = storm + 4;
-      scheduler_options.result_cache = &cache;
-      serve::JobScheduler scheduler(scheduler_options);
-      serve::Protocol protocol(&registry, &scheduler);
-
-      // Prime both hot policies: each first run is a miss whose payload must
-      // already match the cache-free reference.
+      reference[action] = cold.payload;
+    }
+    if (can_edit) {
+      VADASA_RETURN_NOT_OK(registry.Replace("cache-mem", edited));
       for (const char* action : kActions) {
-        VADASA_ASSIGN_OR_RETURN(const Outcome prime,
+        VADASA_ASSIGN_OR_RETURN(const Outcome cold,
                                 run_job(&protocol, action, 0));
-        if (prime.cached) {
-          return Status::FailedPrecondition(std::string(action) +
-                                            ": first run hit an empty cache");
-        }
-        if (prime.payload != reference[action]) {
-          return Status::FailedPrecondition(
-              std::string(action) +
-              ": cold run differs from the cache-free stack");
-        }
+        reference[std::string(action) + "+edit"] = cold.payload;
       }
+    }
+    scheduler.Shutdown(/*drain=*/true);
+  }
+  // The cached stack under test.
+  serve::ResultCache cache;
+  serve::DatasetRegistry registry;
+  registry.set_result_cache(&cache);
+  VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
+  serve::SchedulerOptions scheduler_options;
+  scheduler_options.workers = workers;
+  scheduler_options.shards = shards;
+  scheduler_options.max_queue = storm + 4;
+  scheduler_options.result_cache = &cache;
+  serve::JobScheduler scheduler(scheduler_options);
+  serve::Protocol protocol(&registry, &scheduler);
 
-      // Storm: interleave hot submits with unique-policy submits, then
-      // collect the results in a shuffled order. Primed hot policies must
-      // hit with the reference bytes; unique policies must miss.
-      Rng aux(repro.seed);
-      struct StormJob {
-        uint64_t id = 0;
-        bool hot = false;
-        std::string action;
-      };
-      std::vector<StormJob> jobs(storm);
-      for (size_t j = 0; j < storm; ++j) {
-        jobs[j].hot = aux.NextDouble() < 0.6;
-        jobs[j].action = kActions[aux.NextBelow(2)];
-        const uint64_t seed = jobs[j].hot ? 0 : 1000 + j;
-        VADASA_ASSIGN_OR_RETURN(
-            jobs[j].id, submit(&protocol, submit_line(jobs[j].action, seed)));
-      }
-      for (size_t j = storm; j > 1; --j) {
-        std::swap(jobs[j - 1], jobs[aux.NextBelow(j)]);
-      }
-      for (const StormJob& job : jobs) {
-        VADASA_ASSIGN_OR_RETURN(const Outcome outcome,
-                                result_of(&protocol, job.id));
-        if (outcome.cached != job.hot) {
-          return Status::FailedPrecondition(
-              job.action + " job " + std::to_string(job.id) + ": expected " +
-              (job.hot ? "a hit on the primed policy" :
-                         "a miss on a unique policy") +
-              ", got cached:" + (outcome.cached ? "true" : "false"));
-        }
-        if (job.hot && outcome.payload != reference[job.action]) {
-          return Status::FailedPrecondition(
-              job.action + " job " + std::to_string(job.id) +
-              ": cache hit is not byte-identical to the cold run");
-        }
-      }
+  // Prime both hot policies: each first run is a miss whose payload must
+  // already match the cache-free reference.
+  for (const char* action : kActions) {
+    VADASA_ASSIGN_OR_RETURN(const Outcome prime,
+                            run_job(&protocol, action, 0));
+    if (prime.cached) {
+      return Status::FailedPrecondition(std::string(action) +
+                                        ": first run hit an empty cache");
+    }
+    if (prime.payload != reference[action]) {
+      return Status::FailedPrecondition(
+          std::string(action) +
+          ": cold run differs from the cache-free stack");
+    }
+  }
 
-      // Replace the dataset's content: the very next hot request must MISS
-      // (a stale hit would serve the old table's bytes) and match the edited
-      // table's cold reference; the request after it must hit those bytes.
-      if (can_edit) {
-        VADASA_RETURN_NOT_OK(registry.Replace("cache-mem", edited));
-        for (const char* action : kActions) {
-          VADASA_ASSIGN_OR_RETURN(const Outcome first,
-                                  run_job(&protocol, action, 0));
-          if (first.cached) {
-            return Status::FailedPrecondition(
-                std::string(action) +
-                ": stale cache hit after the dataset content changed");
-          }
-          if (first.payload != reference[std::string(action) + "+edit"]) {
-            return Status::FailedPrecondition(
-                std::string(action) +
-                ": post-replace run differs from the edited table's reference");
-          }
-          VADASA_ASSIGN_OR_RETURN(const Outcome second,
-                                  run_job(&protocol, action, 0));
-          if (!second.cached || second.payload != first.payload) {
-            return Status::FailedPrecondition(
-                std::string(action) +
-                ": re-primed entry did not replay the post-replace bytes");
-          }
-        }
-      }
-      scheduler.Shutdown(/*drain=*/true);
-      return Status::OK();
-    };
-    const Status status = run();
-    core::SetDataPlane(previous);
-    return status;
+  // Storm: interleave hot submits with unique-policy submits, then
+  // collect the results in a shuffled order. Primed hot policies must
+  // hit with the reference bytes; unique policies must miss.
+  Rng aux(repro.seed);
+  struct StormJob {
+    uint64_t id = 0;
+    bool hot = false;
+    std::string action;
   };
+  std::vector<StormJob> jobs(storm);
+  for (size_t j = 0; j < storm; ++j) {
+    jobs[j].hot = aux.NextDouble() < 0.6;
+    jobs[j].action = kActions[aux.NextBelow(2)];
+    const uint64_t seed = jobs[j].hot ? 0 : 1000 + j;
+    VADASA_ASSIGN_OR_RETURN(
+        jobs[j].id, submit(&protocol, submit_line(jobs[j].action, seed)));
+  }
+  for (size_t j = storm; j > 1; --j) {
+    std::swap(jobs[j - 1], jobs[aux.NextBelow(j)]);
+  }
+  for (const StormJob& job : jobs) {
+    VADASA_ASSIGN_OR_RETURN(const Outcome outcome,
+                            result_of(&protocol, job.id));
+    if (outcome.cached != job.hot) {
+      return Status::FailedPrecondition(
+          job.action + " job " + std::to_string(job.id) + ": expected " +
+          (job.hot ? "a hit on the primed policy" :
+                     "a miss on a unique policy") +
+          ", got cached:" + (outcome.cached ? "true" : "false"));
+    }
+    if (job.hot && outcome.payload != reference[job.action]) {
+      return Status::FailedPrecondition(
+          job.action + " job " + std::to_string(job.id) +
+          ": cache hit is not byte-identical to the cold run");
+    }
+  }
 
-  VADASA_RETURN_NOT_OK(run_on_plane(core::DataPlane::kRow));
-  return run_on_plane(core::DataPlane::kColumnar);
+  // Replace the dataset's content: the very next hot request must MISS
+  // (a stale hit would serve the old table's bytes) and match the edited
+  // table's cold reference; the request after it must hit those bytes.
+  if (can_edit) {
+    VADASA_RETURN_NOT_OK(registry.Replace("cache-mem", edited));
+    for (const char* action : kActions) {
+      VADASA_ASSIGN_OR_RETURN(const Outcome first,
+                              run_job(&protocol, action, 0));
+      if (first.cached) {
+        return Status::FailedPrecondition(
+            std::string(action) +
+            ": stale cache hit after the dataset content changed");
+      }
+      if (first.payload != reference[std::string(action) + "+edit"]) {
+        return Status::FailedPrecondition(
+            std::string(action) +
+            ": post-replace run differs from the edited table's reference");
+      }
+      VADASA_ASSIGN_OR_RETURN(const Outcome second,
+                              run_job(&protocol, action, 0));
+      if (!second.cached || second.payload != first.payload) {
+        return Status::FailedPrecondition(
+            std::string(action) +
+            ": re-primed entry did not replay the post-replace bytes");
+      }
+    }
+  }
+  scheduler.Shutdown(/*drain=*/true);
+  return Status::OK();
 }
 
 vadalog::EngineOptions BoundedEngineOptions() {
@@ -1066,31 +1113,33 @@ std::vector<Property> BuildCatalog() {
        EvalChaosServeNeverCorrupts});
 
   catalog.push_back(
-      {"columnar-vs-row-bit-identical",
-       "the dictionary-coded columnar plane reproduces the row plane byte-for-byte",
+      {"grouping-matches-naive-oracle",
+       "group stats, cache, what-if queries, risks, SUDA MSUs and the release "
+       "equal a linear scan of the =⊥ definition (Section 4.3)",
        false,
        [](Rng* rng, uint64_t i) {
          TableGenOptions options;
          options.null_probability = 0.12;  // Exercise the reserved null band.
          ReproCase repro =
-             TableCase("columnar-vs-row-bit-identical", rng, i, options);
+             TableCase("grouping-matches-naive-oracle", rng, i, options);
          repro.params["measure"] = PickMeasure(rng);
          repro.params["k"] = std::to_string(rng->NextInt(2, 4));
          repro.params["threshold"] =
              std::to_string(rng->NextDouble() < 0.5 ? 0.34 : 0.5);
          repro.params["semantics"] = PickSemantics(rng, 0.6);
+         repro.params["steps"] = std::to_string(rng->NextInt(2, 6));
          return repro;
        },
-       EvalColumnarRowBitIdentical});
+       EvalGroupingMatchesNaiveOracle});
 
   catalog.push_back(
       {"delta-vs-full-recompute-bit-identical",
        "incrementally maintained sessions match a cold rebuild of the "
-       "post-delta table byte-for-byte, on both data planes",
+       "post-delta table byte-for-byte",
        false,
        [](Rng* rng, uint64_t i) {
          TableGenOptions options;
-         options.max_rows = 18;  // Each case runs `steps` full cycles per plane.
+         options.max_rows = 18;  // Each case runs `steps` pairs of full cycles.
          options.max_qi = 3;
          options.null_probability = 0.1;
          ReproCase repro = TableCase("delta-vs-full-recompute-bit-identical",
@@ -1108,11 +1157,11 @@ std::vector<Property> BuildCatalog() {
   catalog.push_back(
       {"cached-result-bit-identical",
        "result-cache hits replay the cold run's exact bytes and a content "
-       "edit never serves a stale payload, on both data planes",
+       "edit never serves a stale payload",
        false,
        [](Rng* rng, uint64_t i) {
          TableGenOptions options;
-         options.max_rows = 18;  // Each case runs several full cycles per plane.
+         options.max_rows = 18;  // Each case runs several full cycles.
          options.max_qi = 3;
          ReproCase repro =
              TableCase("cached-result-bit-identical", rng, i, options);

@@ -7,7 +7,6 @@
 
 #include "common/dictionary.h"
 #include "core/datagen.h"
-#include "core/group_index.h"
 #include "core/microdata.h"
 
 namespace vadasa::core {
@@ -177,32 +176,6 @@ TEST(ColumnarViewTest, DeltaCloneLeavesUnmaterializedColumnsUnmaterialized) {
   // Materializing column 1 afterwards still works against the new table.
   child.EnsureColumns(next, {1});
   EXPECT_EQ(child.Codes(1).size(), 3u);
-}
-
-/// End-to-end: stats computed through a shared view equal the row plane's,
-/// before and after an incremental update — the unit-sized version of the
-/// columnar-vs-row-bit-identical property.
-TEST(ColumnarViewTest, GroupStatsMatchRowPlaneAcrossSuppression) {
-  MicrodataTable t = Figure5Microdata();
-  const auto qis = t.QuasiIdentifierColumns();
-
-  const DataPlane previous = SetDataPlane(DataPlane::kColumnar);
-  GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
-  EXPECT_EQ(index.data_plane(), DataPlane::kColumnar);
-
-  SetDataPlane(DataPlane::kRow);
-  GroupIndex reference(t, qis, NullSemantics::kMaybeMatch);
-  EXPECT_EQ(reference.data_plane(), DataPlane::kRow);
-
-  EXPECT_EQ(index.Stats().frequency, reference.Stats().frequency);
-  EXPECT_EQ(index.Stats().weight_sum, reference.Stats().weight_sum);
-
-  t.set_cell(0, 2, Value::Null(1));  // Fig. 5b: suppress Sector of tuple 1.
-  index.UpdateRows(t, {0});
-  reference.UpdateRows(t, {0});
-  EXPECT_EQ(index.Stats().frequency, reference.Stats().frequency);
-  EXPECT_EQ(index.Stats().weight_sum, reference.Stats().weight_sum);
-  SetDataPlane(previous);
 }
 
 }  // namespace

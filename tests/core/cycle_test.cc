@@ -246,6 +246,13 @@ struct CycleSweepParam {
   bool single_step;
 };
 
+// Without a printer gtest dumps the struct's raw bytes (the `measure`
+// pointer and padding), so the test names would change from run to run.
+void PrintTo(const CycleSweepParam& param, std::ostream* os) {
+  *os << param.measure << " k=" << param.k
+      << (param.single_step ? " single-step" : " multi-step");
+}
+
 class CycleSweepTest : public ::testing::TestWithParam<CycleSweepParam> {};
 
 TEST_P(CycleSweepTest, ConvergesBelowThreshold) {

@@ -130,9 +130,8 @@ TEST(ApplyDeltaToTableTest, RejectsBadBatchesBeforeMutating) {
 
 /// GroupIndex::ApplyDelta must be bit-identical to a cold rebuild of the
 /// post-delta table — the unit-sized version of the
-/// delta-vs-full-recompute-bit-identical property, on both planes.
-void CheckIndexDeltaMatchesColdRebuild(DataPlane plane_under_test) {
-  const DataPlane previous = SetDataPlane(plane_under_test);
+/// delta-vs-full-recompute-bit-identical property.
+TEST(GroupIndexDeltaTest, ColumnarPlaneMatchesColdRebuild) {
   MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
   GroupIndex base(t, qis, NullSemantics::kMaybeMatch);
@@ -159,7 +158,6 @@ void CheckIndexDeltaMatchesColdRebuild(DataPlane plane_under_test) {
   EXPECT_EQ(patched->num_rows(), cold.num_rows());
   EXPECT_EQ(patched->Stats().frequency, cold.Stats().frequency);
   EXPECT_EQ(patched->Stats().weight_sum, cold.Stats().weight_sum);
-  EXPECT_EQ(patched->data_plane(), plane_under_test);
   EXPECT_EQ(patched->incremental_updates(), base.incremental_updates() + 1);
 
   // The base index still answers pre-delta queries — old snapshots stay valid.
@@ -167,19 +165,9 @@ void CheckIndexDeltaMatchesColdRebuild(DataPlane plane_under_test) {
   GroupIndex pre(t, qis, NullSemantics::kMaybeMatch);
   EXPECT_EQ(base.Stats().frequency, pre.Stats().frequency);
   EXPECT_EQ(base.Stats().weight_sum, pre.Stats().weight_sum);
-  SetDataPlane(previous);
-}
-
-TEST(GroupIndexDeltaTest, ColumnarPlaneMatchesColdRebuild) {
-  CheckIndexDeltaMatchesColdRebuild(DataPlane::kColumnar);
-}
-
-TEST(GroupIndexDeltaTest, RowPlaneMatchesColdRebuild) {
-  CheckIndexDeltaMatchesColdRebuild(DataPlane::kRow);
 }
 
 TEST(GroupIndexDeltaTest, ChainedDeltasStayIdenticalUnderStandardNulls) {
-  const DataPlane previous = SetDataPlane(DataPlane::kColumnar);
   MicrodataTable t = DeltaTable();
   const auto qis = t.QuasiIdentifierColumns();
   std::unique_ptr<GroupIndex> index =
@@ -205,7 +193,6 @@ TEST(GroupIndexDeltaTest, ChainedDeltasStayIdenticalUnderStandardNulls) {
     EXPECT_EQ(index->Stats().frequency, cold.Stats().frequency) << "step " << step;
     EXPECT_EQ(index->Stats().weight_sum, cold.Stats().weight_sum) << "step " << step;
   }
-  SetDataPlane(previous);
 }
 
 }  // namespace

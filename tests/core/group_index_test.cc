@@ -185,7 +185,7 @@ TEST(GroupIndexTest, CountMatchesWildcardPattern) {
   EXPECT_DOUBLE_EQ(CountMatches(t, qis, pattern, NullSemantics::kStandard), 0.0);
 }
 
-TEST(PatternUniverseTest, AgreesWithCountMatches) {
+TEST(GroupIndexQueryTest, AgreesWithCountMatches) {
   Rng rng(7);
   MicrodataTable t("u", {{"A", "", AttributeCategory::kQuasiIdentifier},
                          {"B", "", AttributeCategory::kQuasiIdentifier}});
@@ -198,7 +198,7 @@ TEST(PatternUniverseTest, AgreesWithCountMatches) {
     ASSERT_TRUE(t.AddRow({cell(), cell()}).ok());
   }
   const auto qis = t.QuasiIdentifierColumns();
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
   // Query with every row's own pattern plus synthetic wildcard patterns.
   std::vector<std::vector<Value>> queries;
   for (size_t r = 0; r < t.num_rows(); ++r) {
@@ -208,34 +208,34 @@ TEST(PatternUniverseTest, AgreesWithCountMatches) {
   queries.push_back({Value::String("q"), Value::Null(0)});
   queries.push_back({Value::Null(0), Value::Null(0)});
   for (const auto& q : queries) {
-    EXPECT_DOUBLE_EQ(universe.Query(q).count,
+    EXPECT_DOUBLE_EQ(index.Query(q).count,
                      CountMatches(t, qis, q, NullSemantics::kMaybeMatch));
   }
 }
 
-TEST(PatternUniverseTest, StandardSemanticsExactLookup) {
+TEST(GroupIndexQueryTest, StandardSemanticsExactLookup) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
-  const PatternUniverse universe(t, qis, NullSemantics::kStandard);
+  const GroupIndex index(t, qis, NullSemantics::kStandard);
   const std::vector<Value> roma_commerce = {Value::String("Roma"),
                                             Value::String("Commerce"),
                                             Value::String("1000+"), Value::String("0-30")};
-  EXPECT_DOUBLE_EQ(universe.Query(roma_commerce).count, 2.0);
+  EXPECT_DOUBLE_EQ(index.Query(roma_commerce).count, 2.0);
 }
 
-TEST(PatternUniverseTest, WeightMass) {
+TEST(GroupIndexQueryTest, WeightMass) {
   const MicrodataTable t = Figure1Microdata();
   const auto qis = t.QuasiIdentifierColumns();
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
   std::vector<Value> p;
   for (const size_t c : qis) p.push_back(t.cell(3, c));  // Tuple 4.
-  EXPECT_DOUBLE_EQ(universe.Query(p).weight, 60.0);
+  EXPECT_DOUBLE_EQ(index.Query(p).weight, 60.0);
 }
 
-/// Randomized oracle test: PatternUniverse::Query must agree with the linear
+/// Randomized oracle test: GroupIndex::Query must agree with the linear
 /// CountMatches scan for arbitrary (wildcard-bearing) patterns under BOTH
 /// null semantics.
-TEST(PatternUniverseTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
+TEST(GroupIndexQueryTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
   Rng rng(20260806);
   MicrodataTable t("oracle", {{"A", "", AttributeCategory::kQuasiIdentifier},
                               {"B", "", AttributeCategory::kQuasiIdentifier},
@@ -253,7 +253,7 @@ TEST(PatternUniverseTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
   const auto qis = t.QuasiIdentifierColumns();
   for (const NullSemantics sem :
        {NullSemantics::kMaybeMatch, NullSemantics::kStandard}) {
-    const PatternUniverse universe(t, qis, sem);
+    const GroupIndex index(t, qis, sem);
     for (int trial = 0; trial < 200; ++trial) {
       std::vector<Value> q;
       for (size_t c = 0; c < qis.size(); ++c) {
@@ -263,7 +263,7 @@ TEST(PatternUniverseTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
           q.push_back(Value::String(vals[rng.NextBelow(3)]));
         }
       }
-      const PatternMass got = universe.Query(q);
+      const PatternMass got = index.Query(q);
       ASSERT_DOUBLE_EQ(got.count, CountMatches(t, qis, q, sem))
           << "semantics " << static_cast<int>(sem) << " trial " << trial;
     }
@@ -302,8 +302,9 @@ TEST(GroupIndexTest, MoreThan32QuasiIdentifiers) {
 }
 
 /// The incremental index must track a from-scratch recomputation through a
-/// random sequence of cell suppressions, for both semantics: frequencies
-/// exactly, weight sums to FP tolerance, and Query against CountMatches.
+/// random sequence of cell suppressions, for both semantics: frequencies and
+/// weight sums bit-identically (the GroupIndex contract), and Query against
+/// CountMatches.
 TEST(GroupIndexTest, IncrementalUpdateMatchesRebuild) {
   for (const NullSemantics sem :
        {NullSemantics::kMaybeMatch, NullSemantics::kStandard}) {
@@ -342,9 +343,9 @@ TEST(GroupIndexTest, IncrementalUpdateMatchesRebuild) {
       const GroupStats expected = ComputeGroupStats(t, qis, sem);
       const GroupStats& got = index.Stats();
       for (size_t r = 0; r < t.num_rows(); ++r) {
-        ASSERT_DOUBLE_EQ(got.frequency[r], expected.frequency[r])
+        ASSERT_EQ(got.frequency[r], expected.frequency[r])
             << "sem " << static_cast<int>(sem) << " step " << step << " row " << r;
-        ASSERT_NEAR(got.weight_sum[r], expected.weight_sum[r], 1e-9)
+        ASSERT_EQ(got.weight_sum[r], expected.weight_sum[r])
             << "sem " << static_cast<int>(sem) << " step " << step << " row " << r;
       }
       // Spot-check the what-if oracle too.

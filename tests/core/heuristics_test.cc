@@ -51,8 +51,8 @@ TEST(QiChoiceTest, MostRiskyFirstPicksWidestReach) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
-  auto col = ChooseQiColumn(t, qis, 0, QiChoice::kMostRiskyFirst, anon, universe);
+  const GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
+  auto col = ChooseQiColumn(t, qis, 0, QiChoice::kMostRiskyFirst, anon, index);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(*col, 2u);  // Sector.
 }
@@ -62,8 +62,8 @@ TEST(QiChoiceTest, FirstApplicableSkipsNulls) {
   t.set_cell(0, 1, Value::Null(1));  // Area already suppressed.
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
-  auto col = ChooseQiColumn(t, qis, 0, QiChoice::kFirstApplicable, anon, universe);
+  const GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
+  auto col = ChooseQiColumn(t, qis, 0, QiChoice::kFirstApplicable, anon, index);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(*col, 2u);
 }
@@ -72,9 +72,9 @@ TEST(QiChoiceTest, RarestValue) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
   // Row 0: Roma (x5), Textiles (x1), 1000+ (x5), 0-30 (x5): Textiles rarest.
-  auto col = ChooseQiColumn(t, qis, 0, QiChoice::kRarestValue, anon, universe);
+  auto col = ChooseQiColumn(t, qis, 0, QiChoice::kRarestValue, anon, index);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(*col, 2u);
 }
@@ -86,8 +86,8 @@ TEST(QiChoiceTest, NotFoundWhenNothingApplicable) {
   }
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
-  const auto col = ChooseQiColumn(t, qis, 0, QiChoice::kMostRiskyFirst, anon, universe);
+  const GroupIndex index(t, qis, NullSemantics::kMaybeMatch);
+  const auto col = ChooseQiColumn(t, qis, 0, QiChoice::kMostRiskyFirst, anon, index);
   EXPECT_FALSE(col.ok());
   EXPECT_EQ(col.status().code(), StatusCode::kNotFound);
 }

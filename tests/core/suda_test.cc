@@ -127,9 +127,9 @@ TEST(SudaTest, PruningMatchesExhaustive) {
   ASSERT_TRUE(db.ok());
   EXPECT_LE(da->combos_evaluated, db->combos_evaluated);
   EXPECT_GT(da->combos_pruned + da->combos_evaluated, 0u);
-  // MSUs themselves must agree.
+  // MSUs themselves must agree, column set by column set.
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    ASSERT_EQ(da->msus[r].size(), db->msus[r].size()) << "row " << r;
+    ASSERT_EQ(da->msus[r], db->msus[r]) << "row " << r;
   }
 }
 

@@ -45,13 +45,14 @@ TEST(PropCatalogTest, DefaultRunCoversAtLeast200Cases) {
       << "the prop suite must generate at least 200 cases per run";
 }
 
-/// The columnar data plane's acceptance bar: 220+ generated cases (labelled
-/// nulls, weights, duplicate rows) where the dictionary-coded plane must
-/// reproduce the row plane byte-for-byte — risks of all four measures plus a
-/// full audited cycle. A wider sweep than the per-property default because
-/// the plane switch silently rewires every grouping hot path.
-TEST(PropCatalogTest, ColumnarRowDifferentialWideSweep) {
-  const Property* property = FindProperty("columnar-vs-row-bit-identical");
+/// The grouping acceptance bar: 220+ generated cases (labelled nulls,
+/// weights, duplicate rows) where cold group stats, an incrementally
+/// maintained cache and its what-if queries, the grouping measures, SUDA's
+/// MSUs and a full audited cycle must equal a linear scan of the =⊥
+/// definition exactly. A wider sweep than the per-property default because
+/// every risk measure reads its groups through this one code path.
+TEST(PropCatalogTest, GroupingNaiveOracleWideSweep) {
+  const Property* property = FindProperty("grouping-matches-naive-oracle");
   ASSERT_NE(property, nullptr);
   HarnessOptions options;
   options.cases_per_property = 220;
@@ -62,8 +63,8 @@ TEST(PropCatalogTest, ColumnarRowDifferentialWideSweep) {
     diagnostics += "\n--- shrunk repro ---\n" + ReproToString(repro);
   }
   EXPECT_EQ(report.failures, 0u)
-      << "columnar plane diverged from the row plane on " << report.failures
-      << "/" << report.cases_run << " cases" << diagnostics;
+      << "grouping diverged from the naive scan on " << report.failures << "/"
+      << report.cases_run << " cases" << diagnostics;
 }
 
 /// The fault-hardening acceptance bar (docs/robustness.md): 220+ generated
@@ -90,7 +91,7 @@ TEST(PropCatalogTest, ChaosServeNeverCorruptsWideSweep) {
 /// The incremental-maintenance acceptance bar (docs/api.md §"Streaming
 /// deltas"): 220+ generated cases, each streaming chained random delta
 /// batches (appends, updates, deletes, labelled-null suppressions) through
-/// Session::Apply on both data planes. Every step's risks, released bytes,
+/// Session::Apply. Every step's risks, released bytes,
 /// and audit text must be byte-identical to a cold session built from
 /// scratch over the post-delta table.
 TEST(PropCatalogTest, DeltaVsFullRecomputeWideSweep) {
@@ -111,8 +112,8 @@ TEST(PropCatalogTest, DeltaVsFullRecomputeWideSweep) {
 
 /// The result-cache coherence acceptance bar (docs/serving.md): 220+
 /// generated cases, each priming hot policies, interleaving them with
-/// unique-policy traffic, and replacing the dataset's content mid-stream —
-/// on both data planes. Every hit must replay the cold run's exact bytes,
+/// unique-policy traffic, and replacing the dataset's content mid-stream.
+/// Every hit must replay the cold run's exact bytes,
 /// every unique policy must miss, and the first request after a one-cell
 /// edit must miss and match the edited table's cold reference.
 TEST(PropCatalogTest, CachedResultBitIdenticalWideSweep) {
