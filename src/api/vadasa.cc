@@ -12,10 +12,6 @@ namespace vadasa::api {
 
 using core::MicrodataTable;
 
-std::string SessionOptions::GroupKey() const {
-  return standard_nulls ? "standard" : "maybe";
-}
-
 Result<SessionOptions> ValidateSessionOptions(SessionOptions options) {
   // MakeRiskMeasure is the single source of truth for valid measure names.
   VADASA_RETURN_NOT_OK(core::MakeRiskMeasure(options.risk_measure).status());
@@ -31,6 +27,47 @@ Result<SessionOptions> ValidateSessionOptions(SessionOptions options) {
     return Status::InvalidArgument("posterior_draws must be >= 0");
   }
   return options;
+}
+
+Status WarmState::Build(core::NullSemantics semantics, bool* built) {
+  if (built != nullptr) *built = false;
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_ptr<const core::GroupIndex>& slot =
+      indexes_[static_cast<size_t>(semantics)];
+  if (slot != nullptr) return Status::OK();
+  std::vector<size_t> qis = table_->QuasiIdentifierColumns();
+  VADASA_RETURN_NOT_OK(core::ValidateQiWidth(qis, semantics));
+  // The index's Stats() go through the same collapse/aggregation machinery in
+  // the same order as a cold ComputeGroupStats, so the warm stats equal a
+  // cold pass. They are forced before publishing: from here on the index is
+  // only read.
+  auto index = std::make_shared<const core::GroupIndex>(*table_, std::move(qis),
+                                                        semantics);
+  index->Stats();
+  slot = std::move(index);
+  if (built != nullptr) *built = true;
+  return Status::OK();
+}
+
+std::shared_ptr<const core::GroupIndex> WarmState::Find(
+    core::NullSemantics semantics) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return indexes_[static_cast<size_t>(semantics)];
+}
+
+std::shared_ptr<WarmState> WarmState::Derive(
+    std::shared_ptr<const MicrodataTable> child_table,
+    const core::DeltaRowPlan& plan) const {
+  auto child = std::make_shared<WarmState>(std::move(child_table));
+  for (size_t s = 0; s < 2; ++s) {
+    const auto parent_index = Find(static_cast<core::NullSemantics>(s));
+    if (parent_index == nullptr) continue;
+    std::shared_ptr<const core::GroupIndex> index =
+        parent_index->ApplyDelta(*child->table_, plan);
+    index->Stats();
+    child->indexes_[s] = std::move(index);
+  }
+  return child;
 }
 
 std::string AnonymizeResponse::ToText() const {
@@ -57,6 +94,7 @@ Result<Session> Session::Open(const std::string& csv_path, SessionOptions option
   session.dictionary_ = std::move(dictionary);
   session.conflicts_ = categorizer.conflicts();
   session.options_ = std::move(validated);
+  session.warm_ = std::make_shared<WarmState>(session.table_);
   return session;
 }
 
@@ -69,13 +107,19 @@ Result<Session> Session::FromTable(MicrodataTable table, SessionOptions options)
 Result<Session> Session::FromShared(
     std::shared_ptr<const MicrodataTable> table,
     std::shared_ptr<const core::MetadataDictionary> dictionary,
-    SessionOptions options) {
+    SessionOptions options, std::shared_ptr<WarmState> warm) {
   if (table == nullptr) {
     return Status::InvalidArgument("Session::FromShared: null table");
+  }
+  if (warm != nullptr && warm->table() != table.get()) {
+    return Status::InvalidArgument(
+        "Session::FromShared: the warm state belongs to another table");
   }
   VADASA_ASSIGN_OR_RETURN(SessionOptions validated,
                           ValidateSessionOptions(std::move(options)));
   Session session;
+  session.warm_ = warm != nullptr ? std::move(warm)
+                                  : std::make_shared<WarmState>(table);
   session.table_ = std::move(table);
   session.dictionary_ = dictionary != nullptr
                             ? std::move(dictionary)
@@ -99,29 +143,12 @@ core::RiskContext Session::MakeRiskContext() const {
                                           : core::NullSemantics::kMaybeMatch;
   ctx.posterior_draws = options_.posterior_draws;
   ctx.seed = options_.seed;
-  ctx.warm_stats = warm_;
-  ctx.warm_view = warm_view_;
   return ctx;
 }
 
-Status Session::Warm() {
+Status Session::Warm(bool* built) const {
   VADASA_RETURN_NOT_OK(CheckOpen());
-  if (warm_ != nullptr) return Status::OK();
-  const core::RiskContext ctx = MakeRiskContext();
-  const auto qis = ctx.ResolveQiColumns(*table_);
-  VADASA_RETURN_NOT_OK(core::ValidateQiWidth(qis, ctx.semantics));
-  // Build the incremental group index over (table, AnonSet, semantics). Its
-  // Stats() go through the same collapse/aggregation machinery in the same
-  // order as a cold ComputeGroupStats, so the warm stats equal a cold pass —
-  // and keeping the index makes this session a delta base: Apply() patches it
-  // instead of re-collapsing the whole table. The index also materializes the
-  // shared view every later evaluation reads.
-  auto index =
-      std::make_shared<core::GroupIndex>(*table_, qis, ctx.semantics);
-  warm_ = std::shared_ptr<const core::GroupStats>(index, &index->Stats());
-  warm_view_ = index->shared_view();
-  delta_index_ = std::move(index);
-  return Status::OK();
+  return warm_->Build(MakeRiskContext().semantics, built);
 }
 
 Result<Session> Session::Apply(const core::DeltaBatch& batch) const {
@@ -135,18 +162,7 @@ Result<Session> Session::Apply(const core::DeltaBatch& batch) const {
   child.dictionary_ = dictionary_;
   child.conflicts_ = conflicts_;
   child.options_ = options_;
-  // Incremental warm-state maintenance: a warmed parent hands the child a
-  // delta-patched index — only groups the batch touched are re-aggregated.
-  // Stats() is forced before the child is published so the shared state is
-  // immutable from here on.
-  if (delta_index_ != nullptr) {
-    std::shared_ptr<core::GroupIndex> next_index =
-        delta_index_->ApplyDelta(*child.table_, plan);
-    child.warm_ = std::shared_ptr<const core::GroupStats>(next_index,
-                                                          &next_index->Stats());
-    child.warm_view_ = next_index->shared_view();
-    child.delta_index_ = std::move(next_index);
-  }
+  child.warm_ = warm_->Derive(child.table_, plan);
   return child;
 }
 
@@ -156,26 +172,31 @@ Result<RiskReport> Session::Risk(double quantile, bool explain) const {
   VADASA_ASSIGN_OR_RETURN(const auto measure,
                           core::MakeRiskMeasure(options_.risk_measure));
   const core::RiskContext ctx = MakeRiskContext();
+  // One grouping for the whole report (ρ = 1/λ(σ_{q=q̂} M) for every
+  // measure, Section 4.2): the warm index when built, else one private build.
+  core::RiskEvalCache cache(warm_->Find(ctx.semantics));
   RiskReport report;
   report.threshold = options_.threshold;
-  VADASA_ASSIGN_OR_RETURN(report.tuple_risks, measure->ComputeRisks(*table_, ctx));
+  VADASA_ASSIGN_OR_RETURN(report.tuple_risks,
+                          measure->ComputeRisks(*table_, ctx, &cache));
   VADASA_ASSIGN_OR_RETURN(
       report.global,
-      core::ComputeGlobalRisk(*table_, *measure, ctx, options_.threshold));
+      core::ComputeGlobalRisk(*table_, *measure, ctx, options_.threshold, &cache));
   for (size_t r = 0; r < report.tuple_risks.size(); ++r) {
     if (report.tuple_risks[r] > options_.threshold) {
       RiskyTuple risky;
       risky.row = r;
       risky.risk = report.tuple_risks[r];
       if (explain) {
-        risky.explanation = measure->Explain(*table_, ctx, r, risky.risk);
+        risky.explanation = measure->Explain(*table_, ctx, r, risky.risk, &cache);
       }
       report.risky.push_back(std::move(risky));
     }
   }
   if (quantile > 0.0) {
-    VADASA_ASSIGN_OR_RETURN(report.inferred_threshold,
-                            core::InferThreshold(*table_, *measure, ctx, quantile));
+    VADASA_ASSIGN_OR_RETURN(
+        report.inferred_threshold,
+        core::InferThreshold(*table_, *measure, ctx, quantile, &cache));
   }
   return report;
 }
@@ -184,7 +205,9 @@ Result<double> Session::InferThreshold(double quantile) const {
   VADASA_RETURN_NOT_OK(CheckOpen());
   VADASA_ASSIGN_OR_RETURN(const auto measure,
                           core::MakeRiskMeasure(options_.risk_measure));
-  return core::InferThreshold(*table_, *measure, MakeRiskContext(), quantile);
+  const core::RiskContext ctx = MakeRiskContext();
+  core::RiskEvalCache cache(warm_->Find(ctx.semantics));
+  return core::InferThreshold(*table_, *measure, ctx, quantile, &cache);
 }
 
 Result<AnonymizeResponse> Session::Anonymize(const AnonymizeRequest& request) const {
@@ -242,9 +265,12 @@ Result<AnonymizeResponse> Session::Anonymize(const AnonymizeRequest& request) co
         core::MakeClusterRiskTransform(request.ownership, id_column);
   }
   MicrodataTable released = *table_;
+  // The copy starts with the version's exact contents, so the warm index may
+  // seed the release's cache until the cycle's first mutation.
+  core::RiskEvalCache cache(warm_->Find(cycle_options.risk.semantics));
   VADASA_ASSIGN_OR_RETURN(
-      response.audit,
-      core::RunAuditedRelease(&released, *measure, &anonymizer, cycle_options));
+      response.audit, core::RunAuditedRelease(&released, *measure, &anonymizer,
+                                              cycle_options, &cache));
   response.table = std::move(released);
   return response;
 }

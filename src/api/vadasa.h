@@ -2,6 +2,7 @@
 #define VADASA_API_VADASA_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,11 +49,6 @@ struct SessionOptions {
   /// form), and its seed.
   int posterior_draws = 0;
   uint64_t seed = 7;
-
-  /// Canonical fingerprint of the fields that determine grouped risk state
-  /// (semantics for now; the AnonSet is the table's own QI set). Jobs whose
-  /// sessions share a dataset and this key can share warmed group statistics.
-  std::string GroupKey() const;
 };
 
 /// Validates measure name, k and threshold ranges; returns the options
@@ -100,11 +96,46 @@ struct AnonymizeResponse {
   std::string ToText() const;
 };
 
+/// The warm state of one dataset version, shared by every session on it: at
+/// most one group index per null semantics over the table's own AnonSet. An
+/// index is built at most once, under the state's lock (concurrent first
+/// users wait for that build), and is immutable once published with its
+/// Stats() forced, so any number of RiskEvalCaches may start from it.
+class WarmState {
+ public:
+  explicit WarmState(std::shared_ptr<const core::MicrodataTable> table)
+      : table_(std::move(table)) {}
+
+  const core::MicrodataTable* table() const { return table_.get(); }
+
+  /// Builds the index for `semantics` unless it exists. `built` (optional)
+  /// reports whether this call built it. Fails, caching nothing, when the
+  /// AnonSet is too wide for the semantics.
+  Status Build(core::NullSemantics semantics, bool* built = nullptr);
+
+  /// The index for `semantics` if built, else null. Never builds.
+  std::shared_ptr<const core::GroupIndex> Find(core::NullSemantics semantics) const;
+
+  /// The warm state of `child_table`, which ApplyDeltaToTable made from this
+  /// state's table with `plan`: every built index is delta-patched
+  /// (GroupIndex::ApplyDelta), bit-identical to a cold build.
+  std::shared_ptr<WarmState> Derive(
+      std::shared_ptr<const core::MicrodataTable> child_table,
+      const core::DeltaRowPlan& plan) const;
+
+ private:
+  std::shared_ptr<const core::MicrodataTable> table_;
+  mutable std::mutex mutex_;
+  /// Indexed by core::NullSemantics.
+  std::shared_ptr<const core::GroupIndex> indexes_[2];
+};
+
 /// An immutable dataset + policy pair, cheap to copy and safe to share
-/// across threads: the table, dictionary and warmed statistics are
-/// refcounted const snapshots; every operation works on copies. This is the
-/// unit the serving layer schedules — N concurrent jobs over one Session
-/// produce byte-identical results to N sequential calls.
+/// across threads: the table and dictionary are refcounted const snapshots,
+/// the version's WarmState is shared by every copy, and every operation works
+/// on copies. This is the unit the serving layer schedules — N concurrent
+/// jobs over one Session produce byte-identical results to N sequential
+/// calls.
 class Session {
  public:
   /// An empty session — the moved-from/not-yet-opened state. Every real
@@ -120,11 +151,12 @@ class Session {
   static Result<Session> FromTable(core::MicrodataTable table, SessionOptions options);
 
   /// Wraps shared immutable state directly (the DatasetRegistry path — one
-  /// load serves many sessions).
+  /// load serves many sessions). `warm` is the version's shared warm state,
+  /// which must have been made for `table`; null starts a fresh, cold one.
   static Result<Session> FromShared(
       std::shared_ptr<const core::MicrodataTable> table,
       std::shared_ptr<const core::MetadataDictionary> dictionary,
-      SessionOptions options);
+      SessionOptions options, std::shared_ptr<WarmState> warm = nullptr);
 
   const core::MicrodataTable& table() const { return *table_; }
   const std::shared_ptr<const core::MicrodataTable>& shared_table() const {
@@ -141,7 +173,8 @@ class Session {
 
   /// Per-tuple + file-level risk under the session policy. `quantile` in
   /// (0,1) additionally infers the threshold at that quantile (< 0 = skip).
-  /// `explain` attaches justifications to the over-threshold tuples.
+  /// `explain` attaches justifications to the over-threshold tuples. One
+  /// RiskEvalCache, seeded with the warm index when built, serves it all.
   Result<RiskReport> Risk(double quantile = -1.0, bool explain = true) const;
 
   /// The statistically inferred threshold at `quantile` (Section 1).
@@ -165,44 +198,21 @@ class Session {
   /// sampling weight returns TypeError, in both cases leaving nothing to
   /// observe.
   ///
-  /// Warm-state maintenance: when this session is Warm()ed, the child
-  /// inherits a delta-patched group index — only groups the batch touches
-  /// are re-aggregated, and the child's warm stats are bit-identical to a
-  /// cold Warm() over the post-delta table (the
-  /// delta-vs-full-recompute-bit-identical property pins this). Otherwise the
-  /// child starts cold and the next Warm() pays the full collapse.
+  /// Warm-state maintenance: the child's WarmState is derived from this
+  /// session's (WarmState::Derive), so only groups the batch touches are
+  /// re-aggregated; the delta-vs-full-recompute-bit-identical property pins
+  /// the child to a cold build. A semantics never warmed here starts cold.
   /// Dictionary, conflicts and options carry over unchanged.
   Result<Session> Apply(const core::DeltaBatch& batch) const;
 
-  /// Precomputes the group statistics for this session's (table, AnonSet,
-  /// semantics) and keeps them for every subsequent Risk call — the handle
-  /// the serving layer shares across a batch. No-op if already warm.
-  Status Warm();
+  /// Builds the group index of this session's (table, AnonSet, semantics) in
+  /// the shared WarmState unless built — the only build; Open, FromTable and
+  /// FromShared stay lazy. `built` (optional) reports whether this call built
+  /// it. Warmed and cold sessions produce bit-identical results.
+  Status Warm(bool* built = nullptr) const;
 
-  /// Adopts warm statistics (and, optionally, the columnar view they were
-  /// computed through) produced elsewhere — the scheduler's coalesced warmup.
-  /// They must be the warm_stats() (and warm_view()) of a Warm()ed session
-  /// over this session's exact table, AnonSet and semantics.
-  void AdoptWarmStats(std::shared_ptr<const core::GroupStats> stats,
-                      std::shared_ptr<const core::ColumnarView> view = nullptr) {
-    warm_ = std::move(stats);
-    if (view != nullptr) warm_view_ = std::move(view);
-  }
-  const std::shared_ptr<const core::GroupStats>& warm_stats() const { return warm_; }
-  /// The shared columnar materialization created by Warm() (null before) —
-  /// handed to sibling sessions alongside the warm stats so a batch interns
-  /// each column once.
-  const std::shared_ptr<const core::ColumnarView>& warm_view() const {
-    return warm_view_;
-  }
-
-  /// The incrementally maintainable group index behind the warm stats —
-  /// non-null after Warm() (not after AdoptWarmStats, whose stats arrive
-  /// without an index) and after an index-backed Apply(). Exposed for
-  /// observability and tests; treat as opaque.
-  const std::shared_ptr<const core::GroupIndex>& delta_index() const {
-    return delta_index_;
-  }
+  /// Null only for an empty session.
+  const std::shared_ptr<WarmState>& warm_state() const { return warm_; }
 
  private:
   Status CheckOpen() const;
@@ -212,9 +222,7 @@ class Session {
   std::shared_ptr<const core::MetadataDictionary> dictionary_;
   std::vector<core::CategorizationConflict> conflicts_;
   SessionOptions options_;
-  std::shared_ptr<const core::GroupStats> warm_;
-  std::shared_ptr<const core::ColumnarView> warm_view_;
-  std::shared_ptr<const core::GroupIndex> delta_index_;
+  std::shared_ptr<WarmState> warm_;
 };
 
 }  // namespace vadasa::api

@@ -78,7 +78,8 @@ void AppendLog(const CycleOptions& options, CycleMeters* meters, CycleStats* sta
 
 }  // namespace
 
-Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
+Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
+                                           RiskEvalCache* shared_cache) {
   obs::Span run_span("cycle.run");
   const auto t_start = std::chrono::steady_clock::now();
   CycleMeters meters;
@@ -95,7 +96,8 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
   // use and then maintained incrementally from the changed-row sets the
   // anonymizer reports — iterations >= 2 never recompute group stats from
   // scratch (stats.group_rebuilds stays at 1).
-  RiskEvalCache cache;
+  RiskEvalCache local_cache;
+  RiskEvalCache& cache = shared_cache != nullptr ? *shared_cache : local_cache;
 
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
     if (options_.cancel != nullptr) {

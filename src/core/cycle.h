@@ -72,7 +72,7 @@ struct CycleStats {
   double information_loss = 0.0;
   double risk_eval_seconds = 0.0;
   double total_seconds = 0.0;
-  /// From-scratch group-index constructions during the run. 1 proves the
+  /// From-scratch group-index constructions of the run's cache. 1 proves the
   /// index was reused incrementally across iterations instead of being
   /// rebuilt per iteration; 0 when the measure never groups (e.g. SUDA-only
   /// runs build it lazily for the QI-choice heuristic).
@@ -98,8 +98,9 @@ class AnonymizationCycle {
                      CycleOptions options)
       : risk_(risk), anonymizer_(anonymizer), options_(std::move(options)) {}
 
-  /// Runs in place on `table`.
-  Result<CycleStats> Run(MicrodataTable* table);
+  /// Runs in place on `table`, evaluating through `cache` (a run-local one
+  /// when null), which sees every mutation through NotifyRowsChanged.
+  Result<CycleStats> Run(MicrodataTable* table, RiskEvalCache* cache = nullptr);
 
  private:
   const RiskMeasure* risk_;

@@ -19,10 +19,10 @@ std::string GlobalRiskReport::ToString() const {
 Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
                                            const RiskMeasure& measure,
                                            const RiskContext& context,
-                                           double threshold) {
+                                           double threshold, RiskEvalCache* cache) {
   GlobalRiskReport report;
   VADASA_ASSIGN_OR_RETURN(const std::vector<double> risks,
-                          measure.ComputeRisks(table, context));
+                          measure.ComputeRisks(table, context, cache));
   for (const double r : risks) {
     report.expected_reidentifications += r;
     report.max_risk = std::max(report.max_risk, r);
@@ -32,19 +32,15 @@ Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
     report.global_risk_rate =
         report.expected_reidentifications / static_cast<double>(risks.size());
   }
-  // Sample uniques need group frequencies; reuse the context's warm stats
-  // when they cover this table (same contract as the risk measures), else
-  // compute once — through the shared columnar view when one is supplied.
+  // Sample uniques need group frequencies: the cache's (the same grouping the
+  // risks came from, for a grouping measure), else one cold pass.
+  const std::vector<size_t> qis = context.ResolveQiColumns(table);
   GroupStats scratch;
-  const GroupStats* stats = context.warm_stats != nullptr &&
-                                    context.warm_stats->frequency.size() ==
-                                        table.num_rows()
-                                ? context.warm_stats.get()
-                                : nullptr;
-  if (stats == nullptr) {
-    scratch = ComputeGroupStats(table, context.ResolveQiColumns(table),
-                                context.semantics, context.warm_view);
-    stats = &scratch;
+  const GroupStats* stats = &scratch;
+  if (cache != nullptr) {
+    stats = &cache->Stats(table, qis, context.semantics);
+  } else {
+    scratch = ComputeGroupStats(table, qis, context.semantics);
   }
   for (const double f : stats->frequency) {
     if (f == 1.0) ++report.sample_uniques;
@@ -53,12 +49,13 @@ Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
 }
 
 Result<double> InferThreshold(const MicrodataTable& table, const RiskMeasure& measure,
-                              const RiskContext& context, double quantile) {
+                              const RiskContext& context, double quantile,
+                              RiskEvalCache* cache) {
   if (quantile <= 0.0 || quantile >= 1.0) {
     return Status::InvalidArgument("quantile must be in (0, 1)");
   }
   VADASA_ASSIGN_OR_RETURN(std::vector<double> risks,
-                          measure.ComputeRisks(table, context));
+                          measure.ComputeRisks(table, context, cache));
   if (risks.empty()) {
     return Status::FailedPrecondition("cannot infer a threshold from an empty table");
   }

@@ -31,11 +31,13 @@ struct GlobalRiskReport {
 };
 
 /// Evaluates the file-level report using `measure` for the per-tuple risks
-/// and the table's own frequencies for the uniqueness count.
+/// and the table's own frequencies for the uniqueness count, both through
+/// `cache` when given.
 Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
                                            const RiskMeasure& measure,
                                            const RiskContext& context,
-                                           double threshold);
+                                           double threshold,
+                                           RiskEvalCache* cache = nullptr);
 
 /// Statistically infers the cycle threshold T from the data (the paper's
 /// "statistically inferred or defined by the domain experts", Section 1):
@@ -43,7 +45,8 @@ Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
 /// so the cycle anonymizes exactly the top (1 − quantile) share of tuples.
 /// `quantile` in (0,1); e.g. 0.99 targets the riskiest 1%.
 Result<double> InferThreshold(const MicrodataTable& table, const RiskMeasure& measure,
-                              const RiskContext& context, double quantile);
+                              const RiskContext& context, double quantile,
+                              RiskEvalCache* cache = nullptr);
 
 }  // namespace vadasa::core
 

@@ -222,6 +222,7 @@ struct PatternPartition {
   /// aggregates accumulate in row order, so the partition is independent of
   /// the thread count.
   void Build(size_t n) {
+    VADASA_METRIC_COUNT("group_index.partitions_built", 1);
     patterns.clear();
     pattern_ids.clear();
     classes.clear();
@@ -500,18 +501,14 @@ struct PatternPartition {
   }
 };
 
-/// A partition of `table` under `semantics`, read through `view` (a fresh
-/// materialization when null or stale).
+/// A partition of `table` under `semantics`, read through a fresh columnar
+/// materialization.
 PatternPartition Partition(const MicrodataTable& table,
                            const std::vector<size_t>& qi_columns,
-                           NullSemantics semantics,
-                           std::shared_ptr<const ColumnarView> view) {
-  if (view == nullptr || view->num_rows() != table.num_rows()) {
-    view = std::make_shared<ColumnarView>(table);
-  }
+                           NullSemantics semantics) {
   PatternPartition partition;
   partition.semantics = semantics;
-  partition.columns.Bind(std::move(view), table, qi_columns);
+  partition.columns.Bind(std::make_shared<ColumnarView>(table), table, qi_columns);
   partition.Build(table.num_rows());
   return partition;
 }
@@ -532,10 +529,9 @@ Status ValidateQiWidth(const std::vector<size_t>& qi_columns, NullSemantics sema
 
 GroupStats ComputeGroupStats(const MicrodataTable& table,
                              const std::vector<size_t>& qi_columns,
-                             NullSemantics semantics,
-                             std::shared_ptr<const ColumnarView> shared_view) {
+                             NullSemantics semantics) {
   GroupStats stats;
-  Partition(table, qi_columns, semantics, std::move(shared_view)).RecomputeStats(&stats);
+  Partition(table, qi_columns, semantics).RecomputeStats(&stats);
   return stats;
 }
 
@@ -544,7 +540,7 @@ EquivalenceClassStats ComputeEquivalenceClasses(
   EquivalenceClassStats stats;
   stats.histogram.assign(10, 0);
   const PatternPartition partition =
-      Partition(table, qi_columns, NullSemantics::kStandard, nullptr);
+      Partition(table, qi_columns, NullSemantics::kStandard);
   stats.num_classes = partition.patterns.size();
   if (partition.patterns.empty()) return stats;
   stats.min_class_size = table.num_rows();
@@ -726,6 +722,10 @@ struct RiskEvalCache::Impl {
   std::map<std::string, std::shared_ptr<void>> memos;
   uint64_t version = 0;
 
+  /// The shared warm index the cache started from; read-only, dropped at
+  /// the first NotifyRowsChanged.
+  std::shared_ptr<const GroupIndex> warm;
+
   /// One columnar materialization shared by every index of this cache (and
   /// by the cycle's pattern guards).
   std::shared_ptr<ColumnarView> view;
@@ -738,7 +738,10 @@ struct RiskEvalCache::Impl {
   }
 };
 
-RiskEvalCache::RiskEvalCache() : impl_(std::make_unique<Impl>()) {}
+RiskEvalCache::RiskEvalCache(std::shared_ptr<const GroupIndex> warm)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->warm = std::move(warm);
+}
 RiskEvalCache::~RiskEvalCache() = default;
 
 GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
@@ -766,6 +769,12 @@ GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
 const GroupStats& RiskEvalCache::Stats(const MicrodataTable& table,
                                        const std::vector<size_t>& qi_columns,
                                        NullSemantics semantics) {
+  const GroupIndex* warm = impl_->warm.get();
+  if (warm != nullptr && warm->semantics() == semantics &&
+      warm->qi_columns() == qi_columns) {
+    VADASA_METRIC_COUNT("risk_cache.warm_hits", 1);
+    return warm->Stats();
+  }
   return Index(table, qi_columns, semantics).Stats();
 }
 
@@ -773,6 +782,7 @@ void RiskEvalCache::NotifyRowsChanged(const MicrodataTable& table,
                                       const std::vector<uint32_t>& rows) {
   ++impl_->version;
   impl_->memos.clear();
+  impl_->warm.reset();
   if (impl_->view != nullptr) {
     if (table.num_rows() != impl_->view->num_rows()) {
       // Shape changed: rematerialize and hand the fresh view to every index
@@ -795,6 +805,9 @@ void RiskEvalCache::NotifyRowsChanged(const MicrodataTable& table,
 
 std::shared_ptr<const ColumnarView> RiskEvalCache::SharedView(
     const MicrodataTable& table) {
+  if (impl_->view == nullptr && impl_->warm != nullptr) {
+    return impl_->warm->shared_view();
+  }
   return impl_->EnsureView(table);
 }
 

@@ -57,13 +57,11 @@ struct GroupStats {
 /// row→pattern projection and hashing run on ThreadPool::Global(); the result
 /// is bit-identical for any thread count (see thread_pool.h).
 ///
-/// `shared_view` lets warm callers reuse an existing columnar
-/// materialization; it is consulted only when its row count matches the
-/// table.
+/// Every from-scratch grouping — this function, ComputeEquivalenceClasses and
+/// each GroupIndex build — counts one `group_index.partitions_built`.
 GroupStats ComputeGroupStats(const MicrodataTable& table,
                              const std::vector<size_t>& qi_columns,
-                             NullSemantics semantics,
-                             std::shared_ptr<const ColumnarView> shared_view = nullptr);
+                             NullSemantics semantics);
 
 /// Counts rows of `table` whose QI projection maybe-matches `pattern`
 /// (`pattern` has one entry per qi_column; nulls are wildcards). Under
@@ -169,8 +167,8 @@ class GroupIndex {
   /// detects the swap and rebuilds from the new view.
   void AdoptView(std::shared_ptr<ColumnarView> view);
 
-  /// The columnar view backing this index — what api::Session shares with
-  /// risk evaluation as the warm view after an ApplyDelta.
+  /// The columnar view backing this index — what a RiskEvalCache seeded
+  /// with this index hands SUDA instead of materializing its own.
   std::shared_ptr<const ColumnarView> shared_view() const;
 
   /// Observability: how many times the index was built from scratch (1 unless
@@ -191,13 +189,18 @@ class GroupIndex {
 /// Memoizes per-iteration risk-evaluation state so that RiskMeasure::Explain
 /// (called once per logged row) and the QI-choice heuristic reuse the stats
 /// the iteration's ComputeRisks already produced, instead of recomputing full
-/// group statistics per call. Owned by the cycle; one cache serves one
-/// evolving table. The cycle reports table mutations via NotifyRowsChanged,
-/// which forwards them to the incremental GroupIndexes and invalidates the
-/// per-measure memos.
+/// group statistics per call. One cache serves one evolving table, whose
+/// owner reports mutations via NotifyRowsChanged; that forwards them to the
+/// incremental GroupIndexes and invalidates the per-measure memos.
+///
+/// `warm` is a dataset version's shared index (api::WarmState) over the exact
+/// table this cache serves, Stats() already forced. Until the first
+/// NotifyRowsChanged, Stats() and SharedView() answer from it for its QI
+/// columns and semantics. It is never queried or updated — Query() and
+/// UpdateRows() memoize inside const methods — so Index() is always private.
 class RiskEvalCache {
  public:
-  RiskEvalCache();
+  explicit RiskEvalCache(std::shared_ptr<const GroupIndex> warm = nullptr);
   ~RiskEvalCache();
 
   RiskEvalCache(const RiskEvalCache&) = delete;
@@ -208,7 +211,7 @@ class RiskEvalCache {
   GroupIndex& Index(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
                     NullSemantics semantics);
 
-  /// Shorthand for Index(...).Stats().
+  /// The warm index's stats while they apply, else Index(...).Stats().
   const GroupStats& Stats(const MicrodataTable& table,
                           const std::vector<size_t>& qi_columns,
                           NullSemantics semantics);
@@ -221,7 +224,7 @@ class RiskEvalCache {
                          const std::vector<uint32_t>& rows);
 
   /// The columnar view shared by this cache's indexes, created on first use
-  /// (and recreated when the table shape changes).
+  /// (and recreated when the table shape changes), or the warm index's view.
   /// The cycle and SUDA reuse it for code-space pattern guards and
   /// projections instead of materializing their own.
   std::shared_ptr<const ColumnarView> SharedView(const MicrodataTable& table);
@@ -234,7 +237,7 @@ class RiskEvalCache {
   std::shared_ptr<void> Memo(const std::string& key) const;
   void SetMemo(const std::string& key, std::shared_ptr<void> value);
 
-  /// Aggregated counters over all indexes, surfaced in CycleStats.
+  /// Aggregated counters over the private indexes, surfaced in CycleStats.
   size_t full_builds() const;
   size_t incremental_updates() const;
 

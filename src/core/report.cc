@@ -32,7 +32,10 @@ std::string ReleaseAudit::ToText() const {
 
 Result<ReleaseAudit> RunAuditedRelease(MicrodataTable* table,
                                        const RiskMeasure& measure,
-                                       Anonymizer* anonymizer, CycleOptions options) {
+                                       Anonymizer* anonymizer, CycleOptions options,
+                                       RiskEvalCache* cache) {
+  RiskEvalCache local_cache;
+  if (cache == nullptr) cache = &local_cache;
   ReleaseAudit audit;
   audit.microdb = table->name();
   audit.tuples = table->num_rows();
@@ -41,22 +44,20 @@ Result<ReleaseAudit> RunAuditedRelease(MicrodataTable* table,
   audit.threshold = options.threshold;
 
   const MicrodataTable original = *table;
+  // One cache from the before-risk through the cycle to the after-risk: the
+  // cycle reports every mutation to it, so the after-risk reads the grouping
+  // the cycle maintained.
   VADASA_ASSIGN_OR_RETURN(
       audit.risk_before,
-      ComputeGlobalRisk(*table, measure, options.risk, options.threshold));
+      ComputeGlobalRisk(*table, measure, options.risk, options.threshold, cache));
 
   options.log_steps = true;
   AnonymizationCycle cycle(&measure, anonymizer, options);
-  VADASA_ASSIGN_OR_RETURN(audit.cycle, cycle.Run(table));
+  VADASA_ASSIGN_OR_RETURN(audit.cycle, cycle.Run(table, cache));
 
-  // The cycle mutated the table, so any warm stats or columnar view handed
-  // in for the before-evaluation are stale now (the row count still matches,
-  // so the guards cannot catch it) — drop both before re-evaluating.
-  options.risk.warm_stats.reset();
-  options.risk.warm_view.reset();
   VADASA_ASSIGN_OR_RETURN(
       audit.risk_after,
-      ComputeGlobalRisk(*table, measure, options.risk, options.threshold));
+      ComputeGlobalRisk(*table, measure, options.risk, options.threshold, cache));
   VADASA_ASSIGN_OR_RETURN(audit.utility, MeasureUtility(original, *table));
   return audit;
 }

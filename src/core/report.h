@@ -31,10 +31,12 @@ struct ReleaseAudit {
 
 /// Runs the complete audited release: evaluates global risk, runs the cycle
 /// (with step logging forced on), re-evaluates, and measures utility.
-/// `table` is anonymized in place.
+/// `table` is anonymized in place. All three evaluations go through `cache`
+/// (e.g. seeded with a version's warm index), else through a local one.
 Result<ReleaseAudit> RunAuditedRelease(MicrodataTable* table,
                                        const RiskMeasure& measure,
-                                       Anonymizer* anonymizer, CycleOptions options);
+                                       Anonymizer* anonymizer, CycleOptions options,
+                                       RiskEvalCache* cache = nullptr);
 
 }  // namespace vadasa::core
 

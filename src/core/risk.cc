@@ -28,23 +28,13 @@ uint64_t ShardSeed(uint64_t seed, uint64_t shard) {
   return z ^ (z >> 31);
 }
 
-/// Group stats via the cache (incremental index, shared across the iteration),
-/// via the context's shared warm stats (cache-less serving calls on an
-/// immutable table), or a one-shot computation into `scratch`. The cache takes
-/// precedence: it tracks mutations, while warm stats are only valid for the
-/// exact table contents they were computed from (guarded by a row-count check
-/// — the caller owns the stronger same-contents contract, see risk.h).
+/// Group stats via the cache (shared across the report or release), or a
+/// one-shot computation into `scratch`.
 const GroupStats& CachedStats(const MicrodataTable& table,
                               const std::vector<size_t>& qis, NullSemantics semantics,
-                              const RiskContext& context, RiskEvalCache* cache,
-                              GroupStats* scratch) {
+                              RiskEvalCache* cache, GroupStats* scratch) {
   if (cache != nullptr) return cache->Stats(table, qis, semantics);
-  if (context.warm_stats != nullptr &&
-      context.warm_stats->frequency.size() == table.num_rows()) {
-    VADASA_METRIC_COUNT("risk.warm_stats_hits", 1);
-    return *context.warm_stats;
-  }
-  *scratch = ComputeGroupStats(table, qis, semantics, context.warm_view);
+  *scratch = ComputeGroupStats(table, qis, semantics);
   return *scratch;
 }
 
@@ -67,15 +57,20 @@ std::string RiskMeasure::Explain(const MicrodataTable& table, const RiskContext&
   return name() + " risk " + std::to_string(risk) + " for combination {" + combo + "}";
 }
 
-Result<std::vector<double>> ReidentificationRisk::ComputeRisks(
+Result<std::vector<double>> GroupingRiskMeasure::ComputeRisks(
     const MicrodataTable& table, const RiskContext& context,
     RiskEvalCache* cache) const {
-  obs::Span span("risk.compute.reidentification");
+  obs::Span span(span_name_);
   const auto qis = context.ResolveQiColumns(table);
   VADASA_RETURN_NOT_OK(ValidateQiWidth(qis, context.semantics));
   GroupStats scratch;
-  const GroupStats& stats = CachedStats(table, qis, context.semantics, context, cache, &scratch);
-  std::vector<double> risks(table.num_rows());
+  return RisksFromStats(CachedStats(table, qis, context.semantics, cache, &scratch),
+                        context);
+}
+
+std::vector<double> ReidentificationRisk::RisksFromStats(
+    const GroupStats& stats, const RiskContext& /*context*/) const {
+  std::vector<double> risks(stats.weight_sum.size());
   for (size_t r = 0; r < risks.size(); ++r) {
     const double w = stats.weight_sum[r];
     risks[r] = w <= 1.0 ? 1.0 : std::min(1.0, 1.0 / w);
@@ -83,15 +78,9 @@ Result<std::vector<double>> ReidentificationRisk::ComputeRisks(
   return risks;
 }
 
-Result<std::vector<double>> KAnonymityRisk::ComputeRisks(const MicrodataTable& table,
-                                                         const RiskContext& context,
-                                                         RiskEvalCache* cache) const {
-  obs::Span span("risk.compute.k_anonymity");
-  const auto qis = context.ResolveQiColumns(table);
-  VADASA_RETURN_NOT_OK(ValidateQiWidth(qis, context.semantics));
-  GroupStats scratch;
-  const GroupStats& stats = CachedStats(table, qis, context.semantics, context, cache, &scratch);
-  std::vector<double> risks(table.num_rows());
+std::vector<double> KAnonymityRisk::RisksFromStats(const GroupStats& stats,
+                                                   const RiskContext& context) const {
+  std::vector<double> risks(stats.frequency.size());
   for (size_t r = 0; r < risks.size(); ++r) {
     risks[r] = stats.frequency[r] < static_cast<double>(context.k) ? 1.0 : 0.0;
   }
@@ -108,7 +97,7 @@ std::string KAnonymityRisk::Explain(const MicrodataTable& table,
   // With a cache this is one incremental-index lookup; without one it falls
   // back to a full O(n) group-stats pass per explained row.
   GroupStats scratch;
-  const GroupStats& stats = CachedStats(table, qis, context.semantics, context, cache, &scratch);
+  const GroupStats& stats = CachedStats(table, qis, context.semantics, cache, &scratch);
   std::string combo;
   for (const size_t c : qis) {
     if (!combo.empty()) combo += ", ";
@@ -130,15 +119,9 @@ std::string KAnonymityRisk::Explain(const MicrodataTable& table,
          " time(s); k=" + std::to_string(context.k) + verdict;
 }
 
-Result<std::vector<double>> IndividualRisk::ComputeRisks(const MicrodataTable& table,
-                                                         const RiskContext& context,
-                                                         RiskEvalCache* cache) const {
-  obs::Span span("risk.compute.individual");
-  const auto qis = context.ResolveQiColumns(table);
-  VADASA_RETURN_NOT_OK(ValidateQiWidth(qis, context.semantics));
-  GroupStats scratch;
-  const GroupStats& stats = CachedStats(table, qis, context.semantics, context, cache, &scratch);
-  std::vector<double> risks(table.num_rows());
+std::vector<double> IndividualRisk::RisksFromStats(const GroupStats& stats,
+                                                   const RiskContext& context) const {
+  std::vector<double> risks(stats.frequency.size());
   if (context.posterior_draws <= 0) {
     for (size_t r = 0; r < risks.size(); ++r) {
       risks[r] = context.benedetti_franconi

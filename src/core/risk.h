@@ -32,25 +32,6 @@ struct RiskContext {
   /// Seed for the sampled estimator.
   uint64_t seed = 7;
 
-  /// Optional pre-computed group statistics for (table, AnonSet, semantics),
-  /// shared read-only across evaluations — the serving layer's batch warmup:
-  /// concurrent jobs against the same immutable dataset coalesce the group
-  /// pass into one computation instead of redoing it per job. Contract: the
-  /// stats must have been produced by ComputeGroupStats on the *exact current
-  /// contents* of the table with the same resolved QI columns and semantics;
-  /// callers must drop the pointer when the table mutates (the cycle is safe:
-  /// it evaluates through its RiskEvalCache, which takes precedence). Ignored
-  /// by measures that do not group (SUDA) and whenever a cache is supplied.
-  std::shared_ptr<const GroupStats> warm_stats;
-
-  /// Optional shared columnar materialization of the table (see columnar.h),
-  /// with the same contract as warm_stats: valid for the exact current table
-  /// contents only. Consulted by cache-less evaluations that must compute
-  /// group stats from scratch (e.g. a serve job whose warm_stats cover a
-  /// different AnonSet, or SUDA's projections), so concurrent jobs on one
-  /// immutable dataset intern each column once.
-  std::shared_ptr<const ColumnarView> warm_view;
-
   /// Resolves qi_columns against the table's schema.
   std::vector<size_t> ResolveQiColumns(const MicrodataTable& table) const;
 };
@@ -81,25 +62,45 @@ class RiskMeasure {
                               RiskEvalCache* cache = nullptr) const;
 };
 
+/// A measure whose per-tuple risk is a function of its group's statistics:
+/// ComputeRisks fetches them once (from the cache, else one ComputeGroupStats
+/// pass) and applies RisksFromStats.
+class GroupingRiskMeasure : public RiskMeasure {
+ public:
+  /// `span_name` names the trace span of one evaluation (static storage).
+  explicit GroupingRiskMeasure(const char* span_name) : span_name_(span_name) {}
+
+  Result<std::vector<double>> ComputeRisks(const MicrodataTable& table,
+                                           const RiskContext& context,
+                                           RiskEvalCache* cache = nullptr) const final;
+
+  /// The measure's formula over the AnonSet's per-row group statistics.
+  virtual std::vector<double> RisksFromStats(const GroupStats& stats,
+                                             const RiskContext& context) const = 0;
+
+ private:
+  const char* span_name_;
+};
+
 /// Re-identification-based risk (Algorithm 3): ρ = 1 / Σ W_t over the rows
 /// sharing the tuple's QI combination. The weight sum estimates the
 /// population size of the combination, i.e. |σ_t(M) ⋈ O|.
-class ReidentificationRisk : public RiskMeasure {
+class ReidentificationRisk : public GroupingRiskMeasure {
  public:
+  ReidentificationRisk() : GroupingRiskMeasure("risk.compute.reidentification") {}
   std::string name() const override { return "re-identification"; }
-  Result<std::vector<double>> ComputeRisks(const MicrodataTable& table,
-                                           const RiskContext& context,
-                                           RiskEvalCache* cache = nullptr) const override;
+  std::vector<double> RisksFromStats(const GroupStats& stats,
+                                     const RiskContext& context) const override;
 };
 
 /// k-anonymity (Algorithm 4): risk 1 if the combination occurs fewer than k
 /// times in the sample, 0 otherwise.
-class KAnonymityRisk : public RiskMeasure {
+class KAnonymityRisk : public GroupingRiskMeasure {
  public:
+  KAnonymityRisk() : GroupingRiskMeasure("risk.compute.k_anonymity") {}
   std::string name() const override { return "k-anonymity"; }
-  Result<std::vector<double>> ComputeRisks(const MicrodataTable& table,
-                                           const RiskContext& context,
-                                           RiskEvalCache* cache = nullptr) const override;
+  std::vector<double> RisksFromStats(const GroupStats& stats,
+                                     const RiskContext& context) const override;
   std::string Explain(const MicrodataTable& table, const RiskContext& context,
                       size_t row, double risk,
                       RiskEvalCache* cache = nullptr) const override;
@@ -114,12 +115,12 @@ class KAnonymityRisk : public RiskMeasure {
 /// pool with one deterministic Rng stream per fixed row shard (seeded from
 /// context.seed and the shard index), so the risk vector is identical for
 /// any thread count.
-class IndividualRisk : public RiskMeasure {
+class IndividualRisk : public GroupingRiskMeasure {
  public:
+  IndividualRisk() : GroupingRiskMeasure("risk.compute.individual") {}
   std::string name() const override { return "individual-risk"; }
-  Result<std::vector<double>> ComputeRisks(const MicrodataTable& table,
-                                           const RiskContext& context,
-                                           RiskEvalCache* cache = nullptr) const override;
+  std::vector<double> RisksFromStats(const GroupStats& stats,
+                                     const RiskContext& context) const override;
 };
 
 /// Factory by name: "reidentification", "k-anonymity", "individual", "suda".

@@ -190,13 +190,10 @@ Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
 
   // Project every row once onto the full AnonSet as dictionary codes; the
   // per-combination counting maps then hash and compare flat words. Reuse the
-  // cache's (or the context's warm) view so the interning is shared with the
-  // grouping measures.
-  std::shared_ptr<const ColumnarView> view =
-      cache != nullptr ? cache->SharedView(table) : context.warm_view;
-  if (view == nullptr || view->num_rows() != n) {
-    view = std::make_shared<ColumnarView>(table);
-  }
+  // cache's view so the interning is shared with the grouping measures.
+  const std::shared_ptr<const ColumnarView> view =
+      cache != nullptr ? cache->SharedView(table)
+                       : std::make_shared<const ColumnarView>(table);
   view->EnsureColumns(table, qis);
   std::vector<const uint32_t*> cols;
   cols.reserve(qis.size());

@@ -34,6 +34,7 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::LoadUncached(
   loaded->path = path;
   loaded->table = std::make_shared<const core::MicrodataTable>(std::move(table));
   loaded->dictionary = std::move(dictionary);
+  loaded->warm = std::make_shared<api::WarmState>(loaded->table);
   loaded->fingerprint = FingerprintTable(*loaded->table);
   return std::shared_ptr<const LoadedDataset>(std::move(loaded));
 }
@@ -92,6 +93,7 @@ Status DatasetRegistry::Register(const std::string& name,
   loaded->path = name;
   loaded->table = std::make_shared<const core::MicrodataTable>(std::move(table));
   loaded->dictionary = std::make_shared<core::MetadataDictionary>();
+  loaded->warm = std::make_shared<api::WarmState>(loaded->table);
   loaded->fingerprint = FingerprintTable(*loaded->table);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = datasets_.emplace(name, std::move(loaded));
@@ -121,6 +123,7 @@ Status DatasetRegistry::Replace(const std::string& name,
   loaded->path = name;
   loaded->table = std::make_shared<const core::MicrodataTable>(std::move(table));
   loaded->dictionary = std::make_shared<core::MetadataDictionary>();
+  loaded->warm = std::make_shared<api::WarmState>(loaded->table);
   loaded->fingerprint = FingerprintTable(*loaded->table);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = datasets_.insert_or_assign(name, std::move(loaded));
@@ -136,14 +139,18 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::ApplyDelta(
     const std::string& name, const core::DeltaBatch& batch) {
   obs::Span span("serve.registry.apply_delta");
   VADASA_ASSIGN_OR_RETURN(const auto base, Load(name));
-  // The table rebuild happens outside the lock, like Load(): a delta against
-  // a wide dataset must not serialize lookups of other datasets.
-  VADASA_ASSIGN_OR_RETURN(core::MicrodataTable next,
-                          core::ApplyDeltaToTable(*base->table, batch));
+  // The table rebuild and the warm-state derivation happen outside the lock,
+  // like Load(): a delta against a wide dataset must not serialize lookups of
+  // other datasets. Session::Apply does both; the policy is irrelevant here.
+  VADASA_ASSIGN_OR_RETURN(
+      const api::Session parent,
+      api::Session::FromShared(base->table, base->dictionary, {}, base->warm));
+  VADASA_ASSIGN_OR_RETURN(const api::Session child, parent.Apply(batch));
   auto loaded = std::make_shared<LoadedDataset>();
   loaded->path = name;
-  loaded->table = std::make_shared<const core::MicrodataTable>(std::move(next));
+  loaded->table = child.shared_table();
   loaded->dictionary = base->dictionary;  // Schema unchanged by a delta.
+  loaded->warm = child.warm_state();
   loaded->fingerprint = FingerprintTable(*loaded->table);
   loaded->version = base->version + 1;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -166,7 +173,7 @@ Result<api::Session> DatasetRegistry::OpenSession(const std::string& path,
                                                   api::SessionOptions options) {
   VADASA_ASSIGN_OR_RETURN(const auto dataset, Load(path));
   return api::Session::FromShared(dataset->table, dataset->dictionary,
-                                  std::move(options));
+                                  std::move(options), dataset->warm);
 }
 
 std::vector<std::string> DatasetRegistry::Catalog() const {

@@ -17,12 +17,16 @@ namespace vadasa::serve {
 
 class ResultCache;
 
-/// One loaded, categorized, immutable dataset — the unit the registry shares
-/// (refcounted) across every job that names the same path.
+/// One loaded, categorized, immutable dataset version — the unit the registry
+/// shares (refcounted) across every job that names the same path.
 struct LoadedDataset {
   std::string path;
   std::shared_ptr<const core::MicrodataTable> table;
   std::shared_ptr<const core::MetadataDictionary> dictionary;
+  /// The version's warm state: every session the registry or protocol opens
+  /// on this version shares it, so the version's group index is built at most
+  /// once per null semantics. Freed with the last snapshot or session.
+  std::shared_ptr<api::WarmState> warm;
   /// Content fingerprint (serve/result_cache.h): schema + every cell.
   /// Computed once per load; the result-cache key embeds it, so a reloaded
   /// dataset with different bytes can never serve a stale cached payload.
@@ -73,14 +77,17 @@ class DatasetRegistry {
   /// publishes the post-delta generation under the same name: version + 1,
   /// fresh content fingerprint (so ResultCache keys stay coherent — a job
   /// submitted after the delta can never hit a pre-delta payload), result
-  /// cache invalidated as hygiene. In-flight jobs keep their pre-delta
+  /// cache invalidated as hygiene. The new version's warm state is derived
+  /// through Session::Apply: every index built on the old version is
+  /// delta-patched, never rebuilt. In-flight jobs keep their pre-delta
   /// snapshot refcounts and serve bit-identical pre-delta results. Concurrent
   /// ApplyDelta calls against one name are last-write-wins; serialize on the
   /// caller side when deltas must compose. Returns the new snapshot.
   Result<std::shared_ptr<const LoadedDataset>> ApplyDelta(
       const std::string& name, const core::DeltaBatch& batch);
 
-  /// A Session over the dataset at `path` with the given policy.
+  /// A Session over the dataset at `path` with the given policy, sharing the
+  /// current version's warm state.
   Result<api::Session> OpenSession(const std::string& path,
                                    api::SessionOptions options);
 

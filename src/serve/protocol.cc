@@ -268,7 +268,7 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
   }
   auto session = api::Session::FromShared((*loaded)->table,
                                           (*loaded)->dictionary,
-                                          OptionsFrom(request));
+                                          OptionsFrom(request), (*loaded)->warm);
   if (!session.ok()) {
     if (quota != nullptr) quota->Release();
     return ErrorLine(session.status());

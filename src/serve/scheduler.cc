@@ -1,6 +1,5 @@
 #include "serve/scheduler.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -41,7 +40,6 @@ struct ServeMeters {
   obs::Counter* cancelled;
   obs::Counter* expired;
   obs::Counter* warmups;
-  obs::Counter* coalesce_hits;
   obs::Counter* watchdog_flagged;
   obs::Gauge* queue_depth;
   obs::Gauge* running;
@@ -61,7 +59,6 @@ struct ServeMeters {
       m->cancelled = registry.counter("serve.cancelled");
       m->expired = registry.counter("serve.expired");
       m->warmups = registry.counter("serve.batch.warmups");
-      m->coalesce_hits = registry.counter("serve.batch.coalesce_hits");
       m->watchdog_flagged = registry.counter("serve.watchdog.flagged");
       m->queue_depth = registry.gauge("serve.queue_depth");
       m->running = registry.gauge("serve.running");
@@ -107,18 +104,6 @@ struct JobScheduler::Job {
   bool watchdog_flagged = false;  ///< The watchdog flags a job at most once.
   bool from_cache = false;        ///< Completed from the result cache.
   size_t shard = 0;               ///< Ready-queue shard (label-hashed).
-};
-
-/// One coalesced warmup per (dataset, semantics): the first job computes the
-/// shared group statistics, concurrent peers block briefly and adopt them.
-struct JobScheduler::WarmSlot {
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  bool computing = false;
-  bool ready = false;
-  Status status;
-  std::shared_ptr<const core::GroupStats> stats;
-  std::shared_ptr<const core::ColumnarView> view;
 };
 
 JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
@@ -201,6 +186,7 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
   if (options_.result_cache != nullptr && !job->request.cache_key.empty()) {
     CachedResult hit;
     if (options_.result_cache->Get(job->request.cache_key, &hit)) {
+      api::Session released;  // Destroyed after the lock is dropped.
       std::lock_guard<std::mutex> lock(mutex_);
       if (draining_) {
         meters.rejected->Add(1);
@@ -216,7 +202,7 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
       job->started = job->submitted;
       jobs_.emplace(job->id, job);
       meters.admitted->Add(1);
-      FinishLocked(job.get(), JobState::kDone, Status::OK());
+      released = FinishLocked(job.get(), JobState::kDone, Status::OK());
       return job->id;
     }
   }
@@ -321,6 +307,7 @@ Result<JobResult> JobScheduler::Wait(uint64_t id) {
 }
 
 Status JobScheduler::Cancel(uint64_t id) {
+  api::Session released;  // Destroyed after the lock is dropped.
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
@@ -331,8 +318,8 @@ Status JobScheduler::Cancel(uint64_t id) {
     shards_[job->shard]->queue.erase(
         std::make_pair(-job->options.priority, job->id));
     UpdateDepthGaugesLocked(job->shard);
-    FinishLocked(job, JobState::kCancelled,
-                 Status::Cancelled("cancelled while queued"));
+    released = FinishLocked(job, JobState::kCancelled,
+                            Status::Cancelled("cancelled while queued"));
     return Status::OK();
   }
   if (job->state == JobState::kRunning) {
@@ -342,14 +329,15 @@ Status JobScheduler::Cancel(uint64_t id) {
 }
 
 void JobScheduler::Shutdown(bool drain) {
+  std::vector<api::Session> released;  // Destroyed after the lock is dropped.
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;
   if (!drain) {
     for (size_t i = 0; i < shards_.size(); ++i) {
       for (auto& [key, job] : shards_[i]->queue) {
         (void)key;
-        FinishLocked(job.get(), JobState::kCancelled,
-                     Status::Cancelled("cancelled at shutdown"));
+        released.push_back(FinishLocked(job.get(), JobState::kCancelled,
+                                        Status::Cancelled("cancelled at shutdown")));
       }
       shards_[i]->queue.clear();
       UpdateDepthGaugesLocked(i);
@@ -360,6 +348,7 @@ void JobScheduler::Shutdown(bool drain) {
 
 bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
   const auto deadline = std::chrono::steady_clock::now() + budget;
+  std::vector<api::Session> released;  // Destroyed after the lock is dropped.
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;    // No new admissions while we wait.
   paused_ = false;     // A paused scheduler still has to run out its queue.
@@ -374,8 +363,9 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
     for (size_t i = 0; i < shards_.size(); ++i) {
       for (auto& [key, job] : shards_[i]->queue) {
         (void)key;
-        FinishLocked(job.get(), JobState::kCancelled,
-                     Status::Cancelled("cancelled: drain budget exhausted"));
+        released.push_back(
+            FinishLocked(job.get(), JobState::kCancelled,
+                         Status::Cancelled("cancelled: drain budget exhausted")));
       }
       shards_[i]->queue.clear();
       UpdateDepthGaugesLocked(i);
@@ -426,8 +416,7 @@ size_t JobScheduler::running_jobs() const {
   return running_;
 }
 
-/// Transition to a terminal state; caller holds the mutex.
-void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
+api::Session JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
   auto& meters = ServeMeters::Get();
   if (job->started == std::chrono::steady_clock::time_point{}) {
     // Never dequeued (cancelled/expired while queued): the whole lifetime
@@ -462,6 +451,9 @@ void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
     job->options.quota_slot.reset();
   }
   done_cv_.notify_all();
+  // The result is all a terminal job keeps: its dataset version and warm
+  // index may go as soon as no other session holds them.
+  return std::exchange(job->request.session, api::Session());
 }
 
 void JobScheduler::WatchdogLoop() {
@@ -505,6 +497,7 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   for (;;) {
     std::shared_ptr<Job> job;
+    api::Session released;  // Destroyed after the lock is dropped.
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // shutdown_ overrides paused_ so a drain always completes. Each worker
@@ -528,11 +521,11 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
       if (!job->cancel.Check().ok()) {
         // Cancelled or expired while queued; never starts.
         const Status verdict = job->cancel.Check();
-        FinishLocked(job.get(),
-                     verdict.code() == StatusCode::kDeadlineExceeded
-                         ? JobState::kExpired
-                         : JobState::kCancelled,
-                     verdict);
+        released = FinishLocked(job.get(),
+                                verdict.code() == StatusCode::kDeadlineExceeded
+                                    ? JobState::kExpired
+                                    : JobState::kCancelled,
+                                verdict);
         continue;
       }
       job->state = JobState::kRunning;
@@ -552,48 +545,14 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
 }
 
 void JobScheduler::WarmUp(Job* job) {
-  // SUDA never reads group statistics; warming would be wasted work.
-  if (!options_.coalesce_warmup ||
-      job->request.session.options().risk_measure == "suda") {
-    return;
-  }
-  char key[64];
-  std::snprintf(key, sizeof(key), "%p|%s",
-                static_cast<const void*>(job->request.session.shared_table().get()),
-                job->request.session.options().GroupKey().c_str());
-  std::shared_ptr<WarmSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    auto& entry = warm_[key];
-    if (entry == nullptr) entry = std::make_shared<WarmSlot>();
-    slot = entry;
-  }
-  auto& meters = ServeMeters::Get();
-  std::unique_lock<std::mutex> lock(slot->mutex);
-  if (slot->ready) {
-    meters.coalesce_hits->Add(1);
-  } else if (slot->computing) {
-    meters.coalesce_hits->Add(1);
-    slot->ready_cv.wait(lock, [&] { return slot->ready; });
-  } else {
-    slot->computing = true;
-    lock.unlock();
-    obs::Span span("serve.warmup");
-    meters.warmups->Add(1);
-    Status status = job->request.session.Warm();
-    lock.lock();
-    slot->status = status;
-    slot->stats = job->request.session.warm_stats();
-    slot->view = job->request.session.warm_view();
-    slot->ready = true;
-    slot->ready_cv.notify_all();
-    return;  // This session is already warm.
-  }
-  if (slot->status.ok() && slot->stats != nullptr) {
-    job->request.session.AdoptWarmStats(slot->stats, slot->view);
-  }
+  // Every session of one dataset version shares its WarmState: the first job
+  // builds the index, concurrent peers wait on the state's lock and reuse it.
+  obs::Span span("serve.warmup");
+  bool built = false;
   // A failed warmup (e.g. too many QI columns for the semantics) is not a job
   // failure: the un-warmed call path will surface the same error itself.
+  (void)job->request.session.Warm(&built);
+  if (built) ServeMeters::Get().warmups->Add(1);
 }
 
 void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
@@ -654,6 +613,7 @@ void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
                                std::move(entry));
   }
 
+  api::Session released;  // Destroyed after the lock is dropped.
   std::lock_guard<std::mutex> lock(mutex_);
   const auto finished = std::chrono::steady_clock::now();
   job->run_seconds = SecondsBetween(job->started, finished);
@@ -662,13 +622,13 @@ void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
   if (verdict.ok()) {
     job->risk = std::move(risk);
     job->anonymize = std::move(anonymize);
-    FinishLocked(job.get(), JobState::kDone, Status::OK());
+    released = FinishLocked(job.get(), JobState::kDone, Status::OK());
   } else if (verdict.code() == StatusCode::kCancelled) {
-    FinishLocked(job.get(), JobState::kCancelled, verdict);
+    released = FinishLocked(job.get(), JobState::kCancelled, verdict);
   } else if (verdict.code() == StatusCode::kDeadlineExceeded) {
-    FinishLocked(job.get(), JobState::kExpired, verdict);
+    released = FinishLocked(job.get(), JobState::kExpired, verdict);
   } else {
-    FinishLocked(job.get(), JobState::kFailed, verdict);
+    released = FinishLocked(job.get(), JobState::kFailed, verdict);
   }
 }
 

@@ -103,9 +103,6 @@ struct SchedulerOptions {
   /// Submission beyond it is *rejected* with Unavailable, never blocked —
   /// backpressure surfaces at the edge instead of wedging clients.
   size_t max_queue = 64;
-  /// Coalesce group-statistics warmup across jobs that share a dataset and
-  /// null semantics (the batching of docs/serving.md).
-  bool coalesce_warmup = true;
   /// Admit jobs but do not run any until Resume() — deterministic setup for
   /// tests and warm server starts. Shutdown(drain=true) implies Resume.
   bool start_paused = false;
@@ -139,8 +136,10 @@ struct SchedulerOptions {
 /// A bounded, prioritized, cancellable job executor over api::Session calls —
 /// the long-lived serving core. Admission control rejects overflow instead of
 /// blocking; per-job CancelTokens give cooperative cancellation and deadline
-/// enforcement; jobs that share a dataset+semantics coalesce their group-index
-/// warmup. All serve.* metrics flow through obs::MetricsRegistry::Global().
+/// enforcement; each job warms its session's shared WarmState, so jobs on one
+/// dataset version build its group index once between them. A job drops its
+/// session when it reaches a terminal state. All serve.* metrics flow through
+/// obs::MetricsRegistry::Global().
 class JobScheduler {
  public:
   explicit JobScheduler(SchedulerOptions options = {});
@@ -198,7 +197,6 @@ class JobScheduler {
 
  private:
   struct Job;
-  struct WarmSlot;
 
   /// One worker pool: its own ready queue and wakeup cv (still under the
   /// scheduler-wide mutex_ — sharding isolates *scheduling*, not locking;
@@ -214,7 +212,10 @@ class JobScheduler {
   void WatchdogLoop();
   void Execute(const std::shared_ptr<Job>& job);
   void WarmUp(Job* job);
-  void FinishLocked(Job* job, JobState state, Status status);
+  /// Transition to a terminal state; caller holds mutex_. Returns the job's
+  /// session for the caller to destroy after unlocking: it may hold the last
+  /// reference to a dataset version and its warm index.
+  [[nodiscard]] api::Session FinishLocked(Job* job, JobState state, Status status);
   void JoinThreadsLocked(std::unique_lock<std::mutex>* lock);
   /// Sum of shard queue depths; caller holds mutex_.
   size_t TotalQueuedLocked() const;
@@ -235,9 +236,6 @@ class JobScheduler {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<uint64_t, std::shared_ptr<Job>> jobs_;
   size_t running_ = 0;
-
-  std::mutex warm_mutex_;
-  std::map<std::string, std::shared_ptr<WarmSlot>> warm_;
 
   std::condition_variable watchdog_cv_;  ///< Wakes the watchdog early on exit.
   std::vector<std::thread> workers_;

@@ -60,7 +60,9 @@ class Listener {
 
  private:
   ListenSpec spec_;
-  int fd_ = -1;
+  /// Atomic: Close() on a stopping thread resets it while Accept() on the
+  /// accept thread reads it.
+  std::atomic<int> fd_{-1};
   int bound_port_ = 0;
 };
 

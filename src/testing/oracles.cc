@@ -366,10 +366,12 @@ Result<std::vector<double>> NaiveStatsMeasure::ComputeRisks(
     const MicrodataTable& table, const core::RiskContext& context,
     core::RiskEvalCache* cache) const {
   (void)cache;  // The cache's stats are exactly what this decorator replaces.
-  core::RiskContext naive = context;
-  naive.warm_stats = std::make_shared<const GroupStats>(
-      NaiveGroupStats(table, context.ResolveQiColumns(table), context.semantics));
-  return inner_->ComputeRisks(table, naive);
+  const auto* grouping = dynamic_cast<const core::GroupingRiskMeasure*>(inner_);
+  if (grouping == nullptr) return inner_->ComputeRisks(table, context);
+  const std::vector<size_t> qis = context.ResolveQiColumns(table);
+  VADASA_RETURN_NOT_OK(core::ValidateQiWidth(qis, context.semantics));
+  return grouping->RisksFromStats(NaiveGroupStats(table, qis, context.semantics),
+                                  context);
 }
 
 }  // namespace vadasa::testing

@@ -105,10 +105,11 @@ std::vector<std::vector<core::MinimalSampleUnique>> NaiveMsus(
     int max_size);
 
 /// Test-only RiskMeasure decorator whose group statistics come from
-/// NaiveGroupStats: ComputeRisks hands the wrapped measure the naive stats of
-/// the current table as RiskContext::warm_stats, and no cache, so the risks
-/// are the wrapped measure's formula over the oracle's groups. Wrapping a
-/// measure that does not group (SUDA) changes nothing.
+/// NaiveGroupStats: ComputeRisks applies the wrapped grouping measure's own
+/// formula (GroupingRiskMeasure::RisksFromStats) to the naive stats of the
+/// current table, ignoring any cache, so the risks are the wrapped measure's
+/// formula over the oracle's groups. Wrapping a measure that does not group
+/// (SUDA) changes nothing.
 class NaiveStatsMeasure : public core::RiskMeasure {
  public:
   explicit NaiveStatsMeasure(const core::RiskMeasure* inner) : inner_(inner) {}

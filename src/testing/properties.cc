@@ -587,39 +587,41 @@ Status EvalGroupingMatchesNaiveOracle(const ReproCase& repro) {
   return Status::OK();
 }
 
+/// A row for a delta against `table`: usually a copy of an existing row with
+/// one cell perturbed, sometimes to a labelled null — the suppression-shaped
+/// mutations a streaming feed actually carries. Deterministic in (aux state,
+/// table).
+std::vector<Value> RandomDeltaRow(Rng* aux, const MicrodataTable& table) {
+  std::vector<Value> row;
+  if (table.num_rows() > 0 && aux->NextDouble() < 0.8) {
+    row = table.row(aux->NextBelow(table.num_rows()));
+  } else {
+    for (const auto& attribute : table.attributes()) {
+      row.push_back(attribute.category == AttributeCategory::kWeight
+                        ? Value::Double(1.0 + aux->NextBelow(4))
+                        : Value::String("d" + std::to_string(aux->NextBelow(6))));
+    }
+  }
+  // Perturb one non-weight cell so deltas actually move groups around.
+  const size_t c = aux->NextBelow(table.num_columns());
+  if (table.attributes()[c].category != AttributeCategory::kWeight) {
+    row[c] = aux->NextDouble() < 0.3
+                 ? Value::Null(static_cast<int>(aux->NextBelow(50)))
+                 : Value::String("delta-" + std::to_string(aux->NextBelow(8)));
+  }
+  return row;
+}
+
 /// Builds a random DeltaBatch against `table`'s current shape from `aux`.
-/// Appended/updated rows usually copy an existing row and perturb one cell,
-/// sometimes to a labelled null — the suppression-shaped mutations a
-/// streaming feed actually carries. Deterministic in (aux state, table).
 Result<core::DeltaBatch> RandomDelta(Rng* aux, const MicrodataTable& table) {
-  auto random_row = [&]() {
-    std::vector<Value> row;
-    if (table.num_rows() > 0 && aux->NextDouble() < 0.8) {
-      row = table.row(aux->NextBelow(table.num_rows()));
-    } else {
-      for (const auto& attribute : table.attributes()) {
-        row.push_back(attribute.category == AttributeCategory::kWeight
-                          ? Value::Double(1.0 + aux->NextBelow(4))
-                          : Value::String("d" + std::to_string(aux->NextBelow(6))));
-      }
-    }
-    // Perturb one non-weight cell so deltas actually move groups around.
-    const size_t c = aux->NextBelow(table.num_columns());
-    if (table.attributes()[c].category != AttributeCategory::kWeight) {
-      row[c] = aux->NextDouble() < 0.3
-                   ? Value::Null(static_cast<int>(aux->NextBelow(50)))
-                   : Value::String("delta-" + std::to_string(aux->NextBelow(8)));
-    }
-    return row;
-  };
   core::DeltaBatchBuilder builder(table.num_columns());
   const size_t nops = 1 + aux->NextBelow(4);
   for (size_t o = 0; o < nops; ++o) {
     const double roll = aux->NextDouble();
     if (table.num_rows() == 0 || roll < 0.4) {
-      builder.Append(random_row());
+      builder.Append(RandomDeltaRow(aux, table));
     } else if (roll < 0.75) {
-      builder.Update(aux->NextBelow(table.num_rows()), random_row());
+      builder.Update(aux->NextBelow(table.num_rows()), RandomDeltaRow(aux, table));
     } else {
       builder.Delete(aux->NextBelow(table.num_rows()));
     }
@@ -627,11 +629,91 @@ Result<core::DeltaBatch> RandomDelta(Rng* aux, const MicrodataTable& table) {
   return builder.Build();
 }
 
+/// A random DeltaBatch that keeps `table`'s row count: updates, plus one
+/// append per distinct delete — the shape of a streaming feed's batch (60
+/// updates, 20 deletes, 20 appends per 100 ops in perfbench's feed).
+Result<core::DeltaBatch> RowCountPreservingDelta(Rng* aux, const MicrodataTable& table) {
+  core::DeltaBatchBuilder builder(table.num_columns());
+  const size_t n = table.num_rows();
+  if (n == 0) return builder.Build();
+  const size_t updates = 1 + aux->NextBelow(3);
+  for (size_t u = 0; u < updates; ++u) {
+    builder.Update(aux->NextBelow(n), RandomDeltaRow(aux, table));
+  }
+  std::vector<size_t> rows(n);
+  for (size_t r = 0; r < n; ++r) rows[r] = r;
+  const size_t deletes = aux->NextBelow(std::min<size_t>(n, 3) + 1);
+  for (size_t d = 0; d < deletes; ++d) {
+    std::swap(rows[d], rows[d + aux->NextBelow(n - d)]);  // Distinct rows.
+    builder.Delete(rows[d]);
+    builder.Append(RandomDeltaRow(aux, table));
+  }
+  return builder.Build();
+}
+
+/// The served leg of delta-vs-full-recompute: a chain of row-count-preserving
+/// deltas through DatasetRegistry::ApplyDelta, each version read by
+/// concurrent risk and release jobs on a JobScheduler. Every version keeps
+/// the row count, so a version that adopted another version's warm state
+/// could not be told apart by shape; every served risk vector, release and
+/// audit must equal a cold session's over the same table.
+Status CheckServedDeltaChain(const api::SessionOptions& options,
+                             const MicrodataTable& table, size_t steps, Rng* aux) {
+  serve::DatasetRegistry registry;
+  VADASA_RETURN_NOT_OK(registry.Register("delta-mem", table));
+  serve::JobScheduler scheduler;
+  for (size_t s = 0; s <= steps; ++s) {
+    const std::string at = "served step " + std::to_string(s);
+    if (s > 0) {
+      VADASA_ASSIGN_OR_RETURN(const auto current, registry.Load("delta-mem"));
+      VADASA_ASSIGN_OR_RETURN(const core::DeltaBatch batch,
+                              RowCountPreservingDelta(aux, *current->table));
+      VADASA_RETURN_NOT_OK(registry.ApplyDelta("delta-mem", batch).status());
+    }
+    VADASA_ASSIGN_OR_RETURN(const auto version, registry.Load("delta-mem"));
+    std::vector<uint64_t> ids;
+    for (size_t j = 0; j < 4; ++j) {
+      serve::JobRequest request;
+      VADASA_ASSIGN_OR_RETURN(request.session,
+                              registry.OpenSession("delta-mem", options));
+      request.action = j % 2 == 0 ? serve::JobAction::kRisk : serve::JobAction::kAnonymize;
+      VADASA_ASSIGN_OR_RETURN(const uint64_t id, scheduler.Submit(std::move(request)));
+      ids.push_back(id);
+    }
+    VADASA_ASSIGN_OR_RETURN(const api::Session cold,
+                            api::Session::FromShared(version->table, nullptr, options));
+    VADASA_ASSIGN_OR_RETURN(const api::RiskReport risk, cold.Risk());
+    VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse release, cold.Anonymize());
+    for (const uint64_t id : ids) {
+      VADASA_ASSIGN_OR_RETURN(const serve::JobResult result, scheduler.Wait(id));
+      if (result.state != serve::JobState::kDone) {
+        return Status::FailedPrecondition(at + ": job ended " +
+                                          serve::JobStateToString(result.state) +
+                                          ": " + result.status.ToString());
+      }
+      if (result.action == serve::JobAction::kRisk) {
+        if (result.risk.tuple_risks != risk.tuple_risks) {
+          return Status::FailedPrecondition(
+              at + ": served risks differ from the cold session's");
+        }
+      } else if (WriteCsv(result.anonymize.table.ToCsv()) !=
+                     WriteCsv(release.table.ToCsv()) ||
+                 result.anonymize.ToText() != release.ToText()) {
+        return Status::FailedPrecondition(
+            at + ": served release is not byte-identical to the cold session's");
+      }
+    }
+  }
+  scheduler.Shutdown(/*drain=*/true);
+  return Status::OK();
+}
+
 Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
   // The incremental-maintenance contract (docs/api.md §"Streaming deltas"):
   // a session maintained through Session::Apply must be indistinguishable —
   // risk vectors, released bytes, audit text — from a cold session built
-  // from scratch over the exact post-delta table, across chained delta steps.
+  // from scratch over the exact post-delta table, across chained delta steps;
+  // then the same for versions served through the registry and scheduler.
   api::SessionOptions options;
   options.risk_measure = Param(repro, "measure", "k-anonymity");
   options.k = static_cast<int>(ParamU64(repro, "k", 2));
@@ -677,7 +759,7 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
     }
     session = std::move(child);
   }
-  return Status::OK();
+  return CheckServedDeltaChain(options, repro.table, steps, &aux);
 }
 
 Status EvalCachedResultBitIdentical(const ReproCase& repro) {
@@ -1134,8 +1216,9 @@ std::vector<Property> BuildCatalog() {
 
   catalog.push_back(
       {"delta-vs-full-recompute-bit-identical",
-       "incrementally maintained sessions match a cold rebuild of the "
-       "post-delta table byte-for-byte",
+       "incrementally maintained sessions, and versions served through the "
+       "registry and scheduler, match a cold rebuild of the post-delta table "
+       "byte-for-byte",
        false,
        [](Rng* rng, uint64_t i) {
          TableGenOptions options;

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/csv.h"
 #include "core/cycle.h"
 #include "core/datagen.h"
 #include "core/report.h"
+#include "obs/metrics.h"
 
 namespace vadasa::api {
 namespace {
 
 using core::Figure5Microdata;
+using core::GroupStats;
 using core::MicrodataTable;
 
 TEST(SessionOptionsTest, ValidationCatchesBadPolicies) {
@@ -35,13 +39,6 @@ TEST(SessionOptionsTest, ValidationCatchesBadPolicies) {
     EXPECT_FALSE(ValidateSessionOptions(options).ok());
   }
   EXPECT_TRUE(ValidateSessionOptions(SessionOptions{}).ok());
-}
-
-TEST(SessionOptionsTest, GroupKeyTracksNullSemantics) {
-  SessionOptions options;
-  const std::string maybe = options.GroupKey();
-  options.standard_nulls = true;
-  EXPECT_NE(maybe, options.GroupKey());
 }
 
 TEST(SessionTest, EmptySessionFailsGracefully) {
@@ -121,7 +118,7 @@ TEST(SessionTest, WarmDoesNotChangeRiskResults) {
   auto warm = Session::FromTable(Figure5Microdata(), {});
   ASSERT_TRUE(warm.ok());
   ASSERT_TRUE(warm->Warm().ok());
-  ASSERT_NE(warm->warm_stats(), nullptr);
+  ASSERT_NE(warm->warm_state()->Find(core::NullSemantics::kMaybeMatch), nullptr);
 
   auto cold_report = cold->Risk(/*quantile=*/0.9);
   auto warm_report = warm->Risk(/*quantile=*/0.9);
@@ -212,23 +209,29 @@ TEST(SessionTest, ApplyRejectsBadBatchesWithoutSideEffects) {
             StatusCode::kFailedPrecondition);
 }
 
+/// The maybe-match index of a session's warm state; null when not built.
+std::shared_ptr<const core::GroupIndex> MaybeIndex(const Session& session) {
+  return session.warm_state()->Find(core::NullSemantics::kMaybeMatch);
+}
+
 TEST(SessionTest, WarmApplyMatchesColdSessionBitIdentically) {
   auto parent = Session::FromTable(Figure5Microdata(), {});
   ASSERT_TRUE(parent.ok());
   ASSERT_TRUE(parent->Warm().ok());
-  ASSERT_NE(parent->delta_index(), nullptr);
+  ASSERT_NE(MaybeIndex(*parent), nullptr);
 
   auto child = parent->Apply(Fig5Delta(parent->table()));
   ASSERT_TRUE(child.ok());
-  ASSERT_NE(child->warm_stats(), nullptr) << "warm parents hand down warm children";
-  ASSERT_NE(child->delta_index(), nullptr);
+  ASSERT_NE(MaybeIndex(*child), nullptr) << "warm parents hand down warm children";
+  EXPECT_NE(child->warm_state(), parent->warm_state());
 
   // Cold reference: a fresh warmed session over the post-delta table.
   auto cold = Session::FromTable(child->table(), {});
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(cold->Warm().ok());
-  EXPECT_EQ(child->warm_stats()->frequency, cold->warm_stats()->frequency);
-  EXPECT_EQ(child->warm_stats()->weight_sum, cold->warm_stats()->weight_sum);
+  EXPECT_EQ(MaybeIndex(*child)->Stats().frequency, MaybeIndex(*cold)->Stats().frequency);
+  EXPECT_EQ(MaybeIndex(*child)->Stats().weight_sum,
+            MaybeIndex(*cold)->Stats().weight_sum);
 
   auto child_risk = child->Risk();
   auto cold_risk = cold->Risk();
@@ -250,11 +253,14 @@ TEST(SessionTest, ParentKeepsServingPreDeltaResultsAfterApply) {
   ASSERT_TRUE(parent->Warm().ok());
   auto before = parent->Risk();
   ASSERT_TRUE(before.ok());
+  const GroupStats stats_before = MaybeIndex(*parent)->Stats();
 
   auto child = parent->Apply(Fig5Delta(parent->table()));
   ASSERT_TRUE(child.ok());
 
   // The in-flight view of the parent is untouched, bit for bit.
+  EXPECT_EQ(MaybeIndex(*parent)->Stats().frequency, stats_before.frequency);
+  EXPECT_EQ(MaybeIndex(*parent)->Stats().weight_sum, stats_before.weight_sum);
   auto after = parent->Risk();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->tuple_risks, before->tuple_risks);
@@ -269,37 +275,141 @@ TEST(SessionTest, FromSharedSessionsAfterParentApplyStayIndependent) {
   auto table = std::make_shared<const MicrodataTable>(Figure5Microdata());
   auto parent = Session::FromShared(table, nullptr, {});
   ASSERT_TRUE(parent.ok());
-  ASSERT_TRUE(parent->Warm().ok());
 
-  // A sibling session adopting the parent's warm stats (the scheduler's
-  // coalesced-warmup path) before the delta lands.
-  auto sibling = Session::FromShared(table, nullptr, {});
+  // A sibling opened on the same version shares its warm state (the
+  // registry path), so warming either warms both.
+  SessionOptions strict;
+  strict.k = 3;
+  auto sibling = Session::FromShared(table, nullptr, strict, parent->warm_state());
   ASSERT_TRUE(sibling.ok());
-  sibling->AdoptWarmStats(parent->warm_stats(), parent->warm_view());
-  ASSERT_EQ(sibling->delta_index(), nullptr)
-      << "adopted stats arrive without an index";
+  ASSERT_TRUE(sibling->Warm().ok());
+  ASSERT_NE(MaybeIndex(*parent), nullptr);
+  EXPECT_EQ(MaybeIndex(*parent), MaybeIndex(*sibling));
+  EXPECT_FALSE(Session::FromShared(std::make_shared<const MicrodataTable>(*table),
+                                   nullptr, {}, parent->warm_state())
+                   .ok())
+      << "a warm state belongs to exactly one table";
 
+  auto sibling_before = sibling->Risk();
+  ASSERT_TRUE(sibling_before.ok());
   auto child = parent->Apply(Fig5Delta(parent->table()));
   ASSERT_TRUE(child.ok());
 
   // The sibling still serves pre-delta results bit-identically...
   auto sibling_risk = sibling->Risk();
-  auto parent_risk = parent->Risk();
   ASSERT_TRUE(sibling_risk.ok());
-  ASSERT_TRUE(parent_risk.ok());
-  EXPECT_EQ(sibling_risk->tuple_risks, parent_risk->tuple_risks);
+  EXPECT_EQ(sibling_risk->tuple_risks, sibling_before->tuple_risks);
+  auto cold_sibling = Session::FromTable(Figure5Microdata(), strict);
+  ASSERT_TRUE(cold_sibling.ok());
+  auto cold_sibling_risk = cold_sibling->Risk();
+  ASSERT_TRUE(cold_sibling_risk.ok());
+  EXPECT_EQ(sibling_risk->tuple_risks, cold_sibling_risk->tuple_risks);
 
-  // ...and an Apply from the index-less sibling still works (cold child).
-  auto cold_child = sibling->Apply(Fig5Delta(sibling->table()));
+  // ...and its own Apply yields an independent version whose risks equal a
+  // cold build of the same post-delta table.
+  auto sibling_child = sibling->Apply(Fig5Delta(sibling->table()));
+  ASSERT_TRUE(sibling_child.ok());
+  EXPECT_NE(sibling_child->warm_state(), child->warm_state());
+  auto cold_child = Session::FromTable(sibling_child->table(), strict);
   ASSERT_TRUE(cold_child.ok());
-  EXPECT_EQ(cold_child->warm_stats(), nullptr);
-  ASSERT_TRUE(cold_child->Warm().ok());
-  auto warm_risk = cold_child->Risk();
-  auto child_risk = child->Risk();
+  auto warm_risk = sibling_child->Risk();
+  auto cold_risk = cold_child->Risk();
   ASSERT_TRUE(warm_risk.ok());
-  ASSERT_TRUE(child_risk.ok());
-  EXPECT_EQ(warm_risk->tuple_risks, child_risk->tuple_risks)
+  ASSERT_TRUE(cold_risk.ok());
+  EXPECT_EQ(warm_risk->tuple_risks, cold_risk->tuple_risks)
       << "cold and incremental children agree bit for bit";
+}
+
+TEST(SessionTest, WarmStateKeepsOneIndexPerNullSemantics) {
+  auto maybe = Session::FromTable(Figure5Microdata(), {});
+  ASSERT_TRUE(maybe.ok());
+  SessionOptions standard_options;
+  standard_options.standard_nulls = true;
+  auto standard = Session::FromShared(maybe->shared_table(), nullptr,
+                                      standard_options, maybe->warm_state());
+  ASSERT_TRUE(standard.ok());
+
+  bool built = false;
+  ASSERT_TRUE(maybe->Warm(&built).ok());
+  EXPECT_TRUE(built);
+  ASSERT_TRUE(maybe->Warm(&built).ok());
+  EXPECT_FALSE(built) << "an index is built at most once";
+  EXPECT_EQ(maybe->warm_state()->Find(core::NullSemantics::kStandard), nullptr);
+  ASSERT_TRUE(standard->Warm(&built).ok());
+  EXPECT_TRUE(built) << "the other semantics gets its own index";
+  EXPECT_NE(maybe->warm_state()->Find(core::NullSemantics::kStandard),
+            maybe->warm_state()->Find(core::NullSemantics::kMaybeMatch));
+
+  auto cold_standard = Session::FromTable(Figure5Microdata(), standard_options);
+  ASSERT_TRUE(cold_standard.ok());
+  auto warm_risk = standard->Risk();
+  auto cold_risk = cold_standard->Risk();
+  ASSERT_TRUE(warm_risk.ok());
+  ASSERT_TRUE(cold_risk.ok());
+  EXPECT_EQ(warm_risk->tuple_risks, cold_risk->tuple_risks);
+}
+
+/// A risk report as bytes: hex floats, so equal bytes mean equal doubles.
+std::string ReportBytes(const RiskReport& report) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  for (const double r : report.tuple_risks) os << r << ",";
+  os << "|" << report.global.expected_reidentifications << ","
+     << report.global.global_risk_rate << "," << report.global.tuples_over_threshold
+     << "," << report.global.max_risk << "," << report.global.sample_uniques << "|";
+  for (const RiskyTuple& risky : report.risky) {
+    os << risky.row << ":" << risky.risk << ":" << risky.explanation << "\n";
+  }
+  return os.str();
+}
+
+TEST(SessionTest, ExplainedRiskGroupsTheTableOnce) {
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "the group-index counters are compiled out";
+#endif
+  obs::Counter* partitions =
+      obs::MetricsRegistry::Global().counter("group_index.partitions_built");
+  SessionOptions options;
+  options.k = 3;
+  auto session = Session::FromTable(Figure5Microdata(), options);
+  ASSERT_TRUE(session.ok());
+
+  // The report as a cache-less caller assembles it: ComputeRisks, then
+  // ComputeGlobalRisk, then one Explain per risky row.
+  auto measure = core::MakeRiskMeasure(options.risk_measure);
+  ASSERT_TRUE(measure.ok());
+  core::RiskContext ctx;
+  ctx.k = options.k;
+  RiskReport expected;
+  expected.threshold = options.threshold;
+  auto risks = (*measure)->ComputeRisks(session->table(), ctx);
+  ASSERT_TRUE(risks.ok());
+  expected.tuple_risks = *risks;
+  auto global = core::ComputeGlobalRisk(session->table(), **measure, ctx,
+                                        options.threshold);
+  ASSERT_TRUE(global.ok());
+  expected.global = *global;
+  for (size_t r = 0; r < expected.tuple_risks.size(); ++r) {
+    if (expected.tuple_risks[r] > options.threshold) {
+      expected.risky.push_back(
+          {r, expected.tuple_risks[r],
+           (*measure)->Explain(session->table(), ctx, r, expected.tuple_risks[r])});
+    }
+  }
+  ASSERT_GE(expected.risky.size(), 2u);
+
+  uint64_t before = partitions->value();
+  auto cold = session->Risk(-1.0, /*explain=*/true);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(partitions->value() - before, 1u) << "a cold report groups once";
+  EXPECT_EQ(ReportBytes(*cold), ReportBytes(expected));
+
+  ASSERT_TRUE(session->Warm().ok());
+  before = partitions->value();
+  auto warm = session->Risk(-1.0, /*explain=*/true);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(partitions->value(), before) << "a warmed report never groups";
+  EXPECT_EQ(ReportBytes(*warm), ReportBytes(expected));
 }
 
 TEST(SessionTest, SharedTableServesManySessions) {

@@ -8,7 +8,9 @@
 
 #include "common/csv.h"
 #include "core/datagen.h"
+#include "core/delta.h"
 #include "obs/metrics.h"
+#include "serve/dataset_registry.h"
 
 namespace vadasa::serve {
 namespace {
@@ -237,36 +239,73 @@ TEST(JobSchedulerTest, ConcurrentJobsMatchSequentialFacadeCalls) {
 }
 
 TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::Counter* warmups = registry.counter("serve.batch.warmups");
-  obs::Counter* hits = registry.counter("serve.batch.coalesce_hits");
-  const uint64_t warmups_before = warmups->value();
-  const uint64_t hits_before = hits->value();
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "the group-index counters are compiled out";
+#endif
+  auto& metrics = obs::MetricsRegistry::Global();
+  obs::Counter* warmups = metrics.counter("serve.batch.warmups");
+  obs::Counter* partitions = metrics.counter("group_index.partitions_built");
+  obs::Counter* index_applies = metrics.counter("delta.index_applies");
 
-  // One shared table, several sessions with the same semantics: the batch
-  // computes group statistics once, every other job adopts them.
-  auto table = std::make_shared<const core::MicrodataTable>(Figure5Microdata());
+  // Every session opened on one registry version shares its warm state: six
+  // concurrent risk jobs build the version's index once between them, and
+  // each job's risk report reads it instead of grouping again.
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Register("fig5", Figure5Microdata()).ok());
   SchedulerOptions options;
-  options.workers = 2;
+  options.workers = 4;
   options.start_paused = true;
   JobScheduler scheduler(options);
+  auto cold = Fig5Session().Risk();
+  ASSERT_TRUE(cold.ok());
+  const uint64_t warmups_before = warmups->value();
+  const uint64_t partitions_before = partitions->value();
   std::vector<uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
-    auto session = api::Session::FromShared(table, nullptr, {});
+    auto session = registry.OpenSession("fig5", {});
     ASSERT_TRUE(session.ok());
     auto id = scheduler.Submit(RiskJob(std::move(*session)));
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
   scheduler.Resume();
-  scheduler.Shutdown(/*drain=*/true);
   for (uint64_t id : ids) {
-    auto result = scheduler.Peek(id);
+    auto result = scheduler.Wait(id);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->state, JobState::kDone);
+    ASSERT_EQ(result->state, JobState::kDone) << result->status.ToString();
+    EXPECT_EQ(result->risk.tuple_risks, cold->tuple_risks);
   }
   EXPECT_EQ(warmups->value() - warmups_before, 1u);
-  EXPECT_EQ(hits->value() - hits_before, 5u);
+  EXPECT_EQ(partitions->value() - partitions_before, 1u);
+
+  // The next version inherits a delta-patched index: a job on it builds
+  // nothing, and its risks equal a cold session over the post-delta table.
+  core::DeltaBatchBuilder builder(Figure5Microdata().num_columns());
+  std::vector<Value> row = Figure5Microdata().row(1);
+  row[2] = Value::Null(77);
+  builder.Update(1, std::move(row));
+  auto batch = builder.Build();
+  ASSERT_TRUE(batch.ok());
+  const uint64_t applies_before = index_applies->value();
+  auto next = registry.ApplyDelta("fig5", *batch);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(index_applies->value() - applies_before, 1u);
+  auto session = registry.OpenSession("fig5", {});
+  ASSERT_TRUE(session.ok());
+  const uint64_t warmups_mid = warmups->value();
+  const uint64_t partitions_mid = partitions->value();
+  auto id = scheduler.Submit(RiskJob(std::move(*session)));
+  ASSERT_TRUE(id.ok());
+  auto result = scheduler.Wait(*id);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->state, JobState::kDone) << result->status.ToString();
+  EXPECT_EQ(warmups->value(), warmups_mid);
+  EXPECT_EQ(partitions->value(), partitions_mid);
+  auto reference = api::Session::FromTable(*(*next)->table, {});
+  ASSERT_TRUE(reference.ok());
+  auto expected = reference->Risk();
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(result->risk.tuple_risks, expected->tuple_risks);
 }
 
 TEST(JobSchedulerTest, MetricsCountOutcomes) {

@@ -3,20 +3,22 @@
 //   vadasa_serve --listen=unix:PATH|tcp:HOST:PORT [--socket=PATH]
 //                [--workers=N] [--shards=N] [--max-queue=N]
 //                [--cache-mb=N] [--no-cache]
-//                [--no-coalesce] [--trace=out.json] [--metrics=out.json]
+//                [--trace=out.json] [--metrics=out.json]
 //                [--prom=out.prom] [--slow-log=out.ndjson] [--slow-ms=MS]
 //                [--sample-ms=MS] [--drain-ms=MS] [--max-in-flight=N]
 //                [--submit-rate=R] [--max-line-bytes=N] [--watchdog-ms=MS]
 //                [--watchdog-multiple=X]
 //
 // Speaks newline-delimited JSON over a Unix domain or TCP socket: submit /
-// status / result / cancel / metrics / telemetry / shutdown (see
-// src/serve/protocol.h for the wire format; --socket=PATH is the legacy
+// status / result / cancel / metrics / telemetry / shutdown / apply_delta
+// (see src/serve/protocol.h for the wire format; --socket=PATH is the legacy
 // spelling of --listen=unix:PATH). Datasets are loaded once by the registry
-// and shared across jobs; the scheduler bounds admission, honors per-job
-// priorities and deadlines, shards its worker pools by dataset (--shards) so
-// one hot dataset cannot starve the rest, and coalesces group-statistics
-// warmup across jobs that share a dataset. Repeated (dataset, policy)
+// and shared across jobs, with one warm state per dataset version: its group
+// index is built once, by the first job that needs it, and an apply_delta
+// patches it into the next version instead of rebuilding. The scheduler
+// bounds admission, honors per-job priorities and deadlines, and shards its
+// worker pools by dataset (--shards) so one hot dataset cannot starve the
+// rest. Repeated (dataset, policy)
 // requests are answered from a bounded LRU result cache (--cache-mb budget,
 // --no-cache disables; responses carry "cached":true) keyed on the dataset's
 // content fingerprint, so a reload with different bytes can never serve a
@@ -75,7 +77,6 @@ int main(int argc, char** argv) {
       .Int("max-queue", "admission queue bound (reject beyond)", 1, 1 << 20)
       .Int("cache-mb", "result-cache byte budget, MiB", 1, 1 << 20)
       .Bool("no-cache", "disable the result cache")
-      .Bool("no-coalesce", "disable shared warmup batching")
       .Path("trace", "write a Chrome trace_event JSON file at shutdown")
       .Path("metrics", "write a metrics registry JSON dump at shutdown")
       .Path("prom", "write a Prometheus text exposition at shutdown")
@@ -151,7 +152,6 @@ int main(int argc, char** argv) {
   scheduler_options.shards = static_cast<size_t>(flags->GetInt("shards", 1));
   scheduler_options.max_queue =
       static_cast<size_t>(flags->GetInt("max-queue", 64));
-  scheduler_options.coalesce_warmup = !flags->GetBool("no-coalesce");
   scheduler_options.result_cache = cache.get();
   scheduler_options.slow_log = slow_log.get();
   scheduler_options.watchdog_interval_ms =
