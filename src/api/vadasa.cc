@@ -15,6 +15,9 @@ using core::MicrodataTable;
 Result<SessionOptions> ValidateSessionOptions(SessionOptions options) {
   // MakeRiskMeasure is the single source of truth for valid measure names.
   VADASA_RETURN_NOT_OK(core::MakeRiskMeasure(options.risk_measure).status());
+  if (options.declarative) {
+    VADASA_RETURN_NOT_OK(core::ValidateBridgeMeasure(options.risk_measure));
+  }
   if (options.k < 1) {
     return Status::InvalidArgument("k must be >= 1, got " +
                                    std::to_string(options.k));

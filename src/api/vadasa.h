@@ -43,7 +43,8 @@ struct SessionOptions {
   /// Paper-literal single-step cycle (re-evaluate risk after every step).
   bool single_step = false;
   /// Route Anonymize through the Vadalog reasoning engine (the paper's
-  /// declarative pipeline) instead of the native cycle.
+  /// declarative pipeline) instead of the native cycle. Accepts only the
+  /// k-anonymity and reidentification measures.
   bool declarative = false;
   /// Monte-Carlo draws for the sampled individual-risk estimator (0 = closed
   /// form), and its seed.
@@ -51,8 +52,9 @@ struct SessionOptions {
   uint64_t seed = 7;
 };
 
-/// Validates measure name, k and threshold ranges; returns the options
-/// unchanged on success.
+/// Validates measure name (and, for declarative sessions, that the bridge
+/// supports it), k and threshold ranges; returns the options unchanged on
+/// success.
 Result<SessionOptions> ValidateSessionOptions(SessionOptions options);
 
 /// One over-threshold tuple with the measure's human-readable justification.

@@ -556,21 +556,6 @@ EquivalenceClassStats ComputeEquivalenceClasses(
   return stats;
 }
 
-double CountMatches(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
-                    const std::vector<Value>& pattern, NullSemantics semantics) {
-  double count = 0.0;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    bool match = true;
-    for (size_t i = 0; i < qi_columns.size() && match; ++i) {
-      const Value& cell = table.cell(r, qi_columns[i]);
-      match = semantics == NullSemantics::kMaybeMatch ? cell.MaybeEquals(pattern[i])
-                                                      : cell.Equals(pattern[i]);
-    }
-    if (match) count += 1.0;
-  }
-  return count;
-}
-
 // ---------------------------------------------------------------------------
 // GroupIndex: the incremental index behind the cycle's risk-evaluation loop.
 // ---------------------------------------------------------------------------

@@ -63,14 +63,6 @@ GroupStats ComputeGroupStats(const MicrodataTable& table,
                              const std::vector<size_t>& qi_columns,
                              NullSemantics semantics);
 
-/// Counts rows of `table` whose QI projection maybe-matches `pattern`
-/// (`pattern` has one entry per qi_column; nulls are wildcards). Under
-/// kStandard, nulls match only nulls with the same label. Linear scan —
-/// intended for small tables and tests; GroupIndex::Query answers the same
-/// question from the index.
-double CountMatches(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
-                    const std::vector<Value>& pattern, NullSemantics semantics);
-
 /// Equivalence-class statistics of a QI projection — the file-level summary
 /// SDC tools (sdcMicro, ARX) report next to the per-tuple risks.
 struct EquivalenceClassStats {

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/similarity.h"
+#include "core/group_index.h"
+#include "core/risk.h"
 #include "obs/trace.h"
 
 namespace vadasa::core {
@@ -29,6 +32,7 @@ size_t NullsIn(const Value& vset) {
 
 /// Value for key `k` in a VSet; nullptr if absent.
 const Value* VsetGet(const Value& vset, const Value& k) {
+  if (!vset.is_collection()) return nullptr;
   for (const Value& pair : vset.items()) {
     if (pair.is_list() && pair.items().size() == 2 && pair.items()[0].Equals(k)) {
       return &pair.items()[1];
@@ -37,34 +41,235 @@ const Value* VsetGet(const Value& vset, const Value& k) {
   return nullptr;
 }
 
-/// Do two VSets match on every shared key, under the chosen semantics?
-bool VsetsMatch(const Value& a, const Value& b, bool maybe_match) {
-  for (const Value& pair : a.items()) {
-    if (!pair.is_list() || pair.items().size() != 2) continue;
-    const Value* other = VsetGet(b, pair.items()[0]);
-    if (other == nullptr) continue;
-    const bool ok = maybe_match ? pair.items()[1].MaybeEquals(*other)
-                                : pair.items()[1].Equals(*other);
-    if (!ok) return false;
+/// The measure #risk plugs in: k-anonymity or re-identification, the two
+/// measures BridgeOptions parameterizes.
+Result<std::shared_ptr<const GroupingRiskMeasure>> BridgeMeasure(
+    const std::string& name) {
+  auto made = MakeRiskMeasure(name);
+  const std::string resolved = made.ok() ? (*made)->name() : "";
+  if (resolved != KAnonymityRisk().name() && resolved != ReidentificationRisk().name()) {
+    return Status::InvalidArgument(
+        "the declarative cycle supports the k-anonymity and reidentification "
+        "measures, not \"" + name + "\"");
   }
-  return true;
+  return std::shared_ptr<const GroupingRiskMeasure>(
+      static_cast<GroupingRiskMeasure*>(made->release()));
 }
 
-/// Latest (most anonymized) VSet version per tuple id, for one microdata DB.
-std::map<int64_t, Value> LatestVersions(const Database& db, const Value& m) {
-  std::map<int64_t, Value> latest;
-  for (const auto& row : db.Rows("tuple")) {
+/// The measure's risk for one group of `mass`: RisksFromStats over one row.
+double GroupRisk(const GroupingRiskMeasure& measure, int k, const PatternMass& mass) {
+  RiskContext ctx;
+  ctx.k = k;
+  return measure.RisksFromStats(GroupStats{{mass.count}, {mass.weight}}, ctx)[0];
+}
+
+/// One microdata DB's tuples as a table the group index answers from: a row
+/// per tuple id with the QI cells of one version (columns in the key order of
+/// the first version seen) and the tuple's weight fact (1.0 when absent).
+/// Sync keeps each row at its tuple's latest version, the one with the most
+/// nulls (the first seen on ties); the decode moves rows with Set. An engine
+/// calls its externals from one thread.
+struct TupleView {
+  TupleView(Value m, NullSemantics semantics) : m(std::move(m)), semantics(semantics) {}
+
+  Value m;
+  NullSemantics semantics;
+  const vadalog::Relation* tuples = nullptr;  // The relation last synced.
+  size_t consumed = 0;
+  std::map<int64_t, double> weights;
+  std::vector<Value> names;
+  MicrodataTable table;
+  std::vector<Value> versions;
+  std::map<int64_t, size_t> row_of;
+  std::unique_ptr<GroupIndex> index;  // Built on the first Query.
+
+  /// Advances over the tuple facts appended since the last call. A new tuple
+  /// relation (another database) or one that shrank restarts the view.
+  Status Sync(const Database& db) {
+    const vadalog::Relation* now = db.relation("tuple");
+    const size_t size = now == nullptr ? 0 : now->size();
+    if (now != tuples || size < consumed) {
+      *this = TupleView(m, semantics);
+      tuples = now;
+      for (const auto& row : db.Rows("weight")) {
+        if (row.size() == 3 && row[0].Equals(m) && row[1].is_int()) {
+          weights[row[1].as_int()] = row[2].as_double();
+        }
+      }
+    }
+    std::vector<uint32_t> changed;
+    for (; consumed < size; ++consumed) {
+      const std::vector<Value>& row = now->row(consumed);
+      if (row.size() != 3 || !row[0].Equals(m) || !row[1].is_int() ||
+          !row[2].is_collection()) {
+        continue;
+      }
+      auto it = row_of.find(row[1].as_int());
+      if (it == row_of.end()) {
+        VADASA_RETURN_NOT_OK(AddRow(row[1].as_int(), row[2]));
+      } else if (NullsIn(row[2]) > NullsIn(versions[it->second])) {
+        Set(it->second, row[2]);
+        changed.push_back(static_cast<uint32_t>(it->second));
+      }
+    }
+    if (index != nullptr && !changed.empty()) index->UpdateRows(table, changed);
+    return Status::OK();
+  }
+
+  /// The QI cells of `vset` in column order; a missing key reads as a null.
+  std::vector<Value> Cells(const Value& vset) const {
+    std::vector<Value> cells;
+    for (const Value& name : names) {
+      const Value* v = VsetGet(vset, name);
+      cells.push_back(v != nullptr ? *v : Value::Null(0));
+    }
+    return cells;
+  }
+
+  /// Moves `row` to version `vset`; the caller re-groups it.
+  void Set(size_t row, const Value& vset) {
+    versions[row] = vset;
+    std::vector<Value> cells = Cells(vset);
+    for (size_t c = 0; c < cells.size(); ++c) table.set_cell(row, c, std::move(cells[c]));
+  }
+
+  /// Count and weight of the rows compatible with `cells`.
+  PatternMass Query(const std::vector<Value>& cells) {
+    if (index == nullptr) {
+      std::vector<size_t> columns(names.size());
+      std::iota(columns.begin(), columns.end(), size_t{0});
+      index = std::make_unique<GroupIndex>(table, std::move(columns), semantics);
+    }
+    return index->Query(cells);
+  }
+
+  Status AddRow(int64_t id, const Value& vset) {
+    if (row_of.empty()) {  // The first version fixes the columns.
+      std::vector<Attribute> attributes;
+      for (const Value& pair : vset.items()) {
+        if (!pair.is_list() || pair.items().size() != 2) continue;
+        names.push_back(pair.items()[0]);
+        attributes.push_back(
+            {pair.items()[0].ToString(), "", AttributeCategory::kQuasiIdentifier});
+      }
+      VADASA_RETURN_NOT_OK(ValidateQiWidth(std::vector<size_t>(names.size()), semantics));
+      attributes.push_back({"weight", "", AttributeCategory::kWeight});
+      table = MicrodataTable(m.ToString(), std::move(attributes));
+    }
+    std::vector<Value> cells = Cells(vset);
+    auto weight = weights.find(id);
+    cells.push_back(Value::Double(weight == weights.end() ? 1.0 : weight->second));
+    VADASA_RETURN_NOT_OK(table.AddRow(std::move(cells)));
+    row_of.emplace(id, versions.size());
+    versions.push_back(vset);
+    index.reset();  // Regrouped from scratch by the next Query.
+    return Status::OK();
+  }
+};
+
+/// The views of one RegisterExternals call, one per microdata DB.
+using TupleViews = std::unordered_map<Value, TupleView, ValueHash>;
+
+/// The view of `m`, advanced to `db`'s current tuple facts.
+Result<TupleView*> SyncedView(TupleViews* views, const Database& db, const Value& m,
+                              NullSemantics semantics) {
+  TupleView& view = views->try_emplace(m, m, semantics).first->second;
+  VADASA_RETURN_NOT_OK(view.Sync(db));
+  return &view;
+}
+
+/// Decodes the engine's tupleA facts back into a released table.
+Result<MicrodataTable> DecodeRelease(const Database& db, const MicrodataTable& table,
+                                     const GroupingRiskMeasure& measure,
+                                     const BridgeOptions& options) {
+  // Candidate versions per tuple: the accepted (tupleA) versions ordered by
+  // null count ascending, then the most anonymized version seen at all as a
+  // safe fallback. Starting from the least-suppressed candidates, the chosen
+  // combination is validated as a whole and risky rows are pushed to their
+  // next (more suppressed) candidate: per-tuple "fewest nulls" alone is
+  // unsound, because two originals may have validated only against each
+  // other's suppressed versions. The view's rows hold the picked versions.
+  const Value m = Value::String(table.name());
+  TupleView view(m, options.maybe_match ? NullSemantics::kMaybeMatch
+                                       : NullSemantics::kStandard);
+  VADASA_RETURN_NOT_OK(view.Sync(db));
+  std::map<int64_t, std::vector<Value>> candidates;
+  for (const auto& row : db.Rows("tupleA")) {
     if (row.size() != 3 || !row[0].Equals(m) || !row[1].is_int()) continue;
-    const int64_t id = row[1].as_int();
-    auto it = latest.find(id);
-    if (it == latest.end() || NullsIn(row[2]) > NullsIn(it->second)) {
-      latest[id] = row[2];
+    if (view.row_of.count(row[1].as_int()) == 0) continue;
+    candidates[row[1].as_int()].push_back(row[2]);
+  }
+  for (const auto& [id, row] : view.row_of) {
+    candidates[id].push_back(view.versions[row]);
+  }
+  std::map<int64_t, size_t> pick;
+  for (auto& [id, versions] : candidates) {
+    std::sort(versions.begin(), versions.end(), [](const Value& a, const Value& b) {
+      return NullsIn(a) < NullsIn(b);
+    });
+    pick[id] = 0;
+    view.Set(view.row_of[id], versions[0]);
+  }
+  // Validate the assembled combination; advance risky rows. Each advance
+  // strictly increases some pick index, so this terminates.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto& [id, index] : pick) {
+      const auto& versions = candidates[id];
+      const PatternMass mass = view.Query(view.Cells(versions[index]));
+      if (GroupRisk(measure, options.k, mass) > options.threshold &&
+          index + 1 < versions.size()) {
+        ++index;
+        const size_t row = view.row_of[id];
+        view.Set(row, versions[index]);
+        view.index->UpdateRows(view.table, {static_cast<uint32_t>(row)});
+        changed = true;
+      }
     }
   }
-  return latest;
+
+  MicrodataTable out = table;
+  const auto qis = out.QuasiIdentifierColumns();
+  for (size_t r = 0; r < out.num_rows(); ++r) {
+    auto it = pick.find(static_cast<int64_t>(r));
+    if (it == pick.end()) continue;
+    const Value& vset = candidates[it->first][it->second];
+    for (const size_t c : qis) {
+      const Value* v = VsetGet(vset, Value::String(out.attributes()[c].name));
+      if (v != nullptr) out.set_cell(r, c, *v);
+    }
+    // Direct identifiers are dropped from the release (Algorithm 2, Rule 1).
+    for (const size_t c : out.ColumnsWithCategory(AttributeCategory::kIdentifier)) {
+      out.set_cell(r, c, Value::String("<dropped>"));
+    }
+  }
+  return out;
+}
+
+/// Encodes `table`, chases `program` with the bridge's externals and decodes
+/// the release: the body of both declarative cycles.
+Result<MicrodataTable> RunCycle(const VadalogBridge& bridge, const BridgeOptions& options,
+                                const std::string& program, const MicrodataTable& table,
+                                const OwnershipGraph* graph, vadalog::RunStats* stats) {
+  VADASA_ASSIGN_OR_RETURN(const auto measure, BridgeMeasure(options.risk_measure));
+  vadalog::EngineOptions engine_options;
+  engine_options.track_provenance = true;
+  vadalog::Engine engine(engine_options);
+  bridge.RegisterExternals(&engine, graph);
+
+  Database db;
+  bridge.EncodeMicrodata(table, &db);
+  VADASA_ASSIGN_OR_RETURN(const vadalog::RunStats run,
+                          vadalog::RunSource(program, &db, &engine));
+  if (stats != nullptr) *stats = run;
+  return DecodeRelease(db, table, *measure, options);
 }
 
 }  // namespace
+
+Status ValidateBridgeMeasure(const std::string& risk_measure) {
+  return BridgeMeasure(risk_measure).status();
+}
 
 VadalogBridge::VadalogBridge(BridgeOptions options) : options_(std::move(options)) {}
 
@@ -100,14 +305,21 @@ void VadalogBridge::EncodeMicrodata(const MicrodataTable& table,
 
 void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
                                       const OwnershipGraph* graph) const {
-  const BridgeOptions options = options_;
+  const int k = options_.k;
+  const NullSemantics semantics =
+      options_.maybe_match ? NullSemantics::kMaybeMatch : NullSemantics::kStandard;
+  const auto measure = BridgeMeasure(options_.risk_measure);
+  const auto views = std::make_shared<TupleViews>();
 
-  // --- #risk(M, I, VSet, R): the polymorphic risk plug-in. ---
+  // --- #risk(M, I, VSet, R): the polymorphic risk plug-in, answered by the
+  // group index over every tuple's latest version. ---
   engine->externals()->RegisterPredicate(
       "#risk",
-      [options](const std::vector<std::optional<Value>>& args, const Database& db)
+      [k, semantics, measure, views](const std::vector<std::optional<Value>>& args,
+                                     const Database& db)
           -> Result<std::vector<std::vector<Value>>> {
         obs::Span span("risk.external");
+        VADASA_RETURN_NOT_OK(measure.status());
         if (args.size() != 4) {
           return Status::InvalidArgument("#risk expects (M, I, VSet, R)");
         }
@@ -116,28 +328,9 @@ void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
         }
         const Value& m = *args[0];
         const Value& vset = *args[2];
-        const auto latest = LatestVersions(db, m);
-        double count = 0.0;
-        double weight_sum = 0.0;
-        std::unordered_map<int64_t, double> weights;
-        for (const auto& row : db.Rows("weight")) {
-          if (row.size() == 3 && row[0].Equals(m) && row[1].is_int()) {
-            weights[row[1].as_int()] = row[2].as_double();
-          }
-        }
-        for (const auto& [id, other] : latest) {
-          if (VsetsMatch(vset, other, options.maybe_match)) {
-            count += 1.0;
-            auto w = weights.find(id);
-            weight_sum += w == weights.end() ? 1.0 : w->second;
-          }
-        }
-        double risk;
-        if (options.risk_measure == "reidentification") {
-          risk = weight_sum <= 1.0 ? 1.0 : std::min(1.0, 1.0 / weight_sum);
-        } else {  // k-anonymity
-          risk = count < static_cast<double>(options.k) ? 1.0 : 0.0;
-        }
+        VADASA_ASSIGN_OR_RETURN(TupleView* const view,
+                                SyncedView(views.get(), db, m, semantics));
+        const double risk = GroupRisk(**measure, k, view->Query(view->Cells(vset)));
         return std::vector<std::vector<Value>>{
             {m, *args[1], vset, Value::Double(risk)}};
       });
@@ -147,7 +340,7 @@ void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
   // first", Section 4.4). ---
   engine->externals()->RegisterAction(
       "#anonymize",
-      [options](const std::vector<Value>& args, ActionContext* ctx) -> Status {
+      [semantics, views](const std::vector<Value>& args, ActionContext* ctx) -> Status {
         obs::Span span("anonymize.external");
         if (args.size() != 3) {
           return Status::InvalidArgument("#anonymize expects (M, I, VSet)");
@@ -158,11 +351,13 @@ void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
         if (!vset.is_collection() || !id.is_int()) {
           return Status::InvalidArgument("#anonymize: malformed tuple");
         }
+        VADASA_ASSIGN_OR_RETURN(TupleView* const view,
+                                SyncedView(views.get(), ctx->db(), m, semantics));
         // Only anonymize the latest version of the tuple; a stale re-trigger
         // on an older VSet would fork divergent versions.
-        const auto latest = LatestVersions(ctx->db(), m);
-        auto it = latest.find(id.as_int());
-        if (it != latest.end() && NullsIn(it->second) > NullsIn(vset)) {
+        auto it = view->row_of.find(id.as_int());
+        if (it != view->row_of.end() &&
+            NullsIn(view->versions[it->second]) > NullsIn(vset)) {
           return Status::OK();
         }
         // Score every non-null key by the group the tuple would reach if
@@ -175,12 +370,7 @@ void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
           if (pairs[p].items()[1].is_null()) continue;
           std::vector<Value> candidate = pairs;
           candidate[p] = Value::List({pairs[p].items()[0], Value::Null(0)});
-          const Value probe = Value::Set(candidate);
-          double reach = 0.0;
-          for (const auto& [other_id, other] : latest) {
-            (void)other_id;
-            if (VsetsMatch(probe, other, options.maybe_match)) reach += 1.0;
-          }
+          const double reach = view->Query(view->Cells(Value::Set(candidate))).count;
           if (reach > best_reach) {
             best_reach = reach;
             best = static_cast<int>(p);
@@ -302,130 +492,18 @@ C1 = C2 :- cat(M, A, C1), cat(M, A, C2).
 )prog";
 }
 
-namespace {
-
-/// Decodes the engine's tupleA facts back into a released table; shared by
-/// the basic and enhanced declarative cycles.
-MicrodataTable DecodeRelease(const Database& db, const MicrodataTable& table,
-                             const BridgeOptions& options);
-
-}  // namespace
-
 Result<MicrodataTable> VadalogBridge::RunDeclarativeCycle(
     const MicrodataTable& table, const OwnershipGraph* graph,
     vadalog::RunStats* stats) const {
   obs::Span span("bridge.declarative_cycle");
-  vadalog::EngineOptions engine_options;
-  engine_options.track_provenance = true;
-  vadalog::Engine engine(engine_options);
-  RegisterExternals(&engine, graph);
-
-  Database db;
-  EncodeMicrodata(table, &db);
-  VADASA_ASSIGN_OR_RETURN(const vadalog::RunStats run,
-                          vadalog::RunSource(CycleProgram(), &db, &engine));
-  if (stats != nullptr) *stats = run;
-  return DecodeRelease(db, table, options_);
+  return RunCycle(*this, options_, CycleProgram(), table, graph, stats);
 }
 
 Result<MicrodataTable> VadalogBridge::RunDeclarativeEnhancedCycle(
     const MicrodataTable& table, const OwnershipGraph& graph,
     vadalog::RunStats* stats) const {
   obs::Span span("bridge.declarative_enhanced_cycle");
-  vadalog::EngineOptions engine_options;
-  engine_options.track_provenance = true;
-  vadalog::Engine engine(engine_options);
-  RegisterExternals(&engine, &graph);
-
-  Database db;
-  EncodeMicrodata(table, &db);
-  VADASA_ASSIGN_OR_RETURN(const vadalog::RunStats run,
-                          vadalog::RunSource(EnhancedCycleProgram(), &db, &engine));
-  if (stats != nullptr) *stats = run;
-  return DecodeRelease(db, table, options_);
+  return RunCycle(*this, options_, EnhancedCycleProgram(), table, &graph, stats);
 }
-
-namespace {
-
-MicrodataTable DecodeRelease(const Database& db, const MicrodataTable& table,
-                             const BridgeOptions& options) {
-  // Candidate versions per tuple: the accepted (tupleA) versions ordered by
-  // null count ascending, then the most anonymized version seen at all as a
-  // safe fallback. Starting from the least-suppressed candidates, the chosen
-  // combination is validated as a whole and risky rows are pushed to their
-  // next (more suppressed) candidate: per-tuple "fewest nulls" alone is
-  // unsound, because two originals may have validated only against each
-  // other's suppressed versions.
-  const Value m = Value::String(table.name());
-  std::map<int64_t, std::vector<Value>> candidates;
-  for (const auto& row : db.Rows("tupleA")) {
-    if (row.size() != 3 || !row[0].Equals(m) || !row[1].is_int()) continue;
-    candidates[row[1].as_int()].push_back(row[2]);
-  }
-  const auto latest = LatestVersions(db, m);
-  for (const auto& [id, version] : latest) {
-    candidates[id].push_back(version);
-  }
-  for (auto& [id, versions] : candidates) {
-    (void)id;
-    std::sort(versions.begin(), versions.end(), [](const Value& a, const Value& b) {
-      return NullsIn(a) < NullsIn(b);
-    });
-  }
-  std::map<int64_t, size_t> pick;
-  for (const auto& [id, versions] : candidates) {
-    (void)versions;
-    pick[id] = 0;
-  }
-  // Validate the assembled combination; advance risky rows. Each advance
-  // strictly increases some pick index, so this terminates.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (auto& [id, index] : pick) {
-      const auto& versions = candidates[id];
-      double mass = 0.0;
-      for (const auto& [other_id, other_index] : pick) {
-        if (!VsetsMatch(versions[index], candidates[other_id][other_index],
-                        options.maybe_match)) {
-          continue;
-        }
-        if (options.risk_measure == "reidentification") {
-          const auto& weights = db.Rows("weight");
-          for (const auto& w : weights) {
-            if (w[1].is_int() && w[1].as_int() == other_id) mass += w[2].as_double();
-          }
-        } else {
-          mass += 1.0;
-        }
-      }
-      const bool risky = options.risk_measure == "reidentification"
-                             ? (mass <= 1.0 || 1.0 / mass > options.threshold)
-                             : mass < static_cast<double>(options.k);
-      if (risky && index + 1 < versions.size()) {
-        ++index;
-        changed = true;
-      }
-    }
-  }
-
-  MicrodataTable out = table;
-  const auto qis = out.QuasiIdentifierColumns();
-  for (size_t r = 0; r < out.num_rows(); ++r) {
-    auto it = pick.find(static_cast<int64_t>(r));
-    if (it == pick.end()) continue;
-    const Value& vset = candidates[it->first][it->second];
-    for (const size_t c : qis) {
-      const Value* v = VsetGet(vset, Value::String(out.attributes()[c].name));
-      if (v != nullptr) out.set_cell(r, c, *v);
-    }
-    // Direct identifiers are dropped from the release (Algorithm 2, Rule 1).
-    for (const size_t c : out.ColumnsWithCategory(AttributeCategory::kIdentifier)) {
-      out.set_cell(r, c, Value::String("<dropped>"));
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 }  // namespace vadasa::core

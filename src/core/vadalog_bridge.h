@@ -24,13 +24,17 @@ namespace vadasa::core {
 ///
 /// Knobs of the declarative pipeline.
 struct BridgeOptions {
-  /// Risk plugged into #risk: "k-anonymity" or "reidentification".
+  /// Risk plugged into #risk: "k-anonymity" or "reidentification" (or an
+  /// alias MakeRiskMeasure accepts); the cycles refuse any other measure.
   std::string risk_measure = "k-anonymity";
   int k = 2;
   double threshold = 0.5;
   /// Null comparison used by #risk when grouping (Fig. 7c switch).
   bool maybe_match = true;
 };
+
+/// InvalidArgument naming `risk_measure` unless #risk can plug it in.
+Status ValidateBridgeMeasure(const std::string& risk_measure);
 
 class VadalogBridge {
  public:
@@ -45,7 +49,9 @@ class VadalogBridge {
   void EncodeMicrodata(const MicrodataTable& table, vadalog::Database* db) const;
 
   /// Registers #risk, #anonymize and #rel on `engine`. #rel answers from
-  /// `graph` (may be nullptr: only reflexive pairs).
+  /// `graph` (may be nullptr: only reflexive pairs). #risk and #anonymize
+  /// query a GroupIndex over each tuple's latest version (at most
+  /// kMaxMaybeMatchQis quasi-identifiers under =⊥, see ValidateQiWidth).
   void RegisterExternals(vadalog::Engine* engine, const OwnershipGraph* graph) const;
 
   /// The Vadalog source of the anonymization cycle (Algorithm 2, Rules 2-3).

@@ -65,9 +65,8 @@ Result<DifferentialReport> CheckCycleDifferential(const core::MicrodataTable& in
                                                   const core::OwnershipGraph* graph) {
   DifferentialReport report;
   const core::RiskContext ctx = ContextFor(options);
-  const std::string measure_name =
-      options.risk_measure == "reidentification" ? "reidentification" : "k-anonymity";
-  VADASA_ASSIGN_OR_RETURN(const auto measure, core::MakeRiskMeasure(measure_name));
+  VADASA_ASSIGN_OR_RETURN(const auto measure,
+                          core::MakeRiskMeasure(options.risk_measure));
 
   // The cluster transform keys rows by the first identifier column.
   std::string id_column;
@@ -99,25 +98,28 @@ Result<DifferentialReport> CheckCycleDifferential(const core::MicrodataTable& in
   core::VadalogBridge bridge(options);
   if (graph != nullptr) {
     VADASA_ASSIGN_OR_RETURN(report.declarative,
-                            bridge.RunDeclarativeEnhancedCycle(input, *graph, nullptr));
+                            bridge.RunDeclarativeEnhancedCycle(
+                                input, *graph, &report.declarative_stats));
   } else {
     VADASA_ASSIGN_OR_RETURN(report.declarative,
-                            bridge.RunDeclarativeCycle(input, nullptr, nullptr));
+                            bridge.RunDeclarativeCycle(input, nullptr,
+                                                       &report.declarative_stats));
   }
 
-  // The enhanced declarative release drops identifiers; the cluster-risk
-  // recheck below needs them, so restore the input's identifier cells (they
-  // are metadata for the check, not part of the released QIs).
+  // The declarative release drops identifiers; the cluster-risk recheck
+  // below needs them, so the checked copy gets the input's identifier cells
+  // back (they are metadata for the check, not part of the released QIs).
+  MicrodataTable declarative = report.declarative;
   for (const size_t c : id_cols) {
     for (size_t r = 0; r < input.num_rows(); ++r) {
-      report.declarative.set_cell(r, c, input.cell(r, c));
+      declarative.set_cell(r, c, input.cell(r, c));
     }
   }
 
   VADASA_RETURN_NOT_OK(CheckRelease("imperative", input, report.imperative,
                                     input_risks, *measure, ctx, options.threshold));
-  VADASA_RETURN_NOT_OK(CheckRelease("declarative", input, report.declarative,
-                                    input_risks, *measure, ctx, options.threshold));
+  VADASA_RETURN_NOT_OK(CheckRelease("declarative", input, declarative, input_risks,
+                                    *measure, ctx, options.threshold));
   return report;
 }
 

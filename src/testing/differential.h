@@ -19,7 +19,9 @@ namespace vadasa::testing {
 /// Outcome of one imperative-vs-declarative run, for diagnostics.
 struct DifferentialReport {
   core::MicrodataTable imperative;
+  /// The declarative release as the bridge returned it, and its chase.
   core::MicrodataTable declarative;
+  vadalog::RunStats declarative_stats;
   core::CycleStats imperative_stats;
   size_t initially_risky = 0;
 };

@@ -23,6 +23,21 @@ uint64_t NowMs() {
           .count());
 }
 
+/// What kind of failure a verdict is: its status code and message with every
+/// run of digits masked, so row numbers and counts may change as a case
+/// shrinks while the failure stays the same.
+std::string FailureMode(const Status& verdict) {
+  std::string mode;
+  for (const char c : verdict.ToString()) {
+    if (c < '0' || c > '9') {
+      mode += c;
+    } else if (mode.empty() || mode.back() != '#') {
+      mode += '#';
+    }
+  }
+  return mode;
+}
+
 }  // namespace
 
 HarnessOptions HarnessOptionsFromEnv() {
@@ -37,19 +52,26 @@ HarnessOptions HarnessOptionsFromEnv() {
 }
 
 ReproCase ShrinkCase(const Property& property, const ReproCase& failing) {
+  // A candidate is kept only when it fails the way the original does; a
+  // smaller input failing for another reason would be a different bug.
+  const std::string mode = FailureMode(property.evaluate(failing));
+  const auto fails_alike = [&](const ReproCase& probe) {
+    const Status verdict = property.evaluate(probe);
+    return !verdict.ok() && FailureMode(verdict) == mode;
+  };
   ReproCase shrunk = failing;
   if (property.shrink_program) {
     shrunk.program = ShrinkProgram(failing.program, [&](const std::string& candidate) {
       ReproCase probe = failing;
       probe.program = candidate;
-      return !property.evaluate(probe).ok();
+      return fails_alike(probe);
     });
   } else {
     shrunk.table =
         ShrinkTable(failing.table, [&](const core::MicrodataTable& candidate) {
           ReproCase probe = failing;
           probe.table = candidate;
-          return !property.evaluate(probe).ok();
+          return fails_alike(probe);
         });
   }
   Status verdict = property.evaluate(shrunk);

@@ -47,7 +47,9 @@ HarnessReport RunProperty(const Property& property, const HarnessOptions& option
 
 /// Greedily shrinks one failing case (table rows/columns or program lines,
 /// per the property) until the failure no longer reproduces on any smaller
-/// input. The returned case still fails, with its message refreshed.
+/// input. A smaller input counts only when it fails with the original status
+/// code and message, digits masked. The returned case still fails, with its
+/// message refreshed.
 ReproCase ShrinkCase(const Property& property, const ReproCase& failing);
 
 /// Loads a repro file and re-evaluates it; the Status is the property's

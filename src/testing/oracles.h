@@ -73,8 +73,8 @@ Status CheckInfoLossMonotone(const core::MicrodataTable& table, size_t steps,
 /// Linear-scan reference for QI-group statistics — the =⊥ definition of
 /// Section 4.3 evaluated literally. For every row r, frequency[r] counts the
 /// rows whose QI cells all match r's, cell by cell (Value::MaybeEquals under
-/// kMaybeMatch, Value::Equals under kStandard, as in core::CountMatches), and
-/// weight_sum[r] adds up those rows' sampling weights. O(n² · |qi|) with no
+/// kMaybeMatch, Value::Equals under kStandard), and weight_sum[r] adds up
+/// those rows' sampling weights. O(n² · |qi|) with no
 /// hashing, dictionary codes or projection indexes, so it shares nothing with
 /// core::ComputeGroupStats / core::GroupIndex that could hide a grouping bug.
 ///

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/anonymize.h"
 #include "core/business.h"
 #include "core/cycle.h"
+#include "core/datagen.h"
 #include "core/delta.h"
 #include "core/group_index.h"
 #include "core/microdata.h"
@@ -27,6 +29,7 @@
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
 #include "serve/scheduler.h"
+#include "testing/bridge_reference.h"
 #include "testing/differential.h"
 #include "testing/generators.h"
 #include "testing/oracles.h"
@@ -156,19 +159,53 @@ Status EvalInfoLossMonotone(const ReproCase& repro) {
   return CheckInfoLossMonotone(repro.table, steps, &aux);
 }
 
-Status EvalCycleDifferential(const ReproCase& repro) {
+core::BridgeOptions BridgeOptionsFrom(const ReproCase& repro) {
   core::BridgeOptions options;
   options.risk_measure = Param(repro, "measure", "k-anonymity");
   options.k = static_cast<int>(ParamU64(repro, "k", 2));
   options.threshold = ParamDouble(repro, "threshold", 0.5);
   options.maybe_match = Param(repro, "semantics", "maybe") != "standard";
+  return options;
+}
+
+Status EvalCycleDifferential(const ReproCase& repro) {
+  const core::BridgeOptions options = BridgeOptionsFrom(repro);
+  std::optional<core::OwnershipGraph> graph;
   if (ParamU64(repro, "with_graph", 0) != 0) {
     Rng aux(repro.seed);
-    const core::OwnershipGraph graph =
-        RandomOwnershipGraph(&aux, repro.table, ParamDouble(repro, "edge_p", 0.15));
-    return CheckCycleDifferential(repro.table, options, &graph).status();
+    graph = RandomOwnershipGraph(&aux, repro.table, ParamDouble(repro, "edge_p", 0.15));
   }
-  return CheckCycleDifferential(repro.table, options, nullptr).status();
+  const core::OwnershipGraph* g = graph ? &*graph : nullptr;
+  VADASA_ASSIGN_OR_RETURN(const DifferentialReport report,
+                          CheckCycleDifferential(repro.table, options, g));
+  // The bridge's index-backed externals and decode against the linear-scan
+  // reference: the same chase and the same release bytes.
+  vadalog::RunStats want;
+  VADASA_ASSIGN_OR_RETURN(const MicrodataTable reference,
+                          ReferenceDeclarativeCycle(repro.table, options, g, &want));
+  const vadalog::RunStats& got = report.declarative_stats;
+  if (got.rounds != want.rounds || got.facts_derived != want.facts_derived ||
+      got.nulls_created != want.nulls_created ||
+      got.action_invocations != want.action_invocations) {
+    return Status::FailedPrecondition(
+        "declarative chase differs from the scan reference: rounds " +
+        std::to_string(got.rounds) + " vs " + std::to_string(want.rounds) +
+        ", facts " + std::to_string(got.facts_derived) + " vs " +
+        std::to_string(want.facts_derived) + ", nulls " +
+        std::to_string(got.nulls_created) + " vs " +
+        std::to_string(want.nulls_created) + ", actions " +
+        std::to_string(got.action_invocations) + " vs " +
+        std::to_string(want.action_invocations));
+  }
+  if (WriteCsv(report.declarative.ToCsv()) != WriteCsv(reference.ToCsv())) {
+    return Status::FailedPrecondition(
+        "declarative release differs from the scan reference");
+  }
+  return Status::OK();
+}
+
+Status EvalCycleDifferentialAtScale(const ReproCase& repro) {
+  return CheckCycleDifferential(repro.table, BridgeOptionsFrom(repro), nullptr).status();
 }
 
 Status EvalParallelDeterminism(const ReproCase& repro) {
@@ -1118,13 +1155,11 @@ std::vector<Property> BuildCatalog() {
 
   catalog.push_back(
       {"cycle-differential",
-       "imperative cycle and declarative Vadalog cycle agree on the release contract",
+       "imperative cycle and declarative Vadalog cycle agree on the release "
+       "contract, and the declarative release equals the linear-scan reference",
        false,
        [](Rng* rng, uint64_t i) {
-         TableGenOptions options;
-         options.max_rows = 16;  // Each case spins a full chase; keep it small.
-         options.max_qi = 3;
-         ReproCase repro = TableCase("cycle-differential", rng, i, options);
+         ReproCase repro = TableCase("cycle-differential", rng, i);
          repro.params["measure"] = PickMeasure(rng);
          repro.params["k"] = std::to_string(rng->NextInt(2, 3));
          repro.params["threshold"] =
@@ -1135,6 +1170,37 @@ std::vector<Property> BuildCatalog() {
          return repro;
        },
        EvalCycleDifferential});
+
+  catalog.push_back(
+      {"cycle-differential-at-scale",
+       "on 1,000-2,000-row tables the basic declarative and imperative cycles "
+       "agree on the release contract",
+       false,
+       [](Rng* rng, uint64_t i) {
+         ReproCase repro;
+         repro.property = "cycle-differential-at-scale";
+         repro.seed = rng->Next();
+         repro.case_index = i;
+         // Inflation & Growth tables of every distribution shape: each leaves
+         // some rows risky under both measures.
+         using core::DistributionKind;
+         const DistributionKind shapes[] = {DistributionKind::kRealWorld,
+                                            DistributionKind::kUnbalanced,
+                                            DistributionKind::kVeryUnbalanced};
+         const DistributionKind shape = shapes[rng->NextBelow(3)];
+         const size_t rows = 1000 + rng->NextBelow(1001);
+         const int qis = static_cast<int>(rng->NextInt(2, 5));
+         repro.table =
+             core::GenerateInflationGrowth("prop", rows, qis, shape, rng->Next());
+         repro.params["distribution"] = core::DistributionKindToString(shape);
+         repro.params["measure"] = PickMeasure(rng);
+         repro.params["k"] = std::to_string(rng->NextInt(2, 3));
+         repro.params["threshold"] =
+             std::to_string(rng->NextDouble() < 0.5 ? 0.34 : 0.5);
+         repro.params["semantics"] = PickSemantics(rng, 0.5);
+         return repro;
+       },
+       EvalCycleDifferentialAtScale});
 
   catalog.push_back(
       {"parallel-determinism",

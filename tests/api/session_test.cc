@@ -41,6 +41,31 @@ TEST(SessionOptionsTest, ValidationCatchesBadPolicies) {
   EXPECT_TRUE(ValidateSessionOptions(SessionOptions{}).ok());
 }
 
+/// The declarative cycle plugs only k-anonymity and re-identification into
+/// #risk; other measures are refused up front, naming the measure.
+TEST(SessionOptionsTest, DeclarativeAcceptsOnlyBridgeMeasures) {
+  for (const char* refused : {"suda", "individual"}) {
+    SessionOptions options;
+    options.declarative = true;
+    options.risk_measure = refused;
+    const Status status = ValidateSessionOptions(options).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << refused;
+    EXPECT_NE(status.message().find(refused), std::string::npos) << status.ToString();
+    EXPECT_FALSE(Session::FromTable(Figure5Microdata(), options).ok()) << refused;
+  }
+  for (const char* accepted : {"k-anonymity", "reidentification"}) {
+    SessionOptions options;
+    options.declarative = true;
+    options.risk_measure = accepted;
+    auto session = Session::FromTable(Figure5Microdata(), options);
+    ASSERT_TRUE(session.ok()) << accepted << ": " << session.status().ToString();
+    auto response = session->Anonymize();
+    ASSERT_TRUE(response.ok()) << accepted << ": " << response.status().ToString();
+    EXPECT_TRUE(response->declarative);
+    EXPECT_GT(response->declarative_stats.rounds, 0u) << accepted;
+  }
+}
+
 TEST(SessionTest, EmptySessionFailsGracefully) {
   Session session;
   EXPECT_EQ(session.Risk().status().code(), StatusCode::kFailedPrecondition);

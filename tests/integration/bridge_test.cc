@@ -76,6 +76,32 @@ TEST(BridgeTest, DeclarativeAndNativeCyclesAgreeOnRiskyRows) {
   }
 }
 
+/// The externals group through GroupIndex, so under =⊥ the declarative
+/// cycle has the native cycle's quasi-identifier limit (ValidateQiWidth);
+/// standard semantics has none. Unsupported measures are refused up front.
+TEST(BridgeTest, DeclarativeCycleRefusesWhatItCannotGroup) {
+  std::vector<Attribute> attrs;
+  for (size_t c = 0; c <= kMaxMaybeMatchQis; ++c) {
+    attrs.push_back({"q" + std::to_string(c), "", AttributeCategory::kQuasiIdentifier});
+  }
+  MicrodataTable wide("wide", attrs);
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(wide.AddRow(std::vector<Value>(attrs.size(), Value::Int(r))).ok());
+  }
+  const auto maybe = VadalogBridge().RunDeclarativeCycle(wide, nullptr, nullptr);
+  EXPECT_EQ(maybe.status().code(), StatusCode::kInvalidArgument);
+  BridgeOptions standard;
+  standard.maybe_match = false;
+  EXPECT_TRUE(VadalogBridge(standard).RunDeclarativeCycle(wide, nullptr, nullptr).ok());
+
+  BridgeOptions suda;
+  suda.risk_measure = "suda";
+  const auto refused = VadalogBridge(suda).RunDeclarativeCycle(Figure5Microdata(),
+                                                               nullptr, nullptr);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("suda"), std::string::npos);
+}
+
 TEST(BridgeTest, CategorizationProgramViaEngine) {
   // Algorithm 1 run declaratively: the existential category of Rule 1 is
   // unified by the EGD with the category borrowed through #similar.

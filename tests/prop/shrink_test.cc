@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/microdata.h"
+#include "testing/harness.h"
+#include "testing/properties.h"
 
 namespace vadasa::testing {
 namespace {
@@ -88,6 +90,32 @@ TEST(ShrinkProgramTest, DropsIrrelevantLines) {
       &stats);
   EXPECT_EQ(shrunk, "keep(me).\n");
   EXPECT_EQ(stats.lines_removed, 3u);
+}
+
+/// A property with two failure modes: a table holding the value "dup", and a
+/// table of fewer than three rows. Dropping rows from a case that fails by
+/// "dup" reaches the small-table failure first; the shrinker must stay with
+/// the original one (digits in the message may change).
+TEST(ShrinkCaseTest, StaysWithinTheOriginalFailureMode) {
+  Property property;
+  property.name = "two-modes";
+  property.evaluate = [](const ReproCase& repro) {
+    const std::string rows = std::to_string(repro.table.num_rows());
+    if (repro.table.num_rows() < 3) {
+      return Status::FailedPrecondition("only " + rows + " rows");
+    }
+    if (CountDup(repro.table) > 0) {
+      return Status::FailedPrecondition("a row of " + rows + " holds dup");
+    }
+    return Status::OK();
+  };
+  ReproCase failing;
+  failing.property = property.name;
+  failing.table = TenRows();
+  const ReproCase shrunk = ShrinkCase(property, failing);
+  EXPECT_EQ(shrunk.message, "FailedPrecondition: a row of 3 holds dup");
+  EXPECT_EQ(shrunk.table.num_rows(), 3u);
+  EXPECT_EQ(CountDup(shrunk.table), 1u);
 }
 
 TEST(DropHelpersTest, DropRowAndColumn) {

@@ -101,6 +101,14 @@ TEST_F(ProtocolTest, ErrorsAreStructured) {
   const Json bad_policy =
       Call(R"({"op":"submit","dataset":"fig5","measure":"nonsense"})");
   EXPECT_FALSE(bad_policy.GetBool("ok", true));
+
+  // The declarative cycle runs k-anonymity or re-identification only; a
+  // declarative SUDA release is refused at submit, never cached under "suda".
+  const Json declarative_suda = Call(
+      R"({"op":"submit","dataset":"fig5","action":"anonymize","measure":"suda",)"
+      R"("declarative":true})");
+  EXPECT_FALSE(declarative_suda.GetBool("ok", true));
+  EXPECT_EQ(declarative_suda.GetString("code", ""), "InvalidArgument");
 }
 
 TEST_F(ProtocolTest, ResponsesEchoProtocolVersionTwo) {
