@@ -67,8 +67,9 @@ double GroupRisk(const GroupingRiskMeasure& measure, int k, const PatternMass& m
 /// per tuple id with the QI cells of one version (columns in the key order of
 /// the first version seen) and the tuple's weight fact (1.0 when absent).
 /// Sync keeps each row at its tuple's latest version, the one with the most
-/// nulls (the first seen on ties); the decode moves rows with Set. An engine
-/// calls its externals from one thread.
+/// nulls (the first seen on ties); after the chase the decode takes over the
+/// run's view and moves rows with Set. An engine calls its externals from one
+/// thread.
 struct TupleView {
   TupleView(Value m, NullSemantics semantics) : m(std::move(m)), semantics(semantics) {}
 
@@ -167,7 +168,7 @@ struct TupleView {
   }
 };
 
-/// The views of one RegisterExternals call, one per microdata DB.
+/// The views of one run's externals, one per microdata DB.
 using TupleViews = std::unordered_map<Value, TupleView, ValueHash>;
 
 /// The view of `m`, advanced to `db`'s current tuple facts.
@@ -178,10 +179,11 @@ Result<TupleView*> SyncedView(TupleViews* views, const Database& db, const Value
   return &view;
 }
 
-/// Decodes the engine's tupleA facts back into a released table.
+/// Decodes the engine's tupleA facts back into a released table, reusing the
+/// run's view of the table's tuples.
 Result<MicrodataTable> DecodeRelease(const Database& db, const MicrodataTable& table,
                                      const GroupingRiskMeasure& measure,
-                                     const BridgeOptions& options) {
+                                     const BridgeOptions& options, TupleViews* views) {
   // Candidate versions per tuple: the accepted (tupleA) versions ordered by
   // null count ascending, then the most anonymized version seen at all as a
   // safe fallback. Starting from the least-suppressed candidates, the chosen
@@ -190,25 +192,34 @@ Result<MicrodataTable> DecodeRelease(const Database& db, const MicrodataTable& t
   // unsound, because two originals may have validated only against each
   // other's suppressed versions. The view's rows hold the picked versions.
   const Value m = Value::String(table.name());
-  TupleView view(m, options.maybe_match ? NullSemantics::kMaybeMatch
-                                       : NullSemantics::kStandard);
-  VADASA_RETURN_NOT_OK(view.Sync(db));
+  const NullSemantics semantics =
+      options.maybe_match ? NullSemantics::kMaybeMatch : NullSemantics::kStandard;
+  VADASA_ASSIGN_OR_RETURN(TupleView* const view, SyncedView(views, db, m, semantics));
   std::map<int64_t, std::vector<Value>> candidates;
   for (const auto& row : db.Rows("tupleA")) {
     if (row.size() != 3 || !row[0].Equals(m) || !row[1].is_int()) continue;
-    if (view.row_of.count(row[1].as_int()) == 0) continue;
+    if (view->row_of.count(row[1].as_int()) == 0) continue;
     candidates[row[1].as_int()].push_back(row[2]);
   }
-  for (const auto& [id, row] : view.row_of) {
-    candidates[id].push_back(view.versions[row]);
+  for (const auto& [id, row] : view->row_of) {
+    candidates[id].push_back(view->versions[row]);
   }
   std::map<int64_t, size_t> pick;
+  std::vector<uint32_t> moved;
   for (auto& [id, versions] : candidates) {
     std::sort(versions.begin(), versions.end(), [](const Value& a, const Value& b) {
       return NullsIn(a) < NullsIn(b);
     });
     pick[id] = 0;
-    view.Set(view.row_of[id], versions[0]);
+    const size_t row = view->row_of[id];
+    if (!versions[0].Equals(view->versions[row])) {
+      view->Set(row, versions[0]);
+      moved.push_back(static_cast<uint32_t>(row));
+    }
+  }
+  // The externals grouped the view over the latest versions.
+  if (view->index != nullptr && !moved.empty()) {
+    view->index->UpdateRows(view->table, moved);
   }
   // Validate the assembled combination; advance risky rows. Each advance
   // strictly increases some pick index, so this terminates.
@@ -216,13 +227,13 @@ Result<MicrodataTable> DecodeRelease(const Database& db, const MicrodataTable& t
     changed = false;
     for (auto& [id, index] : pick) {
       const auto& versions = candidates[id];
-      const PatternMass mass = view.Query(view.Cells(versions[index]));
+      const PatternMass mass = view->Query(view->Cells(versions[index]));
       if (GroupRisk(measure, options.k, mass) > options.threshold &&
           index + 1 < versions.size()) {
         ++index;
-        const size_t row = view.row_of[id];
-        view.Set(row, versions[index]);
-        view.index->UpdateRows(view.table, {static_cast<uint32_t>(row)});
+        const size_t row = view->row_of[id];
+        view->Set(row, versions[index]);
+        view->index->UpdateRows(view->table, {static_cast<uint32_t>(row)});
         changed = true;
       }
     }
@@ -244,25 +255,6 @@ Result<MicrodataTable> DecodeRelease(const Database& db, const MicrodataTable& t
     }
   }
   return out;
-}
-
-/// Encodes `table`, chases `program` with the bridge's externals and decodes
-/// the release: the body of both declarative cycles.
-Result<MicrodataTable> RunCycle(const VadalogBridge& bridge, const BridgeOptions& options,
-                                const std::string& program, const MicrodataTable& table,
-                                const OwnershipGraph* graph, vadalog::RunStats* stats) {
-  VADASA_ASSIGN_OR_RETURN(const auto measure, BridgeMeasure(options.risk_measure));
-  vadalog::EngineOptions engine_options;
-  engine_options.track_provenance = true;
-  vadalog::Engine engine(engine_options);
-  bridge.RegisterExternals(&engine, graph);
-
-  Database db;
-  bridge.EncodeMicrodata(table, &db);
-  VADASA_ASSIGN_OR_RETURN(const vadalog::RunStats run,
-                          vadalog::RunSource(program, &db, &engine));
-  if (stats != nullptr) *stats = run;
-  return DecodeRelease(db, table, *measure, options);
 }
 
 }  // namespace
@@ -303,13 +295,17 @@ void VadalogBridge::EncodeMicrodata(const MicrodataTable& table,
   }
 }
 
-void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
-                                      const OwnershipGraph* graph) const {
-  const int k = options_.k;
+namespace {
+
+/// Registers the bridge's externals on `engine`; #risk and #anonymize answer
+/// from `views`.
+void RegisterBridgeExternals(const BridgeOptions& options, vadalog::Engine* engine,
+                             const OwnershipGraph* graph,
+                             std::shared_ptr<TupleViews> views) {
+  const int k = options.k;
   const NullSemantics semantics =
-      options_.maybe_match ? NullSemantics::kMaybeMatch : NullSemantics::kStandard;
-  const auto measure = BridgeMeasure(options_.risk_measure);
-  const auto views = std::make_shared<TupleViews>();
+      options.maybe_match ? NullSemantics::kMaybeMatch : NullSemantics::kStandard;
+  const auto measure = BridgeMeasure(options.risk_measure);
 
   // --- #risk(M, I, VSet, R): the polymorphic risk plug-in, answered by the
   // group index over every tuple's latest version. ---
@@ -445,6 +441,33 @@ void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
         }
         return std::vector<std::vector<Value>>{};
       });
+}
+
+/// Encodes `table`, chases `program` with the bridge's externals and decodes
+/// the release: the body of both declarative cycles.
+Result<MicrodataTable> RunCycle(const VadalogBridge& bridge, const BridgeOptions& options,
+                                const std::string& program, const MicrodataTable& table,
+                                const OwnershipGraph* graph, vadalog::RunStats* stats) {
+  VADASA_ASSIGN_OR_RETURN(const auto measure, BridgeMeasure(options.risk_measure));
+  vadalog::EngineOptions engine_options;
+  engine_options.track_provenance = true;
+  vadalog::Engine engine(engine_options);
+  const auto views = std::make_shared<TupleViews>();
+  RegisterBridgeExternals(options, &engine, graph, views);
+
+  Database db;
+  bridge.EncodeMicrodata(table, &db);
+  VADASA_ASSIGN_OR_RETURN(const vadalog::RunStats run,
+                          vadalog::RunSource(program, &db, &engine));
+  if (stats != nullptr) *stats = run;
+  return DecodeRelease(db, table, *measure, options, views.get());
+}
+
+}  // namespace
+
+void VadalogBridge::RegisterExternals(vadalog::Engine* engine,
+                                      const OwnershipGraph* graph) const {
+  RegisterBridgeExternals(options_, engine, graph, std::make_shared<TupleViews>());
 }
 
 std::string VadalogBridge::CycleProgram() const {

@@ -56,35 +56,16 @@ bool IsKnownOp(const std::string& op) {
          op == "metrics" || op == "telemetry" || op == "shutdown";
 }
 
-Json RiskJson(const api::RiskReport& report) {
-  Json::Object risk;
-  Json::Array tuple_risks;
-  tuple_risks.reserve(report.tuple_risks.size());
-  for (double r : report.tuple_risks) tuple_risks.emplace_back(r);
-  risk["tuple_risks"] = std::move(tuple_risks);
-  risk["threshold"] = report.threshold;
-  if (report.inferred_threshold >= 0.0) {
-    risk["inferred_threshold"] = report.inferred_threshold;
-  }
-  Json::Array risky;
-  risky.reserve(report.risky.size());
-  for (const api::RiskyTuple& tuple : report.risky) {
-    Json::Object entry;
-    entry["row"] = static_cast<int64_t>(tuple.row);
-    entry["risk"] = tuple.risk;
-    if (!tuple.explanation.empty()) entry["explanation"] = tuple.explanation;
-    risky.push_back(std::move(entry));
-  }
-  risk["risky"] = std::move(risky);
-  Json::Object global;
-  global["expected_reidentifications"] = report.global.expected_reidentifications;
-  global["global_risk_rate"] = report.global.global_risk_rate;
-  global["tuples_over_threshold"] =
-      static_cast<int64_t>(report.global.tuples_over_threshold);
-  global["max_risk"] = report.global.max_risk;
-  global["sample_uniques"] = static_cast<int64_t>(report.global.sample_uniques);
-  risk["global"] = std::move(global);
-  return Json(std::move(risk));
+/// The members a job's `status` and `result` lines share: id, state, the
+/// phase timings and the submitting request's trace id.
+Json::Object JobFields(const JobResult& job) {
+  return {{"id", Json(job.id)},
+          {"state", Json(JobStateToString(job.state))},
+          {"queue_seconds", Json(job.queue_seconds)},
+          {"run_seconds", Json(job.run_seconds)},
+          {"queued_ns", Json(job.queued_ns)},
+          {"run_ns", Json(job.run_ns)},
+          {"job_trace_id", Json(obs::TraceIdToHex(job.trace))}};
 }
 
 /// Decodes the SessionOptions fields of a submit request; unknown measure
@@ -215,17 +196,10 @@ std::string Protocol::Dispatch(const std::string& line, bool* shutdown_requested
   }
   const uint64_t id = static_cast<uint64_t>(request.GetInt("id", 0));
   if (op == "status") {
-    auto state = scheduler_->State(id);
-    if (!state.ok()) return ErrorLine(state.status());
-    auto snapshot = scheduler_->Peek(id);
-    if (!snapshot.ok()) return ErrorLine(snapshot.status());
-    return OkLine({{"id", Json(id)},
-                   {"state", Json(JobStateToString(*state))},
-                   {"queue_seconds", Json(snapshot->queue_seconds)},
-                   {"run_seconds", Json(snapshot->run_seconds)},
-                   {"queued_ns", Json(snapshot->queued_ns)},
-                   {"run_ns", Json(snapshot->run_ns)},
-                   {"job_trace_id", Json(obs::TraceIdToHex(snapshot->trace))}});
+    // One snapshot: the state and timings are read under one lock.
+    auto job = scheduler_->Peek(id);
+    if (!job.ok()) return ErrorLine(job.status());
+    return OkLine(JobFields(*job));
   }
   if (op == "result") {
     return HandleResult(id);
@@ -375,30 +349,22 @@ std::string Protocol::HandleApplyDelta(const Json& request) {
 std::string Protocol::HandleResult(uint64_t id) {
   auto result = scheduler_->Wait(id);
   if (!result.ok()) return ErrorLine(result.status());
-  Json::Object fields;
-  fields["id"] = Json(id);
-  fields["state"] = JobStateToString(result->state);
-  fields["queue_seconds"] = result->queue_seconds;
-  fields["run_seconds"] = result->run_seconds;
-  fields["queued_ns"] = Json(result->queued_ns);
-  fields["run_ns"] = Json(result->run_ns);
-  fields["job_trace_id"] = obs::TraceIdToHex(result->trace);
-  if (result->state == JobState::kDone) {
-    // Whether the payload came from the result cache. Cached or cold, the
-    // bytes below are serialized by the same code from the same structs —
-    // the cached-result-bit-identical property holds the two identical.
-    fields["cached"] = Json(result->from_cache);
-    if (result->action == JobAction::kRisk) {
-      fields["risk"] = RiskJson(result->risk);
-    } else {
-      fields["csv"] = WriteCsv(result->anonymize.table.ToCsv());
-      fields["audit"] = result->anonymize.ToText();
-    }
-  } else {
+  Json::Object fields = JobFields(*result);
+  if (result->state != JobState::kDone) {
     fields["error"] = result->status.message();
     fields["code"] = std::string(StatusCodeToString(result->status.code()));
+    return OkLine(std::move(fields));
   }
-  return OkLine(std::move(fields));
+  // Whether the payload came from the result cache. Cached or cold, the
+  // payload is the bytes the job encoded once when it ran; they are spliced
+  // in before the envelope's closing brace, never re-serialized.
+  fields["cached"] = Json(result->from_cache);
+  std::string line = OkLine(std::move(fields));
+  line.reserve(line.size() + 1 + result->payload->size());
+  line.back() = ',';
+  line += *result->payload;
+  line += '}';
+  return line;
 }
 
 }  // namespace vadasa::serve

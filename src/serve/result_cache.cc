@@ -5,6 +5,7 @@
 
 #include "common/csv.h"
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 
 namespace vadasa::serve {
@@ -103,19 +104,40 @@ std::string ResultCacheKey(uint64_t fingerprint,
   return prefix + policy_key;
 }
 
-size_t ApproxResultBytes(const CachedResult& value) {
-  size_t bytes = 128;  // Struct + map-node overhead.
-  if (value.action == JobAction::kRisk) {
-    bytes += value.risk.tuple_risks.size() * sizeof(double);
-    for (const api::RiskyTuple& tuple : value.risk.risky) {
-      bytes += sizeof(tuple) + tuple.explanation.size();
-    }
-  } else {
-    // The bytes a hit actually serves: released CSV + audit text.
-    bytes += WriteCsv(value.anonymize.table.ToCsv()).size();
-    bytes += value.anonymize.ToText().size();
+std::string EncodeResult(const api::RiskReport& report) {
+  Json::Object risk;
+  Json::Array tuple_risks;
+  tuple_risks.reserve(report.tuple_risks.size());
+  for (double r : report.tuple_risks) tuple_risks.emplace_back(r);
+  risk["tuple_risks"] = std::move(tuple_risks);
+  risk["threshold"] = report.threshold;
+  if (report.inferred_threshold >= 0.0) {
+    risk["inferred_threshold"] = report.inferred_threshold;
   }
-  return bytes;
+  Json::Array risky;
+  risky.reserve(report.risky.size());
+  for (const api::RiskyTuple& tuple : report.risky) {
+    Json::Object entry;
+    entry["row"] = static_cast<int64_t>(tuple.row);
+    entry["risk"] = tuple.risk;
+    if (!tuple.explanation.empty()) entry["explanation"] = tuple.explanation;
+    risky.emplace_back(std::move(entry));
+  }
+  risk["risky"] = std::move(risky);
+  Json::Object global;
+  global["expected_reidentifications"] = report.global.expected_reidentifications;
+  global["global_risk_rate"] = report.global.global_risk_rate;
+  global["tuples_over_threshold"] =
+      static_cast<int64_t>(report.global.tuples_over_threshold);
+  global["max_risk"] = report.global.max_risk;
+  global["sample_uniques"] = static_cast<int64_t>(report.global.sample_uniques);
+  risk["global"] = std::move(global);
+  return "\"risk\":" + Json(std::move(risk)).Dump();
+}
+
+std::string EncodeResult(const api::AnonymizeResponse& response) {
+  return "\"audit\":" + JsonQuote(response.ToText()) +
+         ",\"csv\":" + JsonQuote(WriteCsv(response.table.ToCsv()));
 }
 
 ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
@@ -123,29 +145,28 @@ ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
   CacheMeters::Get();
 }
 
-bool ResultCache::Get(const std::string& key, CachedResult* out) {
+std::shared_ptr<const std::string> ResultCache::Get(const std::string& key) {
   auto& meters = CacheMeters::Get();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     meters.misses->Add(1);
-    return false;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   meters.hits->Add(1);
-  *out = it->second.value;
-  return true;
+  return it->second.payload;
 }
 
 void ResultCache::Put(const std::string& key, const std::string& dataset,
-                      CachedResult value) {
+                      std::shared_ptr<const std::string> payload) {
   // Injected slow/failed fill: a delay policy stretches the window the
   // concurrency tests race Get against; an error policy drops the fill (a
   // cache that stays cold is merely slower, never wrong).
   static failpoint::Failpoint* fill_fp =
       failpoint::GetFailpoint("serve.cache.fill");
   if (fill_fp->armed() && fill_fp->Fires()) return;
-  const size_t cost = ApproxResultBytes(value) + key.size();
+  const size_t cost = payload->size() + key.size();
   auto& meters = CacheMeters::Get();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
@@ -159,12 +180,7 @@ void ResultCache::Put(const std::string& key, const std::string& dataset,
     meters.evictions->Add(1);
   }
   lru_.push_front(key);
-  Entry entry;
-  entry.dataset = dataset;
-  entry.value = std::move(value);
-  entry.cost = cost;
-  entry.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(entry));
+  entries_.emplace(key, Entry{dataset, std::move(payload), lru_.begin()});
   bytes_ += cost;
   meters.bytes->Set(static_cast<double>(bytes_));
   meters.entries->Set(static_cast<double>(entries_.size()));
@@ -207,7 +223,7 @@ size_t ResultCache::bytes() const {
 }
 
 void ResultCache::EraseLocked(std::map<std::string, Entry>::iterator it) {
-  bytes_ -= it->second.cost;
+  bytes_ -= it->second.payload->size() + it->first.size();
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
 }

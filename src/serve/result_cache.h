@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -32,31 +33,24 @@ std::string CanonicalPolicyKey(const api::SessionOptions& options,
 /// The full cache key: hex fingerprint | canonical policy.
 std::string ResultCacheKey(uint64_t fingerprint, const std::string& policy_key);
 
-/// One cached terminal payload, stored as the same structs the scheduler
-/// hands to the protocol — a hit is serialized by the identical RiskJson /
-/// WriteCsv / ToText code path as a cold run, which is what makes cached
-/// responses byte-identical by construction (and property-pinned anyway).
-struct CachedResult {
-  JobAction action = JobAction::kAnonymize;
-  api::RiskReport risk;
-  api::AnonymizeResponse anonymize;
-};
-
-/// Deterministic size estimate of one entry: the bytes a hit would serve
-/// (risk vector + explanations, released CSV + audit text) plus fixed
-/// per-entry overhead. This is the unit of the byte budget.
-size_t ApproxResultBytes(const CachedResult& value);
+/// The JSON members a done job's `result` line carries, encoded once when the
+/// job completes: `"risk":{...}` for a risk report, `"audit":"...","csv":"..."`
+/// for a release. The scheduler shares these bytes between the job, the cache
+/// and every reader, so a hit serves exactly the bytes its fill encoded.
+std::string EncodeResult(const api::RiskReport& report);
+std::string EncodeResult(const api::AnonymizeResponse& response);
 
 struct ResultCacheOptions {
-  /// Total ApproxResultBytes (plus key sizes) the cache may hold; inserting
-  /// past it evicts least-recently-used entries first. Minimum one entry is
-  /// always admitted so a single oversized result cannot wedge the cache.
+  /// Total bytes the cache may hold, an entry costing its payload's size plus
+  /// its key's; inserting past it evicts least-recently-used entries first.
+  /// Minimum one entry is always admitted so a single oversized result cannot
+  /// wedge the cache.
   size_t byte_budget = 64u << 20;
 };
 
-/// A bounded LRU of terminal job payloads keyed on (dataset content
-/// fingerprint, canonical policy). Thread-safe; the scheduler probes it at
-/// admission and fills it after each successful cold run, and the
+/// A bounded LRU of encoded job payloads (EncodeResult) keyed on (dataset
+/// content fingerprint, canonical policy). Thread-safe; the scheduler probes it
+/// at admission and fills it after each successful cold run, and the
 /// DatasetRegistry invalidates it on reload/replace/quarantine/Clear.
 /// Correctness never depends on invalidation — keys carry the content
 /// fingerprint, so changed data simply misses — but invalidation keeps dead
@@ -73,15 +67,15 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Copies the entry for `key` into *out and marks it most recently used.
-  /// Counts serve.cache.hits / serve.cache.misses.
-  bool Get(const std::string& key, CachedResult* out);
+  /// The payload stored under `key`, marked most recently used; null on a
+  /// miss. Counts serve.cache.hits / serve.cache.misses.
+  std::shared_ptr<const std::string> Get(const std::string& key);
 
-  /// Inserts (or refreshes) `key`, evicting LRU entries until the budget
-  /// holds. `dataset` is the registry name the entry was computed under —
-  /// the handle InvalidateDataset uses.
+  /// Stores the non-null `payload` under `key` (refreshing it), evicting LRU
+  /// entries until the budget holds. `dataset` is the registry name the entry
+  /// was computed under — the handle InvalidateDataset uses.
   void Put(const std::string& key, const std::string& dataset,
-           CachedResult value);
+           std::shared_ptr<const std::string> payload);
 
   /// Drops every entry recorded under `dataset`. Counts one
   /// serve.cache.invalidations per dropped entry.
@@ -97,8 +91,7 @@ class ResultCache {
  private:
   struct Entry {
     std::string dataset;
-    CachedResult value;
-    size_t cost = 0;
+    std::shared_ptr<const std::string> payload;
     std::list<std::string>::iterator lru_it;  ///< Position in lru_.
   };
 

@@ -30,6 +30,11 @@ int64_t ToTraceNs(std::chrono::steady_clock::time_point t) {
       .count();
 }
 
+bool IsTerminal(JobState state) {
+  return state == JobState::kDone || state == JobState::kFailed ||
+         state == JobState::kCancelled || state == JobState::kExpired;
+}
+
 /// Handles resolved once; every instance meters into the global registry.
 struct ServeMeters {
   obs::Counter* submitted;
@@ -86,23 +91,13 @@ std::string JobStateToString(JobState state) {
 }
 
 struct JobScheduler::Job {
-  uint64_t id = 0;
-  uint64_t trace = 0;  ///< Trace id of the submitting request (0 = none).
   JobRequest request;
   JobOptions options;
   CancelToken cancel;
-  JobState state = JobState::kQueued;
-  Status status;
-  api::RiskReport risk;
-  api::AnonymizeResponse anonymize;
+  JobResult result;  ///< What Peek and Wait copy out.
   std::chrono::steady_clock::time_point submitted;
   std::chrono::steady_clock::time_point started;
-  double queue_seconds = 0.0;
-  double run_seconds = 0.0;
-  int64_t queued_ns = 0;
-  int64_t run_ns = 0;
   bool watchdog_flagged = false;  ///< The watchdog flags a job at most once.
-  bool from_cache = false;        ///< Completed from the result cache.
   size_t shard = 0;               ///< Ready-queue shard (label-hashed).
 };
 
@@ -175,35 +170,32 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
   // (the protocol layer releases any quota slot it reserved), never a wedge.
   VADASA_FAILPOINT("serve.scheduler.submit");
   auto job = std::make_shared<Job>();
-  job->trace = obs::CurrentTraceId();
+  job->result.trace = obs::CurrentTraceId();
+  job->result.action = request.action;
   job->request = std::move(request);
   job->options = options;
   job->submitted = std::chrono::steady_clock::now();
   // Probe the result cache before queueing (and before arming the deadline:
-  // a hit needs neither). The payload copy happens outside the scheduler
-  // lock; byte-identity of the served response is pinned by the
-  // cached-result-bit-identical property.
+  // a hit needs neither). A hit takes the very bytes the fill stored.
   if (options_.result_cache != nullptr && !job->request.cache_key.empty()) {
-    CachedResult hit;
-    if (options_.result_cache->Get(job->request.cache_key, &hit)) {
+    if (auto hit = options_.result_cache->Get(job->request.cache_key)) {
       api::Session released;  // Destroyed after the lock is dropped.
       std::lock_guard<std::mutex> lock(mutex_);
       if (draining_) {
         meters.rejected->Add(1);
         return Status::Unavailable("scheduler is shutting down");
       }
-      job->id = next_id_++;
+      job->result.id = next_id_++;
       job->shard = ShardForLabel(job->request.label);
-      job->from_cache = true;
-      job->risk = std::move(hit.risk);
-      job->anonymize = std::move(hit.anonymize);
+      job->result.from_cache = true;
+      job->result.payload = std::move(hit);
       // Terminal immediately: never queued, never run — both phases are
       // zero on the job's own timeline.
       job->started = job->submitted;
-      jobs_.emplace(job->id, job);
+      jobs_.emplace(job->result.id, job);
       meters.admitted->Add(1);
       released = FinishLocked(job.get(), JobState::kDone, Status::OK());
-      return job->id;
+      return job->result.id;
     }
   }
   if (options.timeout_seconds > 0.0) {
@@ -224,61 +216,18 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
           "admission queue full (" + std::to_string(queued) + "/" +
           std::to_string(options_.max_queue) + " jobs queued)");
     }
-    job->id = next_id_++;
+    job->result.id = next_id_++;
     shard_index = ShardForLabel(job->request.label);
     job->shard = shard_index;
     shards_[shard_index]->queue.emplace(
-        std::make_pair(-options.priority, job->id), job);
-    jobs_.emplace(job->id, job);
+        std::make_pair(-options.priority, job->result.id), job);
+    jobs_.emplace(job->result.id, job);
     meters.admitted->Add(1);
     UpdateDepthGaugesLocked(shard_index);
   }
   shards_[shard_index]->work_cv.notify_one();
-  return job->id;
+  return job->result.id;
 }
-
-Result<JobState> JobScheduler::State(uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("unknown job id " + std::to_string(id));
-  }
-  return it->second->state;
-}
-
-/// Snapshot helpers shared by Peek/Wait; caller holds the scheduler mutex.
-namespace {
-
-JobResult MakeSnapshot(uint64_t id, JobAction action, JobState state,
-                       const Status& status, const api::RiskReport& risk,
-                       const api::AnonymizeResponse& anonymize,
-                       double queue_seconds, double run_seconds,
-                       int64_t queued_ns, int64_t run_ns, uint64_t trace,
-                       bool from_cache) {
-  JobResult result;
-  result.id = id;
-  result.action = action;
-  result.state = state;
-  result.status = status;
-  if (state == JobState::kDone) {
-    result.risk = risk;
-    result.anonymize = anonymize;
-  }
-  result.queue_seconds = queue_seconds;
-  result.run_seconds = run_seconds;
-  result.queued_ns = queued_ns;
-  result.run_ns = run_ns;
-  result.trace = trace;
-  result.from_cache = from_cache;
-  return result;
-}
-
-bool IsTerminal(JobState state) {
-  return state == JobState::kDone || state == JobState::kFailed ||
-         state == JobState::kCancelled || state == JobState::kExpired;
-}
-
-}  // namespace
 
 Result<JobResult> JobScheduler::Peek(uint64_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -286,10 +235,7 @@ Result<JobResult> JobScheduler::Peek(uint64_t id) const {
   if (it == jobs_.end()) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
-  const Job& job = *it->second;
-  return MakeSnapshot(id, job.request.action, job.state, job.status, job.risk,
-                      job.anonymize, job.queue_seconds, job.run_seconds,
-                      job.queued_ns, job.run_ns, job.trace, job.from_cache);
+  return it->second->result;
 }
 
 Result<JobResult> JobScheduler::Wait(uint64_t id) {
@@ -299,11 +245,8 @@ Result<JobResult> JobScheduler::Wait(uint64_t id) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
   std::shared_ptr<Job> job = it->second;
-  done_cv_.wait(lock, [&] { return IsTerminal(job->state); });
-  return MakeSnapshot(id, job->request.action, job->state, job->status,
-                      job->risk, job->anonymize, job->queue_seconds,
-                      job->run_seconds, job->queued_ns, job->run_ns,
-                      job->trace, job->from_cache);
+  done_cv_.wait(lock, [&] { return IsTerminal(job->result.state); });
+  return job->result;
 }
 
 Status JobScheduler::Cancel(uint64_t id) {
@@ -314,15 +257,15 @@ Status JobScheduler::Cancel(uint64_t id) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
   Job* job = it->second.get();
-  if (job->state == JobState::kQueued) {
+  if (job->result.state == JobState::kQueued) {
     shards_[job->shard]->queue.erase(
-        std::make_pair(-job->options.priority, job->id));
+        std::make_pair(-job->options.priority, job->result.id));
     UpdateDepthGaugesLocked(job->shard);
     released = FinishLocked(job, JobState::kCancelled,
                             Status::Cancelled("cancelled while queued"));
     return Status::OK();
   }
-  if (job->state == JobState::kRunning) {
+  if (job->result.state == JobState::kRunning) {
     job->cancel.Cancel();  // The job unwinds at its next iteration boundary.
   }
   return Status::OK();
@@ -372,7 +315,7 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
     }
     for (auto& [id, job] : jobs_) {
       (void)id;
-      if (job->state == JobState::kRunning) job->cancel.Cancel();
+      if (job->result.state == JobState::kRunning) job->cancel.Cancel();
     }
   }
   JoinThreadsLocked(&lock);
@@ -418,15 +361,16 @@ size_t JobScheduler::running_jobs() const {
 
 api::Session JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
   auto& meters = ServeMeters::Get();
+  JobResult& result = job->result;
   if (job->started == std::chrono::steady_clock::time_point{}) {
     // Never dequeued (cancelled/expired while queued): the whole lifetime
     // was queue wait.
     const auto now = std::chrono::steady_clock::now();
-    job->queue_seconds = SecondsBetween(job->submitted, now);
-    job->queued_ns = NsBetween(job->submitted, now);
+    result.queue_seconds = SecondsBetween(job->submitted, now);
+    result.queued_ns = NsBetween(job->submitted, now);
   }
-  job->state = state;
-  job->status = std::move(status);
+  result.state = state;
+  result.status = std::move(status);
   switch (state) {
     case JobState::kDone: meters.completed->Add(1); break;
     case JobState::kFailed: meters.failed->Add(1); break;
@@ -436,11 +380,11 @@ api::Session JobScheduler::FinishLocked(Job* job, JobState state, Status status)
   }
   if (options_.slow_log != nullptr) {
     obs::RequestLogEntry entry;
-    entry.trace_id = job->trace;
-    entry.op = job->request.action == JobAction::kRisk ? "risk" : "anonymize";
+    entry.trace_id = result.trace;
+    entry.op = result.action == JobAction::kRisk ? "risk" : "anonymize";
     entry.dataset = job->request.label;
-    entry.queue_ms = job->queue_seconds * 1e3;
-    entry.run_ms = job->run_seconds * 1e3;
+    entry.queue_ms = result.queue_seconds * 1e3;
+    entry.run_ms = result.run_seconds * 1e3;
     entry.outcome = JobStateToString(state);
     options_.slow_log->Record(entry);
   }
@@ -466,7 +410,7 @@ void JobScheduler::WatchdogLoop() {
     const auto now = std::chrono::steady_clock::now();
     for (auto& [id, job] : jobs_) {
       (void)id;
-      if (job->state != JobState::kRunning || job->watchdog_flagged) continue;
+      if (job->result.state != JobState::kRunning || job->watchdog_flagged) continue;
       if (job->options.timeout_seconds <= 0.0) continue;
       const double overdue_s =
           job->options.timeout_seconds * options_.watchdog_multiple;
@@ -478,11 +422,10 @@ void JobScheduler::WatchdogLoop() {
       meters.watchdog_flagged->Add(1);
       if (options_.slow_log != nullptr) {
         obs::RequestLogEntry entry;
-        entry.trace_id = job->trace;
-        entry.op =
-            job->request.action == JobAction::kRisk ? "risk" : "anonymize";
+        entry.trace_id = job->result.trace;
+        entry.op = job->result.action == JobAction::kRisk ? "risk" : "anonymize";
         entry.dataset = job->request.label;
-        entry.queue_ms = job->queue_seconds * 1e3;
+        entry.queue_ms = job->result.queue_seconds * 1e3;
         entry.run_ms = running_s * 1e3;
         entry.outcome = "overdue";
         options_.slow_log->Record(entry, /*force=*/true);
@@ -515,9 +458,9 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
       shard.queue.erase(it);
       UpdateDepthGaugesLocked(shard_index);
       job->started = std::chrono::steady_clock::now();
-      job->queue_seconds = SecondsBetween(job->submitted, job->started);
-      job->queued_ns = NsBetween(job->submitted, job->started);
-      meters.queue_wait_ms->Record(job->queue_seconds * 1e3);
+      job->result.queue_seconds = SecondsBetween(job->submitted, job->started);
+      job->result.queued_ns = NsBetween(job->submitted, job->started);
+      meters.queue_wait_ms->Record(job->result.queue_seconds * 1e3);
       if (!job->cancel.Check().ok()) {
         // Cancelled or expired while queued; never starts.
         const Status verdict = job->cancel.Check();
@@ -528,7 +471,7 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
                                 verdict);
         continue;
       }
-      job->state = JobState::kRunning;
+      job->result.state = JobState::kRunning;
       ++running_;
       meters.running->Set(static_cast<double>(running_));
     }
@@ -559,7 +502,7 @@ void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
   // Re-install the submitting request's trace id on the executor thread so
   // the job/warmup spans (and the ParallelFor shards under them) group with
   // the protocol spans of the same request in one trace.
-  obs::ScopedTraceId trace_scope(job->trace);
+  obs::ScopedTraceId trace_scope(job->result.trace);
   obs::EmitSpan("serve.queue_wait", ToTraceNs(job->submitted),
                 ToTraceNs(job->started));
   obs::Span span("serve.job");
@@ -576,52 +519,39 @@ void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
     if (run_fp->armed()) verdict = run_fp->Eval();
     if (verdict.ok()) verdict = job->cancel.Check();
   }
-  api::RiskReport risk;
-  api::AnonymizeResponse anonymize;
+  // The job's one encoding, outside the scheduler lock: the cache, the job
+  // and every reader share these bytes. A failed job has no payload and never
+  // fills — the cache only ever holds what a cold run produced successfully.
+  std::shared_ptr<const std::string> payload;
+  const auto encode = [&](const auto& result) {
+    if (result.ok()) {
+      payload = std::make_shared<const std::string>(EncodeResult(*result));
+    } else {
+      verdict = result.status();
+    }
+  };
   if (verdict.ok()) {
     if (job->request.action == JobAction::kRisk) {
-      auto result = job->request.session.Risk(job->request.quantile,
-                                              job->request.explain);
-      if (result.ok()) {
-        risk = std::move(*result);
-      } else {
-        verdict = result.status();
-      }
+      encode(job->request.session.Risk(job->request.quantile, job->request.explain));
     } else {
       api::AnonymizeRequest anonymize_request;
       anonymize_request.cancel = &job->cancel;
-      auto result = job->request.session.Anonymize(anonymize_request);
-      if (result.ok()) {
-        anonymize = std::move(*result);
-      } else {
-        verdict = result.status();
-      }
+      encode(job->request.session.Anonymize(anonymize_request));
     }
   }
-
-  // Fill the cache before taking the scheduler lock: ApproxResultBytes
-  // serializes the payload for the byte accounting and must not stall other
-  // workers. A failed job never fills — the cache only ever holds payloads a
-  // cold run produced successfully.
   if (verdict.ok() && options_.result_cache != nullptr &&
       !job->request.cache_key.empty()) {
-    CachedResult entry;
-    entry.action = job->request.action;
-    entry.risk = risk;
-    entry.anonymize = anonymize;
-    options_.result_cache->Put(job->request.cache_key, job->request.label,
-                               std::move(entry));
+    options_.result_cache->Put(job->request.cache_key, job->request.label, payload);
   }
 
   api::Session released;  // Destroyed after the lock is dropped.
   std::lock_guard<std::mutex> lock(mutex_);
   const auto finished = std::chrono::steady_clock::now();
-  job->run_seconds = SecondsBetween(job->started, finished);
-  job->run_ns = NsBetween(job->started, finished);
-  meters.job_ms->Record(job->run_seconds * 1e3);
+  job->result.run_seconds = SecondsBetween(job->started, finished);
+  job->result.run_ns = NsBetween(job->started, finished);
+  meters.job_ms->Record(job->result.run_seconds * 1e3);
   if (verdict.ok()) {
-    job->risk = std::move(risk);
-    job->anonymize = std::move(anonymize);
+    job->result.payload = std::move(payload);
     released = FinishLocked(job.get(), JobState::kDone, Status::OK());
   } else if (verdict.code() == StatusCode::kCancelled) {
     released = FinishLocked(job.get(), JobState::kCancelled, verdict);

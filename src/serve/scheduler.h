@@ -74,14 +74,17 @@ struct JobOptions {
   std::shared_ptr<std::atomic<int64_t>> quota_slot;
 };
 
-/// Terminal snapshot of a job.
+/// A job's state and outcome; Peek and Wait hand out copies.
 struct JobResult {
   uint64_t id = 0;
   JobAction action = JobAction::kAnonymize;
   JobState state = JobState::kQueued;
   Status status;  ///< Failure/cancel reason; OK for kDone.
-  api::RiskReport risk;            ///< kRisk jobs.
-  api::AnonymizeResponse anonymize;  ///< kAnonymize jobs.
+  /// kDone only: the JSON members of the job's `result` line
+  /// (serve/result_cache.h EncodeResult), encoded once when the job
+  /// completed. Immutable; the job, the result cache and every copy of this
+  /// struct share the one string.
+  std::shared_ptr<const std::string> payload;
   double queue_seconds = 0.0;
   double run_seconds = 0.0;
   /// Integer-nanosecond spellings of the phases above (protocol timing
@@ -152,10 +155,8 @@ class JobScheduler {
   /// scheduler is shutting down). Never blocks on a full queue.
   Result<uint64_t> Submit(JobRequest request, JobOptions options = {});
 
-  /// Current state; NotFound for unknown ids.
-  Result<JobState> State(uint64_t id) const;
-
-  /// Non-blocking snapshot (results only populated in terminal states).
+  /// Non-blocking snapshot of the job's state and timings (the payload is set
+  /// only once it is kDone); NotFound for unknown ids.
   Result<JobResult> Peek(uint64_t id) const;
 
   /// Blocks until the job reaches a terminal state; returns the snapshot.

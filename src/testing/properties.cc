@@ -235,22 +235,19 @@ Status EvalServeConcurrentBitIdentical(const ReproCase& repro) {
     return j % 2 == 1 ? serve::JobAction::kRisk : serve::JobAction::kAnonymize;
   };
 
-  // References: sequential facade calls on a single library thread.
-  struct Reference {
-    std::string csv;
-    std::vector<double> risks;
-  };
+  // References: sequential facade calls on a single library thread, encoded
+  // as the scheduler encodes a done job's payload.
   const size_t previous = ThreadPool::SetGlobalThreads(1);
   auto run = [&]() -> Status {
-    std::vector<Reference> expected(njobs);
+    std::vector<std::string> expected(njobs);
     for (size_t j = 0; j < njobs; ++j) {
       if (action_for(j) == serve::JobAction::kRisk) {
         VADASA_ASSIGN_OR_RETURN(const api::RiskReport report, session.Risk());
-        expected[j].risks = report.tuple_risks;
+        expected[j] = serve::EncodeResult(report);
       } else {
         VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse response,
                                 session.Anonymize());
-        expected[j].csv = WriteCsv(response.table.ToCsv());
+        expected[j] = serve::EncodeResult(response);
       }
     }
 
@@ -265,6 +262,7 @@ Status EvalServeConcurrentBitIdentical(const ReproCase& repro) {
       serve::JobRequest request;
       request.session = session;
       request.action = action_for(j);
+      request.explain = true;  // As the reference's Session::Risk().
       VADASA_ASSIGN_OR_RETURN(ids[j], scheduler.Submit(std::move(request)));
     }
     for (size_t j = 0; j < njobs; ++j) {
@@ -276,19 +274,11 @@ Status EvalServeConcurrentBitIdentical(const ReproCase& repro) {
             serve::JobStateToString(result.state) + ": " +
             result.status.ToString());
       }
-      if (action_for(j) == serve::JobAction::kRisk) {
-        if (result.risk.tuple_risks != expected[j].risks) {
-          return Status::FailedPrecondition(
-              "job " + std::to_string(j) +
-              ": scheduler risks differ from the sequential facade call");
-        }
-      } else {
-        const std::string csv = WriteCsv(result.anonymize.table.ToCsv());
-        if (csv != expected[j].csv) {
-          return Status::FailedPrecondition(
-              "job " + std::to_string(j) +
-              ": scheduler release is not byte-identical to the facade call");
-        }
+      if (*result.payload != expected[j]) {
+        return Status::FailedPrecondition(
+            "job " + std::to_string(j) + ": scheduler " +
+            (action_for(j) == serve::JobAction::kRisk ? "risk report" : "release") +
+            " is not byte-identical to the sequential facade call");
       }
     }
     scheduler.Shutdown(/*drain=*/true);
@@ -714,6 +704,7 @@ Status CheckServedDeltaChain(const api::SessionOptions& options,
       VADASA_ASSIGN_OR_RETURN(request.session,
                               registry.OpenSession("delta-mem", options));
       request.action = j % 2 == 0 ? serve::JobAction::kRisk : serve::JobAction::kAnonymize;
+      request.explain = true;  // As the cold session's Risk().
       VADASA_ASSIGN_OR_RETURN(const uint64_t id, scheduler.Submit(std::move(request)));
       ids.push_back(id);
     }
@@ -721,6 +712,8 @@ Status CheckServedDeltaChain(const api::SessionOptions& options,
                             api::Session::FromShared(version->table, nullptr, options));
     VADASA_ASSIGN_OR_RETURN(const api::RiskReport risk, cold.Risk());
     VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse release, cold.Anonymize());
+    const std::string risk_payload = serve::EncodeResult(risk);
+    const std::string release_payload = serve::EncodeResult(release);
     for (const uint64_t id : ids) {
       VADASA_ASSIGN_OR_RETURN(const serve::JobResult result, scheduler.Wait(id));
       if (result.state != serve::JobState::kDone) {
@@ -729,13 +722,11 @@ Status CheckServedDeltaChain(const api::SessionOptions& options,
                                           ": " + result.status.ToString());
       }
       if (result.action == serve::JobAction::kRisk) {
-        if (result.risk.tuple_risks != risk.tuple_risks) {
+        if (*result.payload != risk_payload) {
           return Status::FailedPrecondition(
               at + ": served risks differ from the cold session's");
         }
-      } else if (WriteCsv(result.anonymize.table.ToCsv()) !=
-                     WriteCsv(release.table.ToCsv()) ||
-                 result.anonymize.ToText() != release.ToText()) {
+      } else if (*result.payload != release_payload) {
         return Status::FailedPrecondition(
             at + ": served release is not byte-identical to the cold session's");
       }

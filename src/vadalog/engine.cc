@@ -604,6 +604,7 @@ class Evaluator {
         ActionContext ctx(db_, &emitted);
         VADASA_RETURN_NOT_OK((*fn)(pa.args, &ctx));
         ++stats_.action_invocations;
+        stats_.nulls_created += ctx.nulls_created();
         for (auto& [pred, row] : emitted) {
           if (db_->size() >= options_.max_facts) {
             return Status::LimitExceeded("chase exceeded max_facts");

@@ -39,6 +39,8 @@ struct EngineOptions {
 struct RunStats {
   size_t rounds = 0;
   size_t facts_derived = 0;
+  /// Labelled nulls created: existential head variables plus the nulls
+  /// external actions allocate (ActionContext::FreshNull).
   size_t nulls_created = 0;
   size_t egd_substitutions = 0;
   size_t action_invocations = 0;

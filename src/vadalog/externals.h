@@ -40,12 +40,19 @@ class ActionContext {
     emitted_->emplace_back(std::move(predicate), std::move(row));
   }
 
-  /// Allocates a fresh labelled null (e.g. for local suppression).
-  Value FreshNull() { return Value::Null(db_->FreshNullLabel()); }
+  /// Allocates a fresh labelled null (e.g. for local suppression); the engine
+  /// counts it in RunStats::nulls_created.
+  Value FreshNull() {
+    ++nulls_created_;
+    return Value::Null(db_->FreshNullLabel());
+  }
+
+  size_t nulls_created() const { return nulls_created_; }
 
  private:
   Database* db_;
   std::vector<std::pair<std::string, std::vector<Value>>>* emitted_;
+  size_t nulls_created_ = 0;
 };
 
 /// An external action `#name(...)` usable in rule heads — the paper's

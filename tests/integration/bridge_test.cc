@@ -76,6 +76,21 @@ TEST(BridgeTest, DeclarativeAndNativeCyclesAgreeOnRiskyRows) {
   }
 }
 
+/// #anonymize suppresses with nulls it allocates through the action context;
+/// the run counts them, so a release with risky rows reports at least as many
+/// created nulls as it carries (the input has none).
+TEST(BridgeTest, DeclarativeCycleCountsTheNullsItsActionsCreate) {
+  const MicrodataTable input =
+      GenerateInflationGrowth("bridge", 120, 4, DistributionKind::kVeryUnbalanced, 9);
+  ASSERT_EQ(input.CountNullCells(), 0u);
+  vadalog::RunStats stats;
+  auto out = VadalogBridge().RunDeclarativeCycle(input, nullptr, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_GT(out->CountNullCells(), 0u) << "no risky rows to suppress";
+  EXPECT_GE(stats.nulls_created, out->CountNullCells());
+  EXPECT_LE(stats.nulls_created, stats.action_invocations);
+}
+
 /// The externals group through GroupIndex, so under =⊥ the declarative
 /// cycle has the native cycle's quasi-identifier limit (ValidateQiWidth);
 /// standard semantics has none. Unsupported measures are refused up front.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/csv.h"
 #include "common/json.h"
 #include "core/datagen.h"
 #include "serve/result_cache.h"
@@ -22,6 +25,36 @@ class ProtocolTest : public ::testing::Test {
     return parsed.ok() ? *parsed : Json();
   }
 
+  /// Submits `submit`, then checks the job's `result` line: it carries the
+  /// `payload` bytes verbatim, and parses to exactly the envelope's members
+  /// plus the payload's, each payload member equal to its encoding. Returns
+  /// the parsed line.
+  Json ExpectResultCarries(const std::string& submit, const std::string& payload) {
+    const Json submitted = Call(submit);
+    EXPECT_TRUE(submitted.GetBool("ok", false)) << submitted.Dump();
+    bool shutdown = false;
+    const std::string line = protocol_.Handle(
+        R"({"op":"result","id":)" + std::to_string(submitted.GetInt("id", 0)) + "}",
+        &shutdown);
+    EXPECT_NE(line.find(payload), std::string::npos);
+    auto result = Json::Parse(line);
+    auto members = Json::Parse("{" + payload + "}");
+    EXPECT_TRUE(result.ok() && members.ok()) << line;
+    if (!result.ok() || !members.ok()) return Json();
+    EXPECT_EQ(result->GetString("state", ""), "done") << line;
+    std::set<std::string> want = {"ok", "v", "trace_id", "id", "state",
+                                  "queue_seconds", "run_seconds", "queued_ns",
+                                  "run_ns", "job_trace_id", "cached"};
+    for (const auto& [key, value] : members->AsObject()) {
+      EXPECT_TRUE(want.insert(key).second) << key << " repeats an envelope member";
+      EXPECT_EQ((*result)[key].Dump(), value.Dump()) << key;
+    }
+    std::set<std::string> got;
+    for (const auto& [key, value] : result->AsObject()) got.insert(key);
+    EXPECT_EQ(got, want);
+    return *result;
+  }
+
   DatasetRegistry registry_;
   JobScheduler scheduler_;
   Protocol protocol_;
@@ -36,29 +69,26 @@ TEST_F(ProtocolTest, PingAndDatasets) {
 }
 
 TEST_F(ProtocolTest, SubmitRiskRoundTrip) {
-  const Json submitted =
-      Call(R"({"op":"submit","dataset":"fig5","action":"risk","k":2,"explain":true})");
-  ASSERT_TRUE(submitted.GetBool("ok", false)) << submitted.Dump();
-  const int64_t id = submitted.GetInt("id", -1);
-  ASSERT_GT(id, 0);
-  const Json result =
-      Call(std::string(R"({"op":"result","id":)") + std::to_string(id) + "}");
-  ASSERT_TRUE(result.GetBool("ok", false)) << result.Dump();
-  EXPECT_EQ(result.GetString("state", ""), "done");
+  auto session = registry_.OpenSession("fig5", {});
+  ASSERT_TRUE(session.ok());
+  auto direct = session->Risk(/*quantile=*/-1.0, /*explain=*/true);
+  ASSERT_TRUE(direct.ok());
+  const Json result = ExpectResultCarries(
+      R"({"op":"submit","dataset":"fig5","action":"risk","k":2,"explain":true})",
+      EncodeResult(*direct));
   EXPECT_EQ(result["risk"]["tuple_risks"].AsArray().size(), 7u);
   EXPECT_TRUE(result["risk"].Has("global"));
 }
 
 TEST_F(ProtocolTest, SubmitAnonymizeReturnsCsvAndAudit) {
-  const Json submitted =
-      Call(R"({"op":"submit","dataset":"fig5","action":"anonymize"})");
-  ASSERT_TRUE(submitted.GetBool("ok", false));
-  const Json result = Call(std::string(R"({"op":"result","id":)") +
-                           std::to_string(submitted.GetInt("id", 0)) + "}");
-  ASSERT_TRUE(result.GetBool("ok", false)) << result.Dump();
-  EXPECT_EQ(result.GetString("state", ""), "done");
-  EXPECT_NE(result.GetString("csv", "").find('\n'), std::string::npos);
-  EXPECT_FALSE(result.GetString("audit", "").empty());
+  auto session = registry_.OpenSession("fig5", {});
+  ASSERT_TRUE(session.ok());
+  auto direct = session->Anonymize();
+  ASSERT_TRUE(direct.ok());
+  const Json result = ExpectResultCarries(
+      R"({"op":"submit","dataset":"fig5","action":"anonymize"})", EncodeResult(*direct));
+  EXPECT_EQ(result.GetString("csv", ""), WriteCsv(direct->table.ToCsv()));
+  EXPECT_EQ(result.GetString("audit", ""), direct->ToText());
 }
 
 TEST_F(ProtocolTest, StatusReportsTerminalState) {
@@ -69,6 +99,9 @@ TEST_F(ProtocolTest, StatusReportsTerminalState) {
   const Json status = Call(R"({"op":"status","id":)" + id + "}");
   ASSERT_TRUE(status.GetBool("ok", false));
   EXPECT_EQ(status.GetString("state", ""), "done");
+  // The state and the timings come from one snapshot of the job.
+  EXPECT_GT(status.GetInt("run_ns", 0), 0);
+  EXPECT_FALSE(status.Has("risk")) << "status carries no payload";
 }
 
 TEST_F(ProtocolTest, ErrorsAreStructured) {

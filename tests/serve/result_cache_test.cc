@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,12 +31,9 @@ uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().counter(name)->value();
 }
 
-/// A risk payload whose ApproxResultBytes is exactly 128 + 8 * doubles.
-CachedResult RiskResult(size_t doubles, double fill = 0.5) {
-  CachedResult result;
-  result.action = JobAction::kRisk;
-  result.risk.tuple_risks.assign(doubles, fill);
-  return result;
+/// A payload of `size` copies of `fill`.
+std::shared_ptr<const std::string> Bytes(size_t size, char fill = 'x') {
+  return std::make_shared<const std::string>(size, fill);
 }
 
 class ResultCacheTest : public ::testing::Test {
@@ -143,48 +141,59 @@ TEST_F(ResultCacheTest, CacheKeyPrefixesTheHexFingerprint) {
 }
 
 // --- LRU + byte budget ------------------------------------------------------
+//
+// An entry costs its payload's size plus its key's, so bytes() is the sum of
+// both over the live entries after every put, refresh, eviction and
+// invalidation.
 
 TEST_F(ResultCacheTest, EvictsLeastRecentlyUsedFirst) {
-  // Three 193-byte entries fit a 600-byte budget; a fourth forces one
-  // eviction. Each key is one byte: cost = 128 + 8*8 + 1 = 193.
+  // Three 193-byte entries (a 192-byte payload under a one-byte key) fit a
+  // 600-byte budget; a fourth forces one eviction.
   ResultCacheOptions options;
   options.byte_budget = 600;
   ResultCache cache(options);
-  const size_t cost = 128 + 8 * 8 + 1;
+  const size_t cost = 192 + 1;
+  const auto a = Bytes(192, 'a');
 
-  cache.Put("a", "ds", RiskResult(8, 0.1));
-  cache.Put("b", "ds", RiskResult(8, 0.2));
-  cache.Put("c", "ds", RiskResult(8, 0.3));
+  cache.Put("a", "ds", a);
+  cache.Put("b", "ds", Bytes(192, 'b'));
+  cache.Put("c", "ds", Bytes(192, 'c'));
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.bytes(), 3 * cost);
 
-  // Touch "a": "b" becomes the coldest entry and must be the victim.
-  CachedResult out;
-  ASSERT_TRUE(cache.Get("a", &out));
-  EXPECT_EQ(out.risk.tuple_risks[0], 0.1);
+  // Touch "a": "b" becomes the coldest entry and must be the victim. A hit
+  // hands out the stored string itself.
+  EXPECT_EQ(cache.Get("a"), a);
 
   const uint64_t evictions_before = CounterValue("serve.cache.evictions");
-  cache.Put("d", "ds", RiskResult(8, 0.4));
+  cache.Put("d", "ds", Bytes(192, 'd'));
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.bytes(), 3 * cost);
   EXPECT_EQ(CounterValue("serve.cache.evictions") - evictions_before, 1u);
-  EXPECT_FALSE(cache.Get("b", &out));
-  EXPECT_TRUE(cache.Get("a", &out));
-  EXPECT_TRUE(cache.Get("c", &out));
-  EXPECT_TRUE(cache.Get("d", &out));
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_EQ(cache.Get("a"), a);
+  EXPECT_EQ(*cache.Get("c"), std::string(192, 'c'));
+  EXPECT_EQ(*cache.Get("d"), std::string(192, 'd'));
+
+  // Evicting by size: a 401-byte entry pushes out the two coldest, "a" and
+  // "c" (the reads above left "d" the most recently used).
+  cache.Put("e", "ds", Bytes(400, 'e'));
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.bytes(), cost + 400 + 1);
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("c"), nullptr);
+  EXPECT_NE(cache.Get("d"), nullptr);
 }
 
 TEST_F(ResultCacheTest, RefreshingAKeyReplacesItsBytesNotItsCount) {
   ResultCache cache;
-  cache.Put("k", "ds", RiskResult(8, 0.1));
-  const size_t small = cache.bytes();
-  cache.Put("k", "ds", RiskResult(64, 0.2));
+  cache.Put("k", "ds", Bytes(8, '1'));
+  EXPECT_EQ(cache.bytes(), 8u + 1);
+  const auto refreshed = Bytes(64, '2');
+  cache.Put("k", "ds", refreshed);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.bytes(), small + (64 - 8) * 8);
-  CachedResult out;
-  ASSERT_TRUE(cache.Get("k", &out));
-  EXPECT_EQ(out.risk.tuple_risks.size(), 64u);
-  EXPECT_EQ(out.risk.tuple_risks[0], 0.2);
+  EXPECT_EQ(cache.bytes(), 64u + 1);
+  EXPECT_EQ(cache.Get("k"), refreshed);
 }
 
 TEST_F(ResultCacheTest, OneOversizedEntryIsStillAdmitted) {
@@ -194,32 +203,33 @@ TEST_F(ResultCacheTest, OneOversizedEntryIsStillAdmitted) {
   ResultCacheOptions options;
   options.byte_budget = 64;
   ResultCache cache(options);
-  cache.Put("big", "ds", RiskResult(512));
+  cache.Put("big", "ds", Bytes(4096));
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_GT(cache.bytes(), options.byte_budget);
-  cache.Put("next", "ds", RiskResult(512));
+  EXPECT_EQ(cache.bytes(), 4096u + 3);
+  cache.Put("next", "ds", Bytes(4096));
   EXPECT_EQ(cache.entries(), 1u);
-  CachedResult out;
-  EXPECT_FALSE(cache.Get("big", &out));
-  EXPECT_TRUE(cache.Get("next", &out));
+  EXPECT_EQ(cache.bytes(), 4096u + 4);
+  EXPECT_EQ(cache.Get("big"), nullptr);
+  EXPECT_NE(cache.Get("next"), nullptr);
 }
 
 // --- Invalidation -----------------------------------------------------------
 
 TEST_F(ResultCacheTest, InvalidateDatasetDropsOnlyThatDatasetsEntries) {
   ResultCache cache;
-  cache.Put("k1", "alpha", RiskResult(4));
-  cache.Put("k2", "alpha", RiskResult(4));
-  cache.Put("k3", "beta", RiskResult(4));
+  cache.Put("k1", "alpha", Bytes(4));
+  cache.Put("k2", "alpha", Bytes(5));
+  cache.Put("k3", "beta", Bytes(6));
+  EXPECT_EQ(cache.bytes(), (4u + 2) + (5 + 2) + (6 + 2));
   const uint64_t invalidations_before =
       CounterValue("serve.cache.invalidations");
   cache.InvalidateDataset("alpha");
   EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.bytes(), 6u + 2);
   EXPECT_EQ(CounterValue("serve.cache.invalidations") - invalidations_before,
             2u);
-  CachedResult out;
-  EXPECT_FALSE(cache.Get("k1", &out));
-  EXPECT_TRUE(cache.Get("k3", &out));
+  EXPECT_EQ(cache.Get("k1"), nullptr);
+  EXPECT_NE(cache.Get("k3"), nullptr);
 
   cache.InvalidateAll();
   EXPECT_EQ(cache.entries(), 0u);
@@ -237,8 +247,8 @@ TEST_F(ResultCacheTest, RegistryQuarantineInvalidatesTheDatasetsEntries) {
   DatasetRegistry registry;
   registry.set_result_cache(&cache);
   registry.set_quarantine_after(2);
-  cache.Put("stale|policy", csv_path, RiskResult(4));
-  cache.Put("other|policy", "unrelated", RiskResult(4));
+  cache.Put("stale|policy", csv_path, Bytes(4));
+  cache.Put("other|policy", "unrelated", Bytes(4));
 
   ASSERT_TRUE(failpoint::ArmFromSpec("serve.registry.load=error(io)").ok());
   EXPECT_FALSE(registry.Load(csv_path).ok());
@@ -248,9 +258,9 @@ TEST_F(ResultCacheTest, RegistryQuarantineInvalidatesTheDatasetsEntries) {
 
   // The quarantine transition dropped the poisoned dataset's entries and
   // nothing else.
-  CachedResult out;
-  EXPECT_FALSE(cache.Get("stale|policy", &out));
-  EXPECT_TRUE(cache.Get("other|policy", &out));
+  EXPECT_EQ(cache.Get("stale|policy"), nullptr);
+  EXPECT_NE(cache.Get("other|policy"), nullptr);
+  EXPECT_EQ(cache.bytes(), 4u + std::string("other|policy").size());
   std::remove(csv_path.c_str());
 }
 
@@ -263,16 +273,14 @@ TEST_F(ResultCacheTest, SlowFillNeverServesAPartialEntry) {
   ResultCache cache;
   std::atomic<bool> done{false};
   std::thread filler([&] {
-    cache.Put("hot", "ds", RiskResult(256, 0.25));
+    cache.Put("hot", "ds", Bytes(256, 'h'));
     done.store(true);
   });
   size_t hits = 0;
   for (;;) {
-    CachedResult out;
-    if (cache.Get("hot", &out)) {
+    if (const auto out = cache.Get("hot")) {
       ++hits;
-      ASSERT_EQ(out.risk.tuple_risks.size(), 256u);
-      for (double r : out.risk.tuple_risks) ASSERT_EQ(r, 0.25);
+      ASSERT_EQ(*out, std::string(256, 'h'));
     }
     if (done.load() && hits > 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -284,15 +292,15 @@ TEST_F(ResultCacheTest, SlowFillNeverServesAPartialEntry) {
 TEST_F(ResultCacheTest, InjectedFillFailureDropsTheFillNotTheCache) {
   ASSERT_TRUE(failpoint::ArmFromSpec("serve.cache.fill=error").ok());
   ResultCache cache;
-  cache.Put("dropped", "ds", RiskResult(8));
+  cache.Put("dropped", "ds", Bytes(8));
   EXPECT_EQ(cache.entries(), 0u);
-  CachedResult out;
-  EXPECT_FALSE(cache.Get("dropped", &out));
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.Get("dropped"), nullptr);
 
   // The cache itself stays healthy once the fault clears.
   failpoint::DisarmAll();
-  cache.Put("kept", "ds", RiskResult(8));
-  EXPECT_TRUE(cache.Get("kept", &out));
+  cache.Put("kept", "ds", Bytes(8));
+  EXPECT_NE(cache.Get("kept"), nullptr);
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/csv.h"
 #include "core/datagen.h"
 #include "core/delta.h"
 #include "obs/metrics.h"
 #include "serve/dataset_registry.h"
+#include "serve/result_cache.h"
 
 namespace vadasa::serve {
 namespace {
@@ -39,6 +39,19 @@ JobRequest AnonJob(api::Session session) {
   return request;
 }
 
+/// The payloads of the direct facade calls a RiskJob / AnonJob makes.
+std::string DirectRisk(const api::Session& session = Fig5Session()) {
+  auto report = session.Risk(/*quantile=*/-1.0, /*explain=*/false);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? EncodeResult(*report) : "";
+}
+
+std::string DirectRelease() {
+  auto response = Fig5Session().Anonymize();
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? EncodeResult(*response) : "";
+}
+
 TEST(JobSchedulerTest, RunsRiskAndAnonymizeJobs) {
   JobScheduler scheduler;
   auto risk_id = scheduler.Submit(RiskJob(Fig5Session()));
@@ -50,17 +63,14 @@ TEST(JobSchedulerTest, RunsRiskAndAnonymizeJobs) {
   ASSERT_TRUE(risk.ok());
   EXPECT_EQ(risk->state, JobState::kDone);
   EXPECT_TRUE(risk->status.ok());
-  auto direct = Fig5Session().Risk();
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(risk->risk.tuple_risks, direct->tuple_risks);
+  ASSERT_NE(risk->payload, nullptr);
+  EXPECT_EQ(*risk->payload, DirectRisk());
 
   auto anon = scheduler.Wait(*anon_id);
   ASSERT_TRUE(anon.ok());
   EXPECT_EQ(anon->state, JobState::kDone);
-  auto direct_anon = Fig5Session().Anonymize();
-  ASSERT_TRUE(direct_anon.ok());
-  EXPECT_EQ(WriteCsv(anon->anonymize.table.ToCsv()),
-            WriteCsv(direct_anon->table.ToCsv()));
+  ASSERT_NE(anon->payload, nullptr);
+  EXPECT_EQ(*anon->payload, DirectRelease());
 }
 
 TEST(JobSchedulerTest, SaturationRejectsInsteadOfBlocking) {
@@ -111,7 +121,8 @@ TEST(JobSchedulerTest, ShutdownDrainsQueuedJobs) {
     auto result = scheduler.Peek(id);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->state, JobState::kDone) << "job " << id;
-    EXPECT_GT(result->anonymize.table.num_rows(), 0u);
+    ASSERT_NE(result->payload, nullptr);
+    EXPECT_EQ(*result->payload, DirectRelease());
   }
   EXPECT_EQ(scheduler.queue_depth(), 0u);
 }
@@ -127,6 +138,7 @@ TEST(JobSchedulerTest, ShutdownWithoutDrainCancelsQueuedJobs) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->state, JobState::kCancelled);
   EXPECT_EQ(result->status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(result->payload, nullptr);
 }
 
 TEST(JobSchedulerTest, SubmitAfterShutdownIsRejected) {
@@ -165,6 +177,7 @@ TEST(JobSchedulerTest, QueuedDeadlineExpires) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->state, JobState::kExpired);
   EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(result->payload, nullptr);
 }
 
 TEST(JobSchedulerTest, PriorityRunsFirstOnASingleWorker) {
@@ -195,7 +208,6 @@ TEST(JobSchedulerTest, PriorityRunsFirstOnASingleWorker) {
 
 TEST(JobSchedulerTest, UnknownIdsReportNotFound) {
   JobScheduler scheduler;
-  EXPECT_EQ(scheduler.State(42).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(scheduler.Peek(42).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(scheduler.Wait(42).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(scheduler.Cancel(42).code(), StatusCode::kNotFound);
@@ -204,15 +216,10 @@ TEST(JobSchedulerTest, UnknownIdsReportNotFound) {
 TEST(JobSchedulerTest, ConcurrentJobsMatchSequentialFacadeCalls) {
   const int kJobs = 8;
   // Sequential reference.
-  std::vector<std::string> expected_csv;
-  std::vector<std::vector<double>> expected_risks;
+  std::vector<std::string> expected_release, expected_risk;
   for (int i = 0; i < kJobs; ++i) {
-    auto anon = Fig5Session().Anonymize();
-    ASSERT_TRUE(anon.ok());
-    expected_csv.push_back(WriteCsv(anon->table.ToCsv()));
-    auto risk = Fig5Session().Risk();
-    ASSERT_TRUE(risk.ok());
-    expected_risks.push_back(risk->tuple_risks);
+    expected_release.push_back(DirectRelease());
+    expected_risk.push_back(DirectRisk());
   }
   SchedulerOptions options;
   options.workers = 4;
@@ -230,11 +237,11 @@ TEST(JobSchedulerTest, ConcurrentJobsMatchSequentialFacadeCalls) {
     auto a = scheduler.Wait(anon_ids[i]);
     ASSERT_TRUE(a.ok());
     ASSERT_EQ(a->state, JobState::kDone) << a->status.ToString();
-    EXPECT_EQ(WriteCsv(a->anonymize.table.ToCsv()), expected_csv[i]);
+    EXPECT_EQ(*a->payload, expected_release[i]);
     auto r = scheduler.Wait(risk_ids[i]);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r->state, JobState::kDone);
-    EXPECT_EQ(r->risk.tuple_risks, expected_risks[i]);
+    EXPECT_EQ(*r->payload, expected_risk[i]);
   }
 }
 
@@ -256,8 +263,7 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
   options.workers = 4;
   options.start_paused = true;
   JobScheduler scheduler(options);
-  auto cold = Fig5Session().Risk();
-  ASSERT_TRUE(cold.ok());
+  const std::string cold = DirectRisk();
   const uint64_t warmups_before = warmups->value();
   const uint64_t partitions_before = partitions->value();
   std::vector<uint64_t> ids;
@@ -273,7 +279,7 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
     auto result = scheduler.Wait(id);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->state, JobState::kDone) << result->status.ToString();
-    EXPECT_EQ(result->risk.tuple_risks, cold->tuple_risks);
+    EXPECT_EQ(*result->payload, cold);
   }
   EXPECT_EQ(warmups->value() - warmups_before, 1u);
   EXPECT_EQ(partitions->value() - partitions_before, 1u);
@@ -303,9 +309,47 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
   EXPECT_EQ(partitions->value(), partitions_mid);
   auto reference = api::Session::FromTable(*(*next)->table, {});
   ASSERT_TRUE(reference.ok());
-  auto expected = reference->Risk();
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(result->risk.tuple_risks, expected->tuple_risks);
+  EXPECT_EQ(*result->payload, DirectRisk(*reference));
+}
+
+TEST(JobSchedulerTest, CacheHitSharesTheFilledBytes) {
+  obs::Gauge* cache_bytes = obs::MetricsRegistry::Global().gauge("serve.cache.bytes");
+  ResultCache cache;
+  SchedulerOptions options;
+  options.result_cache = &cache;
+  JobScheduler scheduler(options);
+  auto cached_release = [] {
+    JobRequest request = AnonJob(Fig5Session());
+    request.cache_key = "fig5|release";
+    return request;
+  };
+
+  auto fill_id = scheduler.Submit(cached_release());
+  ASSERT_TRUE(fill_id.ok());
+  auto fill = scheduler.Wait(*fill_id);
+  ASSERT_TRUE(fill.ok());
+  ASSERT_EQ(fill->state, JobState::kDone) << fill->status.ToString();
+  EXPECT_FALSE(fill->from_cache);
+  ASSERT_NE(fill->payload, nullptr);
+  EXPECT_EQ(*fill->payload, DirectRelease());
+  // The entry costs exactly its stored bytes plus its key.
+  EXPECT_EQ(cache.bytes(), fill->payload->size() + std::string("fig5|release").size());
+  const double bytes_after_fill = cache_bytes->value();
+
+  // The hit serves the very string the fill encoded: no copy, no re-encoding,
+  // and the cache holds no more bytes than before.
+  auto hit_id = scheduler.Submit(cached_release());
+  ASSERT_TRUE(hit_id.ok());
+  auto hit = scheduler.Wait(*hit_id);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->state, JobState::kDone);
+  EXPECT_TRUE(hit->from_cache);
+  EXPECT_EQ(hit->payload.get(), fill->payload.get());
+  EXPECT_EQ(cache_bytes->value(), bytes_after_fill);
+  // Every later read of either job shares it too.
+  auto peeked = scheduler.Peek(*fill_id);
+  ASSERT_TRUE(peeked.ok());
+  EXPECT_EQ(peeked->payload.get(), fill->payload.get());
 }
 
 TEST(JobSchedulerTest, MetricsCountOutcomes) {
