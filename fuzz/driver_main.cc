@@ -1,6 +1,7 @@
-// Fallback driver for fuzz_vadalog when libFuzzer is unavailable (the local
-// toolchain is g++): a deterministic seeded loop that feeds the fuzz entry
-// point with grammar-generated programs, token soup, and raw bytes.
+// Fallback driver for the fuzz targets when libFuzzer is unavailable (the
+// local toolchain is g++): a deterministic seeded loop that feeds the fuzz
+// entry point with the target's own SeededFuzzInput draws — generated
+// documents, near-valid noise and raw bytes.
 //
 //   VADASA_PROP_SEED    master seed (default 1)
 //   VADASA_FUZZ_ITERS   iterations (default 1000)
@@ -13,9 +14,11 @@
 #include <string>
 
 #include "common/random.h"
-#include "testing/generators.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
+
+// Supplied by each target: the input of seeded iteration `iteration`.
+std::string SeededFuzzInput(vadasa::Rng* rng, uint64_t iteration);
 
 namespace {
 
@@ -51,22 +54,8 @@ int main(int argc, char** argv) {
   const uint64_t seed = EnvU64("VADASA_PROP_SEED", 1);
   const uint64_t iters = EnvU64("VADASA_FUZZ_ITERS", 1000);
   vadasa::Rng rng(seed);
-  for (uint64_t i = 0; i < iters; ++i) {
-    // Rotate input classes so every run exercises grammar-valid programs,
-    // near-valid token streams, and raw noise.
-    switch (i % 3) {
-      case 0:
-        Feed(vadasa::testing::RandomVadalogProgram(&rng));
-        break;
-      case 1:
-        Feed(vadasa::testing::RandomTokenSoup(&rng));
-        break;
-      default:
-        Feed(vadasa::testing::RandomBytes(&rng));
-        break;
-    }
-  }
-  std::printf("fuzz_vadalog: %llu seeded iterations, seed %llu, no crash\n",
+  for (uint64_t i = 0; i < iters; ++i) Feed(SeededFuzzInput(&rng, i));
+  std::printf("%s: %llu seeded iterations, seed %llu, no crash\n", argv[0],
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(seed));
   return 0;

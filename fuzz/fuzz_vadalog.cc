@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/random.h"
+#include "testing/generators.h"
 #include "vadalog/database.h"
 #include "vadalog/engine.h"
 #include "vadalog/parser.h"
@@ -28,4 +30,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   vadasa::vadalog::Database db;
   (void)engine.Run(*program, &db);
   return 0;
+}
+
+// The seeded driver rotates input classes so every run exercises
+// grammar-valid programs, near-valid token streams, and raw noise.
+std::string SeededFuzzInput(vadasa::Rng* rng, uint64_t iteration) {
+  switch (iteration % 3) {
+    case 0:
+      return vadasa::testing::RandomVadalogProgram(rng);
+    case 1:
+      return vadasa::testing::RandomTokenSoup(rng);
+    default:
+      return vadasa::testing::RandomBytes(rng);
+  }
 }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/csv.h"
 #include "core/anonymize.h"
 #include "core/cycle.h"
 #include "core/vadalog_bridge.h"
@@ -84,9 +83,7 @@ std::string AnonymizeResponse::ToText() const {
 Result<Session> Session::Open(const std::string& csv_path, SessionOptions options) {
   VADASA_ASSIGN_OR_RETURN(SessionOptions validated,
                           ValidateSessionOptions(std::move(options)));
-  VADASA_ASSIGN_OR_RETURN(const CsvTable csv, ReadCsvFile(csv_path));
-  VADASA_ASSIGN_OR_RETURN(MicrodataTable table,
-                          MicrodataTable::FromCsv(csv_path, csv, {}, ""));
+  VADASA_ASSIGN_OR_RETURN(MicrodataTable table, MicrodataTable::LoadCsv(csv_path));
   core::AttributeCategorizer categorizer =
       core::AttributeCategorizer::WithDefaultExperience();
   auto dictionary = std::make_shared<core::MetadataDictionary>();

@@ -1,6 +1,7 @@
 #ifndef VADASA_COMMON_CSV_H_
 #define VADASA_COMMON_CSV_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +17,22 @@ struct CsvTable {
   std::vector<std::vector<std::string>> rows;
 };
 
+/// Reads the whole file at `path` with one read into a string sized from the
+/// file. IoError when it cannot be opened.
+Result<std::string> ReadTextFile(const std::string& path);
+
+/// Receives one scanned CSV record.
+using CsvRecordFn = std::function<Status(const std::vector<std::string>& fields)>;
+
+/// Scans a CSV document one record at a time under ParseCsv's rules:
+/// `on_header` sees the first record, `on_row` every later one except blank
+/// lines, and a row whose width differs from the header's stops the scan with
+/// ParseCsv's error. Both see the scanner's own field buffers, which keep
+/// their capacity from record to record, so a callback copies what it keeps.
+/// A callback's error stops the scan and is returned.
+Status ScanCsv(std::string_view text, const CsvRecordFn& on_header,
+               const CsvRecordFn& on_row);
+
 /// RFC-4180-ish CSV parsing: quoted fields with embedded commas, quotes
 /// doubled inside quoted fields, \r\n or \n row separators. The first row is
 /// the header. Rows whose width differs from the header are an error.
@@ -23,6 +40,17 @@ Result<CsvTable> ParseCsv(std::string_view text);
 
 /// Reads and parses a CSV file from disk.
 Result<CsvTable> ReadCsvFile(const std::string& path);
+
+/// Appends `field` as one CSV field, quoted when it holds a comma, a quote or
+/// a line break. WriteCsv and MicrodataTable's text writer both quote through
+/// it.
+void AppendCsvField(std::string* out, std::string_view field);
+
+/// Ends the data record that began at `record_start` in `out`. A record whose
+/// only field is empty would be a blank line, which ParseCsv skips; it is
+/// written as a quoted space instead, which CellToValue trims back to the
+/// empty string.
+void EndCsvRecord(std::string* out, size_t record_start);
 
 /// Serializes to CSV, quoting fields when needed.
 std::string WriteCsv(const CsvTable& table);
@@ -34,6 +62,13 @@ Status WriteCsvFile(const std::string& path, const CsvTable& table);
 /// token "NULL_k" (or "⊥_k") becomes a labelled null, everything else stays a
 /// string.
 Value CellToValue(std::string_view cell);
+
+/// Spells a value as a CSV cell, the way CellToValue reads it back: labelled
+/// nulls as "NULL_k", doubles with the fewest significant digits (at least 6)
+/// that parse back to the same double, everything else as Value::ToString.
+/// Returns a view of a string value's own payload, or of `*scratch`, where
+/// every other spelling is written.
+std::string_view ValueToCell(const Value& value, std::string* scratch);
 
 }  // namespace vadasa
 

@@ -29,22 +29,19 @@ const Json::Object& EmptyObject() {
   return *o;
 }
 
-/// Renders a double the way JSON expects: integers without a fraction,
-/// everything else with enough digits to round-trip.
-void AppendNumber(std::string* out, double d) {
-  if (!std::isfinite(d)) {  // JSON has no Inf/NaN; null is the least-wrong spelling.
-    *out += "null";
-    return;
+/// The escape JSON needs for `c`: 0 when it is written as is, 'u' when it
+/// needs a \uXXXX escape, else the letter after the backslash.
+char JsonEscape(char c) {
+  switch (c) {
+    case '"': return '"';
+    case '\\': return '\\';
+    case '\b': return 'b';
+    case '\f': return 'f';
+    case '\n': return 'n';
+    case '\r': return 'r';
+    case '\t': return 't';
+    default: return static_cast<unsigned char>(c) < 0x20 ? 'u' : 0;
   }
-  if (d == static_cast<double>(static_cast<int64_t>(d)) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    *out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  *out += buf;
 }
 
 void AppendUtf8(std::string* out, uint32_t cp) {
@@ -286,9 +283,9 @@ void DumpTo(const Json& value, std::string* out) {
   } else if (value.is_bool()) {
     *out += value.AsBool() ? "true" : "false";
   } else if (value.is_number()) {
-    AppendNumber(out, value.AsDouble());
+    AppendJsonNumber(out, value.AsDouble());
   } else if (value.is_string()) {
-    *out += JsonQuote(value.AsString());
+    AppendJsonQuoted(out, value.AsString());
   } else if (value.is_array()) {
     out->push_back('[');
     bool first = true;
@@ -304,7 +301,7 @@ void DumpTo(const Json& value, std::string* out) {
     for (const auto& [key, element] : value.AsObject()) {
       if (!first) out->push_back(',');
       first = false;
-      *out += JsonQuote(key);
+      AppendJsonQuoted(out, key);
       out->push_back(':');
       DumpTo(element, out);
     }
@@ -378,31 +375,57 @@ Result<Json> Json::Parse(const std::string& text) {
   return parser.ParseDocument();
 }
 
-std::string JsonQuote(const std::string& s) {
+std::string JsonQuote(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+  out.reserve(JsonQuotedSize(s));
+  AppendJsonQuoted(&out, s);
+  return out;
+}
+
+void AppendJsonQuoted(std::string* out, std::string_view s) {
+  out->push_back('"');
+  size_t run = 0;  // Start of the bytes not yet appended, all written as is.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char escape = JsonEscape(s[i]);
+    if (escape == 0) continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape == 'u') {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", s[i]);
+      out->append(buf);
+    } else {
+      out->push_back('\\');
+      out->push_back(escape);
     }
   }
-  out.push_back('"');
-  return out;
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
+}
+
+size_t JsonQuotedSize(std::string_view s) {
+  size_t size = 2;
+  for (const char c : s) {
+    const char escape = JsonEscape(c);
+    size += escape == 0 ? 1 : escape == 'u' ? 6 : 2;
+  }
+  return size;
+}
+
+void AppendJsonNumber(std::string* out, double d) {
+  if (!std::isfinite(d)) {  // JSON has no Inf/NaN; null is the least-wrong spelling.
+    *out += "null";
+    return;
+  }
+  if (d == static_cast<double>(static_cast<int64_t>(d)) && std::fabs(d) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    *out += buf;
+    return;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  *out += buf;
 }
 
 }  // namespace vadasa

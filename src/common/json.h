@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -78,7 +79,17 @@ class Json {
 };
 
 /// Escapes `s` into a double-quoted JSON string literal.
-std::string JsonQuote(const std::string& s);
+std::string JsonQuote(std::string_view s);
+
+/// Appends JsonQuote(s) to `out`.
+void AppendJsonQuoted(std::string* out, std::string_view s);
+
+/// JsonQuote(s).size(), counted without writing it.
+size_t JsonQuotedSize(std::string_view s);
+
+/// Appends a number as Json::Dump writes it: integers without a fraction,
+/// everything else with enough digits to round-trip, non-finite as null.
+void AppendJsonNumber(std::string* out, double d);
 
 }  // namespace vadasa
 

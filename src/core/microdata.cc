@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <optional>
 #include <sstream>
+
+#include "common/string_util.h"
 
 namespace vadasa::core {
 
@@ -28,12 +31,15 @@ Result<AttributeCategory> AttributeCategoryFromString(const std::string& s) {
   return Status::InvalidArgument("unknown attribute category: " + s);
 }
 
+Status MicrodataTable::CheckRowWidth(size_t cells) const {
+  if (cells == attributes_.size()) return Status::OK();
+  return Status::InvalidArgument("row has " + std::to_string(cells) +
+                                 " cells, schema has " +
+                                 std::to_string(attributes_.size()));
+}
+
 Status MicrodataTable::AddRow(std::vector<Value> row) {
-  if (row.size() != attributes_.size()) {
-    return Status::InvalidArgument("row has " + std::to_string(row.size()) +
-                                   " cells, schema has " +
-                                   std::to_string(attributes_.size()));
-  }
+  VADASA_RETURN_NOT_OK(CheckRowWidth(row.size()));
   rows_.push_back(std::make_shared<std::vector<Value>>(std::move(row)));
   return Status::OK();
 }
@@ -115,48 +121,135 @@ Status MicrodataTable::Validate() const {
   return Status::OK();
 }
 
+/// Loads CSV records into a table under FromCsv's rules. Every cell is read
+/// by CellToValue, but each column interns its strings: the trimmed cell text
+/// is looked up before anything is allocated, so a repeated value costs a
+/// refcount instead of a payload of its own. The intern tables live only as
+/// long as the load.
+class MicrodataTable::RowBuilder {
+ public:
+  RowBuilder(const std::string& name, const std::vector<std::string>& header,
+             const std::vector<std::string>& identifier_attributes,
+             const std::string& weight_attribute)
+      : table_(name, CsvSchema(header, identifier_attributes, weight_attribute)),
+        interned_(header.size()) {}
+
+  Status Add(const std::vector<std::string>& record) {
+    VADASA_RETURN_NOT_OK(table_.CheckRowWidth(record.size()));
+    auto row = std::make_shared<std::vector<Value>>();
+    row->reserve(record.size());
+    for (size_t c = 0; c < record.size(); ++c) row->push_back(Cell(c, record[c]));
+    table_.rows_.push_back(std::move(row));
+    return Status::OK();
+  }
+
+  Result<MicrodataTable> Finish() {
+    VADASA_RETURN_NOT_OK(table_.Validate());
+    return std::move(table_);
+  }
+
+ private:
+  static std::vector<Attribute> CsvSchema(
+      const std::vector<std::string>& header,
+      const std::vector<std::string>& identifier_attributes,
+      const std::string& weight_attribute) {
+    std::vector<Attribute> attrs;
+    for (const std::string& col : header) {
+      Attribute a;
+      a.name = col;
+      if (col == weight_attribute) {
+        a.category = AttributeCategory::kWeight;
+      } else if (std::find(identifier_attributes.begin(), identifier_attributes.end(),
+                           col) != identifier_attributes.end()) {
+        a.category = AttributeCategory::kIdentifier;
+      } else {
+        a.category = AttributeCategory::kQuasiIdentifier;
+      }
+      attrs.push_back(std::move(a));
+    }
+    return attrs;
+  }
+
+  Value Cell(size_t column, std::string_view text) {
+    auto& interned = interned_[column];
+    const auto it = interned.find(TrimView(text));
+    if (it != interned.end()) return it->second;
+    Value value = CellToValue(text);
+    if (value.is_string()) interned.emplace(value.as_string(), value);
+    return value;
+  }
+
+  MicrodataTable table_;
+  /// Per column, each string value seen so far, keyed by a view of its own
+  /// payload.
+  std::vector<std::unordered_map<std::string_view, Value>> interned_;
+};
+
 Result<MicrodataTable> MicrodataTable::FromCsv(
     const std::string& name, const CsvTable& csv,
     const std::vector<std::string>& identifier_attributes,
     const std::string& weight_attribute) {
-  std::vector<Attribute> attrs;
-  for (const std::string& col : csv.header) {
-    Attribute a;
-    a.name = col;
-    if (col == weight_attribute) {
-      a.category = AttributeCategory::kWeight;
-    } else if (std::find(identifier_attributes.begin(), identifier_attributes.end(),
-                         col) != identifier_attributes.end()) {
-      a.category = AttributeCategory::kIdentifier;
-    } else {
-      a.category = AttributeCategory::kQuasiIdentifier;
-    }
-    attrs.push_back(std::move(a));
-  }
-  MicrodataTable table(name, std::move(attrs));
-  for (const auto& row : csv.rows) {
-    std::vector<Value> values;
-    values.reserve(row.size());
-    for (const std::string& cell : row) values.push_back(CellToValue(cell));
-    VADASA_RETURN_NOT_OK(table.AddRow(std::move(values)));
-  }
-  VADASA_RETURN_NOT_OK(table.Validate());
-  return table;
+  RowBuilder builder(name, csv.header, identifier_attributes, weight_attribute);
+  for (const auto& row : csv.rows) VADASA_RETURN_NOT_OK(builder.Add(row));
+  return builder.Finish();
+}
+
+Result<MicrodataTable> MicrodataTable::FromCsvText(const std::string& name,
+                                                   std::string_view text) {
+  std::optional<RowBuilder> builder;
+  VADASA_RETURN_NOT_OK(ScanCsv(
+      text,
+      [&](const std::vector<std::string>& header) {
+        builder.emplace(name, header, std::vector<std::string>{}, "");
+        return Status::OK();
+      },
+      [&](const std::vector<std::string>& record) { return builder->Add(record); }));
+  return builder->Finish();
+}
+
+Result<MicrodataTable> MicrodataTable::LoadCsv(const std::string& path) {
+  VADASA_ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path));
+  return FromCsvText(path, text);
 }
 
 CsvTable MicrodataTable::ToCsv() const {
   CsvTable csv;
   for (const Attribute& a : attributes_) csv.header.push_back(a.name);
+  csv.rows.reserve(rows_.size());
+  std::string scratch;
   for (const auto& row : rows_) {
     std::vector<std::string> cells;
     cells.reserve(row->size());
-    for (const Value& v : *row) {
-      cells.push_back(v.is_null() ? "NULL_" + std::to_string(v.null_label())
-                                  : v.ToString());
-    }
+    for (const Value& v : *row) cells.emplace_back(ValueToCell(v, &scratch));
     csv.rows.push_back(std::move(cells));
   }
   return csv;
+}
+
+std::string MicrodataTable::CsvText() const {
+  std::string out;
+  AppendCsvHeader(&out);
+  for (size_t r = 0; r < rows_.size(); ++r) AppendCsvRow(&out, r);
+  return out;
+}
+
+void MicrodataTable::AppendCsvHeader(std::string* out) const {
+  for (size_t c = 0; c < attributes_.size(); ++c) {
+    if (c > 0) out->push_back(',');
+    AppendCsvField(out, attributes_[c].name);
+  }
+  out->push_back('\n');
+}
+
+void MicrodataTable::AppendCsvRow(std::string* out, size_t row) const {
+  const size_t start = out->size();
+  std::string scratch;
+  const std::vector<Value>& cells = *rows_[row];
+  for (size_t c = 0; c < cells.size(); ++c) {
+    if (c > 0) out->push_back(',');
+    AppendCsvField(out, ValueToCell(cells[c], &scratch));
+  }
+  EndCsvRecord(out, start);
 }
 
 std::string MicrodataTable::ToText(size_t max_rows) const {

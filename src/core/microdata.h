@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -95,18 +96,47 @@ class MicrodataTable {
 
   /// Loads from CSV. Category metadata is supplied separately (columns named
   /// in `weight_attribute` get kWeight, `identifier_attributes` get
-  /// kIdentifier, remaining default to kQuasiIdentifier).
+  /// kIdentifier, remaining default to kQuasiIdentifier). Cells are read by
+  /// CellToValue; within one column, equal strings share one payload.
   static Result<MicrodataTable> FromCsv(const std::string& name, const CsvTable& csv,
                                         const std::vector<std::string>& identifier_attributes,
                                         const std::string& weight_attribute);
 
-  /// Serializes to CSV; labelled nulls render as "NULL_k".
+  /// FromCsv over CSV text with no identifier or weight attribute named, and
+  /// no CsvTable in between: each record becomes a row of Values as it is
+  /// scanned (ScanCsv), and ParseCsv's errors are this loader's errors.
+  static Result<MicrodataTable> FromCsvText(const std::string& name,
+                                            std::string_view text);
+
+  /// Reads the CSV file at `path` once and loads it with FromCsvText under the
+  /// name `path`.
+  static Result<MicrodataTable> LoadCsv(const std::string& path);
+
+  /// Serializes to CSV; each cell is spelled by ValueToCell (labelled nulls
+  /// as "NULL_k").
   CsvTable ToCsv() const;
+
+  /// The CSV text of the table, byte for byte WriteCsv(ToCsv()), written
+  /// without building a CsvTable.
+  std::string CsvText() const;
+
+  /// Appends the header line of CsvText() to `out`.
+  void AppendCsvHeader(std::string* out) const;
+
+  /// Appends row `row`'s line of CsvText() to `out`.
+  void AppendCsvRow(std::string* out, size_t row) const;
 
   /// Pretty-prints the first `max_rows` rows as an aligned text table.
   std::string ToText(size_t max_rows = 25) const;
 
  private:
+  /// Turns CSV records into rows; FromCsv and FromCsvText both load through
+  /// it (microdata.cc).
+  class RowBuilder;
+
+  /// AddRow's width check: InvalidArgument unless `cells` matches the schema.
+  Status CheckRowWidth(size_t cells) const;
+
   /// Rebuilds the name→index map and the cached weight column. Called from
   /// every schema mutation (construction, SetCategory) — the caches are
   /// always current, so const readers need no lazy state or locking.

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/csv.h"
 #include "common/failpoint.h"
 #include "core/categorize.h"
 #include "obs/trace.h"
@@ -21,9 +20,8 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::LoadUncached(
     const std::string& path) {
   obs::Span span("serve.registry.load");
   VADASA_FAILPOINT("serve.registry.load");
-  VADASA_ASSIGN_OR_RETURN(const CsvTable csv, ReadCsvFile(path));
   VADASA_ASSIGN_OR_RETURN(core::MicrodataTable table,
-                          core::MicrodataTable::FromCsv(path, csv, {}, ""));
+                          core::MicrodataTable::LoadCsv(path));
   VADASA_FAILPOINT("serve.registry.categorize");
   core::AttributeCategorizer categorizer =
       core::AttributeCategorizer::WithDefaultExperience();

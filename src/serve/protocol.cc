@@ -360,7 +360,9 @@ std::string Protocol::HandleResult(uint64_t id) {
   // in before the envelope's closing brace, never re-serialized.
   fields["cached"] = Json(result->from_cache);
   std::string line = OkLine(std::move(fields));
-  line.reserve(line.size() + 1 + result->payload->size());
+  // Room for the payload, its closing brace and the newline the server ends
+  // every response line with, so no byte of a release is copied twice.
+  line.reserve(line.size() + result->payload->size() + 2);
   line.back() = ',';
   line += *result->payload;
   line += '}';

@@ -1,9 +1,9 @@
 #include "serve/result_cache.h"
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
-#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/json.h"
 #include "obs/metrics.h"
@@ -24,12 +24,13 @@ void FnvMix(uint64_t* hash, const char* data, size_t size) {
   *hash = h;
 }
 
+// Field separator outside the byte alphabet of the data, so ("ab","c") and
+// ("a","bc") hash differently.
+constexpr char kFieldSeparator = '\x1f';
+
 void FnvMixString(uint64_t* hash, const std::string& s) {
   FnvMix(hash, s.data(), s.size());
-  // Field separator outside the byte alphabet of the data, so ("ab","c")
-  // and ("a","bc") hash differently.
-  const char sep = '\x1f';
-  FnvMix(hash, &sep, 1);
+  FnvMix(hash, &kFieldSeparator, 1);
 }
 
 /// Shortest round-trippable spelling of a double for key strings.
@@ -71,9 +72,19 @@ uint64_t FingerprintTable(const core::MicrodataTable& table) {
     FnvMixString(&hash, attribute.name);
     FnvMixString(&hash, core::AttributeCategoryToString(attribute.category));
   }
-  // The CSV serialization covers every cell (weights included) in row-major
-  // order; a one-cell edit lands in the stream and flips the fingerprint.
-  FnvMixString(&hash, WriteCsv(table.ToCsv()));
+  // The CSV text covers every cell (weights included) in row-major order; a
+  // one-cell edit lands in the stream and flips the fingerprint. FNV-1a reads
+  // bytes in order, so mixing it a line at a time hashes the same stream as
+  // mixing the whole text at once.
+  std::string line;
+  table.AppendCsvHeader(&line);
+  FnvMix(&hash, line.data(), line.size());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    line.clear();
+    table.AppendCsvRow(&line, r);
+    FnvMix(&hash, line.data(), line.size());
+  }
+  FnvMix(&hash, &kFieldSeparator, 1);
   return hash;
 }
 
@@ -106,10 +117,6 @@ std::string ResultCacheKey(uint64_t fingerprint,
 
 std::string EncodeResult(const api::RiskReport& report) {
   Json::Object risk;
-  Json::Array tuple_risks;
-  tuple_risks.reserve(report.tuple_risks.size());
-  for (double r : report.tuple_risks) tuple_risks.emplace_back(r);
-  risk["tuple_risks"] = std::move(tuple_risks);
   risk["threshold"] = report.threshold;
   if (report.inferred_threshold >= 0.0) {
     risk["inferred_threshold"] = report.inferred_threshold;
@@ -132,12 +139,37 @@ std::string EncodeResult(const api::RiskReport& report) {
   global["max_risk"] = report.global.max_risk;
   global["sample_uniques"] = static_cast<int64_t>(report.global.sample_uniques);
   risk["global"] = std::move(global);
-  return "\"risk\":" + Json(std::move(risk)).Dump();
+  // "tuple_risks" sorts after every other member, so it is the last one
+  // Json::Dump would write: the per-tuple numbers are appended behind the
+  // dumped members, each through Dump's own number writer, instead of being
+  // built as a Json array first.
+  std::string out = "\"risk\":";
+  out += Json(std::move(risk)).Dump();
+  out.pop_back();  // The closing brace.
+  // Every number takes at least one byte and a separator.
+  out.reserve(out.size() + 2 * report.tuple_risks.size() + 18);
+  out += ",\"tuple_risks\":[";
+  for (size_t i = 0; i < report.tuple_risks.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    AppendJsonNumber(&out, report.tuple_risks[i]);
+  }
+  out += "]}";
+  return out;
 }
 
 std::string EncodeResult(const api::AnonymizeResponse& response) {
-  return "\"audit\":" + JsonQuote(response.ToText()) +
-         ",\"csv\":" + JsonQuote(WriteCsv(response.table.ToCsv()));
+  static constexpr std::string_view kAudit = "\"audit\":";
+  static constexpr std::string_view kCsv = ",\"csv\":";
+  const std::string audit = response.ToText();
+  const std::string csv = response.table.CsvText();
+  std::string out;
+  out.reserve(kAudit.size() + JsonQuotedSize(audit) + kCsv.size() +
+              JsonQuotedSize(csv));
+  out += kAudit;
+  AppendJsonQuoted(&out, audit);
+  out += kCsv;
+  AppendJsonQuoted(&out, csv);
+  return out;
 }
 
 ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {

@@ -15,7 +15,8 @@
 namespace vadasa::serve {
 
 /// FNV-1a content fingerprint of a categorized table: attribute schema
-/// (names + categories) plus every cell, via the canonical CSV serialization.
+/// (names + categories) plus every cell, via the table's CSV text
+/// (MicrodataTable::CsvText), hashed a line at a time as it is written.
 /// Editing a single cell, renaming a column or recategorizing an attribute
 /// all change the fingerprint; the dataset's registry name does not — two
 /// names over byte-identical content share cached results safely.

@@ -1,6 +1,9 @@
 #include "testing/generators.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -250,6 +253,123 @@ std::string RandomBytes(Rng* rng, size_t max_len) {
     }
   }
   return src;
+}
+
+namespace {
+
+/// The decimal spelling of a random double with 1 to `max_digits`
+/// significant digits.
+std::string RandomDoubleText(Rng* rng, int max_digits) {
+  const int digits = static_cast<int>(rng->NextInt(1, max_digits));
+  const double magnitude = std::pow(10.0, static_cast<double>(rng->NextInt(-4, 8)));
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.*g", digits,
+                (rng->NextDouble() - 0.5) * magnitude);
+  return buffer;
+}
+
+/// One raw CSV field, quoted or not.
+std::string RandomDocumentCell(Rng* rng) {
+  static const char* const kCells[] = {
+      "a", "North", "South", "x y", " padded", "padded ", "\tpadded\t", "",
+      "\"Rossi, Mario\"", "\"said \"\"hi\"\"\"", "\"multi\nline\"",
+      "\"cr\r\nlf\"", "\" quoted pad \"", "ab\"c,d\"e", "\"\"", "NULL_3", "⊥_7",
+      " NULL_2 ", "NULL_x", "⊥_", "NULL_18446744073709551615", "42", "-7", " 13 ",
+      "0", "-0.0", "1e5", "1e400", "0x10", "1.2.3", "inf", "nan", "+5", "\"42\"",
+      "\" 7 \""};
+  if (rng->NextDouble() < 0.25) return RandomDoubleText(rng, 17);
+  return kCells[rng->NextBelow(std::size(kCells))];
+}
+
+}  // namespace
+
+std::string RandomCsvDocument(Rng* rng) {
+  static const char* const kHeaders[] = {"area", " spaced ", "\"a,b\"",
+                                         "\"two\nlines\"", "say \"\"hi\"\"", ""};
+  const std::string eol = rng->NextDouble() < 0.3 ? "\r\n" : "\n";
+  const size_t columns = 1 + rng->NextBelow(4);
+  std::string doc;
+  for (size_t c = 0; c < columns; ++c) {
+    if (c > 0) doc += ',';
+    doc += rng->NextDouble() < 0.7 ? "c" + std::to_string(c)
+                                   : kHeaders[rng->NextBelow(std::size(kHeaders))];
+  }
+  doc += eol;
+  std::vector<std::vector<std::string>> pools(columns);
+  for (auto& pool : pools) {
+    for (int i = 0; i < 3; ++i) pool.push_back(RandomDocumentCell(rng));
+  }
+  const size_t rows = rng->NextBelow(14);
+  const size_t ragged_row = rng->NextDouble() < 0.15 ? rng->NextBelow(rows + 1) : rows;
+  for (size_t r = 0; r < rows; ++r) {
+    size_t width = columns;
+    if (r == ragged_row) {
+      width = (columns > 1 && rng->NextDouble() < 0.5) ? columns - 1 : columns + 1;
+    }
+    for (size_t c = 0; c < width; ++c) {
+      if (c > 0) doc += ',';
+      doc += c < columns && rng->NextDouble() < 0.7
+                 ? pools[c][rng->NextBelow(pools[c].size())]
+                 : RandomDocumentCell(rng);
+    }
+    doc += eol;
+    if (rng->NextDouble() < 0.05) doc += eol;  // A blank line inside.
+  }
+  if (rng->NextDouble() < 0.3) {
+    for (uint64_t i = 1 + rng->NextBelow(2); i > 0; --i) doc += eol;
+  }
+  if (rng->NextDouble() < 0.2) doc.resize(doc.size() - eol.size());
+  if (rng->NextDouble() < 0.04) doc += "\"unterminated,";
+  return doc;
+}
+
+core::MicrodataTable RandomCsvTable(Rng* rng) {
+  static const char* const kNames[] = {"area", "sector, code", "say \"hi\"",
+                                       " spaced ", "weight"};
+  static const char* const kStrings[] = {"North", "Rossi, Mario", "say \"hi\"",
+                                         "two\nlines", "cr\rinside", "⊥ sign",
+                                         "a,b,\"c\"", "x y", ""};
+  enum Kind { kString, kInt, kDouble };
+  const size_t columns = 1 + rng->NextBelow(4);
+  const int max_digits = rng->NextDouble() < 0.5 ? 6 : 17;
+  std::vector<Attribute> attrs;
+  std::vector<Kind> kinds;
+  bool has_weight = false;
+  for (size_t c = 0; c < columns; ++c) {
+    const Kind kind = static_cast<Kind>(rng->NextBelow(3));
+    AttributeCategory category = rng->NextDouble() < 0.8
+                                     ? AttributeCategory::kQuasiIdentifier
+                                     : AttributeCategory::kNonIdentifying;
+    if (kind != kString && !has_weight && rng->NextDouble() < 0.3) {
+      category = AttributeCategory::kWeight;
+      has_weight = true;
+    }
+    attrs.push_back({kNames[rng->NextBelow(std::size(kNames))] + std::to_string(c),
+                     "", category});
+    kinds.push_back(kind);
+  }
+  MicrodataTable table("csv", std::move(attrs));
+  const size_t rows = rng->NextBelow(13);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < columns; ++c) {
+      const bool weight = table.attributes()[c].category == AttributeCategory::kWeight;
+      if (!weight && rng->NextDouble() < 0.1) {
+        row.push_back(Value::Null(rng->NextBelow(50)));
+      } else if (kinds[c] == kString) {
+        row.push_back(Value::String(kStrings[rng->NextBelow(std::size(kStrings))]));
+      } else if (kinds[c] == kInt) {
+        row.push_back(Value::Int(rng->NextInt(-1000, 100000)));
+      } else {
+        const std::string text = RandomDoubleText(rng, max_digits);
+        double value = 0;
+        std::from_chars(text.data(), text.data() + text.size(), value);
+        row.push_back(Value::Double(value));
+      }
+    }
+    (void)table.AddRow(std::move(row));
+  }
+  return table;
 }
 
 }  // namespace vadasa::testing

@@ -82,6 +82,21 @@ std::string RandomTokenSoup(Rng* rng, size_t max_tokens = 40);
 /// Random printable-ASCII bytes — lexer stress input.
 std::string RandomBytes(Rng* rng, size_t max_len = 200);
 
+/// A random CSV document in the corners of the reader's rules: quoted fields
+/// with commas, doubled quotes and embedded line breaks, padded cells, \n or
+/// \r\n line ends, blank and missing final lines, ragged rows, an
+/// unterminated quote, NULL_k and ⊥_k cells, number-like strings and doubles
+/// of up to 17 significant digits. Each column draws mostly from a few
+/// values, so cells repeat the way quasi-identifiers do.
+std::string RandomCsvDocument(Rng* rng);
+
+/// A random table whose cells the CSV writer must spell faithfully: strings
+/// with commas, quotes and line breaks (each one CellToValue reads back as
+/// itself), ints, labelled nulls, and non-integral doubles of up to 17
+/// significant digits — in about half the tables only doubles that 6 digits
+/// round-trip.
+core::MicrodataTable RandomCsvTable(Rng* rng);
+
 }  // namespace vadasa::testing
 
 #endif  // VADASA_TESTING_GENERATORS_H_

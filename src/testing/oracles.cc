@@ -362,6 +362,222 @@ std::vector<std::vector<core::MinimalSampleUnique>> NaiveMsus(
   return msus;
 }
 
+namespace {
+
+/// The retired record parser: one character at a time, a fresh vector and
+/// fresh strings per record.
+std::vector<std::string> ReferenceParseRecord(std::string_view text, size_t* pos) {
+  std::vector<std::string> fields;
+  std::string cur;
+  bool in_quotes = false;
+  size_t i = *pos;
+  for (; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          cur += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        cur += c;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c == ',') {
+      fields.push_back(std::move(cur));
+      cur.clear();
+    } else if (c == '\n') {
+      ++i;
+      break;
+    } else if (c == '\r') {
+      // Swallow; \r\n handled by the \n branch on the next char.
+    } else {
+      cur += c;
+    }
+  }
+  fields.push_back(std::move(cur));
+  *pos = i;
+  return fields;
+}
+
+/// The retired field writer.
+void ReferenceAppendField(std::string* out, const std::string& field) {
+  if (field.find_first_of(",\"\n\r") == std::string::npos) {
+    *out += field;
+    return;
+  }
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
+}
+
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+void ReferenceFnvMixString(uint64_t* hash, const std::string& s) {
+  for (const char c : s + '\x1f') {
+    *hash ^= static_cast<unsigned char>(c);
+    *hash *= kFnvPrime;
+  }
+}
+
+/// Equal status code and message.
+Status SameStatus(const char* what, const Status& got, const Status& want) {
+  if (got.code() == want.code() && got.message() == want.message()) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(std::string(what) + " returned \"" +
+                                    got.ToString() + "\", the reference \"" +
+                                    want.ToString() + "\"");
+}
+
+std::string CellTag(size_t row, size_t column) {
+  return RowTag(row) + " column " + std::to_string(column);
+}
+
+}  // namespace
+
+Result<CsvTable> ReferenceParseCsv(std::string_view text) {
+  CsvTable table;
+  size_t pos = 0;
+  if (text.empty()) return Status::ParseError("empty CSV document");
+  table.header = ReferenceParseRecord(text, &pos);
+  size_t line = 1;
+  while (pos < text.size()) {
+    ++line;
+    auto row = ReferenceParseRecord(text, &pos);
+    if (row.size() == 1 && row[0].empty()) continue;  // Trailing blank line.
+    if (row.size() != table.header.size()) {
+      return Status::ParseError("CSV row " + std::to_string(line) + " has " +
+                                std::to_string(row.size()) + " fields, header has " +
+                                std::to_string(table.header.size()));
+    }
+    table.rows.push_back(std::move(row));
+  }
+  return table;
+}
+
+Result<MicrodataTable> ReferenceLoadCsv(const std::string& name,
+                                        std::string_view text) {
+  VADASA_ASSIGN_OR_RETURN(const CsvTable csv, ReferenceParseCsv(text));
+  std::vector<core::Attribute> attrs;
+  for (const std::string& col : csv.header) {
+    core::Attribute a;
+    a.name = col;
+    a.category = col.empty() ? core::AttributeCategory::kWeight
+                             : core::AttributeCategory::kQuasiIdentifier;
+    attrs.push_back(std::move(a));
+  }
+  MicrodataTable table(name, std::move(attrs));
+  for (const auto& row : csv.rows) {
+    std::vector<Value> values;
+    values.reserve(row.size());
+    for (const std::string& cell : row) values.push_back(CellToValue(cell));
+    VADASA_RETURN_NOT_OK(table.AddRow(std::move(values)));
+  }
+  VADASA_RETURN_NOT_OK(table.Validate());
+  return table;
+}
+
+uint64_t ReferenceFingerprint(const MicrodataTable& table) {
+  uint64_t hash = kFnvOffset;
+  for (const core::Attribute& attribute : table.attributes()) {
+    ReferenceFnvMixString(&hash, attribute.name);
+    ReferenceFnvMixString(&hash, core::AttributeCategoryToString(attribute.category));
+  }
+  std::string text;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (c > 0) text += ',';
+    ReferenceAppendField(&text, table.attributes()[c].name);
+  }
+  text += '\n';
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (c > 0) text += ',';
+      const Value& v = table.cell(r, c);
+      ReferenceAppendField(&text, v.is_null() ? "NULL_" + std::to_string(v.null_label())
+                                              : v.ToString());
+    }
+    text += '\n';
+  }
+  ReferenceFnvMixString(&hash, text);
+  return hash;
+}
+
+Status CheckLoadMatchesReference(std::string_view text) {
+  const Result<CsvTable> parsed = ParseCsv(text);
+  const Result<CsvTable> parsed_reference = ReferenceParseCsv(text);
+  if (!parsed.ok() || !parsed_reference.ok()) {
+    VADASA_RETURN_NOT_OK(
+        SameStatus("ParseCsv", parsed.status(), parsed_reference.status()));
+  } else if (parsed->header != parsed_reference->header ||
+             parsed->rows != parsed_reference->rows) {
+    return Status::FailedPrecondition(
+        "ParseCsv and the reference parser read different fields");
+  }
+
+  const Result<MicrodataTable> loaded = MicrodataTable::FromCsvText("doc", text);
+  const Result<MicrodataTable> reference = ReferenceLoadCsv("doc", text);
+  if (!loaded.ok() || !reference.ok()) {
+    return SameStatus("the loader", loaded.status(), reference.status());
+  }
+  if (loaded->num_columns() != reference->num_columns() ||
+      loaded->num_rows() != reference->num_rows()) {
+    return Status::FailedPrecondition(
+        "the loader read " + std::to_string(loaded->num_rows()) + "x" +
+        std::to_string(loaded->num_columns()) + " cells, the reference " +
+        std::to_string(reference->num_rows()) + "x" +
+        std::to_string(reference->num_columns()));
+  }
+  for (size_t c = 0; c < loaded->num_columns(); ++c) {
+    const core::Attribute& got = loaded->attributes()[c];
+    const core::Attribute& want = reference->attributes()[c];
+    if (got.name != want.name || got.category != want.category) {
+      return Status::FailedPrecondition("the loader's column " + std::to_string(c) +
+                                        " is \"" + got.name + "\", the reference's \"" +
+                                        want.name + "\"");
+    }
+  }
+  for (size_t r = 0; r < loaded->num_rows(); ++r) {
+    for (size_t c = 0; c < loaded->num_columns(); ++c) {
+      const Value& got = loaded->cell(r, c);
+      const Value& want = reference->cell(r, c);
+      if (got.kind() != want.kind() || !got.Equals(want)) {
+        return Status::FailedPrecondition("the loader read " + CellTag(r, c) + " as \"" +
+                                          got.ToString() + "\", the reference as \"" +
+                                          want.ToString() + "\"");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckCsvWriteStable(std::string_view text) {
+  const Result<MicrodataTable> loaded = MicrodataTable::FromCsvText("doc", text);
+  if (!loaded.ok()) return Status::OK();
+  const std::string once = loaded->CsvText();
+  const Result<MicrodataTable> reloaded = MicrodataTable::FromCsvText("doc", once);
+  if (!reloaded.ok()) {
+    return Status::FailedPrecondition("the text writer's output does not load: " +
+                                      reloaded.status().ToString());
+  }
+  const std::string twice = reloaded->CsvText();
+  if (twice != once) {
+    size_t at = 0;
+    while (at < once.size() && at < twice.size() && once[at] == twice[at]) ++at;
+    return Status::FailedPrecondition(
+        "writing the reloaded text changes it at byte " + std::to_string(at) +
+        " of " + std::to_string(once.size()));
+  }
+  return Status::OK();
+}
+
 Result<std::vector<double>> NaiveStatsMeasure::ComputeRisks(
     const MicrodataTable& table, const core::RiskContext& context,
     core::RiskEvalCache* cache) const {

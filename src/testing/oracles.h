@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "core/business.h"
@@ -103,6 +105,36 @@ core::PatternMass NaivePatternMass(const core::MicrodataTable& table,
 std::vector<std::vector<core::MinimalSampleUnique>> NaiveMsus(
     const core::MicrodataTable& table, const std::vector<size_t>& qi_columns,
     int max_size);
+
+/// The CSV reader as it was before it streamed records: a character-at-a-
+/// time parser over the whole document with ParseCsv's rules and errors,
+/// sharing no code with ScanCsv.
+Result<CsvTable> ReferenceParseCsv(std::string_view text);
+
+/// The table load as it was before it streamed: ReferenceParseCsv, then every
+/// cell through CellToValue into a Value of its own, AddRow per row and
+/// Validate. That is FromCsv with no identifier or weight attribute named, so
+/// a column named "" is the weight; it shares no code with the loader's row
+/// builder or its string interning.
+Result<core::MicrodataTable> ReferenceLoadCsv(const std::string& name,
+                                              std::string_view text);
+
+/// The content fingerprint as it was before it streamed: FNV-1a over the
+/// schema and the whole CSV text, each cell spelled the old way (labelled
+/// nulls as NULL_k, everything else by Value::ToString, so doubles at 6
+/// significant digits) and every record ended by a bare newline.
+uint64_t ReferenceFingerprint(const core::MicrodataTable& table);
+
+/// ParseCsv and the loader (MicrodataTable::FromCsvText) agree with
+/// ReferenceParseCsv and ReferenceLoadCsv on `text`: each pair fails with the
+/// same status code and message, or yields the same header and fields, and
+/// the same schema and cells (kind and Value::Equals).
+Status CheckLoadMatchesReference(std::string_view text);
+
+/// A document that loads is stable after one pass: loading the text writer's
+/// output (MicrodataTable::CsvText) and writing it again gives the same
+/// bytes. OK for a document that does not load.
+Status CheckCsvWriteStable(std::string_view text);
 
 /// Test-only RiskMeasure decorator whose group statistics come from
 /// NaiveGroupStats: ComputeRisks applies the wrapped grouping measure's own

@@ -1,6 +1,8 @@
 #include "testing/properties.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -1004,6 +1006,101 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
   return Status::OK();
 }
 
+/// Whether FingerprintTable must still hash `table` as the retired
+/// implementation did: every double is one that 6 significant digits
+/// round-trip (and not a negative zero, now spelled -0.0), and no row writes
+/// nothing (a one-column row holding the empty string, now written as a
+/// quoted space).
+bool KeepsRetiredBytes(const MicrodataTable& table) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      const Value& v = table.cell(r, c);
+      if (v.is_string() && v.as_string().empty() && table.num_columns() == 1) {
+        return false;
+      }
+      if (!v.is_double()) continue;
+      const double d = v.as_double();
+      char buffer[32];
+      const int size = std::snprintf(buffer, sizeof(buffer), "%.6g", d);
+      double parsed = 0;
+      std::from_chars(buffer, buffer + size, parsed);
+      if (parsed != d || (d == 0 && std::signbit(d))) return false;
+    }
+  }
+  return true;
+}
+
+/// The same cell with a different value of the same kind.
+Value EditedCell(const Value& v) {
+  switch (v.kind()) {
+    case ValueKind::kInt:
+      return Value::Int(v.as_int() + 1);
+    case ValueKind::kDouble:
+      return Value::Double(std::nextafter(v.as_double(), HUGE_VAL));
+    case ValueKind::kNull:
+      return Value::Null(v.null_label() + 1);
+    default:
+      return Value::String(v.ToString() + "!");
+  }
+}
+
+Status EvalCsvStreamMatchesReference(const ReproCase& repro) {
+  // The generated document: the streaming loader and ParseCsv against the
+  // retired parser and load, and the writer's output stable after one pass.
+  VADASA_RETURN_NOT_OK(CheckLoadMatchesReference(repro.program));
+  VADASA_RETURN_NOT_OK(CheckCsvWriteStable(repro.program));
+
+  // The generated table: its text, loaded back, gives its cells again.
+  const MicrodataTable& table = repro.table;
+  const std::string text = table.CsvText();
+  if (text != WriteCsv(table.ToCsv())) {
+    return Status::FailedPrecondition("CsvText() differs from WriteCsv(ToCsv())");
+  }
+  VADASA_RETURN_NOT_OK(CheckLoadMatchesReference(text));
+  auto loaded = MicrodataTable::FromCsvText("csv", text);
+  if (!loaded.ok()) {
+    return Status::FailedPrecondition("the table's own CSV text does not load: " +
+                                      loaded.status().ToString());
+  }
+  if (loaded->num_rows() != table.num_rows()) {
+    return Status::FailedPrecondition(
+        "the table's CSV text loads " + std::to_string(loaded->num_rows()) +
+        " rows, the table has " + std::to_string(table.num_rows()));
+  }
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (!loaded->cell(r, c).Equals(table.cell(r, c))) {
+        return Status::FailedPrecondition(
+            "row " + std::to_string(r) + " column " + std::to_string(c) + " holds \"" +
+            table.cell(r, c).ToString() + "\" but its CSV text loads back as \"" +
+            loaded->cell(r, c).ToString() + "\"");
+      }
+    }
+  }
+
+  // The streamed fingerprint hashes the bytes the retired one did, wherever
+  // those bytes are unchanged, and a one-cell edit changes it.
+  const uint64_t fingerprint = serve::FingerprintTable(table);
+  if (KeepsRetiredBytes(table) && fingerprint != ReferenceFingerprint(table)) {
+    return Status::FailedPrecondition(
+        "the streamed fingerprint differs from the retired one");
+  }
+  if (table.num_rows() > 0) {
+    Rng aux(repro.seed);
+    const size_t row = aux.NextBelow(table.num_rows());
+    const size_t column = aux.NextBelow(table.num_columns());
+    MicrodataTable edited = table;
+    edited.set_cell(row, column, EditedCell(table.cell(row, column)));
+    if (serve::FingerprintTable(edited) == fingerprint) {
+      return Status::FailedPrecondition(
+          "editing row " + std::to_string(row) + " column " + std::to_string(column) +
+          " from \"" + table.cell(row, column).ToString() +
+          "\" leaves the fingerprint unchanged");
+    }
+  }
+  return Status::OK();
+}
+
 vadalog::EngineOptions BoundedEngineOptions() {
   vadalog::EngineOptions options;
   options.max_rounds = 200;
@@ -1316,6 +1413,23 @@ std::vector<Property> BuildCatalog() {
          return repro;
        },
        EvalCachedResultBitIdentical});
+
+  catalog.push_back(
+      {"csv-stream-matches-reference",
+       "the streaming CSV loader, text writer and fingerprint match the retired "
+       "CsvTable path, the written text loads back to the same cells, and a "
+       "one-cell edit changes the fingerprint",
+       true,
+       [](Rng* rng, uint64_t i) {
+         ReproCase repro;
+         repro.property = "csv-stream-matches-reference";
+         repro.seed = rng->Next();
+         repro.case_index = i;
+         repro.program = RandomCsvDocument(rng);
+         repro.table = RandomCsvTable(rng);
+         return repro;
+       },
+       EvalCsvStreamMatchesReference});
 
   catalog.push_back(
       {"vadalog-determinism",

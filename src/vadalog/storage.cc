@@ -23,13 +23,11 @@ Status SaveDatabase(const Database& db, const std::string& directory) {
     for (size_t c = 0; c < rows[0].size(); ++c) {
       csv.header.push_back("c" + std::to_string(c));
     }
+    std::string scratch;
     for (const auto& row : rows) {
       std::vector<std::string> cells;
       cells.reserve(row.size());
-      for (const Value& v : row) {
-        cells.push_back(v.is_null() ? "NULL_" + std::to_string(v.null_label())
-                                    : v.ToString());
-      }
+      for (const Value& v : row) cells.emplace_back(ValueToCell(v, &scratch));
       csv.rows.push_back(std::move(cells));
     }
     VADASA_RETURN_NOT_OK(

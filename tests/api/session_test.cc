@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "common/csv.h"
@@ -127,6 +129,35 @@ TEST(SessionTest, AnonymizeMatchesDirectCorePath) {
 
   EXPECT_EQ(WriteCsv(response->table.ToCsv()), WriteCsv(direct.ToCsv()));
   EXPECT_FALSE(response->ToText().empty());
+}
+
+/// A release carries the sampling weights it was given: the cycle never
+/// suppresses a weight, and the released CSV spells each double with the
+/// digits that read it back exactly.
+TEST(SessionTest, ReleaseKeepsEveryDigitOfTheWeights) {
+  const std::string path = ::testing::TempDir() + "vadasa_session_weights.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "area,sector,weight\n"
+           "North,Bank,26284.5678\n"
+           "North,Bank,1234567.1\n"
+           "South,Retail,3\n"
+           "South,Retail,12.25\n";
+  }
+  auto session = Session::Open(path, SessionOptions{});
+  std::remove(path.c_str());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_EQ(session->table().WeightColumn(), 2);
+  auto response = session->Anonymize();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const std::string released = response->table.CsvText();
+  EXPECT_NE(released.find(",26284.5678\n"), std::string::npos) << released;
+  EXPECT_NE(released.find(",1234567.1\n"), std::string::npos) << released;
+  EXPECT_NE(released.find(",12.25\n"), std::string::npos) << released;
+  EXPECT_EQ(released.find("26284.6"), std::string::npos) << released;
+  EXPECT_EQ(released.find("e+06"), std::string::npos) << released;
+  EXPECT_EQ(WriteCsv(response->table.ToCsv()), released);
+  EXPECT_EQ(response->table.cell(0, 2).as_double(), 26284.5678);
 }
 
 TEST(SessionTest, AnonymizeDoesNotMutateTheSession) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "core/datagen.h"
 
 namespace vadasa::core {
@@ -88,6 +91,109 @@ TEST(MicrodataTest, CsvRoundTripPreservesNulls) {
   EXPECT_EQ(back->cell(1, 1).as_string(), "South");
   EXPECT_EQ(back->WeightColumn(), 2);
   EXPECT_EQ(back->attributes()[0].category, AttributeCategory::kIdentifier);
+}
+
+/// Writes `contents` to a fresh temp file; returns its path.
+std::string TempFile(const std::string& tag, const std::string& contents) {
+  const std::string path = ::testing::TempDir() + "vadasa_microdata_" + tag + ".csv";
+  std::ofstream out(path, std::ios::binary);
+  out << contents;
+  return path;
+}
+
+TEST(MicrodataTest, LoadCsvSharesOnePayloadPerStringInAColumn) {
+  const std::string path = TempFile(
+      "intern", "area,sector,w\nNorth,Bank,1\n North ,Bank,2\nSouth,North,3\nNorth,Bank,4\n");
+  auto table = MicrodataTable::LoadCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_rows(), 4u);
+  EXPECT_EQ(table->name(), path);
+  // Padded or not, equal strings in one column are one payload...
+  EXPECT_EQ(&table->cell(0, 0).as_string(), &table->cell(1, 0).as_string());
+  EXPECT_EQ(&table->cell(0, 0).as_string(), &table->cell(3, 0).as_string());
+  EXPECT_EQ(table->cell(1, 0).as_string(), "North");
+  EXPECT_NE(&table->cell(0, 0).as_string(), &table->cell(2, 0).as_string());
+  // ...within a column only: "North" under sector is its own.
+  EXPECT_EQ(table->cell(2, 1).as_string(), "North");
+  EXPECT_NE(&table->cell(2, 1).as_string(), &table->cell(0, 0).as_string());
+  EXPECT_EQ(&table->cell(0, 1).as_string(), &table->cell(3, 1).as_string());
+  EXPECT_TRUE(table->cell(0, 2).is_int());
+}
+
+TEST(MicrodataTest, SetCellOnOneRowLeavesItsSharedPayloadIntact) {
+  const std::string path = TempFile("cow", "area\nNorth\nNorth\n");
+  auto loaded = MicrodataTable::LoadCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  MicrodataTable table = std::move(*loaded);
+  ASSERT_EQ(&table.cell(0, 0).as_string(), &table.cell(1, 0).as_string());
+  table.set_cell(0, 0, Value::String("South"));
+  EXPECT_EQ(table.cell(0, 0).as_string(), "South");
+  EXPECT_EQ(table.cell(1, 0).as_string(), "North");
+}
+
+TEST(MicrodataTest, LoadCsvFailsLikeTheReader) {
+  EXPECT_EQ(MicrodataTable::LoadCsv("/does/not/exist.csv").status().code(),
+            StatusCode::kIoError);
+  const std::string empty = TempFile("empty", "");
+  EXPECT_EQ(MicrodataTable::LoadCsv(empty).status().code(), StatusCode::kParseError);
+  std::remove(empty.c_str());
+  const std::string ragged = TempFile("ragged", "a,b\n1,2\n1,2,3\n");
+  const Status status = MicrodataTable::LoadCsv(ragged).status();
+  std::remove(ragged.c_str());
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_EQ(status.message(), "CSV row 3 has 3 fields, header has 2");
+}
+
+TEST(MicrodataTest, HeaderOnlyCsvLoadsAsAnEmptyTable) {
+  auto table = MicrodataTable::FromCsvText("empty", "area,sector\n");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->num_columns(), 2u);
+  EXPECT_EQ(table->num_rows(), 0u);
+}
+
+TEST(MicrodataTest, FromCsvTextMatchesFromCsv) {
+  // With no weight attribute named, a column named "" is the weight.
+  const std::string text =
+      "Id,Area,\r\n1,\"North, East\",10\r\n2,NULL_4,2.5\r\n3, South ,20\r\n";
+  auto streamed = MicrodataTable::FromCsvText("demo", text);
+  auto csv = ParseCsv(text);
+  ASSERT_TRUE(csv.ok());
+  auto reference = MicrodataTable::FromCsv("demo", *csv, {}, "");
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(streamed->WeightColumn(), 2);
+  EXPECT_EQ(streamed->attributes()[0].category, AttributeCategory::kQuasiIdentifier);
+  ASSERT_EQ(streamed->num_rows(), reference->num_rows());
+  for (size_t r = 0; r < streamed->num_rows(); ++r) {
+    EXPECT_EQ(streamed->row(r), reference->row(r)) << "row " << r;
+  }
+  EXPECT_TRUE(streamed->cell(1, 1).is_null());
+  EXPECT_EQ(streamed->cell(2, 1).as_string(), "South");
+  // A weight that is not numeric fails validation the same way.
+  const std::string bad = "Id,Area,\n1,North,heavy\n";
+  auto bad_csv = ParseCsv(bad);
+  ASSERT_TRUE(bad_csv.ok());
+  const Status status = MicrodataTable::FromCsvText("demo", bad).status();
+  EXPECT_EQ(status.code(), StatusCode::kTypeError);
+  EXPECT_EQ(status.message(),
+            MicrodataTable::FromCsv("demo", *bad_csv, {}, "").status().message());
+}
+
+TEST(MicrodataTest, CsvTextIsWriteCsvOfToCsv) {
+  MicrodataTable t = TwoColumnTable();
+  t.set_cell(0, 1, Value::Null(7));
+  t.set_cell(1, 1, Value::String("say \"hi\", twice\n"));
+  t.set_cell(1, 2, Value::Double(26284.5678));
+  const std::string text = t.CsvText();
+  EXPECT_EQ(text, WriteCsv(t.ToCsv()));
+  EXPECT_EQ(text,
+            "Id,Area,Weight\n1,NULL_7,10\n2,\"say \"\"hi\"\", twice\n\",26284.5678\n");
+  std::string lines;
+  t.AppendCsvHeader(&lines);
+  for (size_t r = 0; r < t.num_rows(); ++r) t.AppendCsvRow(&lines, r);
+  EXPECT_EQ(lines, text);
 }
 
 TEST(MicrodataTest, ToTextTruncates) {

@@ -165,6 +165,28 @@ TEST(PropCatalogTest, CachedResultBitIdenticalWideSweep) {
       << "/" << report.cases_run << " cases" << diagnostics;
 }
 
+/// The streaming-CSV acceptance bar: 220 generated documents (quoted commas,
+/// doubled quotes and line breaks, CRLF, blank and ragged rows, labelled
+/// nulls, doubles of up to 17 digits) and tables, where the streaming loader
+/// must equal the retired CsvTable load, the text writer WriteCsv(ToCsv()),
+/// the written text must load back to the same cells, and the streamed
+/// fingerprint must equal the retired one wherever the bytes are unchanged.
+TEST(PropCatalogTest, CsvStreamMatchesReferenceWideSweep) {
+  const Property* property = FindProperty("csv-stream-matches-reference");
+  ASSERT_NE(property, nullptr);
+  HarnessOptions options;
+  options.cases_per_property = 220;
+  const HarnessReport report = RunProperty(*property, options);
+  EXPECT_EQ(report.cases_run, 220u);
+  std::string diagnostics;
+  for (const ReproCase& repro : report.repros) {
+    diagnostics += "\n--- shrunk repro ---\n" + ReproToString(repro);
+  }
+  EXPECT_EQ(report.failures, 0u)
+      << "the streaming CSV path diverged from the reference on " << report.failures
+      << "/" << report.cases_run << " cases" << diagnostics;
+}
+
 /// One discovered ctest entry per property; each runs its full generated-case
 /// budget (cases × properties >= 200 per full suite run).
 class PropertyRunTest : public ::testing::TestWithParam<std::string> {};

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <utility>
 
 #include "common/csv.h"
 #include "common/json.h"
@@ -274,6 +277,56 @@ TEST(ProtocolDeltaCacheTest, ApplyDeltaNeverServesStaleCachedResults) {
   const Json rehot = run_risk();
   EXPECT_TRUE(rehot.GetBool("cached", false));
   EXPECT_EQ(rehot["risk"].Dump(), fresh["risk"].Dump());
+}
+
+/// Two datasets whose weights differ only past the sixth significant digit
+/// are two cache keys: the second submit of the same policy misses, and its
+/// payload is its own dataset's release, byte for byte.
+TEST(ProtocolDeltaCacheTest, DatasetsDifferingPastSixDigitsNeverShareResults) {
+  const std::string dir = ::testing::TempDir();
+  const std::string first = dir + "vadasa_protocol_weights_a.csv";
+  const std::string second = dir + "vadasa_protocol_weights_b.csv";
+  for (const auto& [path, weights] :
+       {std::pair{first, std::pair{"26284.5678", "1234567.1"}},
+        std::pair{second, std::pair{"26284.5679", "1234567.2"}}}) {
+    std::ofstream out(path, std::ios::binary);
+    out << "area,sector,weight\nNorth,Bank," << weights.first << "\nNorth,Bank,"
+        << weights.second << "\nSouth,Retail,3\n";
+  }
+  ResultCache cache;
+  DatasetRegistry registry;
+  registry.set_result_cache(&cache);
+  SchedulerOptions options;
+  options.result_cache = &cache;
+  JobScheduler scheduler(options);
+  Protocol protocol(&registry, &scheduler);
+  auto release = [&](const std::string& dataset) {
+    bool shutdown = false;
+    auto submitted = Json::Parse(protocol.Handle(
+        R"({"op":"submit","action":"anonymize","dataset":")" + dataset + "\"}",
+        &shutdown));
+    EXPECT_TRUE(submitted.ok() && submitted->GetBool("ok", false));
+    return protocol.Handle(R"({"op":"result","id":)" +
+                               std::to_string(submitted->GetInt("id", 0)) + "}",
+                           &shutdown);
+  };
+
+  const std::string cold = release(first);
+  const std::string other = release(second);
+  auto parsed = Json::Parse(other);
+  ASSERT_TRUE(parsed.ok()) << other;
+  EXPECT_EQ(parsed->GetString("state", ""), "done") << other;
+  EXPECT_FALSE(parsed->GetBool("cached", true))
+      << "the second dataset was served the first one's cached release";
+  auto direct = api::Session::Open(second, {});
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  auto response = direct->Anonymize();
+  ASSERT_TRUE(response.ok());
+  EXPECT_NE(other.find(EncodeResult(*response)), std::string::npos) << other;
+  EXPECT_NE((*parsed)["csv"].AsString().find("26284.5679"), std::string::npos);
+  EXPECT_NE(cold, other);
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 TEST_F(ProtocolTest, CancelUnknownJobFails) {

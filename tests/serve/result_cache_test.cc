@@ -18,6 +18,7 @@
 
 #include "common/csv.h"
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "core/datagen.h"
 #include "obs/metrics.h"
 #include "serve/dataset_registry.h"
@@ -86,6 +87,72 @@ TEST_F(ResultCacheTest, FingerprintCoversSchemaButNotTableName) {
   EXPECT_EQ(FingerprintTable(renamed), FingerprintTable(same_schema));
   EXPECT_NE(FingerprintTable(table), FingerprintTable(renamed_column));
   EXPECT_NE(FingerprintTable(table), FingerprintTable(recategorized));
+}
+
+/// Two tables whose weights differ past the sixth significant digit are two
+/// contents: they must not share cached risks or releases.
+TEST_F(ResultCacheTest, FingerprintSeesEveryDigitOfADouble) {
+  const auto weights = [](double first, double second) {
+    core::MicrodataTable table("w", {{"area", "", core::AttributeCategory::kQuasiIdentifier},
+                                     {"weight", "", core::AttributeCategory::kWeight}});
+    EXPECT_TRUE(table.AddRow({Value::String("North"), Value::Double(first)}).ok());
+    EXPECT_TRUE(table.AddRow({Value::String("South"), Value::Double(second)}).ok());
+    return table;
+  };
+  EXPECT_NE(FingerprintTable(weights(26284.5678, 1234567.1)),
+            FingerprintTable(weights(26284.5679, 1234567.2)));
+  EXPECT_EQ(FingerprintTable(weights(26284.5678, 1234567.1)),
+            FingerprintTable(weights(26284.5678, 1234567.1)));
+}
+
+/// The risk payload appends its per-tuple numbers straight into the string;
+/// the bytes are those of the whole report built as one Json document.
+TEST_F(ResultCacheTest, RiskPayloadIsTheJsonDocumentsDump) {
+  api::RiskReport report;
+  report.tuple_risks = {0.0, 1.0, 1.0 / 3.0, 0.5, 2e-9};
+  report.threshold = 0.34;
+  report.inferred_threshold = 0.125;
+  report.risky = {{1, 1.0, "row 1 is unique on \"area\"\n"}, {2, 1.0 / 3.0, ""}};
+  report.global.expected_reidentifications = 2.5;
+  report.global.global_risk_rate = 0.5;
+  report.global.tuples_over_threshold = 2;
+  report.global.max_risk = 1.0;
+  report.global.sample_uniques = 1;
+  for (const double inferred : {0.125, -1.0}) {
+    report.inferred_threshold = inferred;
+    Json::Object risk;
+    risk["tuple_risks"] = Json::Array(report.tuple_risks.begin(), report.tuple_risks.end());
+    risk["threshold"] = report.threshold;
+    if (inferred >= 0.0) risk["inferred_threshold"] = inferred;
+    Json::Array risky;
+    for (const api::RiskyTuple& tuple : report.risky) {
+      Json::Object entry;
+      entry["row"] = static_cast<int64_t>(tuple.row);
+      entry["risk"] = tuple.risk;
+      if (!tuple.explanation.empty()) entry["explanation"] = tuple.explanation;
+      risky.emplace_back(std::move(entry));
+    }
+    risk["risky"] = std::move(risky);
+    Json::Object global;
+    global["expected_reidentifications"] = report.global.expected_reidentifications;
+    global["global_risk_rate"] = report.global.global_risk_rate;
+    global["tuples_over_threshold"] =
+        static_cast<int64_t>(report.global.tuples_over_threshold);
+    global["max_risk"] = report.global.max_risk;
+    global["sample_uniques"] = static_cast<int64_t>(report.global.sample_uniques);
+    risk["global"] = std::move(global);
+    EXPECT_EQ(EncodeResult(report), "\"risk\":" + Json(std::move(risk)).Dump());
+  }
+}
+
+TEST_F(ResultCacheTest, ReleasePayloadQuotesTheAuditAndTheCsvText) {
+  auto session = api::Session::FromTable(Figure5Microdata(), {});
+  ASSERT_TRUE(session.ok());
+  auto response = session->Anonymize();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(EncodeResult(*response),
+            "\"audit\":" + JsonQuote(response->ToText()) +
+                ",\"csv\":" + JsonQuote(WriteCsv(response->table.ToCsv())));
 }
 
 TEST_F(ResultCacheTest, CanonicalPolicyKeySeparatesEveryPolicyField) {
