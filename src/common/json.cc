@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace vadasa {
 
@@ -311,6 +312,25 @@ void DumpTo(const Json& value, std::string* out) {
 
 }  // namespace
 
+int64_t Json::AsInt(int64_t fallback) const {
+  if (!is_number()) return fallback;
+  const double d = std::get<double>(repr_);
+  // 2^63 is exact as a double. Doubles at or above it, or below -2^63, are
+  // outside int64_t, where the cast is undefined.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(d)) return fallback;
+  if (d >= kTwo63) return std::numeric_limits<int64_t>::max();
+  if (d < -kTwo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(d);
+}
+
+bool Json::IsIntegerIn(int64_t lo, int64_t hi) const {
+  if (!is_number()) return false;
+  const double d = std::get<double>(repr_);
+  return d >= static_cast<double>(lo) && d <= static_cast<double>(hi) &&
+         d == std::trunc(d);
+}
+
 const std::string& Json::AsString() const {
   if (is_string()) return std::get<std::string>(repr_);
   return EmptyString();
@@ -417,7 +437,7 @@ void AppendJsonNumber(std::string* out, double d) {
     *out += "null";
     return;
   }
-  if (d == static_cast<double>(static_cast<int64_t>(d)) && std::fabs(d) < 1e15) {
+  if (std::fabs(d) < 1e15 && d == std::trunc(d)) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
     *out += buf;

@@ -48,9 +48,14 @@ class Json {
   double AsDouble(double fallback = 0.0) const {
     return is_number() ? std::get<double>(repr_) : fallback;
   }
-  int64_t AsInt(int64_t fallback = 0) const {
-    return is_number() ? static_cast<int64_t>(std::get<double>(repr_)) : fallback;
-  }
+  /// The number truncated toward zero and saturated to the int64_t range, so
+  /// every double converts (1e19 reads INT64_MAX); `fallback` when this is
+  /// not a number or is NaN. Fields that must be integers check
+  /// IsIntegerIn first.
+  int64_t AsInt(int64_t fallback = 0) const;
+  /// Whether this is a number holding an integer in [lo, hi]. Both bounds
+  /// must be exactly representable as doubles (|bound| <= 2^53).
+  bool IsIntegerIn(int64_t lo, int64_t hi) const;
   const std::string& AsString() const;  ///< Empty string when not a string.
 
   const Array& AsArray() const;    ///< Empty array when not an array.

@@ -93,9 +93,10 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
   std::vector<bool> unresolvable(table->num_rows(), false);
 
   // One cache for the whole run: the group index inside is built on first
-  // use and then maintained incrementally from the changed-row sets the
-  // anonymizer reports — iterations >= 2 never recompute group stats from
-  // scratch (stats.group_rebuilds stays at 1).
+  // use (or copied from the cache's warm index) and then maintained
+  // incrementally from the changed-row sets the anonymizer reports —
+  // iterations >= 2 never recompute group stats from scratch
+  // (stats.group_rebuilds reads 1 on a cold cache and 0 on a warm one).
   RiskEvalCache local_cache;
   RiskEvalCache& cache = shared_cache != nullptr ? *shared_cache : local_cache;
 

@@ -72,10 +72,10 @@ struct CycleStats {
   double information_loss = 0.0;
   double risk_eval_seconds = 0.0;
   double total_seconds = 0.0;
-  /// From-scratch group-index constructions of the run's cache. 1 proves the
-  /// index was reused incrementally across iterations instead of being
-  /// rebuilt per iteration; 0 when the measure never groups (e.g. SUDA-only
-  /// runs build it lazily for the QI-choice heuristic).
+  /// From-scratch group-index constructions of the run's cache: 1 on a cold
+  /// cache, 0 when the cache copied its warm index or the run never needed
+  /// one. Either way at most 1 — a cycle that regrouped per iteration would
+  /// count one per iteration — so the incremental reuse shows as <= 1.
   size_t group_rebuilds = 0;
   /// Incremental UpdateRows batches absorbed by the index.
   size_t group_updates = 0;

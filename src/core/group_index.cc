@@ -630,11 +630,17 @@ std::unique_ptr<GroupIndex> GroupIndex::ApplyDelta(const MicrodataTable& new_tab
                                                    const DeltaRowPlan& plan) const {
   obs::Span span("group_index.apply_delta");
   VADASA_METRIC_COUNT("delta.index_applies", 1);
+  std::unique_ptr<GroupIndex> out = CopyOnWrite(new_table, plan);
+  out->impl_->full_builds = impl_->full_builds;
+  out->impl_->incremental_updates = impl_->incremental_updates + 1;
+  return out;
+}
+
+std::unique_ptr<GroupIndex> GroupIndex::CopyOnWrite(const MicrodataTable& new_table,
+                                                    const DeltaRowPlan& plan) const {
   auto clone = std::make_unique<Impl>();
   clone->qi_columns = impl_->qi_columns;
   clone->num_rows = new_table.num_rows();
-  clone->full_builds = impl_->full_builds;
-  clone->incremental_updates = impl_->incremental_updates + 1;
   clone->partition = impl_->partition;
   // Delta-clone the view: inherited dictionaries and code arrays, deleted
   // rows compacted out, changed rows re-interned (see columnar.h). Updated
@@ -732,21 +738,32 @@ RiskEvalCache::~RiskEvalCache() = default;
 GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
                                  const std::vector<size_t>& qi_columns,
                                  NullSemantics semantics) {
-  std::shared_ptr<ColumnarView> shared = impl_->EnsureView(table);
   const Impl::Key key{qi_columns, semantics};
   auto it = impl_->indexes.find(key);
-  if (it == impl_->indexes.end()) {
-    VADASA_METRIC_COUNT("risk_cache.index_misses", 1);
-    it = impl_->indexes
-             .emplace(key, std::make_unique<GroupIndex>(table, qi_columns, semantics,
-                                                        std::move(shared)))
-             .first;
-  } else if (it->second->num_rows() != table.num_rows()) {
-    VADASA_METRIC_COUNT("risk_cache.index_misses", 1);
-    it->second = std::make_unique<GroupIndex>(table, qi_columns, semantics,
-                                              std::move(shared));
-  } else {
+  if (it != impl_->indexes.end() && it->second->num_rows() == table.num_rows()) {
     VADASA_METRIC_COUNT("risk_cache.index_hits", 1);
+    return *it->second;
+  }
+  VADASA_METRIC_COUNT("risk_cache.index_misses", 1);
+  std::unique_ptr<GroupIndex> index;
+  const GroupIndex* warm = impl_->warm.get();
+  if (warm != nullptr && impl_->view == nullptr && warm->semantics() == semantics &&
+      warm->qi_columns() == qi_columns && warm->num_rows() == table.num_rows()) {
+    // No row has changed: the warm partition is this table's. Copy it with
+    // its view, which becomes the view every later index and update shares.
+    obs::Span span("risk_cache.warm_copy");
+    VADASA_METRIC_COUNT("risk_cache.warm_copies", 1);
+    index = warm->CopyOnWrite(table, DeltaRowPlan{});
+    index->impl_->owns_view = false;
+    impl_->view = index->impl_->view;
+  } else {
+    index = std::make_unique<GroupIndex>(table, qi_columns, semantics,
+                                         impl_->EnsureView(table));
+  }
+  if (it == impl_->indexes.end()) {
+    it = impl_->indexes.emplace(key, std::move(index)).first;
+  } else {
+    it->second = std::move(index);
   }
   return *it->second;
 }

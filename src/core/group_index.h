@@ -164,16 +164,23 @@ class GroupIndex {
   std::shared_ptr<const ColumnarView> shared_view() const;
 
   /// Observability: how many times the index was built from scratch (1 unless
-  /// the table shape changed under us) and how many incremental row updates
-  /// it absorbed.
+  /// the table shape changed under us; 0 for a RiskEvalCache's copy of its
+  /// warm index) and how many incremental row updates it absorbed.
   size_t full_builds() const;
   size_t incremental_updates() const;
 
  private:
+  friend class RiskEvalCache;
   struct Impl;
 
-  /// Uninitialized shell for ApplyDelta to graft a cloned impl onto.
+  /// Uninitialized shell for CopyOnWrite to graft a cloned impl onto.
   GroupIndex() = default;
+
+  /// ApplyDelta's copy-on-write clone, counting nothing: the clone reports
+  /// no build, no update and no delta apply of its own. A RiskEvalCache
+  /// copies its warm index through it under an empty plan.
+  std::unique_ptr<GroupIndex> CopyOnWrite(const MicrodataTable& new_table,
+                                          const DeltaRowPlan& plan) const;
 
   std::unique_ptr<Impl> impl_;
 };
@@ -189,7 +196,10 @@ class GroupIndex {
 /// table this cache serves, Stats() already forced. Until the first
 /// NotifyRowsChanged, Stats() and SharedView() answer from it for its QI
 /// columns and semantics. It is never queried or updated — Query() and
-/// UpdateRows() memoize inside const methods — so Index() is always private.
+/// UpdateRows() memoize inside const methods — so Index() is always private:
+/// the first Index() for the warm index's projection copies it (ApplyDelta's
+/// copy-on-write clone under an empty plan) instead of grouping the table
+/// again, and the copy's view becomes the cache's shared view.
 class RiskEvalCache {
  public:
   explicit RiskEvalCache(std::shared_ptr<const GroupIndex> warm = nullptr);
@@ -199,7 +209,9 @@ class RiskEvalCache {
   RiskEvalCache& operator=(const RiskEvalCache&) = delete;
 
   /// The (incrementally maintained) group index for this projection; built on
-  /// first use. Rebuilt from scratch only if the table row count changed.
+  /// first use, or copied from the warm index while no row has changed and
+  /// the cache has no view of its own. Rebuilt from scratch only if the
+  /// table row count changed.
   GroupIndex& Index(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
                     NullSemantics semantics);
 
@@ -229,7 +241,8 @@ class RiskEvalCache {
   std::shared_ptr<void> Memo(const std::string& key) const;
   void SetMemo(const std::string& key, std::shared_ptr<void> value);
 
-  /// Aggregated counters over the private indexes, surfaced in CycleStats.
+  /// Aggregated counters over the private indexes, surfaced in CycleStats. A
+  /// copy of the warm index counts no build.
   size_t full_builds() const;
   size_t incremental_updates() const;
 

@@ -1,8 +1,39 @@
 #include "core/report.h"
 
 #include <sstream>
+#include <string>
+#include <utility>
+
+#include "obs/metrics.h"
 
 namespace vadasa::core {
+
+namespace {
+
+/// One sample per release into the release.* histograms: the outcome the
+/// audit reports, beside the cycle's cost in cycle.*. Nothing here is per
+/// tuple, so recording costs nothing that grows with the table.
+void RecordReleaseOutcome(const ReleaseAudit& audit) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto record = [&registry](const std::string& name, double value) {
+    registry.histogram("release." + name)->Record(value);
+  };
+  for (const auto& [side, risk] :
+       {std::pair<const char*, const GlobalRiskReport*>{"risk_before", &audit.risk_before},
+        std::pair<const char*, const GlobalRiskReport*>{"risk_after", &audit.risk_after}}) {
+    const std::string prefix = std::string(side) + ".";
+    record(prefix + "max_risk", risk->max_risk);
+    record(prefix + "tuples_over_threshold",
+           static_cast<double>(risk->tuples_over_threshold));
+    record(prefix + "sample_uniques", static_cast<double>(risk->sample_uniques));
+  }
+  record("unresolved", static_cast<double>(audit.cycle.unresolved));
+  record("information_loss", audit.cycle.information_loss);
+  record("utility.max_total_variation", audit.utility.max_total_variation);
+  record("utility.disturbed_pairs_fraction", audit.utility.disturbed_pairs_fraction);
+}
+
+}  // namespace
 
 std::string ReleaseAudit::ToText() const {
   std::ostringstream os;
@@ -59,6 +90,7 @@ Result<ReleaseAudit> RunAuditedRelease(MicrodataTable* table,
       audit.risk_after,
       ComputeGlobalRisk(*table, measure, options.risk, options.threshold, cache));
   VADASA_ASSIGN_OR_RETURN(audit.utility, MeasureUtility(original, *table));
+  RecordReleaseOutcome(audit);
   return audit;
 }
 

@@ -32,7 +32,9 @@ struct ReleaseAudit {
 /// Runs the complete audited release: evaluates global risk, runs the cycle
 /// (with step logging forced on), re-evaluates, and measures utility.
 /// `table` is anonymized in place. All three evaluations go through `cache`
-/// (e.g. seeded with a version's warm index), else through a local one.
+/// (e.g. seeded with a version's warm index), else through a local one. A
+/// completed release records one sample of its outcome into each release.*
+/// histogram of the global metrics registry (docs/observability.md).
 Result<ReleaseAudit> RunAuditedRelease(MicrodataTable* table,
                                        const RiskMeasure& measure,
                                        Anonymizer* anonymizer, CycleOptions options,

@@ -1,7 +1,6 @@
 #ifndef VADASA_CORE_UTILITY_H_
 #define VADASA_CORE_UTILITY_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -40,15 +39,11 @@ struct UtilityReport {
   std::string ToString() const;
 };
 
-/// Computes the report. Fails unless the tables have identical shape.
+/// Computes the report. Fails unless the tables have identical shape. Cells
+/// are compared by their spelling (Value::ToString), so Int 1 and Double 1.0
+/// count as one value, and Int 1234567 and Double 1234567.0 as two.
 Result<UtilityReport> MeasureUtility(const MicrodataTable& original,
                                      const MicrodataTable& anonymized);
-
-/// Total variation distance between the value distributions of one column in
-/// two same-height tables (nulls excluded from the anonymized side, mass
-/// renormalized). Exposed for tests and ad-hoc analyses.
-double ColumnTotalVariation(const MicrodataTable& original,
-                            const MicrodataTable& anonymized, size_t column);
 
 }  // namespace vadasa::core
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -68,21 +69,54 @@ Json::Object JobFields(const JobResult& job) {
           {"job_trace_id", Json(obs::TraceIdToHex(job.trace))}};
 }
 
+/// 2^53: every integer up to it is exactly a double, so a seed or job id in
+/// range names one value, not the nearest of several.
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+
+/// An integer member of a request: `fallback` when absent, else its value
+/// when it is a number holding an integer in [lo, hi]. Anything else — a
+/// fraction, a number out of range (including 1e400, read as infinity), a
+/// string — is InvalidArgument, never a silently truncated or narrowed value.
+Result<int64_t> IntegerField(const Json& request, const std::string& key,
+                             int64_t fallback, int64_t lo, int64_t hi) {
+  if (!request.Has(key)) return fallback;
+  const Json& value = request[key];
+  if (!value.IsIntegerIn(lo, hi)) {
+    return Status::InvalidArgument("\"" + key + "\" must be an integer in [" +
+                                   std::to_string(lo) + ", " + std::to_string(hi) +
+                                   "], got " + value.Dump());
+  }
+  return value.AsInt();
+}
+
+/// IntegerField over the range of `int`.
+Result<int> IntField(const Json& request, const std::string& key, int fallback) {
+  VADASA_ASSIGN_OR_RETURN(
+      const int64_t value,
+      IntegerField(request, key, fallback, std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max()));
+  return static_cast<int>(value);
+}
+
 /// Decodes the SessionOptions fields of a submit request; unknown measure
 /// names and out-of-range k/threshold are caught by ValidateSessionOptions
 /// inside Session construction.
-api::SessionOptions OptionsFrom(const Json& request) {
+Result<api::SessionOptions> OptionsFrom(const Json& request) {
   api::SessionOptions options;
   options.risk_measure = request.GetString("measure", options.risk_measure);
-  options.k = static_cast<int>(request.GetInt("k", options.k));
+  VADASA_ASSIGN_OR_RETURN(options.k, IntField(request, "k", options.k));
   options.threshold = request.GetDouble("threshold", options.threshold);
   options.standard_nulls =
       request.GetBool("standard_nulls", options.standard_nulls);
   options.single_step = request.GetBool("single_step", options.single_step);
   options.declarative = request.GetBool("declarative", options.declarative);
-  options.posterior_draws =
-      static_cast<int>(request.GetInt("posterior_draws", options.posterior_draws));
-  options.seed = static_cast<uint64_t>(request.GetInt("seed", static_cast<int64_t>(options.seed)));
+  VADASA_ASSIGN_OR_RETURN(options.posterior_draws,
+                          IntField(request, "posterior_draws", options.posterior_draws));
+  VADASA_ASSIGN_OR_RETURN(
+      const int64_t seed,
+      IntegerField(request, "seed", static_cast<int64_t>(options.seed), 0,
+                   kMaxExactInteger));
+  options.seed = static_cast<uint64_t>(seed);
   return options;
 }
 
@@ -194,7 +228,9 @@ std::string Protocol::Dispatch(const std::string& line, bool* shutdown_requested
     return ErrorLine(
         Status::InvalidArgument("op \"" + op + "\" requires a numeric \"id\""));
   }
-  const uint64_t id = static_cast<uint64_t>(request.GetInt("id", 0));
+  auto id_field = IntegerField(request, "id", 0, 0, kMaxExactInteger);
+  if (!id_field.ok()) return ErrorLine(id_field.status());
+  const uint64_t id = static_cast<uint64_t>(*id_field);
   if (op == "status") {
     // One snapshot: the state and timings are read under one lock.
     auto job = scheduler_->Peek(id);
@@ -240,9 +276,15 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
     if (quota != nullptr) quota->Release();
     return ErrorLine(loaded.status());
   }
+  auto session_options = OptionsFrom(request);
+  auto priority = IntField(request, "priority", 0);
+  if (!session_options.ok() || !priority.ok()) {
+    if (quota != nullptr) quota->Release();
+    return ErrorLine(!session_options.ok() ? session_options.status() : priority.status());
+  }
   auto session = api::Session::FromShared((*loaded)->table,
                                           (*loaded)->dictionary,
-                                          OptionsFrom(request), (*loaded)->warm);
+                                          std::move(*session_options), (*loaded)->warm);
   if (!session.ok()) {
     if (quota != nullptr) quota->Release();
     return ErrorLine(session.status());
@@ -263,7 +305,7 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
                            job.explain));
   }
   JobOptions options;
-  options.priority = static_cast<int>(request.GetInt("priority", 0));
+  options.priority = *priority;
   options.timeout_seconds = request.GetDouble("timeout_seconds", 0.0);
   if (quota != nullptr) options.quota_slot = quota->in_flight_cell();
   auto id = scheduler_->Submit(std::move(job), options);
@@ -304,13 +346,14 @@ std::string Protocol::HandleApplyDelta(const Json& request) {
     }
     uint32_t row = 0;
     if (kind != "append") {
-      if (!op_json.Has("row") || !op_json["row"].is_number() ||
-          op_json.GetInt("row", -1) < 0) {
+      if (!op_json.Has("row")) {
         return ErrorLine(Status::InvalidArgument(
-            "delta op \"" + kind +
-            "\" requires a non-negative numeric \"row\""));
+            "delta op \"" + kind + "\" requires a \"row\""));
       }
-      row = static_cast<uint32_t>(op_json.GetInt("row", 0));
+      auto row_field = IntegerField(op_json, "row", 0, 0,
+                                    std::numeric_limits<uint32_t>::max());
+      if (!row_field.ok()) return ErrorLine(row_field.status());
+      row = static_cast<uint32_t>(*row_field);
     }
     std::vector<Value> values;
     if (kind != "delete") {

@@ -12,6 +12,12 @@ namespace vadasa::serve {
 
 namespace {
 
+/// A job's ready-queue key: higher priority first, then admission order. The
+/// priority is widened before it is negated, so INT_MIN negates too.
+std::pair<int64_t, uint64_t> QueueKey(int priority, uint64_t id) {
+  return {-static_cast<int64_t>(priority), id};
+}
+
 double SecondsBetween(std::chrono::steady_clock::time_point a,
                       std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -220,7 +226,7 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
     shard_index = ShardForLabel(job->request.label);
     job->shard = shard_index;
     shards_[shard_index]->queue.emplace(
-        std::make_pair(-options.priority, job->result.id), job);
+        QueueKey(options.priority, job->result.id), job);
     jobs_.emplace(job->result.id, job);
     meters.admitted->Add(1);
     UpdateDepthGaugesLocked(shard_index);
@@ -259,7 +265,7 @@ Status JobScheduler::Cancel(uint64_t id) {
   Job* job = it->second.get();
   if (job->result.state == JobState::kQueued) {
     shards_[job->shard]->queue.erase(
-        std::make_pair(-job->options.priority, job->result.id));
+        QueueKey(job->options.priority, job->result.id));
     UpdateDepthGaugesLocked(job->shard);
     released = FinishLocked(job, JobState::kCancelled,
                             Status::Cancelled("cancelled while queued"));

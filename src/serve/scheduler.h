@@ -203,8 +203,9 @@ class JobScheduler {
   /// scheduler-wide mutex_ — sharding isolates *scheduling*, not locking;
   /// queue operations are microseconds against multi-ms jobs).
   struct Shard {
-    /// Ready queue keyed by (-priority, admission seq): begin() is next.
-    std::map<std::pair<int, uint64_t>, std::shared_ptr<Job>> queue;
+    /// Ready queue keyed by QueueKey (-priority, admission seq): begin() is
+    /// next.
+    std::map<std::pair<int64_t, uint64_t>, std::shared_ptr<Job>> queue;
     std::condition_variable work_cv;  ///< Workers: queue non-empty / shutdown.
     obs::Gauge* depth_gauge = nullptr;  ///< serve.shard.<i>.queue_depth.
   };

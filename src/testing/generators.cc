@@ -372,4 +372,187 @@ core::MicrodataTable RandomCsvTable(Rng* rng) {
   return table;
 }
 
+Value RandomSpellingCell(Rng* rng) {
+  static const int64_t kInts[] = {0, 1, 7, -3, 1234567, 1234568, 100000};
+  static const double kDoubles[] = {0.0,       -0.0,       1.0,       7.0,
+                                    1234567.0, 1234567.1,  1234568.0, 1.0000001,
+                                    1.0000002, 0.1 + 0.2,  0.3,       -3.0};
+  // "a\x1f" beside "b" and "a" beside "\x1f" "b" would share a pair key if
+  // the two spellings were joined with 0x1F.
+  static const char* const kStrings[] = {
+      "0", "-0",  "1", "7", "1234567", "1.23457e+06", "true", "⊥_1", "a",
+      "b", "a\x1f", "\x1f" "b", "\x1f", "v1", "v2"};
+  switch (rng->NextBelow(4)) {
+    case 0:
+      return Value::Int(kInts[rng->NextBelow(std::size(kInts))]);
+    case 1:
+      return Value::Double(kDoubles[rng->NextBelow(std::size(kDoubles))]);
+    case 2:
+      return rng->NextDouble() < 0.1 ? Value::Bool(rng->NextDouble() < 0.5)
+                                     : Value::String(kStrings[rng->NextBelow(
+                                           std::size(kStrings))]);
+    default:
+      return Value::String("v" + std::to_string(rng->NextZipf(5, 1.1)));
+  }
+}
+
+core::MicrodataTable RandomSpellingTable(Rng* rng) {
+  const bool wide = rng->NextDouble() < 0.1;
+  const size_t rows = wide ? 1500 + rng->NextBelow(1500) : 1 + rng->NextBelow(60);
+  const size_t num_qi = 1 + rng->NextBelow(4);
+  const size_t wide_column = wide ? rng->NextBelow(num_qi) : num_qi;
+  enum class Payload { kNumeric, kString, kNone };
+  const double draw = rng->NextDouble();
+  const Payload payload =
+      draw < 0.6 ? Payload::kNumeric : draw < 0.8 ? Payload::kString : Payload::kNone;
+  const bool with_weight = rng->NextDouble() < 0.7;
+
+  std::vector<Attribute> attrs;
+  for (size_t q = 0; q < num_qi; ++q) {
+    attrs.push_back({"Q" + std::to_string(q + 1), "", AttributeCategory::kQuasiIdentifier});
+  }
+  if (payload != Payload::kNone) {
+    attrs.push_back({"Growth", "", AttributeCategory::kNonIdentifying});
+  }
+  if (with_weight) attrs.push_back({"W", "", AttributeCategory::kWeight});
+  MicrodataTable table("spelling", std::move(attrs));
+
+  // Each column draws from a small pool, so cells repeat; half of the
+  // repeats share the pool's payload and half are fresh copies.
+  std::vector<std::vector<Value>> pools(num_qi);
+  for (auto& pool : pools) {
+    const size_t size = 2 + rng->NextBelow(6);
+    for (size_t i = 0; i < size; ++i) pool.push_back(RandomSpellingCell(rng));
+  }
+  uint64_t null_label = 1;
+  std::vector<std::vector<Value>> history;
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> qis;
+    if (!history.empty() && rng->NextDouble() < 0.2) {
+      qis = history[rng->NextBelow(history.size())];
+    } else {
+      for (size_t q = 0; q < num_qi; ++q) {
+        if (q == wide_column) {
+          qis.push_back(rng->NextDouble() < 0.5
+                            ? Value::Int(rng->NextInt(0, 100000))
+                            : Value::Double(static_cast<double>(rng->NextInt(0, 100000)) /
+                                            7.0));
+          continue;
+        }
+        const Value& pick = pools[q][rng->NextZipf(pools[q].size(), 1.1)];
+        qis.push_back(pick.is_string() && rng->NextDouble() < 0.5
+                          ? Value::String(pick.as_string())
+                          : pick);
+      }
+    }
+    for (auto& cell : qis) {
+      if (rng->NextDouble() < 0.05) {
+        cell = Value::Null(rng->NextDouble() < 0.3 ? 1 : null_label++);
+      }
+    }
+    history.push_back(qis);
+    std::vector<Value> row = std::move(qis);
+    if (payload == Payload::kNumeric) {
+      row.push_back(rng->NextDouble() < 0.5 ? Value::Int(rng->NextInt(-30, 300))
+                                            : Value::Double(rng->NextInt(-300, 3000) / 8.0));
+    } else if (payload == Payload::kString) {
+      row.push_back(Value::String("g" + std::to_string(rng->NextBelow(4))));
+    }
+    if (with_weight) {
+      row.push_back(rng->NextDouble() < 0.5
+                        ? Value::Int(rng->NextInt(1, 20))
+                        : Value::Double(static_cast<double>(rng->NextInt(4, 80)) / 4.0));
+    }
+    (void)table.AddRow(std::move(row));
+  }
+  return table;
+}
+
+namespace {
+
+void AppendJsonSpace(Rng* rng, std::string* out) {
+  static const char kSpace[] = {' ', '\t', '\n', '\r'};
+  while (rng->NextDouble() < 0.15) out->push_back(kSpace[rng->NextBelow(4)]);
+}
+
+void AppendRandomJson(Rng* rng, int depth, std::string* out) {
+  static const char* const kNumbers[] = {
+      "0", "-0", "-0.0", "1", "-1", "1.9", "0.1", "2.5e-3", "1E2", "1e-400",
+      "9007199254740992", "-9007199254740992", "9007199254740993",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", "18446744073709551616", "1e19", "-1e19", "1e400",
+      "-1e400", "4294967296", "4294967298", "2147483648", "-2147483649",
+      "123456789012345678901234567890", "1e15", "999999999999999.5"};
+  static const char* const kStrings[] = {
+      R"("")",           R"("a")",        R"("\u0000")",  R"("😀")",
+      R"("\"\\\/\b\f\n\r\t")", "\"\xc3\xa9\"", R"("é")", R"("op")",
+      R"("submit")",     R"("NULL_3")",   R"("\u001f")"};
+  static const char* const kKeys[] = {"op", "k", "row", "seed", "id", "priority",
+                                      "posterior_draws", "v", "ops", "values", ""};
+  AppendJsonSpace(rng, out);
+  // Documents are mostly containers; below depth 5 only scalars.
+  const uint64_t kind = depth == 0 && rng->NextDouble() < 0.8 ? 4 + rng->NextBelow(2)
+                        : depth >= 5                           ? rng->NextBelow(4)
+                                                               : rng->NextBelow(6);
+  switch (kind) {
+    case 0:
+      *out += kNumbers[rng->NextBelow(std::size(kNumbers))];
+      break;
+    case 1: {
+      char buffer[40];
+      if (rng->NextDouble() < 0.5) {
+        std::snprintf(buffer, sizeof(buffer), "%lld",
+                      static_cast<long long>(rng->NextInt(-100000, 5000000000LL)));
+      } else {
+        const double d = (rng->NextDouble() - 0.5) *
+                         std::pow(10.0, static_cast<double>(rng->NextInt(-20, 25)));
+        std::snprintf(buffer, sizeof(buffer), "%.17g", d);
+      }
+      *out += buffer;
+      break;
+    }
+    case 2:
+      *out += kStrings[rng->NextBelow(std::size(kStrings))];
+      break;
+    case 3:
+      *out += rng->NextDouble() < 0.4 ? "null" : rng->NextDouble() < 0.5 ? "true" : "false";
+      break;
+    case 4: {
+      out->push_back('[');
+      const size_t n = rng->NextBelow(5);
+      for (size_t i = 0; i < n; ++i) {
+        if (i > 0) out->push_back(',');
+        AppendRandomJson(rng, depth + 1, out);
+      }
+      AppendJsonSpace(rng, out);
+      out->push_back(']');
+      break;
+    }
+    default: {
+      out->push_back('{');
+      const size_t n = rng->NextBelow(6);
+      for (size_t i = 0; i < n; ++i) {
+        if (i > 0) out->push_back(',');
+        AppendJsonSpace(rng, out);
+        *out += "\"" + std::string(kKeys[rng->NextBelow(std::size(kKeys))]) + "\"";
+        AppendJsonSpace(rng, out);
+        out->push_back(':');
+        AppendRandomJson(rng, depth + 1, out);
+      }
+      AppendJsonSpace(rng, out);
+      out->push_back('}');
+      break;
+    }
+  }
+  AppendJsonSpace(rng, out);
+}
+
+}  // namespace
+
+std::string RandomJsonDocument(Rng* rng) {
+  std::string out;
+  AppendRandomJson(rng, 0, &out);
+  return out;
+}
+
 }  // namespace vadasa::testing

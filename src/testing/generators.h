@@ -97,6 +97,26 @@ std::string RandomCsvDocument(Rng* rng);
 /// round-trip.
 core::MicrodataTable RandomCsvTable(Rng* rng);
 
+/// A random table whose quasi-identifier cells differ in spelling where they
+/// compare equal, and agree where they differ: Int 1234567 beside Double
+/// 1234567.0, 0 beside -0.0, doubles equal to six digits, strings spelled
+/// like numbers or like labelled nulls, strings holding byte 0x1F, and
+/// labelled nulls in the original. Tables have one to four QIs; about one in
+/// ten has a QI with thousands of distinct values; the non-identifying column
+/// is numeric, a string or absent. Equal cells share a payload only
+/// sometimes. Deterministic in `*rng`.
+core::MicrodataTable RandomSpellingTable(Rng* rng);
+
+/// One QI cell drawn from RandomSpellingTable's value families.
+Value RandomSpellingCell(Rng* rng);
+
+/// A random JSON document near the protocol's shapes: nested objects and
+/// arrays, request-like members ("op", "k", "row", "seed", "id"), numbers at
+/// and past the exact and int64 ranges (±2^53, ±2^63, 1e19, 1e400, -0,
+/// fractions), strings with every escape, surrogate pairs and raw UTF-8, and
+/// random whitespace between tokens. Deterministic in `*rng`.
+std::string RandomJsonDocument(Rng* rng);
+
 }  // namespace vadasa::testing
 
 #endif  // VADASA_TESTING_GENERATORS_H_

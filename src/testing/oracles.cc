@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -576,6 +577,132 @@ Status CheckCsvWriteStable(std::string_view text) {
         " of " + std::to_string(once.size()));
   }
   return Status::OK();
+}
+
+namespace {
+
+/// Normalized value distribution of a column, keyed by spelling; nulls are
+/// skipped.
+std::map<std::string, double> ReferenceColumnDistribution(const MicrodataTable& t,
+                                                          size_t column) {
+  std::map<std::string, double> dist;
+  double total = 0.0;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const Value& v = t.cell(r, column);
+    if (v.is_null()) continue;
+    dist[v.ToString()] += 1.0;
+    total += 1.0;
+  }
+  if (total > 0.0) {
+    for (auto& [k, mass] : dist) {
+      (void)k;
+      mass /= total;
+    }
+  }
+  return dist;
+}
+
+double ReferenceTotalVariation(const std::map<std::string, double>& a,
+                               const std::map<std::string, double>& b) {
+  double tv = 0.0;
+  for (const auto& [k, pa] : a) {
+    auto it = b.find(k);
+    tv += std::fabs(pa - (it == b.end() ? 0.0 : it->second));
+  }
+  for (const auto& [k, pb] : b) {
+    if (!a.count(k)) tv += pb;
+  }
+  return tv / 2.0;
+}
+
+}  // namespace
+
+Result<core::UtilityReport> ReferenceMeasureUtility(const MicrodataTable& original,
+                                                    const MicrodataTable& anonymized) {
+  if (original.num_rows() != anonymized.num_rows() ||
+      original.num_columns() != anonymized.num_columns()) {
+    return Status::InvalidArgument(
+        "utility comparison requires identically shaped tables");
+  }
+  core::UtilityReport report;
+  const auto qis = anonymized.QuasiIdentifierColumns();
+
+  for (const size_t c : qis) {
+    core::MarginalDistance m;
+    m.attribute = anonymized.attributes()[c].name;
+    m.total_variation = ReferenceTotalVariation(
+        ReferenceColumnDistribution(original, c), ReferenceColumnDistribution(anonymized, c));
+    size_t nulls = 0;
+    for (size_t r = 0; r < anonymized.num_rows(); ++r) {
+      if (anonymized.cell(r, c).is_null()) ++nulls;
+    }
+    m.suppressed_fraction = anonymized.num_rows() == 0
+                                ? 0.0
+                                : static_cast<double>(nulls) /
+                                      static_cast<double>(anonymized.num_rows());
+    report.max_total_variation = std::max(report.max_total_variation, m.total_variation);
+    report.marginals.push_back(std::move(m));
+  }
+
+  // Weighted mean of the first numeric non-identifying attribute.
+  for (const size_t c :
+       anonymized.ColumnsWithCategory(core::AttributeCategory::kNonIdentifying)) {
+    bool numeric = anonymized.num_rows() > 0 && anonymized.cell(0, c).is_numeric();
+    if (!numeric) continue;
+    double num_orig = 0.0;
+    double num_anon = 0.0;
+    double wsum = 0.0;
+    for (size_t r = 0; r < anonymized.num_rows(); ++r) {
+      const double w = original.RowWeight(r);
+      if (original.cell(r, c).is_numeric()) num_orig += w * original.cell(r, c).as_double();
+      if (anonymized.cell(r, c).is_numeric()) {
+        num_anon += w * anonymized.cell(r, c).as_double();
+      }
+      wsum += w;
+    }
+    if (wsum > 0.0 && num_orig != 0.0) {
+      report.weighted_mean_ratio = num_anon / num_orig;
+    }
+    break;
+  }
+
+  // 2-way contingency disturbance across QI pairs, each cell keyed by its
+  // pair of spellings.
+  using PairKey = std::pair<std::string, std::string>;
+  size_t cells = 0;
+  size_t disturbed = 0;
+  for (size_t i = 0; i + 1 < qis.size(); ++i) {
+    for (size_t j = i + 1; j < qis.size(); ++j) {
+      std::map<PairKey, double> before;
+      std::map<PairKey, double> after;
+      double n_before = 0.0;
+      double n_after = 0.0;
+      for (size_t r = 0; r < anonymized.num_rows(); ++r) {
+        const Value& a0 = original.cell(r, qis[i]);
+        const Value& a1 = original.cell(r, qis[j]);
+        before[{a0.ToString(), a1.ToString()}] += 1.0;
+        n_before += 1.0;
+        const Value& b0 = anonymized.cell(r, qis[i]);
+        const Value& b1 = anonymized.cell(r, qis[j]);
+        if (b0.is_null() || b1.is_null()) continue;
+        after[{b0.ToString(), b1.ToString()}] += 1.0;
+        n_after += 1.0;
+      }
+      for (const auto& [key, count] : before) {
+        const double p_before = n_before > 0 ? count / n_before : 0.0;
+        auto it = after.find(key);
+        const double p_after =
+            n_after > 0 && it != after.end() ? it->second / n_after : 0.0;
+        ++cells;
+        if (std::fabs(p_before - p_after) > 0.01) ++disturbed;
+      }
+    }
+  }
+  if (cells > 0) {
+    report.disturbed_pairs_fraction =
+        static_cast<double>(disturbed) / static_cast<double>(cells);
+  }
+  return report;
 }
 
 Result<std::vector<double>> NaiveStatsMeasure::ComputeRisks(

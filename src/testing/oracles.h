@@ -14,6 +14,7 @@
 #include "core/microdata.h"
 #include "core/risk.h"
 #include "core/suda.h"
+#include "core/utility.h"
 
 namespace vadasa::testing {
 
@@ -135,6 +136,14 @@ Status CheckLoadMatchesReference(std::string_view text);
 /// output (MicrodataTable::CsvText) and writing it again gives the same
 /// bytes. OK for a document that does not load.
 Status CheckCsvWriteStable(std::string_view text);
+
+/// The utility report as it was computed before it counted spelling ids:
+/// every cell spelled by Value::ToString per cell, marginals counted in a
+/// std::map keyed by spelling and summed in its order, and each QI pair's
+/// cells counted in a std::map keyed by the pair of spellings. It shares no
+/// code with core::MeasureUtility's id assignment or hash tables.
+Result<core::UtilityReport> ReferenceMeasureUtility(
+    const core::MicrodataTable& original, const core::MicrodataTable& anonymized);
 
 /// Test-only RiskMeasure decorator whose group statistics come from
 /// NaiveGroupStats: ComputeRisks applies the wrapped grouping measure's own

@@ -26,6 +26,7 @@
 #include "core/microdata.h"
 #include "core/risk.h"
 #include "core/suda.h"
+#include "core/utility.h"
 #include "core/vadalog_bridge.h"
 #include "serve/dataset_registry.h"
 #include "serve/protocol.h"
@@ -1101,6 +1102,130 @@ Status EvalCsvStreamMatchesReference(const ReproCase& repro) {
   return Status::OK();
 }
 
+/// The same value spelled apart, or the same spelling in a fresh payload:
+/// Int and Double of one number, 0 and -0.0, a double one ulp away (equal to
+/// six digits), a string copied into its own payload.
+Value SpelledTwin(const Value& v) {
+  if (v.is_int()) return Value::Double(static_cast<double>(v.as_int()));
+  if (v.is_double()) {
+    const double d = v.as_double();
+    if (d == 0) return Value::Double(-d);
+    if (d == std::trunc(d) && std::fabs(d) < 1e15) {
+      return Value::Int(static_cast<int64_t>(d));
+    }
+    return Value::Double(std::nextafter(d, HUGE_VAL));
+  }
+  if (v.is_string()) return Value::String(v.as_string());
+  return v;
+}
+
+/// The release utility-matches-reference measures, re-derived from the case:
+/// the table after an anonymization cycle, or after random hand edits.
+MicrodataTable UtilityRelease(const ReproCase& repro) {
+  MicrodataTable released = repro.table;
+  Rng aux(repro.seed);
+  if (Param(repro, "release", "edits") == "cycle") {
+    auto measure = core::MakeRiskMeasure(Param(repro, "measure", "k-anonymity"));
+    if (!measure.ok()) return released;
+    core::CycleOptions options;
+    options.threshold = ParamDouble(repro, "threshold", 0.5);
+    options.risk = ContextFrom(repro);
+    const core::Hierarchy hierarchy = RandomHierarchy(&aux, released);
+    core::LocalSuppression suppression;
+    core::RecodeThenSuppress recoding(&hierarchy);
+    core::Anonymizer* anonymizer = Param(repro, "anonymizer", "suppress") == "recode"
+                                       ? static_cast<core::Anonymizer*>(&recoding)
+                                       : &suppression;
+    core::AnonymizationCycle cycle(measure->get(), anonymizer, options);
+    // A run that stops early still leaves a table of the same shape.
+    (void)cycle.Run(&released);
+    return released;
+  }
+  const size_t rows = released.num_rows();
+  const std::vector<size_t> qis = released.QuasiIdentifierColumns();
+  if (rows == 0 || qis.empty()) return released;
+  const size_t edits = aux.NextBelow(2 * rows + 1);
+  uint64_t label = 1000;
+  for (size_t e = 0; e < edits; ++e) {
+    const size_t row = aux.NextBelow(rows);
+    const size_t column = qis[aux.NextBelow(qis.size())];
+    Value edited;
+    switch (aux.NextBelow(5)) {
+      case 0:
+        edited = Value::Null(label++);
+        break;
+      case 1:
+        edited = RandomSpellingCell(&aux);
+        break;
+      case 2:
+        edited = SpelledTwin(released.cell(row, column));
+        break;
+      case 3:
+        edited = released.cell(aux.NextBelow(rows), column);
+        break;
+      default:
+        edited = Value::String(released.cell(row, column).ToString() + "\x1f");
+        break;
+    }
+    released.set_cell(row, column, std::move(edited));
+  }
+  for (const size_t c : released.ColumnsWithCategory(AttributeCategory::kNonIdentifying)) {
+    if (aux.NextDouble() < 0.5) {
+      const size_t row = aux.NextBelow(rows);
+      released.set_cell(row, c,
+                        aux.NextDouble() < 0.5 ? SpelledTwin(released.cell(row, c))
+                                               : Value::Null(label++));
+    }
+  }
+  return released;
+}
+
+Status SameUtilityField(const std::string& field, double got, double want) {
+  if (got == want) return Status::OK();
+  char buffer[96];
+  std::snprintf(buffer, sizeof(buffer), " reads %.17g, the reference %.17g", got, want);
+  return Status::FailedPrecondition(field + buffer);
+}
+
+Status EvalUtilityMatchesReference(const ReproCase& repro) {
+  const MicrodataTable released = UtilityRelease(repro);
+  auto got = core::MeasureUtility(repro.table, released);
+  auto want = ReferenceMeasureUtility(repro.table, released);
+  if (!got.ok() || !want.ok()) {
+    if (got.ok() == want.ok() && got.status().code() == want.status().code()) {
+      return Status::OK();
+    }
+    return Status::FailedPrecondition("MeasureUtility returns " +
+                                      got.status().ToString() + ", the reference " +
+                                      want.status().ToString());
+  }
+  if (got->marginals.size() != want->marginals.size()) {
+    return Status::FailedPrecondition(
+        "MeasureUtility reports " + std::to_string(got->marginals.size()) +
+        " marginals, the reference " + std::to_string(want->marginals.size()));
+  }
+  for (size_t i = 0; i < got->marginals.size(); ++i) {
+    const core::MarginalDistance& a = got->marginals[i];
+    const core::MarginalDistance& b = want->marginals[i];
+    if (a.attribute != b.attribute) {
+      return Status::FailedPrecondition("marginal " + std::to_string(i) + " is \"" +
+                                        a.attribute + "\", the reference's \"" +
+                                        b.attribute + "\"");
+    }
+    VADASA_RETURN_NOT_OK(
+        SameUtilityField(a.attribute + " total_variation", a.total_variation,
+                         b.total_variation));
+    VADASA_RETURN_NOT_OK(SameUtilityField(a.attribute + " suppressed_fraction",
+                                          a.suppressed_fraction, b.suppressed_fraction));
+  }
+  VADASA_RETURN_NOT_OK(SameUtilityField("max_total_variation", got->max_total_variation,
+                                        want->max_total_variation));
+  VADASA_RETURN_NOT_OK(SameUtilityField("weighted_mean_ratio", got->weighted_mean_ratio,
+                                        want->weighted_mean_ratio));
+  return SameUtilityField("disturbed_pairs_fraction", got->disturbed_pairs_fraction,
+                          want->disturbed_pairs_fraction);
+}
+
 vadalog::EngineOptions BoundedEngineOptions() {
   vadalog::EngineOptions options;
   options.max_rounds = 200;
@@ -1430,6 +1555,35 @@ std::vector<Property> BuildCatalog() {
          return repro;
        },
        EvalCsvStreamMatchesReference});
+
+  catalog.push_back(
+      {"utility-matches-reference",
+       "the utility report counted by spelling id equals the per-cell "
+       "spelling reference field for field, on cycle releases and hand-edited "
+       "tables",
+       false,
+       [](Rng* rng, uint64_t i) {
+         ReproCase repro;
+         repro.property = "utility-matches-reference";
+         repro.seed = rng->Next();
+         repro.case_index = i;
+         repro.table = RandomSpellingTable(rng);
+         const bool cycle = rng->NextDouble() < 0.5;
+         repro.params["release"] = cycle ? "cycle" : "edits";
+         if (cycle) {
+           const double measure = rng->NextDouble();
+           repro.params["measure"] = measure < 0.5   ? "k-anonymity"
+                                     : measure < 0.8 ? "reidentification"
+                                                     : "suda";
+           repro.params["k"] = std::to_string(rng->NextInt(2, 3));
+           repro.params["threshold"] =
+               std::to_string(rng->NextDouble() < 0.5 ? 0.34 : 0.5);
+           repro.params["semantics"] = PickSemantics(rng, 0.6);
+           repro.params["anonymizer"] = rng->NextDouble() < 0.7 ? "suppress" : "recode";
+         }
+         return repro;
+       },
+       EvalUtilityMatchesReference});
 
   catalog.push_back(
       {"vadalog-determinism",

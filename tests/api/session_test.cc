@@ -11,6 +11,7 @@
 #include "core/datagen.h"
 #include "core/report.h"
 #include "obs/metrics.h"
+#include "serve/result_cache.h"
 
 namespace vadasa::api {
 namespace {
@@ -483,6 +484,42 @@ TEST(SessionTest, SharedTableServesManySessions) {
   ASSERT_TRUE(risks_b.ok());
   // Different k policies over the same shared snapshot stay independent.
   EXPECT_GE(risks_b->risky.size(), risks_a->risky.size());
+}
+
+TEST(SessionTest, WarmedReleaseCopiesTheWarmIndexInsteadOfGrouping) {
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "the group-index counters are compiled out";
+#endif
+  obs::Counter* partitions =
+      obs::MetricsRegistry::Global().counter("group_index.partitions_built");
+  const MicrodataTable table = core::GenerateInflationGrowth(
+      "warm", 1500, 4, core::DistributionKind::kUnbalanced, 11);
+  for (const auto& [measure, k] : {std::pair<const char*, int>{"k-anonymity", 2},
+                                   std::pair<const char*, int>{"suda", 3}}) {
+    SessionOptions options;
+    options.risk_measure = measure;
+    options.k = k;
+    auto cold = Session::FromTable(table, options);
+    auto warm = Session::FromTable(table, options);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(warm.ok());
+
+    uint64_t before = partitions->value();
+    auto cold_release = cold->Anonymize();
+    ASSERT_TRUE(cold_release.ok()) << cold_release.status().ToString();
+    EXPECT_EQ(partitions->value() - before, 1u) << measure << ": a cold release groups once";
+    EXPECT_EQ(cold_release->audit.cycle.group_rebuilds, 1u) << measure;
+    ASSERT_GT(cold_release->audit.cycle.initial_risky, 0u) << measure;
+
+    ASSERT_TRUE(warm->Warm().ok());
+    before = partitions->value();
+    auto warm_release = warm->Anonymize();
+    ASSERT_TRUE(warm_release.ok()) << warm_release.status().ToString();
+    EXPECT_EQ(partitions->value(), before) << measure << ": a warmed release never groups";
+    EXPECT_EQ(warm_release->audit.cycle.group_rebuilds, 0u) << measure;
+    EXPECT_EQ(serve::EncodeResult(*warm_release), serve::EncodeResult(*cold_release))
+        << measure;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace vadasa {
 namespace {
 
@@ -80,6 +83,44 @@ TEST(JsonTest, IntegersDumpWithoutExponent) {
   auto doc = Json::Parse(text);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->GetInt("id", 0), 123456789);
+}
+
+TEST(JsonTest, AsIntSaturatesAndIsIntegerInChecksRange) {
+  const double two63 = 9223372036854775808.0;
+  EXPECT_EQ(Json(1e19).AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Json(two63).AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Json(-two63).AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Json(-1e300).AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Json(std::nextafter(two63, 0.0)).AsInt(),
+            static_cast<int64_t>(std::nextafter(two63, 0.0)));
+  EXPECT_EQ(Json(-1.9).AsInt(), -1);
+  EXPECT_EQ(Json(std::nan("")).AsInt(7), 7);
+  EXPECT_EQ(Json("3").AsInt(7), 7);
+  auto infinite = Json::Parse("1e400");
+  ASSERT_TRUE(infinite.ok());
+  EXPECT_EQ(infinite->AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_FALSE(infinite->IsIntegerIn(0, int64_t{1} << 53));
+
+  EXPECT_TRUE(Json(4294967295.0).IsIntegerIn(0, 4294967295));
+  EXPECT_FALSE(Json(4294967296.0).IsIntegerIn(0, 4294967295));
+  EXPECT_FALSE(Json(1.9).IsIntegerIn(0, 10));
+  EXPECT_FALSE(Json(-1.0).IsIntegerIn(0, 10));
+  EXPECT_TRUE(Json(-0.0).IsIntegerIn(0, 10));
+  EXPECT_FALSE(Json("1").IsIntegerIn(0, 10));
+  EXPECT_FALSE(Json(std::nan("")).IsIntegerIn(0, 10));
+}
+
+TEST(JsonTest, HugeNumbersDumpAndParseBack) {
+  // Finite numbers at or past 2^63 dump with %.17g (their int64 cast would be
+  // undefined) and parse back to themselves.
+  for (const double d : {1e19, -1e19, 9223372036854775808.0, 1e300, 1e15, -1e15}) {
+    const std::string text = Json(d).Dump();
+    auto back = Json::Parse(text);
+    ASSERT_TRUE(back.ok()) << text;
+    EXPECT_EQ(back->AsDouble(), d) << text;
+    EXPECT_EQ(back->Dump(), text);
+  }
+  EXPECT_EQ(Json(123456789012345.0).Dump(), "123456789012345");
 }
 
 TEST(JsonTest, JsonQuoteEscapesControlCharacters) {

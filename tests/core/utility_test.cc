@@ -46,8 +46,12 @@ TEST(UtilityTest, ColumnTotalVariationDetectsShift) {
     ASSERT_TRUE(b.AddRow({Value::String("p")}).ok());
   }
   // a: 50/50; b: 100/0 -> TV = 0.5.
-  EXPECT_DOUBLE_EQ(ColumnTotalVariation(a, b, 0), 0.5);
-  EXPECT_DOUBLE_EQ(ColumnTotalVariation(a, a, 0), 0.0);
+  auto shifted = MeasureUtility(a, b);
+  auto same = MeasureUtility(a, a);
+  ASSERT_TRUE(shifted.ok());
+  ASSERT_TRUE(same.ok());
+  EXPECT_DOUBLE_EQ(shifted->marginals[0].total_variation, 0.5);
+  EXPECT_DOUBLE_EQ(same->marginals[0].total_variation, 0.0);
 }
 
 TEST(UtilityTest, NullsExcludedAndRenormalized) {
@@ -61,7 +65,42 @@ TEST(UtilityTest, NullsExcludedAndRenormalized) {
   // Suppress one p and one q: remaining marginal is still 50/50.
   b.set_cell(0, 0, Value::Null(1));
   b.set_cell(2, 0, Value::Null(2));
-  EXPECT_DOUBLE_EQ(ColumnTotalVariation(a, b, 0), 0.0);
+  auto report = MeasureUtility(a, b);
+  ASSERT_TRUE(report.ok());
+  EXPECT_DOUBLE_EQ(report->marginals[0].total_variation, 0.0);
+}
+
+TEST(UtilityTest, CellsCompareBySpellingNotByValue) {
+  // Int 1234567 and Double 1234567.0 are equal values spelled apart
+  // ("1234567", "1.23457e+06"); Double 1234567.0 and 1234568.0 are unequal
+  // values with one spelling. Each marginal counts spellings.
+  MicrodataTable a("a", {{"X", "", AttributeCategory::kQuasiIdentifier}});
+  MicrodataTable b("b", {{"X", "", AttributeCategory::kQuasiIdentifier}});
+  ASSERT_TRUE(a.AddRow({Value::Int(1234567)}).ok());
+  ASSERT_TRUE(a.AddRow({Value::Double(1234567.0)}).ok());
+  ASSERT_TRUE(b.AddRow({Value::Double(1234567.0)}).ok());
+  ASSERT_TRUE(b.AddRow({Value::Double(1234568.0)}).ok());
+  auto report = MeasureUtility(a, b);
+  ASSERT_TRUE(report.ok());
+  // a: 1234567 50%, 1.23457e+06 50%; b: 1.23457e+06 100% -> TV = 0.5.
+  EXPECT_DOUBLE_EQ(report->marginals[0].total_variation, 0.5);
+  EXPECT_DOUBLE_EQ(report->disturbed_pairs_fraction, 0.0);
+}
+
+TEST(UtilityTest, PairsAreKeyedByBothSpellings) {
+  // ("a\x1f", "b") and ("a", "\x1f" "b") are two cells of the pair table,
+  // though joining each pair's spellings with 0x1F would spell both
+  // "a\x1f\x1fb" and merge them into one undisturbed cell.
+  MicrodataTable original("o", {{"X", "", AttributeCategory::kQuasiIdentifier},
+                                {"Y", "", AttributeCategory::kQuasiIdentifier}});
+  ASSERT_TRUE(original.AddRow({Value::String("a\x1f"), Value::String("b")}).ok());
+  ASSERT_TRUE(original.AddRow({Value::String("a"), Value::String("\x1f" "b")}).ok());
+  MicrodataTable released = original;
+  released.set_cell(1, 0, Value::Null(1));
+  auto report = MeasureUtility(original, released);
+  ASSERT_TRUE(report.ok());
+  // Cell 1 moves from 1/2 to 1/1, cell 2 from 1/2 to 0: both disturbed.
+  EXPECT_DOUBLE_EQ(report->disturbed_pairs_fraction, 1.0);
 }
 
 TEST(UtilityTest, CycleOnRealisticDataPreservesStatistics) {

@@ -83,5 +83,23 @@ TEST(GroupIndexQueryTest, RandomizedQueriesMatchNaivePatternMassBothSemantics) {
   }
 }
 
+TEST(ReferenceUtilityTest, KeysPairsByBothSpellings) {
+  // The reference keys a pair cell by its two spellings, as MeasureUtility
+  // does: ("a\x1f", "b") and ("a", "\x1f" "b") stay two cells, where the
+  // retired a + "\x1f" + b key merged them.
+  MicrodataTable original("o", {{"X", "", AttributeCategory::kQuasiIdentifier},
+                                {"Y", "", AttributeCategory::kQuasiIdentifier}});
+  ASSERT_TRUE(original.AddRow({Value::String("a\x1f"), Value::String("b")}).ok());
+  ASSERT_TRUE(original.AddRow({Value::String("a"), Value::String("\x1f" "b")}).ok());
+  MicrodataTable released = original;
+  released.set_cell(1, 0, Value::Null(1));
+  auto reference = ReferenceMeasureUtility(original, released);
+  auto measured = core::MeasureUtility(original, released);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(measured.ok());
+  EXPECT_EQ(reference->disturbed_pairs_fraction, 1.0);
+  EXPECT_EQ(measured->disturbed_pairs_fraction, reference->disturbed_pairs_fraction);
+}
+
 }  // namespace
 }  // namespace vadasa::testing

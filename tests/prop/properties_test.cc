@@ -187,6 +187,28 @@ TEST(PropCatalogTest, CsvStreamMatchesReferenceWideSweep) {
       << "/" << report.cases_run << " cases" << diagnostics;
 }
 
+/// The utility acceptance bar: 220 generated tables (Int and Double cells
+/// equal but spelled apart, doubles equal to six digits, strings spelled like
+/// numbers or holding byte 0x1F, nulls in the original, one-QI tables, QIs
+/// with thousands of distinct values, tables without a numeric payload),
+/// released by a cycle or edited by hand, where every field of the report
+/// counted by spelling id must equal the per-cell spelling reference.
+TEST(PropCatalogTest, UtilityMatchesReferenceWideSweep) {
+  const Property* property = FindProperty("utility-matches-reference");
+  ASSERT_NE(property, nullptr);
+  HarnessOptions options;
+  options.cases_per_property = 220;
+  const HarnessReport report = RunProperty(*property, options);
+  EXPECT_EQ(report.cases_run, 220u);
+  std::string diagnostics;
+  for (const ReproCase& repro : report.repros) {
+    diagnostics += "\n--- shrunk repro ---\n" + ReproToString(repro);
+  }
+  EXPECT_EQ(report.failures, 0u)
+      << "the utility report diverged from the reference on " << report.failures
+      << "/" << report.cases_run << " cases" << diagnostics;
+}
+
 /// One discovered ctest entry per property; each runs its full generated-case
 /// budget (cases × properties >= 200 per full suite run).
 class PropertyRunTest : public ::testing::TestWithParam<std::string> {};

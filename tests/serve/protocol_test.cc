@@ -234,6 +234,89 @@ TEST_F(ProtocolTest, ApplyDeltaRejectsMalformedBatches) {
   EXPECT_EQ(result["risk"]["tuple_risks"].AsArray().size(), 7u);
 }
 
+/// Integer request fields are integers in their field's range, or the
+/// request is refused before anything runs: a row of 2^32 once wrapped to
+/// row 0, a row of 1.9 was truncated to row 1, and k = 2^32 + 2 was queued as
+/// k = 2.
+class ProtocolIntegerFieldTest : public ProtocolTest {
+ protected:
+  ProtocolIntegerFieldTest() {
+    core::MicrodataTable three("three", core::Figure5Microdata().attributes());
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_TRUE(three.AddRow(core::Figure5Microdata().row(r)).ok());
+    }
+    EXPECT_TRUE(registry_.Register("three", three).ok());
+    before_ = Snapshot();
+  }
+
+  /// The dataset's version and every cell, as text.
+  std::string Snapshot() {
+    auto loaded = registry_.Load("three");
+    EXPECT_TRUE(loaded.ok());
+    if (!loaded.ok()) return "";
+    return std::to_string((*loaded)->version) + "\n" + (*loaded)->table->CsvText();
+  }
+
+  void ExpectRefused(const std::string& line) {
+    const Json response = Call(line);
+    EXPECT_FALSE(response.GetBool("ok", true)) << line;
+    EXPECT_EQ(response.GetString("code", ""), "InvalidArgument") << line;
+    EXPECT_EQ(Snapshot(), before_) << line;
+  }
+
+  std::string before_;
+};
+
+TEST_F(ProtocolIntegerFieldTest, RowPastUint32IsRefusedNotWrapped) {
+  ExpectRefused(
+      R"({"op":"apply_delta","v":2,"dataset":"three","ops":[{"kind":"update",)"
+      R"("row":4294967296,"values":["099876","Roma","Commerce","1000+","0-30"]}]})");
+  ExpectRefused(R"({"op":"apply_delta","v":2,"dataset":"three","ops":[)"
+                R"({"kind":"delete","row":1e400}]})");
+  ExpectRefused(R"({"op":"apply_delta","v":2,"dataset":"three","ops":[)"
+                R"({"kind":"delete","row":-1}]})");
+}
+
+TEST_F(ProtocolIntegerFieldTest, FractionalRowIsRefusedNotTruncated) {
+  ExpectRefused(
+      R"({"op":"apply_delta","v":2,"dataset":"three","ops":[{"kind":"update",)"
+      R"("row":1.9,"values":["099876","Roma","Commerce","1000+","0-30"]}]})");
+  ExpectRefused(R"({"op":"apply_delta","v":2,"dataset":"three","ops":[)"
+                R"({"kind":"delete","row":"1"}]})");
+}
+
+TEST_F(ProtocolIntegerFieldTest, KPastIntIsRefusedNotNarrowed) {
+  ExpectRefused(R"({"op":"submit","dataset":"three","action":"risk","k":4294967298})");
+  // Nothing was queued: the scheduler has issued no job id.
+  EXPECT_EQ(Call(R"({"op":"status","id":1})").GetString("code", ""), "NotFound");
+  const char* kBad[] = {
+      R"({"op":"submit","dataset":"three","k":2.5})",
+      R"({"op":"submit","dataset":"three","k":"2"})",
+      R"({"op":"submit","dataset":"three","k":1e19})",
+      R"({"op":"submit","dataset":"three","posterior_draws":2147483648})",
+      R"({"op":"submit","dataset":"three","priority":-2147483649})",
+      R"({"op":"submit","dataset":"three","priority":0.5})",
+      R"({"op":"submit","dataset":"three","seed":-1})",
+      R"({"op":"submit","dataset":"three","seed":9007199254740994})",
+      R"({"op":"submit","dataset":"three","seed":1e400})",
+  };
+  for (const char* line : kBad) ExpectRefused(line);
+  EXPECT_EQ(Call(R"({"op":"status","id":1})").GetString("code", ""), "NotFound");
+  for (const char* line : {R"({"op":"status","id":1.5})", R"({"op":"result","id":-1})",
+                           R"({"op":"cancel","id":1e19})"}) {
+    ExpectRefused(line);
+  }
+
+  // The extremes of each range are accepted.
+  const Json submitted = Call(
+      R"({"op":"submit","dataset":"three","action":"risk","k":2,"priority":-2147483648,)"
+      R"("posterior_draws":0,"seed":9007199254740992})");
+  ASSERT_TRUE(submitted.GetBool("ok", false)) << submitted.Dump();
+  EXPECT_EQ(submitted.GetInt("id", 0), 1);
+  const Json result = Call(R"({"op":"result","id":1})");
+  EXPECT_EQ(result.GetString("state", ""), "done") << result.Dump();
+}
+
 /// Serve-layer coherence: a result-cache entry primed pre-delta must never
 /// be replayed for a post-delta submit — the fresh fingerprint re-keys it.
 TEST(ProtocolDeltaCacheTest, ApplyDeltaNeverServesStaleCachedResults) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -206,6 +207,32 @@ TEST(JobSchedulerTest, PriorityRunsFirstOnASingleWorker) {
   EXPECT_EQ(high_result->state, JobState::kDone);
 }
 
+TEST(JobSchedulerTest, ExtremePrioritiesQueueAndCancel) {
+  // The protocol admits any int priority; INT_MIN must order (and be found
+  // again by Cancel) without negating out of range.
+  SchedulerOptions options;
+  options.workers = 1;
+  options.start_paused = true;
+  JobScheduler scheduler(options);
+  JobOptions lowest;
+  lowest.priority = std::numeric_limits<int>::min();
+  JobOptions highest;
+  highest.priority = std::numeric_limits<int>::max();
+  auto low = scheduler.Submit(RiskJob(Fig5Session()), lowest);
+  auto high = scheduler.Submit(RiskJob(Fig5Session()), highest);
+  ASSERT_TRUE(low.ok());
+  ASSERT_TRUE(high.ok());
+  EXPECT_TRUE(scheduler.Cancel(*low).ok());
+  scheduler.Resume();
+  scheduler.Shutdown(/*drain=*/true);
+  auto low_result = scheduler.Peek(*low);
+  auto high_result = scheduler.Peek(*high);
+  ASSERT_TRUE(low_result.ok());
+  ASSERT_TRUE(high_result.ok());
+  EXPECT_EQ(low_result->state, JobState::kCancelled);
+  EXPECT_EQ(high_result->state, JobState::kDone);
+}
+
 TEST(JobSchedulerTest, UnknownIdsReportNotFound) {
   JobScheduler scheduler;
   EXPECT_EQ(scheduler.Peek(42).status().code(), StatusCode::kNotFound);
@@ -310,6 +337,59 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
   auto reference = api::Session::FromTable(*(*next)->table, {});
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(*result->payload, DirectRisk(*reference));
+}
+
+TEST(JobSchedulerTest, ConcurrentWarmReleasesShareOneGrouping) {
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "the group-index counters are compiled out";
+#endif
+  obs::Counter* partitions =
+      obs::MetricsRegistry::Global().counter("group_index.partitions_built");
+  // The serve benchmark's three cache-fill policies, twice each, as
+  // concurrent anonymize jobs on one registry version: the warmup groups the
+  // version once, and every release copies that index instead of grouping.
+  const core::MicrodataTable table = core::GenerateInflationGrowth(
+      "published", 1500, 4, core::DistributionKind::kUnbalanced, 5);
+  const std::pair<const char*, int> kPolicies[] = {
+      {"k-anonymity", 2}, {"k-anonymity", 3}, {"reidentification", 2}};
+  std::vector<std::string> cold;
+  for (const auto& [measure, k] : kPolicies) {
+    api::SessionOptions options;
+    options.risk_measure = measure;
+    options.k = k;
+    auto session = api::Session::FromTable(table, options);
+    ASSERT_TRUE(session.ok());
+    auto response = session->Anonymize();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    cold.push_back(EncodeResult(*response));
+  }
+
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Register("published", table).ok());
+  SchedulerOptions options;
+  options.workers = 4;
+  options.start_paused = true;
+  JobScheduler scheduler(options);
+  const uint64_t partitions_before = partitions->value();
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    api::SessionOptions policy;
+    policy.risk_measure = kPolicies[i % 3].first;
+    policy.k = kPolicies[i % 3].second;
+    auto session = registry.OpenSession("published", policy);
+    ASSERT_TRUE(session.ok());
+    auto id = scheduler.Submit(AnonJob(std::move(*session)));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  scheduler.Resume();
+  for (int i = 0; i < 6; ++i) {
+    auto result = scheduler.Wait(ids[i]);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->state, JobState::kDone) << result->status.ToString();
+    EXPECT_EQ(*result->payload, cold[i % 3]) << "job " << i;
+  }
+  EXPECT_EQ(partitions->value() - partitions_before, 1u);
 }
 
 TEST(JobSchedulerTest, CacheHitSharesTheFilledBytes) {
