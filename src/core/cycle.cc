@@ -17,7 +17,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 
 /// Code-space QI projection of a row's *current* cells. Translated through
 /// the view's dictionaries (CodeForQuery) rather than read from the code
-/// arrays, because the shared view is only refreshed at iteration end while
+/// arrays, because the index's view is only refreshed at iteration end while
 /// this guard must see mid-iteration mutations.
 CodeRow QiCodePattern(const ColumnarView& view, const MicrodataTable& table,
                       const std::vector<size_t>& qis, size_t row) {
@@ -150,8 +150,9 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
     // queries see the iteration-start state.
     const GroupIndex& index = cache.Index(*table, qis, options_.risk.semantics);
     // Group-touch guard state: QI patterns anonymized earlier this iteration,
-    // as packed dictionary codes.
-    const std::shared_ptr<const ColumnarView> guard_view = cache.SharedView(*table);
+    // as packed dictionary codes read from the index's own view (never the
+    // shared warm view: the guard interns mid-iteration cells).
+    const std::shared_ptr<const ColumnarView> guard_view = index.shared_view();
     std::vector<CodeRow> touched_codes;
     std::vector<uint32_t> iteration_changed;
     bool progressed = false;

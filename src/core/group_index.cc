@@ -563,11 +563,9 @@ EquivalenceClassStats ComputeEquivalenceClasses(
 struct GroupIndex::Impl {
   std::vector<size_t> qi_columns;
   size_t num_rows = 0;
-  /// The mutable handle to the view `partition.columns` reads. When
-  /// owns_view, this index refreshes the view's codes itself in UpdateRows;
-  /// otherwise the owner (RiskEvalCache) refreshes once per batch first.
+  /// The mutable handle to the view `partition.columns` reads; UpdateRows
+  /// refreshes its codes before moving rows between patterns.
   std::shared_ptr<ColumnarView> view;
-  bool owns_view = true;
   PatternPartition partition;
 
   mutable GroupStats stats;
@@ -580,10 +578,7 @@ struct GroupIndex::Impl {
     obs::Span span("group_index.build");
     VADASA_METRIC_COUNT("group_index.full_builds", 1);
     num_rows = table.num_rows();
-    if (view == nullptr || view->num_rows() != num_rows) {
-      view = std::make_shared<ColumnarView>(table);
-      owns_view = true;
-    }
+    view = std::make_shared<ColumnarView>(table);
     partition.columns.Bind(view, table, qi_columns);
     partition.Build(num_rows);
     stats_dirty = true;
@@ -593,16 +588,7 @@ struct GroupIndex::Impl {
 
 GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
                        NullSemantics semantics)
-    : GroupIndex(table, std::move(qi_columns), semantics, nullptr) {}
-
-GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
-                       NullSemantics semantics,
-                       std::shared_ptr<ColumnarView> shared_view)
     : impl_(std::make_unique<Impl>()) {
-  if (shared_view != nullptr) {
-    impl_->view = std::move(shared_view);
-    impl_->owns_view = false;
-  }
   impl_->qi_columns = std::move(qi_columns);
   impl_->partition.semantics = semantics;
   impl_->Build(table);
@@ -613,16 +599,15 @@ GroupIndex::~GroupIndex() = default;
 void GroupIndex::UpdateRows(const MicrodataTable& table,
                             const std::vector<uint32_t>& rows) {
   Impl& im = *impl_;
-  if (table.num_rows() != im.num_rows || im.partition.columns.view != im.view) {
-    // Shape changed under us, or AdoptView swapped the shared view —
-    // incremental bookkeeping is void.
+  if (table.num_rows() != im.num_rows) {
+    // Shape changed under us — incremental bookkeeping is void.
     im.Build(table);
     return;
   }
   obs::Span span("group_index.update_rows");
   ++im.incremental_updates;
   VADASA_METRIC_COUNT("group_index.incremental_updates", 1);
-  if (im.owns_view) im.view->UpdateRows(table, rows);
+  im.view->UpdateRows(table, rows);
   if (im.partition.UpdateRows(rows)) im.stats_dirty = true;
 }
 
@@ -687,9 +672,6 @@ const std::vector<size_t>& GroupIndex::qi_columns() const { return impl_->qi_col
 NullSemantics GroupIndex::semantics() const { return impl_->partition.semantics; }
 size_t GroupIndex::num_rows() const { return impl_->num_rows; }
 size_t GroupIndex::num_patterns() const { return impl_->partition.patterns.size(); }
-void GroupIndex::AdoptView(std::shared_ptr<ColumnarView> view) {
-  impl_->view = std::move(view);
-}
 std::shared_ptr<const ColumnarView> GroupIndex::shared_view() const {
   return impl_->view;
 }
@@ -700,32 +682,29 @@ size_t GroupIndex::incremental_updates() const { return impl_->incremental_updat
 // RiskEvalCache
 // ---------------------------------------------------------------------------
 
+namespace {
+
+bool Serves(const GroupIndex& index, const std::vector<size_t>& qi_columns,
+            NullSemantics semantics) {
+  return index.semantics() == semantics && index.qi_columns() == qi_columns;
+}
+
+}  // namespace
+
 struct RiskEvalCache::Impl {
-  struct Key {
-    std::vector<size_t> qis;
-    NullSemantics semantics;
-    bool operator<(const Key& other) const {
-      if (semantics != other.semantics) return semantics < other.semantics;
-      return qis < other.qis;
-    }
-  };
-  std::map<Key, std::unique_ptr<GroupIndex>> indexes;
+  /// The one private index, over the projection last asked for.
+  std::unique_ptr<GroupIndex> index;
   std::map<std::string, std::shared_ptr<void>> memos;
-  uint64_t version = 0;
 
   /// The shared warm index the cache started from; read-only, dropped at
   /// the first NotifyRowsChanged.
   std::shared_ptr<const GroupIndex> warm;
 
-  /// One columnar materialization shared by every index of this cache (and
-  /// by the cycle's pattern guards).
-  std::shared_ptr<ColumnarView> view;
-
-  std::shared_ptr<ColumnarView> EnsureView(const MicrodataTable& table) {
-    if (view == nullptr || view->num_rows() != table.num_rows()) {
-      view = std::make_shared<ColumnarView>(table);
-    }
-    return view;
+  /// The warm index while it serves this projection, else null.
+  const GroupIndex* WarmFor(const std::vector<size_t>& qi_columns,
+                            NullSemantics semantics) const {
+    return warm != nullptr && Serves(*warm, qi_columns, semantics) ? warm.get()
+                                                                   : nullptr;
   }
 };
 
@@ -738,42 +717,30 @@ RiskEvalCache::~RiskEvalCache() = default;
 GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
                                  const std::vector<size_t>& qi_columns,
                                  NullSemantics semantics) {
-  const Impl::Key key{qi_columns, semantics};
-  auto it = impl_->indexes.find(key);
-  if (it != impl_->indexes.end() && it->second->num_rows() == table.num_rows()) {
+  std::unique_ptr<GroupIndex>& index = impl_->index;
+  if (index != nullptr && Serves(*index, qi_columns, semantics) &&
+      index->num_rows() == table.num_rows()) {
     VADASA_METRIC_COUNT("risk_cache.index_hits", 1);
-    return *it->second;
+    return *index;
   }
   VADASA_METRIC_COUNT("risk_cache.index_misses", 1);
-  std::unique_ptr<GroupIndex> index;
-  const GroupIndex* warm = impl_->warm.get();
-  if (warm != nullptr && impl_->view == nullptr && warm->semantics() == semantics &&
-      warm->qi_columns() == qi_columns && warm->num_rows() == table.num_rows()) {
+  const GroupIndex* warm = impl_->WarmFor(qi_columns, semantics);
+  if (warm != nullptr && warm->num_rows() == table.num_rows()) {
     // No row has changed: the warm partition is this table's. Copy it with
-    // its view, which becomes the view every later index and update shares.
+    // its view.
     obs::Span span("risk_cache.warm_copy");
     VADASA_METRIC_COUNT("risk_cache.warm_copies", 1);
     index = warm->CopyOnWrite(table, DeltaRowPlan{});
-    index->impl_->owns_view = false;
-    impl_->view = index->impl_->view;
   } else {
-    index = std::make_unique<GroupIndex>(table, qi_columns, semantics,
-                                         impl_->EnsureView(table));
+    index = std::make_unique<GroupIndex>(table, qi_columns, semantics);
   }
-  if (it == impl_->indexes.end()) {
-    it = impl_->indexes.emplace(key, std::move(index)).first;
-  } else {
-    it->second = std::move(index);
-  }
-  return *it->second;
+  return *index;
 }
 
 const GroupStats& RiskEvalCache::Stats(const MicrodataTable& table,
                                        const std::vector<size_t>& qi_columns,
                                        NullSemantics semantics) {
-  const GroupIndex* warm = impl_->warm.get();
-  if (warm != nullptr && warm->semantics() == semantics &&
-      warm->qi_columns() == qi_columns) {
+  if (const GroupIndex* warm = impl_->WarmFor(qi_columns, semantics)) {
     VADASA_METRIC_COUNT("risk_cache.warm_hits", 1);
     return warm->Stats();
   }
@@ -782,38 +749,19 @@ const GroupStats& RiskEvalCache::Stats(const MicrodataTable& table,
 
 void RiskEvalCache::NotifyRowsChanged(const MicrodataTable& table,
                                       const std::vector<uint32_t>& rows) {
-  ++impl_->version;
   impl_->memos.clear();
   impl_->warm.reset();
-  if (impl_->view != nullptr) {
-    if (table.num_rows() != impl_->view->num_rows()) {
-      // Shape changed: rematerialize and hand the fresh view to every index
-      // (each rebuilds from it on its UpdateRows below).
-      impl_->view = std::make_shared<ColumnarView>(table);
-      for (auto& [key, index] : impl_->indexes) {
-        (void)key;
-        index->AdoptView(impl_->view);
-      }
-    } else {
-      // One in-place code refresh serves all indexes.
-      impl_->view->UpdateRows(table, rows);
-    }
-  }
-  for (auto& [key, index] : impl_->indexes) {
-    (void)key;
-    index->UpdateRows(table, rows);
-  }
+  if (impl_->index != nullptr) impl_->index->UpdateRows(table, rows);
 }
 
-std::shared_ptr<const ColumnarView> RiskEvalCache::SharedView(
-    const MicrodataTable& table) {
-  if (impl_->view == nullptr && impl_->warm != nullptr) {
-    return impl_->warm->shared_view();
+std::shared_ptr<const ColumnarView> RiskEvalCache::View(
+    const MicrodataTable& table, const std::vector<size_t>& qi_columns,
+    NullSemantics semantics) {
+  if (const GroupIndex* warm = impl_->WarmFor(qi_columns, semantics)) {
+    return warm->shared_view();
   }
-  return impl_->EnsureView(table);
+  return Index(table, qi_columns, semantics).shared_view();
 }
-
-uint64_t RiskEvalCache::version() const { return impl_->version; }
 
 std::shared_ptr<void> RiskEvalCache::Memo(const std::string& key) const {
   auto it = impl_->memos.find(key);
@@ -830,21 +778,11 @@ void RiskEvalCache::SetMemo(const std::string& key, std::shared_ptr<void> value)
 }
 
 size_t RiskEvalCache::full_builds() const {
-  size_t total = 0;
-  for (const auto& [key, index] : impl_->indexes) {
-    (void)key;
-    total += index->full_builds();
-  }
-  return total;
+  return impl_->index != nullptr ? impl_->index->full_builds() : 0;
 }
 
 size_t RiskEvalCache::incremental_updates() const {
-  size_t total = 0;
-  for (const auto& [key, index] : impl_->indexes) {
-    (void)key;
-    total += index->incremental_updates();
-  }
-  return total;
+  return impl_->index != nullptr ? impl_->index->incremental_updates() : 0;
 }
 
 }  // namespace vadasa::core

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,23 +105,18 @@ struct PatternMass {
 /// delta-vs-full-recompute-bit-identical property).
 class GroupIndex {
  public:
+  /// Builds the index over its own columnar view of `table`.
   GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
              NullSemantics semantics);
-
-  /// Constructor sharing a caller-owned view: the caller (the RiskEvalCache)
-  /// updates the view once per batch of row changes before calling
-  /// UpdateRows, so indexes over different QI subsets never re-intern the
-  /// same cells. A null view makes the index materialize its own.
-  GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
-             NullSemantics semantics, std::shared_ptr<ColumnarView> shared_view);
   ~GroupIndex();
 
   GroupIndex(const GroupIndex&) = delete;
   GroupIndex& operator=(const GroupIndex&) = delete;
 
-  /// Re-projects `rows` against the current table contents and updates the
-  /// pattern partition in place. `table` must be the same (evolving) table
-  /// the index was built from.
+  /// Re-reads `rows` of the current table contents into the index's view and
+  /// updates the pattern partition in place. `table` must be the same
+  /// (evolving) table the index was built from; a changed row count rebuilds
+  /// from scratch.
   void UpdateRows(const MicrodataTable& table, const std::vector<uint32_t>& rows);
 
   /// Copy-on-write delta maintenance (docs/api.md §"Streaming deltas"): a new
@@ -154,13 +148,8 @@ class GroupIndex {
   size_t num_rows() const;
   size_t num_patterns() const;
 
-  /// Replaces the shared columnar view (cache-internal, used when the table
-  /// shape changed and the cache rematerialized). The next UpdateRows
-  /// detects the swap and rebuilds from the new view.
-  void AdoptView(std::shared_ptr<ColumnarView> view);
-
-  /// The columnar view backing this index — what a RiskEvalCache seeded
-  /// with this index hands SUDA instead of materializing its own.
+  /// The columnar view this index owns and keeps in sync — what SUDA and the
+  /// cycle's pattern guard read instead of materializing their own.
   std::shared_ptr<const ColumnarView> shared_view() const;
 
   /// Observability: how many times the index was built from scratch (1 unless
@@ -190,16 +179,22 @@ class GroupIndex {
 /// the iteration's ComputeRisks already produced, instead of recomputing full
 /// group statistics per call. One cache serves one evolving table, whose
 /// owner reports mutations via NotifyRowsChanged; that forwards them to the
-/// incremental GroupIndexes and invalidates the per-measure memos.
+/// cache's incremental GroupIndex and invalidates the per-measure memos.
+///
+/// The cache holds at most one private GroupIndex, over the projection (QI
+/// columns and null semantics) last asked for: every caller of one cache
+/// resolves the same projection, and no anonymizer adds or removes rows. A
+/// request for another projection, or a table with a different row count,
+/// replaces the index with a cold build.
 ///
 /// `warm` is a dataset version's shared index (api::WarmState) over the exact
 /// table this cache serves, Stats() already forced. Until the first
-/// NotifyRowsChanged, Stats() and SharedView() answer from it for its QI
-/// columns and semantics. It is never queried or updated — Query() and
-/// UpdateRows() memoize inside const methods — so Index() is always private:
-/// the first Index() for the warm index's projection copies it (ApplyDelta's
-/// copy-on-write clone under an empty plan) instead of grouping the table
-/// again, and the copy's view becomes the cache's shared view.
+/// NotifyRowsChanged, Stats() and View() answer from it for its QI columns
+/// and semantics. It is never queried or updated — Query() and UpdateRows()
+/// memoize inside const methods — so Index() is always private: the first
+/// Index() for the warm index's projection copies it (ApplyDelta's
+/// copy-on-write clone under an empty plan, view included) instead of
+/// grouping the table again.
 class RiskEvalCache {
  public:
   explicit RiskEvalCache(std::shared_ptr<const GroupIndex> warm = nullptr);
@@ -209,9 +204,10 @@ class RiskEvalCache {
   RiskEvalCache& operator=(const RiskEvalCache&) = delete;
 
   /// The (incrementally maintained) group index for this projection; built on
-  /// first use, or copied from the warm index while no row has changed and
-  /// the cache has no view of its own. Rebuilt from scratch only if the
-  /// table row count changed.
+  /// first use, or copied from the warm index while no row has changed.
+  /// Replaced by a cold build when the projection or the row count differs
+  /// from the index the cache holds, which invalidates references to the
+  /// replaced index.
   GroupIndex& Index(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
                     NullSemantics semantics);
 
@@ -221,28 +217,27 @@ class RiskEvalCache {
                           NullSemantics semantics);
 
   /// Reports that the given rows of the table were mutated since the last
-  /// call. Updates the shared columnar view once (all indexes read the same
-  /// refreshed codes), then forwards to every index and drops the
-  /// type-erased memos.
+  /// call. Drops the type-erased memos and the warm index, then updates the
+  /// cache's index (view included).
   void NotifyRowsChanged(const MicrodataTable& table,
                          const std::vector<uint32_t>& rows);
 
-  /// The columnar view shared by this cache's indexes, created on first use
-  /// (and recreated when the table shape changes), or the warm index's view.
-  /// The cycle and SUDA reuse it for code-space pattern guards and
-  /// projections instead of materializing their own.
-  std::shared_ptr<const ColumnarView> SharedView(const MicrodataTable& table);
-
-  /// Bumped on every NotifyRowsChanged; lets measures key their own state.
-  uint64_t version() const;
+  /// The warm index's view while that index serves this projection, else
+  /// the view of Index(...). SUDA projects its rows from it instead of
+  /// materializing its own. Read-only: a caller that interns query values
+  /// (ColumnarView::CodeForQuery) must read its own Index()'s view, never
+  /// the shared warm one.
+  std::shared_ptr<const ColumnarView> View(const MicrodataTable& table,
+                                           const std::vector<size_t>& qi_columns,
+                                           NullSemantics semantics);
 
   /// Type-erased per-measure memo slots (e.g. SUDA's MSU details), dropped on
   /// NotifyRowsChanged. Returns nullptr when absent.
   std::shared_ptr<void> Memo(const std::string& key) const;
   void SetMemo(const std::string& key, std::shared_ptr<void> value);
 
-  /// Aggregated counters over the private indexes, surfaced in CycleStats. A
-  /// copy of the warm index counts no build.
+  /// The counters of the cache's index (0 before the first Index()), surfaced
+  /// in CycleStats. A copy of the warm index counts no build.
   size_t full_builds() const;
   size_t incremental_updates() const;
 

@@ -192,7 +192,7 @@ Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
   // per-combination counting maps then hash and compare flat words. Reuse the
   // cache's view so the interning is shared with the grouping measures.
   const std::shared_ptr<const ColumnarView> view =
-      cache != nullptr ? cache->SharedView(table)
+      cache != nullptr ? cache->View(table, qis, context.semantics)
                        : std::make_shared<const ColumnarView>(table);
   view->EnsureColumns(table, qis);
   std::vector<const uint32_t*> cols;

@@ -1,5 +1,7 @@
 #include "serve/dataset_registry.h"
 
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -20,6 +22,15 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::LoadUncached(
     const std::string& path) {
   obs::Span span("serve.registry.load");
   VADASA_FAILPOINT("serve.registry.load");
+  // A client names the path, so refuse anything but a regular file before
+  // opening it: opening a FIFO blocks the connection thread, and a device
+  // such as /dev/zero reads until memory runs out. A missing path is left
+  // to the loader's IoError.
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) && !std::filesystem::is_regular_file(status)) {
+    return Status::InvalidArgument("dataset \"" + path + "\" is not a regular file");
+  }
   VADASA_ASSIGN_OR_RETURN(core::MicrodataTable table,
                           core::MicrodataTable::LoadCsv(path));
   VADASA_FAILPOINT("serve.registry.categorize");
@@ -101,17 +112,6 @@ Status DatasetRegistry::Register(const std::string& name,
   }
   order_.push_back(name);
   return Status::OK();
-}
-
-Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::Reload(
-    const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    datasets_.erase(path);
-    // Keep the name's position in order_; Load re-inserts if it vanished.
-    if (result_cache_ != nullptr) result_cache_->InvalidateDataset(path);
-  }
-  return Load(path);
 }
 
 Status DatasetRegistry::Replace(const std::string& name,

@@ -28,7 +28,7 @@ struct LoadedDataset {
   /// once per null semantics. Freed with the last snapshot or session.
   std::shared_ptr<api::WarmState> warm;
   /// Content fingerprint (serve/result_cache.h): schema + every cell.
-  /// Computed once per load; the result-cache key embeds it, so a reloaded
+  /// Computed once per load; the result-cache key embeds it, so a replaced
   /// dataset with different bytes can never serve a stale cached payload.
   uint64_t fingerprint = 0;
   /// Monotonic dataset version: 1 at first load/registration, +1 per applied
@@ -56,21 +56,18 @@ class DatasetRegistry {
   DatasetRegistry(const DatasetRegistry&) = delete;
   DatasetRegistry& operator=(const DatasetRegistry&) = delete;
 
-  /// The dataset at `path`, loading and categorizing on first use.
+  /// The dataset at `path`, loading and categorizing on first use. A path
+  /// that exists but is not a regular file (a directory, a FIFO, a device)
+  /// is refused with InvalidArgument before it is opened; like any load
+  /// failure, the refusal counts toward the quarantine streak.
   Result<std::shared_ptr<const LoadedDataset>> Load(const std::string& path);
 
   /// Registers an in-memory table under a name (tests, generated corpora).
   /// Fails on a name collision.
   Status Register(const std::string& name, core::MicrodataTable table);
 
-  /// Drops the cached snapshot for `path` (and its result-cache entries) and
-  /// loads it fresh — the operator's "the file changed on disk" hook.
-  /// In-flight jobs keep their old snapshot refcounts.
-  Result<std::shared_ptr<const LoadedDataset>> Reload(const std::string& path);
-
   /// Replaces (or creates) an in-memory registration, invalidating the
-  /// dataset's result-cache entries — the reload path for Register()ed
-  /// tables.
+  /// dataset's result-cache entries.
   Status Replace(const std::string& name, core::MicrodataTable table);
 
   /// Applies a validated DeltaBatch to the dataset's current snapshot and
@@ -103,10 +100,10 @@ class DatasetRegistry {
   /// Whether `path` is currently quarantined.
   bool IsQuarantined(const std::string& path) const;
 
-  /// Attach the serving result cache: Reload/Replace/Clear and a quarantine
-  /// transition invalidate the affected entries (hygiene — correctness
-  /// already rides the content fingerprint in every key). Not owned; must
-  /// outlive the registry. Null detaches.
+  /// Attach the serving result cache: ApplyDelta/Replace/Clear and a
+  /// quarantine transition invalidate the affected entries (hygiene —
+  /// correctness already rides the content fingerprint in every key). Not
+  /// owned; must outlive the registry. Null detaches.
   void set_result_cache(ResultCache* cache);
 
  private:

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <optional>
@@ -120,6 +121,24 @@ Result<api::SessionOptions> OptionsFrom(const Json& request) {
   return options;
 }
 
+/// Decodes the scheduling knobs of a submit request and applies the
+/// scheduler's own check (ValidateJobOptions): a `timeout_seconds` must be a
+/// JSON number, never a string read as "no deadline".
+Result<JobOptions> JobOptionsFrom(const Json& request) {
+  JobOptions options;
+  VADASA_ASSIGN_OR_RETURN(options.priority, IntField(request, "priority", 0));
+  if (request.Has("timeout_seconds")) {
+    const Json& timeout = request["timeout_seconds"];
+    if (!timeout.is_number()) {
+      return Status::InvalidArgument("\"timeout_seconds\" must be a number, got " +
+                                     timeout.Dump());
+    }
+    options.timeout_seconds = timeout.AsDouble();
+  }
+  VADASA_RETURN_NOT_OK(ValidateJobOptions(options));
+  return options;
+}
+
 }  // namespace
 
 std::string Protocol::ErrorResponse(const Status& status) {
@@ -166,11 +185,12 @@ std::string Protocol::Dispatch(const std::string& line, bool* shutdown_requested
   // a "v" the server does not speak fails loudly, before any verb runs.
   int64_t version = 1;
   if (request.Has("v")) {
-    if (!request["v"].is_number()) {
-      return ErrorLine(
-          Status::InvalidArgument("\"v\" must be a protocol version number"));
+    const double v = request["v"].AsDouble(std::nan(""));
+    if (!std::isfinite(v) || v != std::trunc(v)) {
+      return ErrorLine(Status::InvalidArgument(
+          "\"v\" must be an integer protocol version, got " + request["v"].Dump()));
     }
-    version = request.GetInt("v", 1);
+    version = request["v"].AsInt();
     if (version < 1 || version > kProtocolVersion) {
       return ErrorLine(
           Status::InvalidArgument(
@@ -269,18 +289,20 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
       return ErrorLine(admitted, {{"retry_after_ms", retry_hint()}});
     }
   }
+  // Every field is decoded before the dataset loads, so a malformed request
+  // never parses, categorizes or registers a CSV.
+  auto session_options = OptionsFrom(request);
+  auto options = JobOptionsFrom(request);
+  if (!session_options.ok() || !options.ok()) {
+    if (quota != nullptr) quota->Release();
+    return ErrorLine(!session_options.ok() ? session_options.status() : options.status());
+  }
   // Load first (not OpenSession) so the dataset's content fingerprint is in
   // hand for the cache key; the session still shares the same snapshot.
   auto loaded = registry_->Load(dataset);
   if (!loaded.ok()) {
     if (quota != nullptr) quota->Release();
     return ErrorLine(loaded.status());
-  }
-  auto session_options = OptionsFrom(request);
-  auto priority = IntField(request, "priority", 0);
-  if (!session_options.ok() || !priority.ok()) {
-    if (quota != nullptr) quota->Release();
-    return ErrorLine(!session_options.ok() ? session_options.status() : priority.status());
   }
   auto session = api::Session::FromShared((*loaded)->table,
                                           (*loaded)->dictionary,
@@ -304,11 +326,8 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
         CanonicalPolicyKey(job.session.options(), job.action, job.quantile,
                            job.explain));
   }
-  JobOptions options;
-  options.priority = *priority;
-  options.timeout_seconds = request.GetDouble("timeout_seconds", 0.0);
-  if (quota != nullptr) options.quota_slot = quota->in_flight_cell();
-  auto id = scheduler_->Submit(std::move(job), options);
+  if (quota != nullptr) options->quota_slot = quota->in_flight_cell();
+  auto id = scheduler_->Submit(std::move(job), *options);
   if (!id.ok()) {
     // The scheduler never saw the job (full queue, drain, injected fault):
     // hand the in-flight slot back — FinishLocked will not run for it.

@@ -52,7 +52,7 @@ struct ResultCacheOptions {
 /// A bounded LRU of encoded job payloads (EncodeResult) keyed on (dataset
 /// content fingerprint, canonical policy). Thread-safe; the scheduler probes it
 /// at admission and fills it after each successful cold run, and the
-/// DatasetRegistry invalidates it on reload/replace/quarantine/Clear.
+/// DatasetRegistry invalidates it on delta/replace/quarantine/Clear.
 /// Correctness never depends on invalidation — keys carry the content
 /// fingerprint, so changed data simply misses — but invalidation keeps dead
 /// entries from squatting on the byte budget and is metered:

@@ -141,9 +141,9 @@ JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
 JobScheduler::~JobScheduler() { Shutdown(/*drain=*/true); }
 
 size_t JobScheduler::ShardForLabel(const std::string& label) const {
-  // FNV-1a of the *name*, not the content: a registry reload that changes a
-  // dataset's bytes (and so its cache fingerprint) must not migrate its
-  // in-flight traffic to a different worker pool.
+  // FNV-1a of the *name*, not the content: a delta or replacement that
+  // changes a dataset's bytes (and so its cache fingerprint) must not
+  // migrate its in-flight traffic to a different worker pool.
   uint64_t hash = 1469598103934665603ull;
   for (char c : label) {
     hash ^= static_cast<unsigned char>(c);
@@ -169,9 +169,21 @@ void JobScheduler::NotifyAllShards() {
   for (auto& shard : shards_) shard->work_cv.notify_all();
 }
 
+Status ValidateJobOptions(const JobOptions& options) {
+  // The deadline is armed as steady_clock::now() + timeout in int64
+  // nanoseconds; the bound keeps both the cast and the sum defined.
+  if (!(options.timeout_seconds >= 0.0 && options.timeout_seconds <= kMaxTimeoutSeconds)) {
+    return Status::InvalidArgument(
+        "timeout_seconds must be a finite number in [0, 1e9], got " +
+        std::to_string(options.timeout_seconds));
+  }
+  return Status::OK();
+}
+
 Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
   auto& meters = ServeMeters::Get();
   meters.submitted->Add(1);
+  VADASA_RETURN_NOT_OK(ValidateJobOptions(options));
   // Injected admission failure: surfaces to the client as a structured error
   // (the protocol layer releases any quota slot it reserved), never a wedge.
   VADASA_FAILPOINT("serve.scheduler.submit");

@@ -54,8 +54,8 @@ struct JobRequest {
   bool explain = false;
   /// Operator-facing name (dataset) carried into the slow-request log; also
   /// the shard-assignment key, so every job against one dataset lands on the
-  /// same worker pool (and stays there across registry reloads — the name is
-  /// stable even when the content fingerprint changes).
+  /// same worker pool (and stays there across deltas and replacements — the
+  /// name is stable even when the content fingerprint changes).
   std::string label;
   /// Result-cache key (serve/result_cache.h): dataset content fingerprint +
   /// canonical policy. Empty = this job never probes or fills the cache.
@@ -63,16 +63,27 @@ struct JobRequest {
   std::string cache_key;
 };
 
+/// Longest deadline a job may ask for, seconds (about 31.7 years), well short
+/// of the ~292 years at which steady_clock::now() + timeout overflows int64
+/// nanoseconds.
+inline constexpr double kMaxTimeoutSeconds = 1e9;
+
 /// Per-job scheduling knobs.
 struct JobOptions {
   /// Higher runs earlier; ties broken FIFO by admission order.
   int priority = 0;
-  /// End-to-end deadline (queue wait + execution), seconds. 0 = none.
+  /// End-to-end deadline (queue wait + execution), seconds. 0 = none;
+  /// bounded by ValidateJobOptions.
   double timeout_seconds = 0.0;
   /// Per-client in-flight accounting (serve/quota.h): decremented exactly
   /// once when the job reaches a terminal state. May be null.
   std::shared_ptr<std::atomic<int64_t>> quota_slot;
 };
+
+/// InvalidArgument unless `options.timeout_seconds` is a finite number in
+/// [0, kMaxTimeoutSeconds]. JobScheduler::Submit runs it before anything else;
+/// the protocol runs it before it loads the request's dataset.
+Status ValidateJobOptions(const JobOptions& options);
 
 /// A job's state and outcome; Peek and Wait hand out copies.
 struct JobResult {
@@ -114,9 +125,9 @@ struct SchedulerOptions {
   /// must outlive the scheduler.
   obs::RequestLog* slow_log = nullptr;
   /// Worker-pool shards. Datasets are hash-assigned by label (FNV-1a of the
-  /// name, stable across registry reloads), each shard owns its own ready
-  /// queue and `workers/shards` threads, so a flood of jobs against one hot
-  /// dataset saturates only its shard instead of starving every other
+  /// name, stable across deltas and replacements), each shard owns its own
+  /// ready queue and `workers/shards` threads, so a flood of jobs against one
+  /// hot dataset saturates only its shard instead of starving every other
   /// dataset's queue position. Clamped to [1, workers]; 1 = the classic
   /// single shared queue. Admission (`max_queue`) stays a global bound.
   /// Per-shard depth gauges: serve.shard.<i>.queue_depth.
@@ -151,8 +162,9 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Admits a job or rejects it (Unavailable when the queue is full or the
-  /// scheduler is shutting down). Never blocks on a full queue.
+  /// Admits a job or rejects it (InvalidArgument when ValidateJobOptions
+  /// fails, Unavailable when the queue is full or the scheduler is shutting
+  /// down). Never blocks on a full queue.
   Result<uint64_t> Submit(JobRequest request, JobOptions options = {});
 
   /// Non-blocking snapshot of the job's state and timings (the payload is set

@@ -184,13 +184,9 @@ void Listener::Close() {
 }
 
 Status Server::Start() {
-  ListenSpec spec = options_.listen;
-  if (!options_.socket_path.empty()) {
-    spec.kind = ListenSpec::Kind::kUnix;
-    spec.path = options_.socket_path;
-  }
+  const ListenSpec& spec = options_.listen;
   if (spec.kind == ListenSpec::Kind::kUnix && spec.path.empty()) {
-    return Status::InvalidArgument("server needs a socket path or listen spec");
+    return Status::InvalidArgument("server needs a Unix socket path to listen on");
   }
   // Touch the degraded-mode counters so scrapes carry them before any fault.
   obs::MetricsRegistry::Global().counter("serve.conn.oversized");

@@ -67,11 +67,8 @@ class Listener {
 };
 
 struct ServerOptions {
-  /// Where to listen. Ignored when the legacy `socket_path` below is set.
+  /// Where to listen.
   ListenSpec listen;
-  /// Legacy spelling of listen={kUnix, path}: filesystem path of the Unix
-  /// domain socket. When non-empty it wins over `listen`.
-  std::string socket_path;
   /// listen(2) backlog.
   int backlog = 16;
   /// Per-connection admission quota (docs/robustness.md); the zero defaults
@@ -113,8 +110,7 @@ class Server {
   /// connection thread, unlinks the socket file.
   void Stop();
 
-  const std::string& socket_path() const { return options_.socket_path; }
-  /// The resolved listen spec (after the legacy socket_path override).
+  /// The listen spec the server bound.
   const ListenSpec& listen_spec() const { return listener_.spec(); }
   /// TCP: the port actually bound (an ephemeral `tcp:HOST:0` resolves here
   /// after Start). Unix: 0.

@@ -469,6 +469,53 @@ TEST(SessionTest, ExplainedRiskGroupsTheTableOnce) {
   EXPECT_EQ(ReportBytes(*warm), ReportBytes(expected));
 }
 
+Result<Session> SudaSession() {
+  SessionOptions options;
+  options.risk_measure = "suda";
+  options.k = 3;
+  return Session::FromTable(
+      core::GenerateInflationGrowth("suda", 600, 4, core::DistributionKind::kUnbalanced, 3),
+      options);
+}
+
+TEST(SessionTest, ColdSudaRiskInternsEachQiColumnOnce) {
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "the columnar counters are compiled out";
+#endif
+  obs::Counter* materialized =
+      obs::MetricsRegistry::Global().counter("columnar.columns_materialized");
+  auto session = SudaSession();
+  ASSERT_TRUE(session.ok());
+  const size_t qis = session->table().QuasiIdentifierColumns().size();
+  ASSERT_GT(qis, 0u);
+  const uint64_t before = materialized->value();
+  auto report = session->Risk(-1.0, /*explain=*/true);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(materialized->value() - before, qis)
+      << "SUDA projects from the index's view instead of interning its own";
+}
+
+TEST(SessionTest, WarmedSudaRiskNeitherGroupsNorCopies) {
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "the group-index counters are compiled out";
+#endif
+  obs::Counter* partitions =
+      obs::MetricsRegistry::Global().counter("group_index.partitions_built");
+  obs::Counter* copies = obs::MetricsRegistry::Global().counter("risk_cache.warm_copies");
+  auto session = SudaSession();
+  ASSERT_TRUE(session.ok());
+  auto cold = session->Risk(-1.0, /*explain=*/true);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(session->Warm().ok());
+  const uint64_t partitions_before = partitions->value();
+  const uint64_t copies_before = copies->value();
+  auto warm = session->Risk(-1.0, /*explain=*/true);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(partitions->value(), partitions_before) << "a warmed SUDA report never groups";
+  EXPECT_EQ(copies->value(), copies_before) << "nor copies the warm index";
+  EXPECT_EQ(ReportBytes(*warm), ReportBytes(*cold));
+}
+
 TEST(SessionTest, SharedTableServesManySessions) {
   auto table = std::make_shared<const MicrodataTable>(Figure5Microdata());
   SessionOptions strict;

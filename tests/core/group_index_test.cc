@@ -302,16 +302,44 @@ TEST(RiskEvalCacheTest, MemoDroppedOnRowChange) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
   RiskEvalCache cache;
-  const uint64_t v0 = cache.version();
   cache.SetMemo("probe", std::make_shared<int>(42));
   ASSERT_NE(cache.Memo("probe"), nullptr);
   (void)cache.Stats(t, qis, NullSemantics::kMaybeMatch);
   EXPECT_EQ(cache.full_builds(), 1u);
   cache.NotifyRowsChanged(t, {0});
   EXPECT_EQ(cache.Memo("probe"), nullptr);
-  EXPECT_GT(cache.version(), v0);
   // The index survives the notification (incrementally updated, not rebuilt).
   (void)cache.Stats(t, qis, NullSemantics::kMaybeMatch);
+  EXPECT_EQ(cache.full_builds(), 1u);
+  EXPECT_EQ(cache.incremental_updates(), 1u);
+}
+
+void ExpectSameStats(const GroupStats& got, const GroupStats& want, const char* at) {
+  ASSERT_EQ(got.frequency.size(), want.frequency.size()) << at;
+  for (size_t r = 0; r < want.frequency.size(); ++r) {
+    ASSERT_EQ(got.frequency[r], want.frequency[r]) << at << " row " << r;
+    ASSERT_EQ(got.weight_sum[r], want.weight_sum[r]) << at << " row " << r;
+  }
+}
+
+TEST(RiskEvalCacheTest, AnotherProjectionReplacesTheOneIndex) {
+  MicrodataTable t = GenerateInflationGrowth("proj", 400, 4, DistributionKind::kUnbalanced, 5);
+  const auto b = t.QuasiIdentifierColumns();
+  ASSERT_GE(b.size(), 3u);
+  const std::vector<size_t> a(b.begin(), b.end() - 1);
+  RiskEvalCache cache;
+  (void)cache.Stats(t, a, NullSemantics::kStandard);
+  EXPECT_EQ(cache.full_builds(), 1u);
+
+  ExpectSameStats(cache.Stats(t, b, NullSemantics::kMaybeMatch),
+                  ComputeGroupStats(t, b, NullSemantics::kMaybeMatch), "projection B");
+  EXPECT_EQ(cache.full_builds(), 1u) << "B's index replaced A's";
+
+  t.set_cell(7, b[1], Value::Null(1));
+  cache.NotifyRowsChanged(t, {7});
+  ExpectSameStats(cache.Stats(t, b, NullSemantics::kMaybeMatch),
+                  ComputeGroupStats(t, b, NullSemantics::kMaybeMatch),
+                  "projection B after one suppression");
   EXPECT_EQ(cache.full_builds(), 1u);
   EXPECT_EQ(cache.incremental_updates(), 1u);
 }

@@ -5,11 +5,14 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/json.h"
 #include "core/datagen.h"
+#include "serve/quota.h"
 #include "serve/result_cache.h"
 
 namespace vadasa::serve {
@@ -151,6 +154,7 @@ TEST_F(ProtocolTest, ResponsesEchoProtocolVersionTwo) {
   EXPECT_EQ(Call(R"({"op":"ping"})").GetInt("v", 0), 2);
   EXPECT_EQ(Call(R"({"op":"ping","v":1})").GetInt("v", 0), 2);
   EXPECT_EQ(Call(R"({"op":"ping","v":2})").GetInt("v", 0), 2);
+  EXPECT_TRUE(Call(R"({"op":"ping","v":2.0})").GetBool("ok", false));
   const Json error = Call(R"({"op":"frobnicate"})");
   EXPECT_FALSE(error.GetBool("ok", true));
   EXPECT_EQ(error.GetInt("v", 0), 2) << "error lines carry the version too";
@@ -165,6 +169,63 @@ TEST_F(ProtocolTest, UnknownProtocolVersionsAreRejected) {
   EXPECT_FALSE(zero.GetBool("ok", true));
   const Json stringy = Call(R"({"op":"ping","v":"two"})");
   EXPECT_FALSE(stringy.GetBool("ok", true));
+  // A fraction or an infinity is not a version: refused, never truncated.
+  for (const char* line : {R"({"op":"ping","v":2.9})", R"({"op":"ping","v":1e400})"}) {
+    const Json refused = Call(line);
+    EXPECT_FALSE(refused.GetBool("ok", true)) << line;
+    EXPECT_EQ(refused.GetString("code", ""), "InvalidArgument") << line;
+    EXPECT_FALSE(refused.Has("supported_max")) << line;
+  }
+}
+
+TEST_F(ProtocolTest, TimeoutOutsideItsBoundIsRefusedAndQueuesNothing) {
+  ClientQuota quota(QuotaOptions{/*max_in_flight=*/1});
+  const std::vector<std::string> catalog = registry_.Catalog();
+  for (const char* timeout : {"9.223372e9", "1e10", "1e400", "-1", R"("5")"}) {
+    const std::string line =
+        std::string(R"({"op":"submit","dataset":"fig5","action":"risk","timeout_seconds":)") +
+        timeout + "}";
+    bool shutdown = false;
+    auto refused = Json::Parse(protocol_.Handle(line, &shutdown, &quota));
+    ASSERT_TRUE(refused.ok()) << line;
+    EXPECT_FALSE(refused->GetBool("ok", true)) << line;
+    EXPECT_EQ(refused->GetString("code", ""), "InvalidArgument") << line;
+    EXPECT_EQ(quota.in_flight(), 0) << line << ": the quota slot is released";
+  }
+  EXPECT_EQ(scheduler_.queue_depth(), 0u);
+  EXPECT_EQ(Call(R"({"op":"status","id":1})").GetString("code", ""), "NotFound")
+      << "nothing was queued";
+  EXPECT_EQ(registry_.Catalog(), catalog);
+
+  // Fields are checked before the dataset loads: a refused submit naming a
+  // CSV nothing has loaded yet leaves the catalog as it was.
+  const std::string csv_path = ::testing::TempDir() + "protocol_timeout_fig5.csv";
+  {
+    std::ofstream out(csv_path);
+    out << core::Figure5Microdata().CsvText();
+  }
+  for (const char* field : {R"("timeout_seconds":1e10)", R"("timeout_seconds":"5")",
+                            R"("k":2.5)"}) {
+    const Json refused = Call(R"({"op":"submit","dataset":")" + csv_path + R"(",)" +
+                              field + "}");
+    EXPECT_EQ(refused.GetString("code", ""), "InvalidArgument") << field;
+    EXPECT_EQ(registry_.Catalog(), catalog) << field;
+  }
+  std::remove(csv_path.c_str());
+
+  // The bound itself is accepted, and a zero timeout means no deadline.
+  for (const char* timeout : {"1e9", "0"}) {
+    bool shutdown = false;
+    auto accepted = Json::Parse(protocol_.Handle(
+        std::string(R"({"op":"submit","dataset":"fig5","action":"risk","timeout_seconds":)") +
+            timeout + "}",
+        &shutdown));
+    ASSERT_TRUE(accepted.ok());
+    ASSERT_TRUE(accepted->GetBool("ok", false)) << accepted->Dump();
+    const Json result =
+        Call(R"({"op":"result","id":)" + std::to_string(accepted->GetInt("id", 0)) + "}");
+    EXPECT_EQ(result.GetString("state", ""), "done") << timeout << ": " << result.Dump();
+  }
 }
 
 TEST_F(ProtocolTest, ApplyDeltaIsGatedOnV2) {

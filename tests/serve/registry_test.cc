@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/datagen.h"
 
@@ -47,6 +49,26 @@ TEST(DatasetRegistryTest, MissingFileFails) {
   auto loaded = registry.Load("/does/not/exist.csv");
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(registry.Catalog().empty());
+}
+
+TEST(DatasetRegistryTest, PathsThatAreNotRegularFilesAreRefusedUnopened) {
+  const std::string directory = ::testing::TempDir() + "vadasa_registry_dir";
+  std::filesystem::create_directories(directory);
+  DatasetRegistry registry;
+  registry.set_quarantine_after(2);
+  for (const std::string& path : {std::string("/dev/null"), directory}) {
+    const auto refused = registry.Load(path);
+    ASSERT_FALSE(refused.ok()) << path;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << path;
+    EXPECT_NE(refused.status().message().find("not a regular file"), std::string::npos)
+        << refused.status().ToString();
+  }
+  EXPECT_TRUE(registry.Catalog().empty());
+  // The refusal counts toward the quarantine streak like any load failure.
+  EXPECT_FALSE(registry.IsQuarantined(directory));
+  EXPECT_FALSE(registry.Load(directory).ok());
+  EXPECT_TRUE(registry.IsQuarantined(directory));
+  std::filesystem::remove(directory);
 }
 
 TEST(DatasetRegistryTest, RegisterRejectsCollisions) {

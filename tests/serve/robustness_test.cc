@@ -419,7 +419,7 @@ class TransportTest : public RobustnessTest,
       EXPECT_TRUE(spec.ok()) << spec.status().ToString();
       options.listen = *spec;
     } else {
-      options.socket_path = SocketPath(tag);
+      options.listen.path = SocketPath(tag);
     }
     return options;
   }

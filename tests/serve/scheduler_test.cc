@@ -181,6 +181,37 @@ TEST(JobSchedulerTest, QueuedDeadlineExpires) {
   EXPECT_EQ(result->payload, nullptr);
 }
 
+TEST(JobSchedulerTest, TimeoutOutsideItsBoundIsRefusedBeforeTheCacheProbe) {
+  ResultCache cache;
+  SchedulerOptions options;
+  options.result_cache = &cache;
+  JobScheduler scheduler(options);
+  JobRequest fill = RiskJob(Fig5Session());
+  fill.cache_key = "fig5|risk";
+  auto filled = scheduler.Submit(std::move(fill));
+  ASSERT_TRUE(filled.ok());
+  ASSERT_TRUE(scheduler.Wait(*filled).ok());
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double timeout : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, -1.0,
+                               1e10, 9.223372e9}) {
+    JobRequest hit = RiskJob(Fig5Session());
+    hit.cache_key = "fig5|risk";
+    JobOptions job_options;
+    job_options.timeout_seconds = timeout;
+    auto id = scheduler.Submit(std::move(hit), job_options);
+    ASSERT_FALSE(id.ok()) << timeout;
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument) << timeout;
+  }
+  JobOptions longest;
+  longest.timeout_seconds = kMaxTimeoutSeconds;
+  auto id = scheduler.Submit(RiskJob(Fig5Session()), longest);
+  ASSERT_TRUE(id.ok());
+  auto result = scheduler.Wait(*id);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->state, JobState::kDone);
+}
+
 TEST(JobSchedulerTest, PriorityRunsFirstOnASingleWorker) {
   SchedulerOptions options;
   options.workers = 1;

@@ -21,7 +21,7 @@
 // rest. Repeated (dataset, policy)
 // requests are answered from a bounded LRU result cache (--cache-mb budget,
 // --no-cache disables; responses carry "cached":true) keyed on the dataset's
-// content fingerprint, so a reload with different bytes can never serve a
+// content fingerprint, so a delta that changes the bytes can never serve a
 // stale payload. Telemetry (docs/observability.md): every request line gets
 // a trace id echoed in its responses, --slow-log appends NDJSON lines for
 // jobs slower than --slow-ms, --sample-ms runs the background gauge sampler
@@ -117,6 +117,11 @@ int main(int argc, char** argv) {
     }
     listen_spec = *parsed;
   }
+  if (flags->Has("socket")) {
+    // The legacy spelling of --listen=unix:PATH, which wins over --listen.
+    listen_spec = serve::ListenSpec{};
+    listen_spec.path = flags->GetString("socket", "");
+  }
 
   obs::TraceArgs trace_args;
   trace_args.trace_path = flags->GetString("trace", "");
@@ -163,7 +168,6 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions server_options;
   server_options.listen = listen_spec;
-  server_options.socket_path = flags->GetString("socket", "");
   server_options.quota.max_in_flight =
       static_cast<size_t>(flags->GetInt("max-in-flight", 0));
   server_options.quota.submits_per_second =
