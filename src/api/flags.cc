@@ -1,5 +1,6 @@
 #include "api/flags.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -7,9 +8,16 @@ namespace vadasa::api {
 
 namespace {
 
+/// strtol and strtod skip leading whitespace; a flag value may not start
+/// with it.
+bool StartsWithSpace(const std::string& text) {
+  return !text.empty() && std::isspace(static_cast<unsigned char>(text.front())) != 0;
+}
+
 /// Full-consumption strtol: "12x", "", " 12" all fail.
 Result<long> ParseLong(const std::string& text) {
   if (text.empty()) return Status::InvalidArgument("empty integer");
+  if (StartsWithSpace(text)) return Status::InvalidArgument("not an integer");
   errno = 0;
   char* end = nullptr;
   const long value = std::strtol(text.c_str(), &end, 10);
@@ -20,8 +28,10 @@ Result<long> ParseLong(const std::string& text) {
   return value;
 }
 
+/// Full-consumption strtod: "0.5x", "", " 0.5" all fail.
 Result<double> ParseDouble(const std::string& text) {
   if (text.empty()) return Status::InvalidArgument("empty number");
+  if (StartsWithSpace(text)) return Status::InvalidArgument("not a number");
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);

@@ -104,60 +104,6 @@ Result<AnonymizationStep> GlobalRecoding::Apply(MicrodataTable* table, size_t ro
   return step;
 }
 
-bool PramPerturbation::CanApply(const MicrodataTable& table, size_t row,
-                                size_t column) const {
-  if (row >= table.num_rows() || column >= table.num_columns()) return false;
-  if (table.attributes()[column].category != AttributeCategory::kQuasiIdentifier) {
-    return false;
-  }
-  if (table.cell(row, column).is_null()) return false;
-  // Needs at least one other value in the column to draw from.
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    const Value& v = table.cell(r, column);
-    if (!v.is_null() && !v.Equals(table.cell(row, column))) return true;
-  }
-  return false;
-}
-
-Result<AnonymizationStep> PramPerturbation::Apply(MicrodataTable* table, size_t row,
-                                                  size_t column) {
-  if (!CanApply(*table, row, column)) {
-    return Status::FailedPrecondition("PRAM not applicable to row " +
-                                      std::to_string(row) + " column " +
-                                      std::to_string(column));
-  }
-  const Value before = table->cell(row, column);
-  // Empirical marginal of the column, current value excluded.
-  std::vector<Value> values;
-  std::vector<double> weights;
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    const Value& v = table->cell(r, column);
-    if (v.is_null() || v.Equals(before)) continue;
-    bool found = false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i].Equals(v)) {
-        weights[i] += 1.0;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      values.push_back(v);
-      weights.push_back(1.0);
-    }
-  }
-  const Value after = values[rng_.NextCategorical(weights)];
-  AnonymizationStep step;
-  step.row = row;
-  step.column = column;
-  step.before = before;
-  step.after = after;
-  step.method = name();
-  step.changed_rows.push_back(static_cast<uint32_t>(row));
-  table->set_cell(row, column, after);
-  return step;
-}
-
 bool RecordSuppression::CanApply(const MicrodataTable& table, size_t row,
                                  size_t column) const {
   if (row >= table.num_rows() || column >= table.num_columns()) return false;

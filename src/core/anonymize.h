@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
 #include "common/result.h"
 #include "core/hierarchy.h"
 #include "core/microdata.h"
@@ -79,25 +78,6 @@ class GlobalRecoding : public Anonymizer {
 
  private:
   const Hierarchy* hierarchy_;
-};
-
-/// PRAM-style post-randomization (sdcMicro's `pram`): replaces the cell with
-/// a value drawn from the column's empirical marginal (excluding the current
-/// value), so selective values migrate toward common ones while the column
-/// distribution is approximately preserved. Unlike suppression the released
-/// value is *not truthful* — standard for PRAM, and the release must say so.
-/// Deterministic for a given seed.
-class PramPerturbation : public Anonymizer {
- public:
-  explicit PramPerturbation(uint64_t seed) : rng_(seed) {}
-
-  std::string name() const override { return "pram-perturbation"; }
-  bool CanApply(const MicrodataTable& table, size_t row, size_t column) const override;
-  Result<AnonymizationStep> Apply(MicrodataTable* table, size_t row,
-                                  size_t column) override;
-
- private:
-  Rng rng_;
 };
 
 /// Record suppression: wipes *every* quasi-identifier of the row with fresh

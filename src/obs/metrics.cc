@@ -7,6 +7,19 @@
 
 namespace vadasa::obs {
 
+namespace {
+
+/// Nearest rank over n retained samples, as a 0-based index into their
+/// sorted order: rank = ceil(p/100 * n), 1-based, with p clamped to
+/// [0, 100] and p = 0 reading the smallest sample. n > 0.
+size_t NearestRankIndex(double p, size_t n) {
+  p = std::min(100.0, std::max(0.0, p));
+  const auto rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
+  return std::clamp<size_t>(rank, 1, n) - 1;
+}
+
+}  // namespace
+
 void Gauge::Add(double delta) {
   double cur = value_.load(std::memory_order_relaxed);
   while (!value_.compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
@@ -103,16 +116,36 @@ double Histogram::max() const {
 }
 
 double Histogram::Percentile(double p) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (samples_.empty()) return 0.0;
-  p = std::min(100.0, std::max(0.0, p));
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (p == 0.0) return sorted.front();
-  // Nearest rank: rank = ceil(p/100 * N), 1-based.
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[std::min(rank, sorted.size()) - 1];
+  std::vector<double> values = samples();
+  if (values.empty()) return 0.0;
+  const auto nth = values.begin() + NearestRankIndex(p, values.size());
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
+}
+
+HistogramStats Histogram::Summary() const {
+  HistogramStats stats;
+  std::vector<double> values;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats.count = count_;
+    stats.sum = sum_;
+    stats.min = min_;
+    stats.max = max_;
+    values = samples_;
+  }
+  if (values.empty()) return stats;
+  // Ascending ranks: each selection leaves every value before its rank no
+  // greater than every value after it, so the next one searches the tail.
+  auto from = values.begin();
+  for (auto [p, out] : {std::pair{50.0, &stats.p50}, std::pair{90.0, &stats.p90},
+                        std::pair{99.0, &stats.p99}}) {
+    const auto nth = values.begin() + NearestRankIndex(p, values.size());
+    std::nth_element(from, nth, values.end());
+    *out = *nth;
+    from = nth;
+  }
+  return stats;
 }
 
 std::vector<double> Histogram::samples() const {
@@ -172,22 +205,18 @@ void MetricsRegistry::Reset() {
 
 std::vector<std::pair<std::string, double>> MetricsRegistry::Snapshot() const {
   std::vector<std::pair<std::string, double>> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(counters_.size() + gauges_.size() + histograms_.size() * 7);
-  for (const auto& [name, c] : counters_) {
-    out.emplace_back(name, static_cast<double>(c->value()));
+  for (const auto& [name, value] : CounterValues()) {
+    out.emplace_back(name, static_cast<double>(value));
   }
-  for (const auto& [name, g] : gauges_) {
-    out.emplace_back(name, g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    out.emplace_back(name + ".count", static_cast<double>(h->count()));
-    out.emplace_back(name + ".sum", h->sum());
-    out.emplace_back(name + ".min", h->min());
-    out.emplace_back(name + ".max", h->max());
-    out.emplace_back(name + ".p50", h->Percentile(50.0));
-    out.emplace_back(name + ".p90", h->Percentile(90.0));
-    out.emplace_back(name + ".p99", h->Percentile(99.0));
+  for (const auto& [name, value] : GaugeValues()) out.emplace_back(name, value);
+  for (const auto& [name, stats] : HistogramValues()) {
+    out.emplace_back(name + ".count", static_cast<double>(stats.count));
+    out.emplace_back(name + ".sum", stats.sum);
+    out.emplace_back(name + ".min", stats.min);
+    out.emplace_back(name + ".max", stats.max);
+    out.emplace_back(name + ".p50", stats.p50);
+    out.emplace_back(name + ".p90", stats.p90);
+    out.emplace_back(name + ".p99", stats.p99);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -209,22 +238,18 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::GaugeValues() const
   return out;
 }
 
-std::vector<std::pair<std::string, MetricsRegistry::HistogramStats>>
-MetricsRegistry::HistogramValues() const {
-  std::vector<std::pair<std::string, HistogramStats>> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramStats stats;
-    stats.count = h->count();
-    stats.sum = h->sum();
-    stats.min = h->min();
-    stats.max = h->max();
-    stats.p50 = h->Percentile(50.0);
-    stats.p90 = h->Percentile(90.0);
-    stats.p99 = h->Percentile(99.0);
-    out.emplace_back(name, stats);
+std::vector<std::pair<std::string, HistogramStats>> MetricsRegistry::HistogramValues()
+    const {
+  // Handles are never erased, so they outlive the lock that finds them.
+  std::vector<std::pair<std::string, const Histogram*>> handles;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    handles.reserve(histograms_.size());
+    for (const auto& [name, h] : histograms_) handles.emplace_back(name, h.get());
   }
+  std::vector<std::pair<std::string, HistogramStats>> out;
+  out.reserve(handles.size());
+  for (const auto& [name, h] : handles) out.emplace_back(name, h->Summary());
   return out;
 }
 

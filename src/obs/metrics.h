@@ -37,6 +37,13 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// One consistent reading of a histogram (Histogram::Summary).
+struct HistogramStats {
+  size_t count = 0;
+  double sum = 0.0, min = 0.0, max = 0.0;
+  double p50 = 0.0, p90 = 0.0, p99 = 0.0;
+};
+
 /// A sample-recording histogram with exact nearest-rank percentiles under a
 /// bounded memory cap.
 ///
@@ -65,6 +72,11 @@ class Histogram {
   /// count() <= kMaxRetainedSamples. p is clamped to [0, 100]; returns 0
   /// when empty.
   double Percentile(double p) const;
+
+  /// count, sum, min, max and Percentile(50/90/99), read under one lock so
+  /// they describe one instant. The percentiles select from one copy of the
+  /// retained samples, taken under the lock and searched after it.
+  HistogramStats Summary() const;
 
   std::vector<double> samples() const;
   void Reset();
@@ -114,16 +126,14 @@ class MetricsRegistry {
   void Reset();
 
   /// Flat name->value view, sorted by name. Histograms expand into
-  /// `<name>.count/.sum/.min/.max/.p50/.p90/.p99`.
+  /// `<name>.count/.sum/.min/.max/.p50/.p90/.p99` from one Summary each.
   std::vector<std::pair<std::string, double>> Snapshot() const;
 
   /// Typed views for encoders that must distinguish metric kinds (the
-  /// Prometheus exposition): name-sorted values per kind.
-  struct HistogramStats {
-    size_t count = 0;
-    double sum = 0.0, min = 0.0, max = 0.0;
-    double p50 = 0.0, p90 = 0.0, p99 = 0.0;
-  };
+  /// Prometheus exposition): name-sorted values per kind. HistogramValues
+  /// holds the registry lock only while it collects the handles and
+  /// summarizes them after releasing it, so counter()/histogram() lookups
+  /// never wait for the summaries.
   std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
   std::vector<std::pair<std::string, double>> GaugeValues() const;
   std::vector<std::pair<std::string, HistogramStats>> HistogramValues() const;

@@ -30,7 +30,7 @@ std::string ServeOpVerb(const std::string& name) {
 }
 
 void AppendSummary(const std::string& family, const std::string& labels,
-                   const MetricsRegistry::HistogramStats& stats, std::string* out) {
+                   const HistogramStats& stats, std::string* out) {
   const std::string quantile_open =
       labels.empty() ? "{quantile=\"" : "{" + labels + ",quantile=\"";
   *out += family + quantile_open + "0.5\"} " + FormatDouble(stats.p50) + "\n";
@@ -72,8 +72,8 @@ std::string ToPrometheusText(const MetricsRegistry& registry) {
 
   // Histograms: the per-op serve latency metrics fold into one labelled
   // summary family; everything else becomes its own summary.
-  std::vector<std::pair<std::string, MetricsRegistry::HistogramStats>> serve_ops;
-  std::vector<std::pair<std::string, MetricsRegistry::HistogramStats>> plain;
+  std::vector<std::pair<std::string, HistogramStats>> serve_ops;
+  std::vector<std::pair<std::string, HistogramStats>> plain;
   for (auto& [name, stats] : registry.HistogramValues()) {
     const std::string verb = ServeOpVerb(name);
     if (!verb.empty()) {

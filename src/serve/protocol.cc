@@ -63,8 +63,8 @@ bool IsKnownOp(const std::string& op) {
 Json::Object JobFields(const JobResult& job) {
   return {{"id", Json(job.id)},
           {"state", Json(JobStateToString(job.state))},
-          {"queue_seconds", Json(job.queue_seconds)},
-          {"run_seconds", Json(job.run_seconds)},
+          {"queue_seconds", Json(static_cast<double>(job.queued_ns) / 1e9)},
+          {"run_seconds", Json(static_cast<double>(job.run_ns) / 1e9)},
           {"queued_ns", Json(job.queued_ns)},
           {"run_ns", Json(job.run_ns)},
           {"job_trace_id", Json(obs::TraceIdToHex(job.trace))}};

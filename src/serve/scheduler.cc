@@ -18,27 +18,42 @@ std::pair<int64_t, uint64_t> QueueKey(int priority, uint64_t id) {
   return {-static_cast<int64_t>(priority), id};
 }
 
-double SecondsBetween(std::chrono::steady_clock::time_point a,
-                      std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-int64_t NsBetween(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
-}
-
-/// Steady-clock nanoseconds since epoch — the tracer's timeline, so scheduler
-/// timestamps can feed obs::EmitSpan directly.
-int64_t ToTraceNs(std::chrono::steady_clock::time_point t) {
+/// The scheduler's one clock: steady-clock nanoseconds since epoch, the
+/// tracer's timeline, so job timestamps feed obs::EmitSpan directly.
+int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             t.time_since_epoch())
+             std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
+/// A running job is overdue once it has run this many times its deadline.
+constexpr double kWatchdogMultiple = 3.0;
+
 bool IsTerminal(JobState state) {
-  return state == JobState::kDone || state == JobState::kFailed ||
-         state == JobState::kCancelled || state == JobState::kExpired;
+  return state != JobState::kQueued && state != JobState::kRunning;
+}
+
+JobState TerminalState(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kOk: return JobState::kDone;
+    case StatusCode::kCancelled: return JobState::kCancelled;
+    case StatusCode::kDeadlineExceeded: return JobState::kExpired;
+    default: return JobState::kFailed;
+  }
+}
+
+/// One slow-log line for a job: its terminal line, or the watchdog's forced
+/// "overdue" line while it still runs.
+obs::RequestLogEntry SlowLogEntry(const JobResult& result, const std::string& dataset,
+                                  int64_t run_ns, std::string outcome) {
+  obs::RequestLogEntry entry;
+  entry.trace_id = result.trace;
+  entry.op = result.action == JobAction::kRisk ? "risk" : "anonymize";
+  entry.dataset = dataset;
+  entry.queue_ms = static_cast<double>(result.queued_ns) / 1e6;
+  entry.run_ms = static_cast<double>(run_ns) / 1e6;
+  entry.outcome = std::move(outcome);
+  return entry;
 }
 
 /// Handles resolved once; every instance meters into the global registry.
@@ -101,8 +116,10 @@ struct JobScheduler::Job {
   JobOptions options;
   CancelToken cancel;
   JobResult result;  ///< What Peek and Wait copy out.
-  std::chrono::steady_clock::time_point submitted;
-  std::chrono::steady_clock::time_point started;
+  /// NowNs() at Submit and when a worker dequeues the job; started_ns stays 0
+  /// while queued, and a cache hit starts when it is submitted.
+  int64_t submitted_ns = 0;
+  int64_t started_ns = 0;
   bool watchdog_flagged = false;  ///< The watchdog flags a job at most once.
   size_t shard = 0;               ///< Ready-queue shard (label-hashed).
 };
@@ -138,7 +155,7 @@ JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
   }
 }
 
-JobScheduler::~JobScheduler() { Shutdown(/*drain=*/true); }
+JobScheduler::~JobScheduler() { Shutdown(); }
 
 size_t JobScheduler::ShardForLabel(const std::string& label) const {
   // FNV-1a of the *name*, not the content: a delta or replacement that
@@ -191,60 +208,50 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
   job->result.trace = obs::CurrentTraceId();
   job->result.action = request.action;
   job->request = std::move(request);
-  job->options = options;
-  job->submitted = std::chrono::steady_clock::now();
-  // Probe the result cache before queueing (and before arming the deadline:
-  // a hit needs neither). A hit takes the very bytes the fill stored.
+  job->options = std::move(options);
+  job->submitted_ns = NowNs();
+  // Probe the result cache before taking the lock. A hit takes the very bytes
+  // the fill stored and never queues, so it needs no deadline.
+  std::shared_ptr<const std::string> hit;
   if (options_.result_cache != nullptr && !job->request.cache_key.empty()) {
-    if (auto hit = options_.result_cache->Get(job->request.cache_key)) {
-      api::Session released;  // Destroyed after the lock is dropped.
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (draining_) {
-        meters.rejected->Add(1);
-        return Status::Unavailable("scheduler is shutting down");
-      }
-      job->result.id = next_id_++;
-      job->shard = ShardForLabel(job->request.label);
-      job->result.from_cache = true;
-      job->result.payload = std::move(hit);
-      // Terminal immediately: never queued, never run — both phases are
-      // zero on the job's own timeline.
-      job->started = job->submitted;
-      jobs_.emplace(job->result.id, job);
-      meters.admitted->Add(1);
-      released = FinishLocked(job.get(), JobState::kDone, Status::OK());
-      return job->result.id;
-    }
+    hit = options_.result_cache->Get(job->request.cache_key);
   }
-  if (options.timeout_seconds > 0.0) {
+  if (hit == nullptr && job->options.timeout_seconds > 0.0) {
     job->cancel.SetTimeout(std::chrono::nanoseconds(
-        static_cast<int64_t>(options.timeout_seconds * 1e9)));
+        static_cast<int64_t>(job->options.timeout_seconds * 1e9)));
   }
-  size_t shard_index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) {
-      meters.rejected->Add(1);
-      return Status::Unavailable("scheduler is shutting down");
-    }
-    const size_t queued = TotalQueuedLocked();
-    if (queued >= options_.max_queue) {
-      meters.rejected->Add(1);
-      return Status::Unavailable(
-          "admission queue full (" + std::to_string(queued) + "/" +
-          std::to_string(options_.max_queue) + " jobs queued)");
-    }
-    job->result.id = next_id_++;
-    shard_index = ShardForLabel(job->request.label);
-    job->shard = shard_index;
-    shards_[shard_index]->queue.emplace(
-        QueueKey(options.priority, job->result.id), job);
-    jobs_.emplace(job->result.id, job);
-    meters.admitted->Add(1);
-    UpdateDepthGaugesLocked(shard_index);
+  api::Session released;  // Destroyed after the lock is dropped.
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (draining_) {
+    meters.rejected->Add(1);
+    return Status::Unavailable("scheduler is shutting down");
   }
-  shards_[shard_index]->work_cv.notify_one();
-  return job->result.id;
+  const size_t queued = TotalQueuedLocked();
+  if (hit == nullptr && queued >= options_.max_queue) {
+    meters.rejected->Add(1);
+    return Status::Unavailable(
+        "admission queue full (" + std::to_string(queued) + "/" +
+        std::to_string(options_.max_queue) + " jobs queued)");
+  }
+  const uint64_t id = next_id_++;
+  job->result.id = id;
+  job->shard = ShardForLabel(job->request.label);
+  jobs_.emplace(id, job);
+  meters.admitted->Add(1);
+  if (hit != nullptr) {
+    // Terminal at once: never queued, never run, so both phases are zero.
+    job->result.from_cache = true;
+    job->result.payload = std::move(hit);
+    job->started_ns = job->submitted_ns;
+    released = FinishLocked(job.get(), Status::OK());
+    return id;
+  }
+  Shard& shard = *shards_[job->shard];
+  shard.queue.emplace(QueueKey(job->options.priority, id), job);
+  UpdateDepthGaugesLocked(job->shard);
+  lock.unlock();
+  shard.work_cv.notify_one();
+  return id;
 }
 
 Result<JobResult> JobScheduler::Peek(uint64_t id) const {
@@ -279,8 +286,7 @@ Status JobScheduler::Cancel(uint64_t id) {
     shards_[job->shard]->queue.erase(
         QueueKey(job->options.priority, job->result.id));
     UpdateDepthGaugesLocked(job->shard);
-    released = FinishLocked(job, JobState::kCancelled,
-                            Status::Cancelled("cancelled while queued"));
+    released = FinishLocked(job, Status::Cancelled("cancelled while queued"));
     return Status::OK();
   }
   if (job->result.state == JobState::kRunning) {
@@ -289,21 +295,9 @@ Status JobScheduler::Cancel(uint64_t id) {
   return Status::OK();
 }
 
-void JobScheduler::Shutdown(bool drain) {
-  std::vector<api::Session> released;  // Destroyed after the lock is dropped.
+void JobScheduler::Shutdown() {
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;
-  if (!drain) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      for (auto& [key, job] : shards_[i]->queue) {
-        (void)key;
-        released.push_back(FinishLocked(job.get(), JobState::kCancelled,
-                                        Status::Cancelled("cancelled at shutdown")));
-      }
-      shards_[i]->queue.clear();
-      UpdateDepthGaugesLocked(i);
-    }
-  }
   JoinThreadsLocked(&lock);
 }
 
@@ -315,7 +309,7 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
   paused_ = false;     // A paused scheduler still has to run out its queue.
   NotifyAllShards();
   const bool drained = done_cv_.wait_until(lock, deadline, [&] {
-    return TotalQueuedLocked() == 0 && running_ == 0;
+    return TotalQueuedLocked() == 0 && running_.empty();
   });
   if (!drained) {
     // Budget exhausted: queued jobs are cancelled outright, running jobs get
@@ -324,16 +318,15 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
     for (size_t i = 0; i < shards_.size(); ++i) {
       for (auto& [key, job] : shards_[i]->queue) {
         (void)key;
-        released.push_back(
-            FinishLocked(job.get(), JobState::kCancelled,
-                         Status::Cancelled("cancelled: drain budget exhausted")));
+        released.push_back(FinishLocked(
+            job.get(), Status::Cancelled("cancelled: drain budget exhausted")));
       }
       shards_[i]->queue.clear();
       UpdateDepthGaugesLocked(i);
     }
-    for (auto& [id, job] : jobs_) {
+    for (auto& [id, job] : running_) {
       (void)id;
-      if (job->result.state == JobState::kRunning) job->cancel.Cancel();
+      job->cancel.Cancel();
     }
   }
   JoinThreadsLocked(&lock);
@@ -366,30 +359,24 @@ size_t JobScheduler::queue_depth() const {
   return TotalQueuedLocked();
 }
 
-size_t JobScheduler::shard_queue_depth(size_t shard) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shard >= shards_.size()) return 0;
-  return shards_[shard]->queue.size();
-}
-
-size_t JobScheduler::running_jobs() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return running_;
-}
-
-api::Session JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
+api::Session JobScheduler::FinishLocked(Job* job, Status status) {
   auto& meters = ServeMeters::Get();
   JobResult& result = job->result;
-  if (job->started == std::chrono::steady_clock::time_point{}) {
-    // Never dequeued (cancelled/expired while queued): the whole lifetime
-    // was queue wait.
-    const auto now = std::chrono::steady_clock::now();
-    result.queue_seconds = SecondsBetween(job->submitted, now);
-    result.queued_ns = NsBetween(job->submitted, now);
+  const int64_t now = NowNs();
+  if (job->started_ns == 0) {
+    // Never dequeued (cancelled while queued, or the drain gave up on it):
+    // the whole lifetime was queue wait.
+    result.queued_ns = now - job->submitted_ns;
   }
-  result.state = state;
+  if (result.state == JobState::kRunning) {
+    result.run_ns = now - job->started_ns;
+    meters.job_ms->Record(static_cast<double>(result.run_ns) / 1e6);
+    running_.erase(result.id);
+    meters.running->Set(static_cast<double>(running_.size()));
+  }
+  result.state = TerminalState(status);
   result.status = std::move(status);
-  switch (state) {
+  switch (result.state) {
     case JobState::kDone: meters.completed->Add(1); break;
     case JobState::kFailed: meters.failed->Add(1); break;
     case JobState::kCancelled: meters.cancelled->Add(1); break;
@@ -397,14 +384,8 @@ api::Session JobScheduler::FinishLocked(Job* job, JobState state, Status status)
     default: break;
   }
   if (options_.slow_log != nullptr) {
-    obs::RequestLogEntry entry;
-    entry.trace_id = result.trace;
-    entry.op = result.action == JobAction::kRisk ? "risk" : "anonymize";
-    entry.dataset = job->request.label;
-    entry.queue_ms = result.queue_seconds * 1e3;
-    entry.run_ms = result.run_seconds * 1e3;
-    entry.outcome = JobStateToString(state);
-    options_.slow_log->Record(entry);
+    options_.slow_log->Record(SlowLogEntry(result, job->request.label, result.run_ns,
+                                           JobStateToString(result.state)));
   }
   if (job->options.quota_slot != nullptr) {
     // Exactly once per terminal transition: the client's in-flight slot
@@ -425,28 +406,23 @@ void JobScheduler::WatchdogLoop() {
   while (!shutdown_) {
     watchdog_cv_.wait_for(lock, interval, [&] { return shutdown_; });
     if (shutdown_) return;
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& [id, job] : jobs_) {
+    const int64_t now = NowNs();
+    for (auto& [id, job] : running_) {
       (void)id;
-      if (job->result.state != JobState::kRunning || job->watchdog_flagged) continue;
-      if (job->options.timeout_seconds <= 0.0) continue;
-      const double overdue_s =
-          job->options.timeout_seconds * options_.watchdog_multiple;
-      const double running_s = SecondsBetween(job->started, now);
-      if (running_s < overdue_s) continue;
+      if (job->watchdog_flagged || job->options.timeout_seconds <= 0.0) continue;
+      const int64_t running_ns = now - job->started_ns;
+      if (static_cast<double>(running_ns) / 1e9 <
+          job->options.timeout_seconds * kWatchdogMultiple) {
+        continue;
+      }
       // Flag exactly once: metric, forced slow-log line, cancel escalation
       // for jobs that stopped polling their own deadline.
       job->watchdog_flagged = true;
       meters.watchdog_flagged->Add(1);
       if (options_.slow_log != nullptr) {
-        obs::RequestLogEntry entry;
-        entry.trace_id = job->result.trace;
-        entry.op = job->result.action == JobAction::kRisk ? "risk" : "anonymize";
-        entry.dataset = job->request.label;
-        entry.queue_ms = job->result.queue_seconds * 1e3;
-        entry.run_ms = running_s * 1e3;
-        entry.outcome = "overdue";
-        options_.slow_log->Record(entry, /*force=*/true);
+        options_.slow_log->Record(
+            SlowLogEntry(job->result, job->request.label, running_ns, "overdue"),
+            /*force=*/true);
       }
       job->cancel.Cancel();
     }
@@ -475,33 +451,20 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
       job = it->second;
       shard.queue.erase(it);
       UpdateDepthGaugesLocked(shard_index);
-      job->started = std::chrono::steady_clock::now();
-      job->result.queue_seconds = SecondsBetween(job->submitted, job->started);
-      job->result.queued_ns = NsBetween(job->submitted, job->started);
-      meters.queue_wait_ms->Record(job->result.queue_seconds * 1e3);
-      if (!job->cancel.Check().ok()) {
+      job->started_ns = NowNs();
+      job->result.queued_ns = job->started_ns - job->submitted_ns;
+      meters.queue_wait_ms->Record(static_cast<double>(job->result.queued_ns) / 1e6);
+      Status verdict = job->cancel.Check();
+      if (!verdict.ok()) {
         // Cancelled or expired while queued; never starts.
-        const Status verdict = job->cancel.Check();
-        released = FinishLocked(job.get(),
-                                verdict.code() == StatusCode::kDeadlineExceeded
-                                    ? JobState::kExpired
-                                    : JobState::kCancelled,
-                                verdict);
+        released = FinishLocked(job.get(), std::move(verdict));
         continue;
       }
       job->result.state = JobState::kRunning;
-      ++running_;
-      meters.running->Set(static_cast<double>(running_));
+      running_.emplace(job->result.id, job.get());
+      meters.running->Set(static_cast<double>(running_.size()));
     }
     Execute(job);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --running_;
-      meters.running->Set(static_cast<double>(running_));
-    }
-    // ShutdownWithin waits for queue empty AND running == 0; the terminal
-    // FinishLocked notified before this decrement, so notify again.
-    done_cv_.notify_all();
   }
 }
 
@@ -517,67 +480,56 @@ void JobScheduler::WarmUp(Job* job) {
 }
 
 void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
-  // Re-install the submitting request's trace id on the executor thread so
-  // the job/warmup spans (and the ParallelFor shards under them) group with
-  // the protocol spans of the same request in one trace.
-  obs::ScopedTraceId trace_scope(job->result.trace);
-  obs::EmitSpan("serve.queue_wait", ToTraceNs(job->submitted),
-                ToTraceNs(job->started));
-  obs::Span span("serve.job");
-  auto& meters = ServeMeters::Get();
-  WarmUp(job.get());
-
-  Status verdict = job->cancel.Check();
-  if (verdict.ok()) {
-    // Injected mid-run failure/delay: the job finishes through the normal
-    // terminal path (clean error + trace id), and a delay policy here is how
-    // tests manufacture an overdue job for the watchdog.
-    static failpoint::Failpoint* run_fp =
-        failpoint::GetFailpoint("serve.scheduler.run");
-    if (run_fp->armed()) verdict = run_fp->Eval();
-    if (verdict.ok()) verdict = job->cancel.Check();
-  }
+  Status verdict;
   // The job's one encoding, outside the scheduler lock: the cache, the job
   // and every reader share these bytes. A failed job has no payload and never
   // fills — the cache only ever holds what a cold run produced successfully.
   std::shared_ptr<const std::string> payload;
-  const auto encode = [&](const auto& result) {
-    if (result.ok()) {
-      payload = std::make_shared<const std::string>(EncodeResult(*result));
-    } else {
-      verdict = result.status();
+  {
+    // Re-install the submitting request's trace id on the executor thread so
+    // the job/warmup spans (and the ParallelFor shards under them) group with
+    // the protocol spans of the same request in one trace.
+    obs::ScopedTraceId trace_scope(job->result.trace);
+    obs::EmitSpan("serve.queue_wait", job->submitted_ns, job->started_ns);
+    obs::Span span("serve.job");
+    WarmUp(job.get());
+
+    verdict = job->cancel.Check();
+    if (verdict.ok()) {
+      // Injected mid-run failure/delay: the job finishes through the normal
+      // terminal path (clean error + trace id), and a delay policy here is
+      // how tests manufacture an overdue job for the watchdog.
+      static failpoint::Failpoint* run_fp =
+          failpoint::GetFailpoint("serve.scheduler.run");
+      if (run_fp->armed()) verdict = run_fp->Eval();
+      if (verdict.ok()) verdict = job->cancel.Check();
     }
-  };
-  if (verdict.ok()) {
-    if (job->request.action == JobAction::kRisk) {
-      encode(job->request.session.Risk(job->request.quantile, job->request.explain));
-    } else {
-      api::AnonymizeRequest anonymize_request;
-      anonymize_request.cancel = &job->cancel;
-      encode(job->request.session.Anonymize(anonymize_request));
+    const auto encode = [&](const auto& result) {
+      if (result.ok()) {
+        payload = std::make_shared<const std::string>(EncodeResult(*result));
+      } else {
+        verdict = result.status();
+      }
+    };
+    if (verdict.ok()) {
+      if (job->request.action == JobAction::kRisk) {
+        encode(job->request.session.Risk(job->request.quantile, job->request.explain));
+      } else {
+        api::AnonymizeRequest anonymize_request;
+        anonymize_request.cancel = &job->cancel;
+        encode(job->request.session.Anonymize(anonymize_request));
+      }
     }
-  }
-  if (verdict.ok() && options_.result_cache != nullptr &&
-      !job->request.cache_key.empty()) {
-    options_.result_cache->Put(job->request.cache_key, job->request.label, payload);
-  }
+    if (verdict.ok() && options_.result_cache != nullptr &&
+        !job->request.cache_key.empty()) {
+      options_.result_cache->Put(job->request.cache_key, job->request.label, payload);
+    }
+  }  // serve.job is recorded here, before any waiter can see the job end.
 
   api::Session released;  // Destroyed after the lock is dropped.
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto finished = std::chrono::steady_clock::now();
-  job->result.run_seconds = SecondsBetween(job->started, finished);
-  job->result.run_ns = NsBetween(job->started, finished);
-  meters.job_ms->Record(job->result.run_seconds * 1e3);
-  if (verdict.ok()) {
-    job->result.payload = std::move(payload);
-    released = FinishLocked(job.get(), JobState::kDone, Status::OK());
-  } else if (verdict.code() == StatusCode::kCancelled) {
-    released = FinishLocked(job.get(), JobState::kCancelled, verdict);
-  } else if (verdict.code() == StatusCode::kDeadlineExceeded) {
-    released = FinishLocked(job.get(), JobState::kExpired, verdict);
-  } else {
-    released = FinishLocked(job.get(), JobState::kFailed, verdict);
-  }
+  job->result.payload = std::move(payload);
+  released = FinishLocked(job.get(), std::move(verdict));
 }
 
 }  // namespace vadasa::serve

@@ -96,10 +96,8 @@ struct JobResult {
   /// completed. Immutable; the job, the result cache and every copy of this
   /// struct share the one string.
   std::shared_ptr<const std::string> payload;
-  double queue_seconds = 0.0;
-  double run_seconds = 0.0;
-  /// Integer-nanosecond spellings of the phases above (protocol timing
-  /// fields; exact on the steady-clock timeline).
+  /// Time spent queued and running, in steady-clock nanoseconds. A cache hit
+  /// reads 0 for both; a job that never left the queue has no run time.
   int64_t queued_ns = 0;
   int64_t run_ns = 0;
   /// Trace id current on the submitting thread at Submit (0 = none).
@@ -118,7 +116,7 @@ struct SchedulerOptions {
   /// backpressure surfaces at the edge instead of wedging clients.
   size_t max_queue = 64;
   /// Admit jobs but do not run any until Resume() — deterministic setup for
-  /// tests and warm server starts. Shutdown(drain=true) implies Resume.
+  /// tests and warm server starts. Shutdown() implies Resume.
   bool start_paused = false;
   /// When set, terminal jobs crossing the log's threshold append one NDJSON
   /// line (trace_id, op, dataset, queue_ms, run_ms, outcome). Not owned;
@@ -138,26 +136,26 @@ struct SchedulerOptions {
   /// scheduler. Null = no caching (the default).
   ResultCache* result_cache = nullptr;
   /// Watchdog scan interval, milliseconds; 0 disables the watchdog thread.
-  /// Each scan flags — exactly once per job — any running job older than
-  /// `watchdog_multiple` times its own deadline: serve.watchdog.flagged is
-  /// incremented, an "overdue" slow-log entry is written, and the job's
-  /// cancel token is flipped (cooperative-cancel escalation for jobs that
-  /// stopped polling their deadline).
+  /// Each scan looks at the running jobs only and flags — exactly once per
+  /// job — any that has run for three times its own deadline:
+  /// serve.watchdog.flagged is incremented, an "overdue" slow-log entry is
+  /// written, and the job's cancel token is flipped (cooperative-cancel
+  /// escalation for jobs that stopped polling their deadline).
   int watchdog_interval_ms = 0;
-  double watchdog_multiple = 3.0;
 };
 
 /// A bounded, prioritized, cancellable job executor over api::Session calls —
 /// the long-lived serving core. Admission control rejects overflow instead of
 /// blocking; per-job CancelTokens give cooperative cancellation and deadline
 /// enforcement; each job warms its session's shared WarmState, so jobs on one
-/// dataset version build its group index once between them. A job drops its
-/// session when it reaches a terminal state. All serve.* metrics flow through
-/// obs::MetricsRegistry::Global().
+/// dataset version build its group index once between them. Every job ends
+/// in one terminal transition, which derives its state from its final Status
+/// after the job's serve.job span has closed, and drops its session. All
+/// serve.* metrics flow through obs::MetricsRegistry::Global().
 class JobScheduler {
  public:
   explicit JobScheduler(SchedulerOptions options = {});
-  ~JobScheduler();  ///< Shutdown(/*drain=*/true).
+  ~JobScheduler();  ///< Shutdown().
 
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
@@ -179,11 +177,10 @@ class JobScheduler {
   /// Terminal job: no-op. NotFound for unknown ids.
   Status Cancel(uint64_t id);
 
-  /// Stops admission, then either drains the queue (drain=true: queued jobs
-  /// still execute) or cancels every queued job; running jobs always finish
-  /// (their tokens are left alone — drain=false only cancels queued work).
-  /// Joins the workers. Idempotent.
-  void Shutdown(bool drain = true);
+  /// Stops admission and drains: queued jobs still execute and running jobs
+  /// finish. Joins the workers. Idempotent. ShutdownWithin is the bounded,
+  /// cancelling variant.
+  void Shutdown();
 
   /// Bounded-time drain for graceful exit (SIGTERM handling): stops
   /// admission, lets queued + running jobs finish for up to `budget`, then
@@ -197,16 +194,10 @@ class JobScheduler {
   void Resume();
 
   size_t queue_depth() const;
-  size_t running_jobs() const;
   const SchedulerOptions& options() const { return options_; }
 
   /// Shards actually built (options().shards after clamping to workers).
   size_t shard_count() const { return shards_.size(); }
-  /// The shard a dataset label hash-assigns to.
-  size_t ShardForLabel(const std::string& label) const;
-  /// Queued jobs on one shard (operator/test visibility; the gauges mirror
-  /// this).
-  size_t shard_queue_depth(size_t shard) const;
 
  private:
   struct Job;
@@ -222,14 +213,19 @@ class JobScheduler {
     obs::Gauge* depth_gauge = nullptr;  ///< serve.shard.<i>.queue_depth.
   };
 
+  /// The shard a dataset label hash-assigns to.
+  size_t ShardForLabel(const std::string& label) const;
   void WorkerLoop(size_t shard_index);
   void WatchdogLoop();
   void Execute(const std::shared_ptr<Job>& job);
   void WarmUp(Job* job);
-  /// Transition to a terminal state; caller holds mutex_. Returns the job's
+  /// The one terminal transition; caller holds mutex_. The state follows
+  /// from `status`: OK is kDone, Cancelled kCancelled, DeadlineExceeded
+  /// kExpired, anything else kFailed. A running job leaves running_ here,
+  /// in the critical section that publishes its state. Returns the job's
   /// session for the caller to destroy after unlocking: it may hold the last
   /// reference to a dataset version and its warm index.
-  [[nodiscard]] api::Session FinishLocked(Job* job, JobState state, Status status);
+  [[nodiscard]] api::Session FinishLocked(Job* job, Status status);
   void JoinThreadsLocked(std::unique_lock<std::mutex>* lock);
   /// Sum of shard queue depths; caller holds mutex_.
   size_t TotalQueuedLocked() const;
@@ -249,7 +245,9 @@ class JobScheduler {
   bool paused_ = false;     ///< Workers admit but do not pop until Resume.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<uint64_t, std::shared_ptr<Job>> jobs_;
-  size_t running_ = 0;
+  /// The jobs a worker is executing, by id: all the watchdog, the bounded
+  /// drain and the serve.running gauge read. jobs_ keeps every job admitted.
+  std::map<uint64_t, Job*> running_;
 
   std::condition_variable watchdog_cv_;  ///< Wakes the watchdog early on exit.
   std::vector<std::thread> workers_;

@@ -284,7 +284,7 @@ Status EvalServeConcurrentBitIdentical(const ReproCase& repro) {
             " is not byte-identical to the sequential facade call");
       }
     }
-    scheduler.Shutdown(/*drain=*/true);
+    scheduler.Shutdown();
     return Status::OK();
   };
   const Status status = run();
@@ -416,7 +416,7 @@ Status EvalChaosServeNeverCorrupts(const ReproCase& repro) {
     if (garbled.GetBool("ok", false)) {
       return Status::FailedPrecondition("garbled request did not error");
     }
-    scheduler.Shutdown(/*drain=*/true);
+    scheduler.Shutdown();
     return Status::OK();
   };
 
@@ -735,7 +735,7 @@ Status CheckServedDeltaChain(const api::SessionOptions& options,
       }
     }
   }
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   return Status::OK();
 }
 
@@ -908,7 +908,7 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
         reference[std::string(action) + "+edit"] = cold.payload;
       }
     }
-    scheduler.Shutdown(/*drain=*/true);
+    scheduler.Shutdown();
   }
   // The cached stack under test.
   serve::ResultCache cache;
@@ -1003,7 +1003,7 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
       }
     }
   }
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   return Status::OK();
 }
 

@@ -38,7 +38,10 @@ TEST(FlagParserTest, RejectsMalformedNumbers) {
            {"--k", "5x"},
            {"--k", ""},
            {"--k", "999999999999999999999"},
+           {"--k", " 12"},
+           {"--k", "\t7"},
            {"--threshold", "0.5abc"},
+           {"--threshold", " 0.5"},
            {"--threshold", "nan"}}) {
     const auto parsed = TestParser().Parse(args);
     EXPECT_FALSE(parsed.ok()) << args[0] << "=" << args[1];

@@ -119,58 +119,6 @@ TEST(RecodeThenSuppressTest, PrefersRecodingFallsBackToNulls) {
   EXPECT_TRUE(t.cell(0, 2).is_null());
 }
 
-TEST(PramTest, ReplacesWithCommonValueFromColumn) {
-  MicrodataTable t = Figure5Microdata();
-  PramPerturbation anon(/*seed=*/7);
-  ASSERT_TRUE(anon.CanApply(t, 0, 2));  // Sector "Textiles", unique.
-  auto step = anon.Apply(&t, 0, 2);
-  ASSERT_TRUE(step.ok());
-  EXPECT_EQ(step->method, "pram-perturbation");
-  EXPECT_EQ(step->nulls_injected, 0u);
-  const Value& after = t.cell(0, 2);
-  EXPECT_FALSE(after.is_null());
-  EXPECT_FALSE(after.Equals(Value::String("Textiles")));
-  // The replacement comes from the column's existing domain.
-  bool in_domain = false;
-  for (size_t r = 1; r < t.num_rows(); ++r) {
-    in_domain |= t.cell(r, 2).Equals(after);
-  }
-  EXPECT_TRUE(in_domain);
-}
-
-TEST(PramTest, DeterministicPerSeed) {
-  MicrodataTable a = Figure5Microdata();
-  MicrodataTable b = Figure5Microdata();
-  PramPerturbation ra(42);
-  PramPerturbation rb(42);
-  ASSERT_TRUE(ra.Apply(&a, 0, 2).ok());
-  ASSERT_TRUE(rb.Apply(&b, 0, 2).ok());
-  EXPECT_TRUE(a.cell(0, 2).Equals(b.cell(0, 2)));
-}
-
-TEST(PramTest, NotApplicableToConstantColumn) {
-  MicrodataTable t("c", {{"A", "", AttributeCategory::kQuasiIdentifier}});
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(t.AddRow({Value::String("same")}).ok());
-  }
-  PramPerturbation anon(1);
-  EXPECT_FALSE(anon.CanApply(t, 0, 0));  // No other value to draw from.
-}
-
-TEST(PramTest, CycleWithPerturbationConverges) {
-  MicrodataTable t = Figure5Microdata();
-  KAnonymityRisk risk;
-  PramPerturbation anon(99);
-  CycleOptions options;
-  options.risk.k = 2;
-  AnonymizationCycle cycle(&risk, &anon, options);
-  auto stats = cycle.Run(&t);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  // No nulls: perturbation trades truthfulness for utility instead.
-  EXPECT_EQ(stats->nulls_injected, 0u);
-  EXPECT_EQ(t.CountNullCells(), 0u);
-}
-
 TEST(RecordSuppressionTest, WipesAllQuasiIdentifiers) {
   MicrodataTable t = Figure5Microdata();
   RecordSuppression anon;

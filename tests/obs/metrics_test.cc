@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -122,6 +124,42 @@ TEST(HistogramTest, ReservoirCapsRetentionButKeepsAggregatesExact) {
   const double p50 = h.Percentile(50.0);
   EXPECT_GT(p50, 0.40 * static_cast<double>(n));
   EXPECT_LT(p50, 0.60 * static_cast<double>(n));
+}
+
+TEST(HistogramTest, SummaryMatchesTheSingleAccessors) {
+  // Below the cap and past it, with ties, in scrambled order: one Summary
+  // equals the single accessors and the nearest ranks of the sorted samples.
+  for (const size_t n : {size_t{1}, size_t{7}, size_t{1000},
+                         Histogram::kMaxRetainedSamples + 20000}) {
+    Histogram h;
+    uint64_t x = 12345;
+    for (size_t i = 0; i < n; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      h.Record(static_cast<double>((x >> 33) % 500));
+    }
+    const HistogramStats stats = h.Summary();
+    EXPECT_EQ(stats.count, h.count()) << n;
+    EXPECT_EQ(stats.sum, h.sum()) << n;
+    EXPECT_EQ(stats.min, h.min()) << n;
+    EXPECT_EQ(stats.max, h.max()) << n;
+    EXPECT_EQ(stats.p50, h.Percentile(50.0)) << n;
+    EXPECT_EQ(stats.p90, h.Percentile(90.0)) << n;
+    EXPECT_EQ(stats.p99, h.Percentile(99.0)) << n;
+    std::vector<double> sorted = h.samples();
+    std::sort(sorted.begin(), sorted.end());
+    const auto nearest_rank = [&](double p) {
+      return sorted[static_cast<size_t>(
+                        std::ceil(p / 100.0 * static_cast<double>(sorted.size()))) -
+                    1];
+    };
+    EXPECT_EQ(stats.p50, nearest_rank(50.0)) << n;
+    EXPECT_EQ(stats.p90, nearest_rank(90.0)) << n;
+    EXPECT_EQ(stats.p99, nearest_rank(99.0)) << n;
+  }
+  const HistogramStats empty = Histogram().Summary();
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_EQ(empty.p50, 0.0);
+  EXPECT_EQ(empty.p99, 0.0);
 }
 
 TEST(HistogramTest, ReservoirIsDeterministic) {

@@ -192,12 +192,12 @@ TEST_F(RobustnessTest, WatchdogFlagsOverdueJobExactlyOnce) {
   SchedulerOptions options;
   options.workers = 1;
   options.watchdog_interval_ms = 5;
-  options.watchdog_multiple = 1.0;
   options.slow_log = &slow_log;
   JobScheduler scheduler(options);
 
   // The injected delay keeps the job running far past its deadline while the
-  // watchdog scans every 5ms.
+  // watchdog scans every 5ms: a 10ms deadline is overdue at 30ms, well inside
+  // the 150ms delay.
   ASSERT_TRUE(failpoint::ArmFromSpec("serve.scheduler.run=delay(150)").ok());
   const uint64_t flagged_before = CounterValue("serve.watchdog.flagged");
   JobOptions job_options;
@@ -227,7 +227,6 @@ TEST_F(RobustnessTest, WatchdogIgnoresJobsWithoutDeadlines) {
   SchedulerOptions options;
   options.workers = 1;
   options.watchdog_interval_ms = 5;
-  options.watchdog_multiple = 1.0;
   JobScheduler scheduler(options);
   ASSERT_TRUE(failpoint::ArmFromSpec("serve.scheduler.run=delay(60)").ok());
   const uint64_t flagged_before = CounterValue("serve.watchdog.flagged");
@@ -338,8 +337,10 @@ TEST_F(RobustnessTest, ShutdownWithinCancelsWhatTheBudgetCannotCover) {
   auto queued_result = scheduler.Peek(*queued);
   ASSERT_TRUE(queued_result.ok());
   EXPECT_EQ(queued_result->state, JobState::kCancelled);
+  EXPECT_EQ(queued_result->status.code(), StatusCode::kCancelled);
   EXPECT_NE(queued_result->status.message().find("drain budget"),
             std::string::npos);
+  EXPECT_EQ(queued_result->payload, nullptr);
   auto running_result = scheduler.Peek(*running);
   ASSERT_TRUE(running_result.ok());
   // The running job was joined; cooperative cancel may or may not have won

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/datagen.h"
 #include "core/delta.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/dataset_registry.h"
 #include "serve/result_cache.h"
 
@@ -96,7 +99,7 @@ TEST(JobSchedulerTest, SaturationRejectsInsteadOfBlocking) {
 
   // The admitted jobs still complete once execution starts.
   scheduler.Resume();
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   for (uint64_t id : {uint64_t{1}, uint64_t{2}}) {
     auto result = scheduler.Peek(id);
     ASSERT_TRUE(result.ok());
@@ -117,7 +120,7 @@ TEST(JobSchedulerTest, ShutdownDrainsQueuedJobs) {
   }
   // Drain: queued jobs execute to completion even though they never started
   // before shutdown was requested.
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   for (uint64_t id : ids) {
     auto result = scheduler.Peek(id);
     ASSERT_TRUE(result.ok());
@@ -126,20 +129,6 @@ TEST(JobSchedulerTest, ShutdownDrainsQueuedJobs) {
     EXPECT_EQ(*result->payload, DirectRelease());
   }
   EXPECT_EQ(scheduler.queue_depth(), 0u);
-}
-
-TEST(JobSchedulerTest, ShutdownWithoutDrainCancelsQueuedJobs) {
-  SchedulerOptions options;
-  options.start_paused = true;
-  JobScheduler scheduler(options);
-  auto id = scheduler.Submit(RiskJob(Fig5Session()));
-  ASSERT_TRUE(id.ok());
-  scheduler.Shutdown(/*drain=*/false);
-  auto result = scheduler.Peek(*id);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->state, JobState::kCancelled);
-  EXPECT_EQ(result->status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(result->payload, nullptr);
 }
 
 TEST(JobSchedulerTest, SubmitAfterShutdownIsRejected) {
@@ -226,14 +215,14 @@ TEST(JobSchedulerTest, PriorityRunsFirstOnASingleWorker) {
   ASSERT_TRUE(low.ok());
   ASSERT_TRUE(high.ok());
   scheduler.Resume();
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   auto low_result = scheduler.Peek(*low);
   auto high_result = scheduler.Peek(*high);
   ASSERT_TRUE(low_result.ok());
   ASSERT_TRUE(high_result.ok());
   // One worker: the high-priority job runs first, so the low one's queue
   // wait includes the high one's run time.
-  EXPECT_GE(low_result->queue_seconds, high_result->queue_seconds);
+  EXPECT_GE(low_result->queued_ns, high_result->queued_ns);
   EXPECT_EQ(low_result->state, JobState::kDone);
   EXPECT_EQ(high_result->state, JobState::kDone);
 }
@@ -255,7 +244,7 @@ TEST(JobSchedulerTest, ExtremePrioritiesQueueAndCancel) {
   ASSERT_TRUE(high.ok());
   EXPECT_TRUE(scheduler.Cancel(*low).ok());
   scheduler.Resume();
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   auto low_result = scheduler.Peek(*low);
   auto high_result = scheduler.Peek(*high);
   ASSERT_TRUE(low_result.ok());
@@ -463,6 +452,39 @@ TEST(JobSchedulerTest, CacheHitSharesTheFilledBytes) {
   EXPECT_EQ(peeked->payload.get(), fill->payload.get());
 }
 
+TEST(JobSchedulerTest, JobSpanIsRecordedBeforeWaitReturns) {
+#ifdef VADASA_DISABLE_OBS
+  GTEST_SKIP() << "spans are compiled out";
+#endif
+  // A job's serve.job span closes before its terminal state is published, so
+  // a client whose Wait returns always finds it among the recorded spans.
+  JobScheduler scheduler;
+  const api::Session session = Fig5Session();
+  obs::StartTracing();
+  int missing = 0;
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t trace = obs::MintTraceId();
+    auto id = [&] {
+      obs::ScopedTraceId scope(trace);
+      return scheduler.Submit(RiskJob(session));
+    }();
+    if (!id.ok()) {
+      ADD_FAILURE() << id.status().ToString();
+      break;
+    }
+    auto result = scheduler.Wait(*id);
+    EXPECT_TRUE(result.ok() && result->state == JobState::kDone) << "job " << i;
+    const std::vector<obs::SpanEvent> spans = obs::CollectSpans();
+    if (std::none_of(spans.begin(), spans.end(), [&](const obs::SpanEvent& span) {
+          return span.trace == trace && std::string(span.name) == "serve.job";
+        })) {
+      ++missing;
+    }
+  }
+  obs::StopTracing();
+  EXPECT_EQ(missing, 0) << "jobs whose serve.job span was not recorded when Wait returned";
+}
+
 TEST(JobSchedulerTest, MetricsCountOutcomes) {
   auto& registry = obs::MetricsRegistry::Global();
   const uint64_t completed_before =
@@ -476,7 +498,7 @@ TEST(JobSchedulerTest, MetricsCountOutcomes) {
   ASSERT_TRUE(scheduler.Submit(RiskJob(Fig5Session())).ok());
   ASSERT_FALSE(scheduler.Submit(RiskJob(Fig5Session())).ok());
   scheduler.Resume();
-  scheduler.Shutdown(/*drain=*/true);
+  scheduler.Shutdown();
   EXPECT_EQ(registry.counter("serve.completed")->value() - completed_before, 1u);
   EXPECT_EQ(registry.counter("serve.rejected")->value() - rejected_before, 1u);
 }

@@ -1,38 +1,37 @@
 // vadasa_serve — the long-lived anonymization job service (docs/serving.md):
 //
-//   vadasa_serve --listen=unix:PATH|tcp:HOST:PORT [--socket=PATH]
+//   vadasa_serve --listen=unix:PATH|tcp:HOST:PORT
 //                [--workers=N] [--shards=N] [--max-queue=N]
 //                [--cache-mb=N] [--no-cache]
 //                [--trace=out.json] [--metrics=out.json]
 //                [--prom=out.prom] [--slow-log=out.ndjson] [--slow-ms=MS]
 //                [--sample-ms=MS] [--drain-ms=MS] [--max-in-flight=N]
 //                [--submit-rate=R] [--max-line-bytes=N] [--watchdog-ms=MS]
-//                [--watchdog-multiple=X]
 //
 // Speaks newline-delimited JSON over a Unix domain or TCP socket: submit /
 // status / result / cancel / metrics / telemetry / shutdown / apply_delta
-// (see src/serve/protocol.h for the wire format; --socket=PATH is the legacy
-// spelling of --listen=unix:PATH). Datasets are loaded once by the registry
-// and shared across jobs, with one warm state per dataset version: its group
-// index is built once, by the first job that needs it, and an apply_delta
-// patches it into the next version instead of rebuilding. The scheduler
-// bounds admission, honors per-job priorities and deadlines, and shards its
-// worker pools by dataset (--shards) so one hot dataset cannot starve the
-// rest. Repeated (dataset, policy)
-// requests are answered from a bounded LRU result cache (--cache-mb budget,
-// --no-cache disables; responses carry "cached":true) keyed on the dataset's
-// content fingerprint, so a delta that changes the bytes can never serve a
-// stale payload. Telemetry (docs/observability.md): every request line gets
-// a trace id echoed in its responses, --slow-log appends NDJSON lines for
-// jobs slower than --slow-ms, --sample-ms runs the background gauge sampler
-// (0 = off), and on shutdown --trace/--metrics/--prom export.
+// (see src/serve/protocol.h for the wire format). Datasets are loaded once by
+// the registry and shared across jobs, with one warm state per dataset
+// version: its group index is built once, by the first job that needs it, and
+// an apply_delta patches it into the next version instead of rebuilding. The
+// scheduler bounds admission, honors per-job priorities and deadlines, and
+// shards its worker pools by dataset (--shards) so one hot dataset cannot
+// starve the rest. Repeated (dataset, policy) requests are answered from a
+// bounded LRU result cache (--cache-mb budget, --no-cache disables; responses
+// carry "cached":true) keyed on the dataset's content fingerprint, so a delta
+// that changes the bytes can never serve a stale payload. Telemetry
+// (docs/observability.md): every request line gets a trace id echoed in its
+// responses, --slow-log appends NDJSON lines for jobs slower than --slow-ms,
+// --sample-ms runs the background gauge sampler (0 = off), and on shutdown
+// --trace/--metrics/--prom export.
 //
 // Robustness (docs/robustness.md): --max-in-flight/--submit-rate meter each
 // connection (over-quota submits get Unavailable + retry_after_ms),
-// --max-line-bytes bounds a request line, --watchdog-ms/--watchdog-multiple
-// flag overdue jobs, and SIGTERM/SIGINT trigger a graceful drain: admission
-// stops, in-flight work gets up to --drain-ms to finish (whatever remains is
-// cancelled), telemetry flushes, and the process exits 0.
+// --max-line-bytes bounds a request line, the watchdog (scanning every
+// --watchdog-ms) flags jobs running past three times their deadline, and
+// SIGTERM/SIGINT trigger a graceful drain: admission stops, in-flight work
+// gets up to --drain-ms to finish (whatever remains is cancelled), telemetry
+// flushes, and the process exits 0.
 //
 // Exit codes: 0 clean shutdown (including signal-driven drain), 1 runtime
 // failure, 2 usage/flag error.
@@ -70,8 +69,7 @@ int main(int argc, char** argv) {
   using namespace vadasa;
 
   api::FlagParser parser;
-  parser.Path("socket", "Unix socket path (legacy alias of --listen=unix:PATH)")
-      .Path("listen", "listen spec: unix:PATH or tcp:HOST:PORT (0 = ephemeral)")
+  parser.Path("listen", "listen spec: unix:PATH or tcp:HOST:PORT (0 = ephemeral)")
       .Int("workers", "executor threads", 1, 256)
       .Int("shards", "dataset-hashed worker-pool shards (<= workers)", 1, 256)
       .Int("max-queue", "admission queue bound (reject beyond)", 1, 1 << 20)
@@ -92,13 +90,10 @@ int main(int argc, char** argv) {
       .Int("max-line-bytes", "longest request line accepted, bytes", 1,
            1 << 30)
       .Int("watchdog-ms", "overdue-job watchdog interval, 0 disables", 0,
-           3600000)
-      .Double("watchdog-multiple", "deadline multiple before a job is overdue",
-              1.0, 1e6);
+           3600000);
 
   auto flags = parser.Parse(argc, argv, /*first=*/1);
-  if (!flags.ok() || (!flags->Has("socket") && !flags->Has("listen")) ||
-      !flags->positional().empty()) {
+  if (!flags.ok() || !flags->Has("listen") || !flags->positional().empty()) {
     if (!flags.ok()) {
       std::fprintf(stderr, "error: %s\n", flags.status().message().c_str());
     }
@@ -108,19 +103,10 @@ int main(int argc, char** argv) {
                  parser.Help().c_str());
     return 2;
   }
-  serve::ListenSpec listen_spec;
-  if (flags->Has("listen")) {
-    auto parsed = serve::ParseListenSpec(flags->GetString("listen", ""));
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n", parsed.status().message().c_str());
-      return 2;
-    }
-    listen_spec = *parsed;
-  }
-  if (flags->Has("socket")) {
-    // The legacy spelling of --listen=unix:PATH, which wins over --listen.
-    listen_spec = serve::ListenSpec{};
-    listen_spec.path = flags->GetString("socket", "");
+  auto listen_spec = serve::ParseListenSpec(flags->GetString("listen", ""));
+  if (!listen_spec.ok()) {
+    std::fprintf(stderr, "error: %s\n", listen_spec.status().message().c_str());
+    return 2;
   }
 
   obs::TraceArgs trace_args;
@@ -161,13 +147,11 @@ int main(int argc, char** argv) {
   scheduler_options.slow_log = slow_log.get();
   scheduler_options.watchdog_interval_ms =
       static_cast<int>(flags->GetInt("watchdog-ms", 1000));
-  scheduler_options.watchdog_multiple =
-      flags->GetDouble("watchdog-multiple", 3.0);
   serve::JobScheduler scheduler(scheduler_options);
   serve::Protocol protocol(&registry, &scheduler);
 
   serve::ServerOptions server_options;
-  server_options.listen = listen_spec;
+  server_options.listen = *listen_spec;
   server_options.quota.max_in_flight =
       static_cast<size_t>(flags->GetInt("max-in-flight", 0));
   server_options.quota.submits_per_second =
