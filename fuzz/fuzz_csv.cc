@@ -45,7 +45,8 @@ std::string SeededFuzzInput(vadasa::Rng* rng, uint64_t iteration) {
   if (iteration % 3 == 2) return vadasa::testing::RandomBytes(rng);
   std::string doc = vadasa::testing::RandomCsvDocument(rng);
   if (iteration % 3 == 0 || doc.empty()) return doc;
-  static const char kBytes[] = {',', '"', '\n', '\r', ' ', 'a', '0', '.', '-'};
+  static const char kBytes[] = {',', '"', '\n', '\r', ' ', 'a', '0', '.', '-', '\t',
+                                '\v', '\f', '+', 'e', 'i', 'n', 'N', '_', '\xE2'};
   for (uint64_t edits = 1 + rng->NextBelow(3); edits > 0 && !doc.empty(); --edits) {
     const size_t at = rng->NextBelow(doc.size());
     const char byte = kBytes[rng->NextBelow(sizeof(kBytes))];

@@ -1,6 +1,8 @@
 // Fuzz entry point for the JSON parser every protocol line passes through:
 // for any byte string, Json::Parse either fails, or the document it returns
-// dumps to text that parses back and dumps to the same bytes. Every number
+// dumps to text that parses back and dumps to the same bytes. The input's
+// bytes, dumped as a string value, also parse back to themselves, so a byte
+// that both the writer and the parser would drop cannot hide. Every number
 // in the document also goes through the integer accessors the protocol
 // decodes request fields with: AsInt must saturate (never cast a double
 // outside int64_t), and a number IsIntegerIn accepts must read back exactly.
@@ -70,6 +72,9 @@ void CheckIntegers(const vadasa::Json& value, std::string_view input) {
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
+  auto quoted = vadasa::Json::Parse(vadasa::Json(text).Dump());
+  Require(quoted.ok() && quoted->is_string() && quoted->AsString() == text,
+          "the input as a string value does not come back unchanged", text);
   auto parsed = vadasa::Json::Parse(text);
   if (!parsed.ok()) return 0;
   CheckIntegers(*parsed, text);

@@ -22,13 +22,15 @@ struct CsvTable {
 Result<std::string> ReadTextFile(const std::string& path);
 
 /// Receives one scanned CSV record.
-using CsvRecordFn = std::function<Status(const std::vector<std::string>& fields)>;
+using CsvRecordFn = std::function<Status(const std::vector<std::string_view>& fields)>;
 
 /// Scans a CSV document one record at a time under ParseCsv's rules:
 /// `on_header` sees the first record, `on_row` every later one except blank
 /// lines, and a row whose width differs from the header's stops the scan with
-/// ParseCsv's error. Both see the scanner's own field buffers, which keep
-/// their capacity from record to record, so a callback copies what it keeps.
+/// ParseCsv's error. A field that is one run of `text` (unquoted, or quoted
+/// with no doubled quote) is a view of `text`; any other field is a view of
+/// the scanner's own buffer, rewritten by the next record. So the views are
+/// valid during the callback only, and a callback copies what it keeps.
 /// A callback's error stops the scan and is returned.
 Status ScanCsv(std::string_view text, const CsvRecordFn& on_header,
                const CsvRecordFn& on_row);
@@ -58,9 +60,10 @@ std::string WriteCsv(const CsvTable& table);
 /// Writes a CSV file to disk.
 Status WriteCsvFile(const std::string& path, const CsvTable& table);
 
-/// Converts a cell to a Value: integers and doubles are detected, the literal
-/// token "NULL_k" (or "⊥_k") becomes a labelled null, everything else stays a
-/// string.
+/// Converts a cell to a Value. The cell is trimmed of ASCII whitespace; then
+/// the literal token "NULL_k" (or "⊥_k") becomes a labelled null, a cell that
+/// std::from_chars reads whole as an int64_t an integer, one it reads whole as
+/// a double a double, and everything else a string.
 Value CellToValue(std::string_view cell);
 
 /// Spells a value as a CSV cell, the way CellToValue reads it back: labelled

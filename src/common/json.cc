@@ -1,8 +1,9 @@
 #include "common/json.h"
 
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -30,20 +31,23 @@ const Json::Object& EmptyObject() {
   return *o;
 }
 
-/// The escape JSON needs for `c`: 0 when it is written as is, 'u' when it
-/// needs a \uXXXX escape, else the letter after the backslash.
-char JsonEscape(char c) {
-  switch (c) {
-    case '"': return '"';
-    case '\\': return '\\';
-    case '\b': return 'b';
-    case '\f': return 'f';
-    case '\n': return 'n';
-    case '\r': return 'r';
-    case '\t': return 't';
-    default: return static_cast<unsigned char>(c) < 0x20 ? 'u' : 0;
-  }
-}
+/// The escape JSON needs for each byte: 0 when it is written as is, 'u' when
+/// it needs a \uXXXX escape, else the letter after the backslash. The bytes
+/// with an escape are the ones that end a string's plain run when parsing.
+constexpr std::array<char, 256> kJsonEscape = [] {
+  std::array<char, 256> table{};
+  for (size_t c = 0; c < 0x20; ++c) table[c] = 'u';
+  table['"'] = '"';
+  table['\\'] = '\\';
+  table['\b'] = 'b';
+  table['\f'] = 'f';
+  table['\n'] = 'n';
+  table['\r'] = 'r';
+  table['\t'] = 't';
+  return table;
+}();
+
+char JsonEscape(char c) { return kJsonEscape[static_cast<unsigned char>(c)]; }
 
 void AppendUtf8(std::string* out, uint32_t cp) {
   if (cp < 0x80) {
@@ -170,15 +174,15 @@ class Parser {
     ++pos_;  // '"'
     std::string out;
     while (pos_ < text_.size()) {
+      // The run up to the next quote, backslash or control byte is literal.
+      size_t run_end = pos_;
+      while (run_end < text_.size() && JsonEscape(text_[run_end]) == 0) ++run_end;
+      out.append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ == text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') return Error("unescaped control character in string");
       if (pos_ >= text_.size()) break;
       const char e = text_[pos_++];
       switch (e) {
@@ -397,39 +401,34 @@ Result<Json> Json::Parse(const std::string& text) {
 
 std::string JsonQuote(std::string_view s) {
   std::string out;
-  out.reserve(JsonQuotedSize(s));
   AppendJsonQuoted(&out, s);
   return out;
 }
 
 void AppendJsonQuoted(std::string* out, std::string_view s) {
   out->push_back('"');
+  AppendJsonEscaped(out, s);
+  out->push_back('"');
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   size_t run = 0;  // Start of the bytes not yet appended, all written as is.
   for (size_t i = 0; i < s.size(); ++i) {
     const char escape = JsonEscape(s[i]);
     if (escape == 0) continue;
     out->append(s.data() + run, i - run);
     run = i + 1;
+    out->push_back('\\');
     if (escape == 'u') {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", s[i]);
-      out->append(buf);
+      const auto c = static_cast<unsigned char>(s[i]);
+      const char hex[] = {'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+      out->append(hex, sizeof(hex));
     } else {
-      out->push_back('\\');
       out->push_back(escape);
     }
   }
   out->append(s.data() + run, s.size() - run);
-  out->push_back('"');
-}
-
-size_t JsonQuotedSize(std::string_view s) {
-  size_t size = 2;
-  for (const char c : s) {
-    const char escape = JsonEscape(c);
-    size += escape == 0 ? 1 : escape == 'u' ? 6 : 2;
-  }
-  return size;
 }
 
 void AppendJsonNumber(std::string* out, double d) {
@@ -437,15 +436,13 @@ void AppendJsonNumber(std::string* out, double d) {
     *out += "null";
     return;
   }
-  if (std::fabs(d) < 1e15 && d == std::trunc(d)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    *out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  *out += buf;
+  // What printf's "%lld" and "%.17g" write.
+  char buf[32];
+  char* const end =
+      std::fabs(d) < 1e15 && d == std::trunc(d)
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d)).ptr
+          : std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17).ptr;
+  out->append(buf, end);
 }
 
 }  // namespace vadasa

@@ -89,8 +89,9 @@ std::string JsonQuote(std::string_view s);
 /// Appends JsonQuote(s) to `out`.
 void AppendJsonQuoted(std::string* out, std::string_view s);
 
-/// JsonQuote(s).size(), counted without writing it.
-size_t JsonQuotedSize(std::string_view s);
+/// Appends JsonQuote(s) without its quotes, so a string literal can be
+/// written a piece at a time.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 /// Appends a number as Json::Dump writes it: integers without a fraction,
 /// everything else with enough digits to round-trip, non-finite as null.

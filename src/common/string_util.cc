@@ -1,18 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
-#include <charconv>
-#include <cstdlib>
 
 namespace vadasa {
-
-std::string_view TrimView(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
 
 std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
@@ -61,23 +51,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool LooksLikeInt(std::string_view s) {
-  s = TrimView(s);
-  if (s.empty()) return false;
-  int64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool LooksLikeDouble(std::string_view s) {
-  s = TrimView(s);
-  if (s.empty()) return false;
-  // std::from_chars for double is available in GCC 12.
-  double v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 }  // namespace vadasa

@@ -7,8 +7,18 @@
 
 namespace vadasa {
 
+/// Whether `c` is ASCII whitespace: space, \t, \n, \v, \f or \r, what
+/// std::isspace accepts in the "C" locale.
+constexpr bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 /// Removes leading/trailing ASCII whitespace.
-std::string_view TrimView(std::string_view s);
+inline std::string_view TrimView(std::string_view s) {
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
 std::string Trim(std::string_view s);
 
 /// ASCII lower-case copy.
@@ -25,10 +35,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// True if `s` parses fully as an integer / floating literal.
-bool LooksLikeInt(std::string_view s);
-bool LooksLikeDouble(std::string_view s);
 
 }  // namespace vadasa
 

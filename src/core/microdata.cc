@@ -128,13 +128,13 @@ Status MicrodataTable::Validate() const {
 /// long as the load.
 class MicrodataTable::RowBuilder {
  public:
-  RowBuilder(const std::string& name, const std::vector<std::string>& header,
+  RowBuilder(const std::string& name, const std::vector<std::string_view>& header,
              const std::vector<std::string>& identifier_attributes,
              const std::string& weight_attribute)
       : table_(name, CsvSchema(header, identifier_attributes, weight_attribute)),
         interned_(header.size()) {}
 
-  Status Add(const std::vector<std::string>& record) {
+  Status Add(const std::vector<std::string_view>& record) {
     VADASA_RETURN_NOT_OK(table_.CheckRowWidth(record.size()));
     auto row = std::make_shared<std::vector<Value>>();
     row->reserve(record.size());
@@ -150,11 +150,11 @@ class MicrodataTable::RowBuilder {
 
  private:
   static std::vector<Attribute> CsvSchema(
-      const std::vector<std::string>& header,
+      const std::vector<std::string_view>& header,
       const std::vector<std::string>& identifier_attributes,
       const std::string& weight_attribute) {
     std::vector<Attribute> attrs;
-    for (const std::string& col : header) {
+    for (const std::string_view col : header) {
       Attribute a;
       a.name = col;
       if (col == weight_attribute) {
@@ -170,11 +170,13 @@ class MicrodataTable::RowBuilder {
     return attrs;
   }
 
+  /// Trims the cell once: CellToValue finds nothing left to trim.
   Value Cell(size_t column, std::string_view text) {
+    const std::string_view trimmed = TrimView(text);
     auto& interned = interned_[column];
-    const auto it = interned.find(TrimView(text));
+    const auto it = interned.find(trimmed);
     if (it != interned.end()) return it->second;
-    Value value = CellToValue(text);
+    Value value = CellToValue(trimmed);
     if (value.is_string()) interned.emplace(value.as_string(), value);
     return value;
   }
@@ -189,8 +191,12 @@ Result<MicrodataTable> MicrodataTable::FromCsv(
     const std::string& name, const CsvTable& csv,
     const std::vector<std::string>& identifier_attributes,
     const std::string& weight_attribute) {
-  RowBuilder builder(name, csv.header, identifier_attributes, weight_attribute);
-  for (const auto& row : csv.rows) VADASA_RETURN_NOT_OK(builder.Add(row));
+  std::vector<std::string_view> fields(csv.header.begin(), csv.header.end());
+  RowBuilder builder(name, fields, identifier_attributes, weight_attribute);
+  for (const auto& row : csv.rows) {
+    fields.assign(row.begin(), row.end());
+    VADASA_RETURN_NOT_OK(builder.Add(fields));
+  }
   return builder.Finish();
 }
 
@@ -199,11 +205,11 @@ Result<MicrodataTable> MicrodataTable::FromCsvText(const std::string& name,
   std::optional<RowBuilder> builder;
   VADASA_RETURN_NOT_OK(ScanCsv(
       text,
-      [&](const std::vector<std::string>& header) {
+      [&](const std::vector<std::string_view>& header) {
         builder.emplace(name, header, std::vector<std::string>{}, "");
         return Status::OK();
       },
-      [&](const std::vector<std::string>& record) { return builder->Add(record); }));
+      [&](const std::vector<std::string_view>& record) { return builder->Add(record); }));
   return builder->Finish();
 }
 

@@ -1,7 +1,6 @@
 #include "serve/result_cache.h"
 
 #include <cstdio>
-#include <string_view>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -158,17 +157,24 @@ std::string EncodeResult(const api::RiskReport& report) {
 }
 
 std::string EncodeResult(const api::AnonymizeResponse& response) {
-  static constexpr std::string_view kAudit = "\"audit\":";
-  static constexpr std::string_view kCsv = ",\"csv\":";
-  const std::string audit = response.ToText();
-  const std::string csv = response.table.CsvText();
-  std::string out;
-  out.reserve(kAudit.size() + JsonQuotedSize(audit) + kCsv.size() +
-              JsonQuotedSize(csv));
-  out += kAudit;
-  AppendJsonQuoted(&out, audit);
-  out += kCsv;
-  AppendJsonQuoted(&out, csv);
+  std::string out = "\"audit\":";
+  AppendJsonQuoted(&out, response.ToText());
+  // The CSV text is JSON-escaped one line at a time as it is written, the
+  // way FingerprintTable hashes it, so the table is never held as text.
+  out += ",\"csv\":\"";
+  const core::MicrodataTable& table = response.table;
+  std::string line;
+  table.AppendCsvHeader(&line);
+  AppendJsonEscaped(&out, line);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    line.clear();
+    table.AppendCsvRow(&line, r);
+    AppendJsonEscaped(&out, line);
+  }
+  out.push_back('"');
+  // The payload is kept for the job's life and in the cache: drop the slack
+  // its growth left.
+  out.shrink_to_fit();
   return out;
 }
 

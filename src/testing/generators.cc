@@ -277,7 +277,25 @@ std::string RandomDocumentCell(Rng* rng) {
       " NULL_2 ", "NULL_x", "⊥_", "NULL_18446744073709551615", "42", "-7", " 13 ",
       "0", "-0.0", "1e5", "1e400", "0x10", "1.2.3", "inf", "nan", "+5", "\"42\"",
       "\" 7 \""};
-  if (rng->NextDouble() < 0.25) return RandomDoubleText(rng, 17);
+  // A spelling at each branch of the cell reader: number starts it must and
+  // must not parse, both null prefixes, and an int64_t overflow that reads as
+  // a double.
+  static const char* const kNumberLike[] = {
+      "+5", "-0", "007", "1e5", ".5", "5.", "-", "inf", "-Infinity", "nan", "NaN",
+      "0x10", "N/A", "NULL_", "NULL_7", "NULL_x", "⊥_3", "⊥_", "99999999999999999999"};
+  // Each "C"-locale space, and two bytes that are none (a no-break space and
+  // 0x1F). A CR or LF pad goes inside quotes, where it belongs to the field.
+  static const char* const kPads[] = {" ", "\t", "\v", "\f", "\r", "\n", "\xC2\xA0", "\x1f"};
+  const double pick = rng->NextDouble();
+  if (pick < 0.25) return RandomDoubleText(rng, 17);
+  if (pick < 0.45) {
+    const std::string cell = kNumberLike[rng->NextBelow(std::size(kNumberLike))];
+    if (rng->NextDouble() < 0.3) return cell;
+    const std::string pad = kPads[rng->NextBelow(std::size(kPads))];
+    const std::string padded = pad + cell + pad;
+    const bool line_break = pad == "\r" || pad == "\n";
+    return line_break || rng->NextDouble() < 0.3 ? "\"" + padded + "\"" : padded;
+  }
   return kCells[rng->NextBelow(std::size(kCells))];
 }
 

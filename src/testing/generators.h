@@ -86,8 +86,10 @@ std::string RandomBytes(Rng* rng, size_t max_len = 200);
 /// with commas, doubled quotes and embedded line breaks, padded cells, \n or
 /// \r\n line ends, blank and missing final lines, ragged rows, an
 /// unterminated quote, NULL_k and ⊥_k cells, number-like strings and doubles
-/// of up to 17 significant digits. Each column draws mostly from a few
-/// values, so cells repeat the way quasi-identifiers do.
+/// of up to 17 significant digits, and spellings at each branch of the cell
+/// reader ("+5", ".5", "-Infinity", "NULL_", "99999999999999999999", ...),
+/// bare or padded by each "C"-locale space. Each column draws mostly from a
+/// few values, so cells repeat the way quasi-identifiers do.
 std::string RandomCsvDocument(Rng* rng);
 
 /// A random table whose cells the CSV writer must spell faithfully: strings

@@ -1,11 +1,15 @@
 #include "testing/oracles.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "core/anonymize.h"
 #include "core/group_index.h"
 #include "core/infoloss.h"
@@ -428,6 +432,33 @@ void ReferenceFnvMixString(uint64_t* hash, const std::string& s) {
   }
 }
 
+/// The retired trim: std::isspace at each end.
+std::string_view ReferenceTrim(std::string_view s) {
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  return s.substr(b, e - b);
+}
+
+/// The retired number tests: true if the trimmed `s` parses fully as an
+/// integer / floating literal.
+bool LooksLikeInt(std::string_view s) {
+  s = ReferenceTrim(s);
+  if (s.empty()) return false;
+  int64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+bool LooksLikeDouble(std::string_view s) {
+  s = ReferenceTrim(s);
+  if (s.empty()) return false;
+  double v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  return ec == std::errc() && ptr == s.data() + s.size();
+}
+
 /// Equal status code and message.
 Status SameStatus(const char* what, const Status& got, const Status& want) {
   if (got.code() == want.code() && got.message() == want.message()) {
@@ -443,6 +474,45 @@ std::string CellTag(size_t row, size_t column) {
 }
 
 }  // namespace
+
+Value ReferenceCellToValue(std::string_view cell) {
+  const std::string_view trimmed = ReferenceTrim(cell);
+  for (std::string_view prefix : {std::string_view("NULL_"), std::string_view("⊥_")}) {
+    if (StartsWith(trimmed, prefix)) {
+      const std::string_view rest = trimmed.substr(prefix.size());
+      uint64_t label = 0;
+      auto [ptr, ec] = std::from_chars(rest.data(), rest.data() + rest.size(), label);
+      if (ec == std::errc() && ptr == rest.data() + rest.size()) {
+        return Value::Null(label);
+      }
+    }
+  }
+  if (LooksLikeInt(trimmed)) {
+    int64_t v = 0;
+    std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), v);
+    return Value::Int(v);
+  }
+  if (LooksLikeDouble(trimmed)) {
+    double v = 0;
+    std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), v);
+    return Value::Double(v);
+  }
+  return Value::String(std::string(trimmed));
+}
+
+std::string ReferenceRoundTripDouble(double d) {
+  if (d == 0 && std::signbit(d)) return "-0.0";
+  char buffer[32];
+  int precision = 6;
+  int size = std::snprintf(buffer, sizeof(buffer), "%.*g", precision, d);
+  while (std::isfinite(d) && precision < 17) {
+    double parsed = 0;
+    std::from_chars(buffer, buffer + size, parsed);
+    if (parsed == d) break;
+    size = std::snprintf(buffer, sizeof(buffer), "%.*g", ++precision, d);
+  }
+  return std::string(buffer, static_cast<size_t>(size));
+}
 
 Result<CsvTable> ReferenceParseCsv(std::string_view text) {
   CsvTable table;
@@ -479,7 +549,7 @@ Result<MicrodataTable> ReferenceLoadCsv(const std::string& name,
   for (const auto& row : csv.rows) {
     std::vector<Value> values;
     values.reserve(row.size());
-    for (const std::string& cell : row) values.push_back(CellToValue(cell));
+    for (const std::string& cell : row) values.push_back(ReferenceCellToValue(cell));
     VADASA_RETURN_NOT_OK(table.AddRow(std::move(values)));
   }
   VADASA_RETURN_NOT_OK(table.Validate());

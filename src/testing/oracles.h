@@ -112,11 +112,23 @@ std::vector<std::vector<core::MinimalSampleUnique>> NaiveMsus(
 /// sharing no code with ScanCsv.
 Result<CsvTable> ReferenceParseCsv(std::string_view text);
 
+/// The cell reader as it was before it trimmed and parsed each cell once: a
+/// std::isspace trim, both labelled-null prefixes tried on every cell, then
+/// a whole-cell int64_t parse and, failing that, a whole-cell double parse,
+/// each test trimming again. It shares no code with CellToValue.
+Value ReferenceCellToValue(std::string_view cell);
+
+/// The double spelling as it was before it started from the shortest form:
+/// snprintf's "%.{p}g" for p = 6, 7, ... until it parses back (17 at most;
+/// non-finite values at 6), and "-0.0" for negative zero. ValueToCell must
+/// spell every double this way.
+std::string ReferenceRoundTripDouble(double d);
+
 /// The table load as it was before it streamed: ReferenceParseCsv, then every
-/// cell through CellToValue into a Value of its own, AddRow per row and
-/// Validate. That is FromCsv with no identifier or weight attribute named, so
-/// a column named "" is the weight; it shares no code with the loader's row
-/// builder or its string interning.
+/// cell through ReferenceCellToValue into a Value of its own, AddRow per row
+/// and Validate. That is FromCsv with no identifier or weight attribute
+/// named, so a column named "" is the weight; it shares no code with the
+/// loader's row builder, its string interning or its cell reader.
 Result<core::MicrodataTable> ReferenceLoadCsv(const std::string& name,
                                               std::string_view text);
 

@@ -4,7 +4,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <string_view>
+
+#include "common/random.h"
+#include "testing/oracles.h"
 
 namespace vadasa {
 namespace {
@@ -70,12 +76,12 @@ TEST(CsvTest, ScanCsvHandsOverTheHeaderAndEachRow) {
   std::vector<std::vector<std::string>> rows;
   const Status scanned = ScanCsv(
       "a,b\r\n1,\"two, three\"\r\n\r\n4,5\n\n",
-      [&](const std::vector<std::string>& fields) {
-        header = fields;
+      [&](const std::vector<std::string_view>& fields) {
+        header.assign(fields.begin(), fields.end());
         return Status::OK();
       },
-      [&](const std::vector<std::string>& fields) {
-        rows.push_back(fields);
+      [&](const std::vector<std::string_view>& fields) {
+        rows.emplace_back(fields.begin(), fields.end());
         return Status::OK();
       });
   ASSERT_TRUE(scanned.ok()) << scanned.ToString();
@@ -87,12 +93,43 @@ TEST(CsvTest, ScanCsvHandsOverTheHeaderAndEachRow) {
 TEST(CsvTest, ScanCsvStopsAtTheCallbacksError) {
   size_t rows = 0;
   const Status scanned = ScanCsv(
-      "a\n1\n2\n3\n", [](const std::vector<std::string>&) { return Status::OK(); },
-      [&](const std::vector<std::string>&) {
+      "a\n1\n2\n3\n", [](const std::vector<std::string_view>&) { return Status::OK(); },
+      [&](const std::vector<std::string_view>&) {
         return ++rows == 2 ? Status::Cancelled("enough") : Status::OK();
       });
   EXPECT_EQ(scanned.code(), StatusCode::kCancelled);
   EXPECT_EQ(rows, 2u);
+}
+
+TEST(CsvTest, ScanCsvViewsOneRunFieldsInTheTextAndAssemblesTheRest) {
+  // Unquoted and escape-free quoted fields are views of the text; a field
+  // of several runs is assembled, and its view stays valid while later
+  // fields of the record grow the assembly buffer.
+  const std::string long_run(5000, 'x');
+  const std::string text = "a,b,c,d\nplain,\"q, one\",\"say \"\"hi\"\"\",ab\"" + long_run +
+                           "\"cd\r\n";
+  std::vector<std::string_view> row;
+  std::vector<std::string> copies;
+  const Status scanned = ScanCsv(
+      text, [](const std::vector<std::string_view>&) { return Status::OK(); },
+      [&](const std::vector<std::string_view>& fields) {
+        row = fields;
+        copies.assign(fields.begin(), fields.end());
+        return Status::OK();
+      });
+  ASSERT_TRUE(scanned.ok()) << scanned.ToString();
+  ASSERT_EQ(copies.size(), 4u);
+  EXPECT_EQ(copies[0], "plain");
+  EXPECT_EQ(copies[1], "q, one");
+  EXPECT_EQ(copies[2], "say \"hi\"");
+  EXPECT_EQ(copies[3], "ab" + long_run + "cd");
+  const auto in_text = [&](std::string_view field) {
+    return field.data() >= text.data() && field.data() + field.size() <= text.data() + text.size();
+  };
+  EXPECT_TRUE(in_text(row[0]));
+  EXPECT_TRUE(in_text(row[1]));
+  EXPECT_FALSE(in_text(row[2]));
+  EXPECT_FALSE(in_text(row[3]));
 }
 
 TEST(CsvTest, ReadTextFileReadsTheWholeFile) {
@@ -151,6 +188,82 @@ TEST(CsvTest, ValueToCellSpellsTheOtherKinds) {
   EXPECT_EQ(ValueToCell(Value::Null(7), &scratch), "NULL_7");
   EXPECT_EQ(ValueToCell(Value::Int(-42), &scratch), "-42");
   EXPECT_EQ(ValueToCell(Value::Bool(true), &scratch), "true");
+}
+
+/// Same kind and spelling, and for doubles the same bits (Value::Equals
+/// holds -0.0 equal to 0 and NaN equal to every number).
+void ExpectSameValue(const Value& got, const Value& want, std::string_view cell) {
+  EXPECT_EQ(got.kind(), want.kind()) << "cell \"" << cell << "\"";
+  EXPECT_EQ(got.ToString(), want.ToString()) << "cell \"" << cell << "\"";
+  if (got.is_double() && want.is_double()) {
+    uint64_t got_bits = 0;
+    uint64_t want_bits = 0;
+    const double got_double = got.as_double();
+    const double want_double = want.as_double();
+    std::memcpy(&got_bits, &got_double, sizeof(got_bits));
+    std::memcpy(&want_bits, &want_double, sizeof(want_bits));
+    EXPECT_EQ(got_bits, want_bits) << "cell \"" << cell << "\"";
+  }
+}
+
+TEST(CsvTest, CellToValueMatchesReference) {
+  // A spelling at each branch of the cell reader, bare and padded by each
+  // "C"-locale space (and by bytes that are none), against the retired
+  // reader that trimmed with std::isspace and parsed twice.
+  static const char* const kCells[] = {
+      "", "North", "x y", "+5", "-0", "007", "1e5", ".5", "5.", "-", "inf",
+      "-Infinity", "INF", "nan", "NaN", "nan(1)", "0x10", "N/A", "NULL_", "NULL_7",
+      "NULL_x", "NULL_-1", "NULL_18446744073709551616", "⊥_3", "⊥_", "⊥ sign",
+      "\xE2\x82\xAC", "99999999999999999999", "-9223372036854775808",
+      "9223372036854775807", "9223372036854775808", "1e400", "-1e-400", "4.9e-324",
+      "0-30", "1.2.3", "e5", "i", "n", ".", "-.5"};
+  static const char* const kPads[] = {"", " ", "\t", "\n", "\v", "\f", "\r", " \t\r\n",
+                                      "\xC2\xA0", "\x1f", "\x85"};
+  size_t checked = 0;
+  for (const char* cell : kCells) {
+    for (const char* before : kPads) {
+      for (const char* after : kPads) {
+        const std::string text = std::string(before) + cell + after;
+        ExpectSameValue(CellToValue(text), testing::ReferenceCellToValue(text), text);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kCells) * std::size(kPads) * std::size(kPads));
+}
+
+TEST(CsvTest, ValueToCellMatchesTheRoundTripReference) {
+  // Seeded doubles of every shape against the retired snprintf search: random
+  // bit patterns, probabilities, money-like amounts, every power of two
+  // (where the shortest form can lie outside printf's rounding), and the
+  // edges.
+  Rng rng(20251019);
+  std::vector<double> doubles = {0.0, -0.0, 1.0, -1.0, 0.1, 1e6, 1e-300, 5e-324,
+                                 std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::min(), HUGE_VAL, -HUGE_VAL,
+                                 std::nan(""), -std::nan("")};
+  for (int k = -1074; k <= 1023; ++k) {
+    doubles.push_back(std::ldexp(1.0, k));
+    doubles.push_back(-std::ldexp(3.0, k));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t bits = rng.Next();
+    double random_bits = 0;
+    std::memcpy(&random_bits, &bits, sizeof(random_bits));
+    doubles.push_back(random_bits);
+    doubles.push_back(rng.NextDouble());
+    doubles.push_back(static_cast<double>(rng.NextInt(-100000000, 100000000)) / 100.0);
+  }
+  std::string scratch;
+  size_t differ = 0;
+  for (const double d : doubles) {
+    const std::string want = testing::ReferenceRoundTripDouble(d);
+    const std::string_view got = ValueToCell(Value::Double(d), &scratch);
+    if (got != want && ++differ <= 5) {
+      ADD_FAILURE() << "ValueToCell spells " << want << " as " << got;
+    }
+  }
+  EXPECT_EQ(differ, 0u) << "of " << doubles.size();
 }
 
 TEST(CsvTest, CellToValueDetectsTypes) {

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 
 namespace vadasa {
 namespace {
@@ -126,6 +133,87 @@ TEST(JsonTest, HugeNumbersDumpAndParseBack) {
 TEST(JsonTest, JsonQuoteEscapesControlCharacters) {
   EXPECT_EQ(JsonQuote("a\tb"), "\"a\\tb\"");
   EXPECT_EQ(JsonQuote(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+TEST(JsonTest, EscapesAtTheEdgesOfAStringRoundTrip) {
+  // An escape as the first byte, as the last, two side by side, and a string
+  // of escapes only, each quoted to known bytes and parsed back whole.
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"quoted", R"("\"quoted")"},
+      {"\nline", R"("\nline")"},
+      {"line\n", R"("line\n")"},
+      {std::string("end\x1f"), R"("end\u001f")"},
+      {"a\\\"b", R"("a\\\"b")"},
+      {"a\r\n\tb", R"("a\r\n\tb")"},
+      {std::string("\"\\\b\f\n\r\t\x01\x00", 9), R"("\"\\\b\f\n\r\t\u0001\u0000")"},
+      {"", R"("")"},
+  };
+  for (const auto& [raw, quoted] : cases) {
+    EXPECT_EQ(JsonQuote(raw), quoted);
+    std::string escaped = "x";
+    AppendJsonEscaped(&escaped, raw);
+    EXPECT_EQ(escaped, "x" + quoted.substr(1, quoted.size() - 2));
+    auto back = Json::Parse(quoted);
+    ASSERT_TRUE(back.ok()) << quoted;
+    EXPECT_EQ(back->AsString(), raw) << quoted;
+  }
+  // Escapes the writer never produces parse the same at either edge.
+  auto parsed = Json::Parse(R"("\/\u00e9x\u0041")");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->AsString(), "/\xc3\xa9xA");
+}
+
+/// What AppendJsonNumber wrote when it called snprintf.
+std::string PrintfNumber(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[40];
+  if (std::fabs(d) < 1e15 && d == std::trunc(d)) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  return buf;
+}
+
+TEST(JsonTest, NumbersKeepPrintfBytes) {
+  // More than a million seeded doubles: random bit patterns, risks in [0,1),
+  // integers around 1e15 and 2^53 on both sides, subnormals, -0.0 and the
+  // non-finite values.
+  Rng rng(7);
+  std::vector<double> numbers = {0.0, -0.0, 1.0, -1.0, 0.5, 1e15, -1e15,
+                                 std::nextafter(1e15, 0.0), std::nextafter(-1e15, 0.0),
+                                 9007199254740992.0, -9007199254740992.0, 1e300, 5e-324,
+                                 std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::denorm_min(),
+                                 HUGE_VAL, -HUGE_VAL, std::nan("")};
+  constexpr int kRounds = 210000;
+  numbers.reserve(numbers.size() + 5 * kRounds);
+  for (int i = 0; i < kRounds; ++i) {
+    const uint64_t bits = rng.Next();
+    double random_bits = 0;
+    std::memcpy(&random_bits, &bits, sizeof(random_bits));
+    numbers.push_back(random_bits);
+    numbers.push_back(rng.NextDouble());
+    const double anchor = (i % 2 == 0 ? 1e15 : 9007199254740992.0) * (i % 4 < 2 ? 1 : -1);
+    numbers.push_back(anchor + static_cast<double>(rng.NextInt(-1000, 1000)));
+    numbers.push_back(static_cast<double>(rng.NextInt(-1000000, 1000000)));
+    const uint64_t subnormal_bits = rng.Next() & ((uint64_t{1} << 52) - 1);
+    double subnormal = 0;
+    std::memcpy(&subnormal, &subnormal_bits, sizeof(subnormal));
+    numbers.push_back(i % 2 == 0 ? subnormal : -subnormal);
+  }
+  ASSERT_GE(numbers.size(), 1000000u);
+  size_t differ = 0;
+  std::string out;
+  for (const double d : numbers) {
+    out.clear();
+    AppendJsonNumber(&out, d);
+    if (out != PrintfNumber(d) && ++differ <= 5) {
+      ADD_FAILURE() << "AppendJsonNumber wrote " << out << " where printf writes "
+                    << PrintfNumber(d);
+    }
+  }
+  EXPECT_EQ(differ, 0u) << "of " << numbers.size();
 }
 
 }  // namespace

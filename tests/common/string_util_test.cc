@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 namespace vadasa {
 namespace {
 
@@ -45,16 +48,14 @@ TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith("vada", ".vada"));
 }
 
-TEST(StringUtilTest, NumberDetection) {
-  EXPECT_TRUE(LooksLikeInt("42"));
-  EXPECT_TRUE(LooksLikeInt("-7"));
-  EXPECT_FALSE(LooksLikeInt("4.2"));
-  EXPECT_FALSE(LooksLikeInt("90+"));
-  EXPECT_FALSE(LooksLikeInt(""));
-  EXPECT_TRUE(LooksLikeDouble("4.2"));
-  EXPECT_TRUE(LooksLikeDouble("-1e3"));
-  EXPECT_FALSE(LooksLikeDouble("0-30"));
-  EXPECT_FALSE(LooksLikeDouble("30-60"));
+TEST(StringUtilTest, TrimViewTrimsWhatIsspaceTrimsInTheCLocale) {
+  for (int c = 0; c < 256; ++c) {
+    const char byte = static_cast<char>(c);
+    const bool space = std::isspace(static_cast<unsigned char>(byte)) != 0;
+    EXPECT_EQ(IsAsciiSpace(byte), space) << "byte " << c;
+    const std::string padded = std::string(1, byte) + "x" + byte;
+    EXPECT_EQ(TrimView(padded), space ? "x" : padded) << "byte " << c;
+  }
 }
 
 }  // namespace

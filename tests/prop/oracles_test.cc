@@ -17,6 +17,20 @@ using core::MicrodataTable;
 using core::NullSemantics;
 using core::PatternMass;
 
+TEST(ReferenceCellTest, NumberDetection) {
+  // The retired LooksLikeInt / LooksLikeDouble cases, read through the
+  // reference cell reader that keeps them.
+  EXPECT_TRUE(ReferenceCellToValue("42").is_int());
+  EXPECT_TRUE(ReferenceCellToValue("-7").is_int());
+  EXPECT_FALSE(ReferenceCellToValue("4.2").is_int());
+  EXPECT_FALSE(ReferenceCellToValue("90+").is_int());
+  EXPECT_FALSE(ReferenceCellToValue("").is_int());
+  EXPECT_TRUE(ReferenceCellToValue("4.2").is_double());
+  EXPECT_TRUE(ReferenceCellToValue("-1e3").is_double());
+  EXPECT_FALSE(ReferenceCellToValue("0-30").is_double());
+  EXPECT_FALSE(ReferenceCellToValue("30-60").is_double());
+}
+
 TEST(GroupIndexQueryTest, AgreesWithNaivePatternMass) {
   Rng rng(7);
   MicrodataTable t("u", {{"A", "", AttributeCategory::kQuasiIdentifier},

@@ -146,13 +146,43 @@ TEST_F(ResultCacheTest, RiskPayloadIsTheJsonDocumentsDump) {
 }
 
 TEST_F(ResultCacheTest, ReleasePayloadQuotesTheAuditAndTheCsvText) {
-  auto session = api::Session::FromTable(Figure5Microdata(), {});
-  ASSERT_TRUE(session.ok());
-  auto response = session->Anonymize();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(EncodeResult(*response),
-            "\"audit\":" + JsonQuote(response->ToText()) +
-                ",\"csv\":" + JsonQuote(WriteCsv(response->table.ToCsv())));
+  using core::AttributeCategory;
+  // Figure 5; a table whose cells hold a comma, a quote, CR, LF, a tab, a
+  // 0x01 byte and non-ASCII text, where rows 6, 7, 14 and 15 are unique and
+  // are released with NULL_ cells; and a one-column table with an empty
+  // cell, written as the " " record.
+  core::MicrodataTable hard("hard", {{"name, \"q\"", "", AttributeCategory::kQuasiIdentifier},
+                                     {"note", "", AttributeCategory::kQuasiIdentifier},
+                                     {"weight", "", AttributeCategory::kWeight}});
+  const char* const kCells[] = {"Rossi, Mario", "say \"hi\"", "cr\rin", "lf\nin",
+                                "tab\tin", "ctl\x01in", "Zürich €", "plain"};
+  for (size_t r = 0; r < 16; ++r) {
+    const char* note = r % 8 < 6 ? kCells[(r + 1) % 8] : kCells[r % 3];
+    ASSERT_TRUE(hard.AddRow({Value::String(kCells[r % 8]), Value::String(note),
+                             Value::Double(1.5 + static_cast<double>(r))})
+                    .ok());
+  }
+  core::MicrodataTable one_column("one", {{"note", "", AttributeCategory::kQuasiIdentifier}});
+  for (const char* note : {"", "x", "", "x"}) {
+    ASSERT_TRUE(one_column.AddRow({Value::String(note)}).ok());
+  }
+  std::vector<std::string> payloads;
+  for (const core::MicrodataTable& table : {Figure5Microdata(), hard, one_column}) {
+    auto session = api::Session::FromTable(table, {});
+    ASSERT_TRUE(session.ok());
+    auto response = session->Anonymize();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    payloads.push_back(EncodeResult(*response));
+    EXPECT_EQ(payloads.back(), "\"audit\":" + JsonQuote(response->ToText()) +
+                                   ",\"csv\":" + JsonQuote(WriteCsv(response->table.ToCsv())));
+  }
+  // The hard cells survive the release, quoted for CSV and escaped for JSON.
+  for (const char* escaped : {R"(\"Rossi, Mario\")", R"(\"say \"\"hi\"\"\")", R"(\"cr\rin\")",
+                              R"(\"lf\nin\")", R"(tab\tin)", R"(ctl\u0001in)", "Zürich €",
+                              "NULL_"}) {
+    EXPECT_NE(payloads[1].find(escaped), std::string::npos) << escaped;
+  }
+  EXPECT_NE(payloads[2].find(R"(\n\" \"\n)"), std::string::npos) << payloads[2];
 }
 
 TEST_F(ResultCacheTest, CanonicalPolicyKeySeparatesEveryPolicyField) {
