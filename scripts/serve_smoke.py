@@ -38,6 +38,10 @@ throughput plus hot/cold p50/p99 latencies, optionally writes them as JSON
 (--json-out), compares wall time against a committed baseline with a slack
 ratio (--baseline/--max-ratio), and asserts the cache actually pays
 (--min-cache-speedup: cold p50 must be at least that multiple of hot p50).
+After the timed loop it checks that a delta re-keys the cache: a v2
+apply_delta deleting row 0 must answer version 2 and one row fewer than the
+CSV holds, the next hot request must miss and the one after it must hit. The
+load harness expects a fresh server.
 
 Endpoints: --socket accepts a bare Unix socket path, unix:PATH, or
 tcp:HOST:PORT — the same spellings as vadasa_serve --listen.
@@ -47,6 +51,7 @@ Exit codes: 0 success, 1 any check failed.
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import re
 import socket
@@ -195,6 +200,26 @@ def percentile(samples, q):
     return ordered[rank]
 
 
+def check_delta_rekeys(args, hot, run_one):
+    """A delta publishes a new snapshot, and cache keys lead with the
+    snapshot's generation: one v2 apply_delta deleting row 0, then the next
+    hot request misses and the one after it hits the entry that miss filled."""
+    with open(args.dataset, newline="", encoding="utf-8") as f:
+        rows = sum(1 for record in csv.reader(f) if record) - 1
+    applied = request(args.socket, {"op": "apply_delta", "v": 2,
+                                    "dataset": args.dataset,
+                                    "ops": [{"kind": "delete", "row": 0}]})
+    if (not applied.get("ok") or applied.get("version") != 2 or
+            applied.get("rows") != rows - 1):
+        fail(f"apply_delta deleting row 0 of {rows} answered {applied}")
+    if run_one(hot)[1]:
+        fail("the first hot request after apply_delta hit a pre-delta entry")
+    if not run_one(hot)[1]:
+        fail("the second hot request after apply_delta missed the result cache")
+    print(f"serve_smoke: apply_delta re-keyed the cache ({rows} -> "
+          f"{rows - 1} rows, version 2)")
+
+
 def load_main(args):
     """Load harness: a hot/cold request mix that measures what the result
     cache buys and gates the serving stack's wall time against a baseline."""
@@ -242,6 +267,7 @@ def load_main(args):
                 fail(f"cold request {i} (unique seed) claimed a cache hit")
             cold_ms.append(seconds * 1000.0)
     wall_seconds = time.monotonic() - wall_start
+    check_delta_rekeys(args, hot, run_one)
 
     report = {
         "bench": "serve_load",

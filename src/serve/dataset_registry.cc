@@ -1,5 +1,6 @@
 #include "serve/dataset_registry.h"
 
+#include <atomic>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -10,6 +11,31 @@
 #include "serve/result_cache.h"
 
 namespace vadasa::serve {
+
+namespace {
+
+/// A snapshot of `table` under `name`, stamped with the next generation. The
+/// counter is process-wide, not per registry: one result cache may serve
+/// several registries, and each generation must name one snapshot among all
+/// of them. A null `warm` starts the version cold.
+std::shared_ptr<const LoadedDataset> NewSnapshot(
+    const std::string& name, std::shared_ptr<const core::MicrodataTable> table,
+    std::shared_ptr<const core::MetadataDictionary> dictionary,
+    std::shared_ptr<api::WarmState> warm = nullptr, uint64_t version = 1) {
+  static std::atomic<uint64_t> last_generation{0};
+  auto snapshot = std::make_shared<LoadedDataset>();
+  snapshot->path = name;
+  snapshot->warm = warm != nullptr ? std::move(warm)
+                                   : std::make_shared<api::WarmState>(table);
+  snapshot->table = std::move(table);
+  snapshot->dictionary = std::move(dictionary);
+  snapshot->generation =
+      last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
+  snapshot->version = version;
+  return snapshot;
+}
+
+}  // namespace
 
 DatasetRegistry::DatasetRegistry() {
   // Touch the degraded-mode counters so the Prometheus exposition carries
@@ -39,13 +65,9 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::LoadUncached(
   auto dictionary = std::make_shared<core::MetadataDictionary>();
   VADASA_RETURN_NOT_OK(
       categorizer.CategorizeTable(&table, dictionary.get()).status());
-  auto loaded = std::make_shared<LoadedDataset>();
-  loaded->path = path;
-  loaded->table = std::make_shared<const core::MicrodataTable>(std::move(table));
-  loaded->dictionary = std::move(dictionary);
-  loaded->warm = std::make_shared<api::WarmState>(loaded->table);
-  loaded->fingerprint = FingerprintTable(*loaded->table);
-  return std::shared_ptr<const LoadedDataset>(std::move(loaded));
+  return NewSnapshot(path,
+                     std::make_shared<const core::MicrodataTable>(std::move(table)),
+                     std::move(dictionary));
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::Load(
@@ -69,8 +91,8 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::Load(
     }
   }
   // Load outside the lock: parsing a big CSV must not serialize lookups of
-  // already-cached datasets. A racing double-load is benign — last one wins
-  // and both snapshots are correct.
+  // already-cached datasets. Two racing loads of one path both parse; the
+  // publish below keeps whichever snapshot it sees first.
   auto loaded = LoadUncached(path);
   std::lock_guard<std::mutex> lock(mutex_);
   if (!loaded.ok()) {
@@ -82,54 +104,53 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::Load(
       record.quarantined = true;
       VADASA_METRIC_COUNT("serve.registry.quarantined", 1);
       // A quarantined dataset stops serving, so its cached payloads (keyed
-      // to whatever fingerprint it last loaded with) stop squatting on the
-      // cache budget.
+      // to the generation it last loaded with) stop squatting on the cache
+      // budget.
       if (result_cache_ != nullptr) result_cache_->InvalidateDataset(path);
     }
     return loaded.status();
   }
   failures_.erase(path);  // A clean load ends the streak.
   VADASA_METRIC_COUNT("serve.registry.loads", 1);
-  auto [it, inserted] = datasets_.emplace(path, std::move(*loaded));
-  if (inserted) order_.push_back(path);
+  return PublishLocked(std::move(*loaded), /*replace=*/false);
+}
+
+std::shared_ptr<const LoadedDataset> DatasetRegistry::PublishLocked(
+    std::shared_ptr<const LoadedDataset> snapshot, bool replace) {
+  auto [it, inserted] = datasets_.try_emplace(snapshot->path, snapshot);
+  if (inserted) order_.push_back(it->first);
+  // Without `replace` the first snapshot stays: a load that lost the race to
+  // publish, like a second Register, discards its own, generation and all.
+  if (!replace) return it->second;
+  it->second = std::move(snapshot);
+  // Invalidation is hygiene: jobs submitted from now on carry the new
+  // generation and would miss anyway, but the replaced snapshot's payloads
+  // stop squatting on the cache budget.
+  if (result_cache_ != nullptr) result_cache_->InvalidateDataset(it->first);
   return it->second;
 }
 
 Status DatasetRegistry::Register(const std::string& name,
                                  core::MicrodataTable table) {
   VADASA_RETURN_NOT_OK(table.Validate());
-  auto loaded = std::make_shared<LoadedDataset>();
-  loaded->path = name;
-  loaded->table = std::make_shared<const core::MicrodataTable>(std::move(table));
-  loaded->dictionary = std::make_shared<core::MetadataDictionary>();
-  loaded->warm = std::make_shared<api::WarmState>(loaded->table);
-  loaded->fingerprint = FingerprintTable(*loaded->table);
+  auto snapshot = NewSnapshot(
+      name, std::make_shared<const core::MicrodataTable>(std::move(table)),
+      std::make_shared<core::MetadataDictionary>());
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = datasets_.emplace(name, std::move(loaded));
-  (void)it;
-  if (!inserted) {
+  if (PublishLocked(snapshot, /*replace=*/false) != snapshot) {
     return Status::AlreadyExists("dataset \"" + name + "\" already registered");
   }
-  order_.push_back(name);
   return Status::OK();
 }
 
 Status DatasetRegistry::Replace(const std::string& name,
                                 core::MicrodataTable table) {
   VADASA_RETURN_NOT_OK(table.Validate());
-  auto loaded = std::make_shared<LoadedDataset>();
-  loaded->path = name;
-  loaded->table = std::make_shared<const core::MicrodataTable>(std::move(table));
-  loaded->dictionary = std::make_shared<core::MetadataDictionary>();
-  loaded->warm = std::make_shared<api::WarmState>(loaded->table);
-  loaded->fingerprint = FingerprintTable(*loaded->table);
+  auto snapshot = NewSnapshot(
+      name, std::make_shared<const core::MicrodataTable>(std::move(table)),
+      std::make_shared<core::MetadataDictionary>());
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = datasets_.insert_or_assign(name, std::move(loaded));
-  (void)it;
-  if (inserted) order_.push_back(name);
-  // Invalidation is hygiene: jobs submitted from now on carry the new
-  // fingerprint and would miss anyway.
-  if (result_cache_ != nullptr) result_cache_->InvalidateDataset(name);
+  PublishLocked(std::move(snapshot), /*replace=*/true);
   return Status::OK();
 }
 
@@ -144,22 +165,12 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::ApplyDelta(
       const api::Session parent,
       api::Session::FromShared(base->table, base->dictionary, {}, base->warm));
   VADASA_ASSIGN_OR_RETURN(const api::Session child, parent.Apply(batch));
-  auto loaded = std::make_shared<LoadedDataset>();
-  loaded->path = name;
-  loaded->table = child.shared_table();
-  loaded->dictionary = base->dictionary;  // Schema unchanged by a delta.
-  loaded->warm = child.warm_state();
-  loaded->fingerprint = FingerprintTable(*loaded->table);
-  loaded->version = base->version + 1;
+  // The dictionary stays: a delta leaves the schema unchanged.
+  auto snapshot = NewSnapshot(name, child.shared_table(), base->dictionary,
+                              child.warm_state(), base->version + 1);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = datasets_.insert_or_assign(name, std::move(loaded));
-  if (inserted) order_.push_back(name);
-  // Invalidation is hygiene: jobs submitted from now on carry the post-delta
-  // fingerprint and would miss anyway, but the pre-delta payloads stop
-  // squatting on the cache budget.
-  if (result_cache_ != nullptr) result_cache_->InvalidateDataset(name);
   VADASA_METRIC_COUNT("serve.registry.delta_applies", 1);
-  return it->second;
+  return PublishLocked(std::move(snapshot), /*replace=*/true);
 }
 
 void DatasetRegistry::set_result_cache(ResultCache* cache) {

@@ -27,14 +27,16 @@ struct LoadedDataset {
   /// on this version shares it, so the version's group index is built at most
   /// once per null semantics. Freed with the last snapshot or session.
   std::shared_ptr<api::WarmState> warm;
-  /// Content fingerprint (serve/result_cache.h): schema + every cell.
-  /// Computed once per load; the result-cache key embeds it, so a replaced
-  /// dataset with different bytes can never serve a stale cached payload.
-  uint64_t fingerprint = 0;
+  /// The snapshot's identity: a value of one process-wide counter, drawn when
+  /// the snapshot is built and never reused, by this registry or any other.
+  /// The result-cache key leads with it (serve/result_cache.h), so a payload
+  /// is served only for the snapshot that computed it: never for another
+  /// name over the same bytes, nor for this name's next snapshot.
+  uint64_t generation = 0;
   /// Monotonic dataset version: 1 at first load/registration, +1 per applied
-  /// delta (ApplyDelta). Purely informational — cache correctness rides the
-  /// fingerprint; the version lets clients confirm which generation of a
-  /// streamed dataset served their job.
+  /// delta (ApplyDelta). Informational — the cache rides the generation; the
+  /// version lets clients confirm which state of a streamed dataset served
+  /// their job.
   uint64_t version = 1;
 };
 
@@ -71,15 +73,15 @@ class DatasetRegistry {
   Status Replace(const std::string& name, core::MicrodataTable table);
 
   /// Applies a validated DeltaBatch to the dataset's current snapshot and
-  /// publishes the post-delta generation under the same name: version + 1,
-  /// fresh content fingerprint (so ResultCache keys stay coherent — a job
-  /// submitted after the delta can never hit a pre-delta payload), result
-  /// cache invalidated as hygiene. The new version's warm state is derived
-  /// through Session::Apply: every index built on the old version is
-  /// delta-patched, never rebuilt. In-flight jobs keep their pre-delta
-  /// snapshot refcounts and serve bit-identical pre-delta results. Concurrent
-  /// ApplyDelta calls against one name are last-write-wins; serialize on the
-  /// caller side when deltas must compose. Returns the new snapshot.
+  /// publishes the post-delta snapshot under the same name: version + 1, a
+  /// new generation (so a job submitted after the delta can never hit a
+  /// pre-delta payload), the name's result-cache entries dropped as hygiene.
+  /// The new version's warm state is derived through Session::Apply: every
+  /// index built on the old version is delta-patched, never rebuilt.
+  /// In-flight jobs keep their pre-delta snapshot refcounts and serve
+  /// bit-identical pre-delta results. Concurrent ApplyDelta calls against one
+  /// name are last-write-wins; serialize on the caller side when deltas must
+  /// compose. Returns the new snapshot.
   Result<std::shared_ptr<const LoadedDataset>> ApplyDelta(
       const std::string& name, const core::DeltaBatch& batch);
 
@@ -102,14 +104,22 @@ class DatasetRegistry {
 
   /// Attach the serving result cache: ApplyDelta/Replace/Clear and a
   /// quarantine transition invalidate the affected entries (hygiene —
-  /// correctness already rides the content fingerprint in every key). Not
-  /// owned; must outlive the registry. Null detaches.
+  /// correctness already rides the generation in every key). Not owned; must
+  /// outlive the registry. Null detaches.
   void set_result_cache(ResultCache* cache);
 
  private:
   /// The uncached load+categorize pipeline (no bookkeeping).
   Result<std::shared_ptr<const LoadedDataset>> LoadUncached(
       const std::string& path);
+
+  /// Publishes `snapshot` under its name; caller holds mutex_. A new name
+  /// joins the catalog. With `replace` the snapshot takes the name's place
+  /// and the name's result-cache entries are dropped; without it a name
+  /// already published keeps the snapshot it has. Returns the snapshot the
+  /// name now holds.
+  std::shared_ptr<const LoadedDataset> PublishLocked(
+      std::shared_ptr<const LoadedDataset> snapshot, bool replace);
 
   /// Load-failure streak for one path.
   struct FailureRecord {

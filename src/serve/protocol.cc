@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -41,13 +40,6 @@ std::string ErrorLine(const Status& status, Json::Object extra = {}) {
   object["code"] = std::string(StatusCodeToString(status.code()));
   object["trace_id"] = obs::TraceIdToHex(obs::CurrentTraceId());
   return Json(std::move(object)).Dump();
-}
-
-/// 16-hex-digit rendering of a content fingerprint (same shape as trace ids).
-std::string FingerprintHex(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
 }
 
 /// Latency histograms keyed by verb. Only known verbs get a metric —
@@ -297,8 +289,8 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
     if (quota != nullptr) quota->Release();
     return ErrorLine(!session_options.ok() ? session_options.status() : options.status());
   }
-  // Load first (not OpenSession) so the dataset's content fingerprint is in
-  // hand for the cache key; the session still shares the same snapshot.
+  // Load first (not OpenSession) so the snapshot's generation is in hand for
+  // the cache key; the session shares the same snapshot.
   auto loaded = registry_->Load(dataset);
   if (!loaded.ok()) {
     if (quota != nullptr) quota->Release();
@@ -320,9 +312,9 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
   job.explain = request.GetBool("explain", false);
   if (scheduler_->options().result_cache != nullptr) {
     // Keyed on the *validated* options (JSON field order and spelled-out
-    // defaults canonicalize away) plus the dataset's content bytes.
+    // defaults canonicalize away) plus the snapshot the session reads.
     job.cache_key = ResultCacheKey(
-        (*loaded)->fingerprint,
+        (*loaded)->generation,
         CanonicalPolicyKey(job.session.options(), job.action, job.quantile,
                            job.explain));
   }
@@ -404,8 +396,7 @@ std::string Protocol::HandleApplyDelta(const Json& request) {
   return OkLine(
       {{"dataset", Json(dataset)},
        {"version", Json((*applied)->version)},
-       {"rows", Json(static_cast<int64_t>((*applied)->table->num_rows()))},
-       {"fingerprint", Json(FingerprintHex((*applied)->fingerprint))}});
+       {"rows", Json(static_cast<int64_t>((*applied)->table->num_rows()))}});
 }
 
 std::string Protocol::HandleResult(uint64_t id) {

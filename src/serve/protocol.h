@@ -37,9 +37,9 @@ namespace vadasa::serve {
 ///         {"kind":"append","values":[CELLS]} |
 ///         {"kind":"update","row":N,"values":[CELLS]} |
 ///         {"kind":"delete","row":N}, cells in the CSV cell format
-///         ("12", "3.5", "Roma", "NULL_7"). Responds with the dataset's new
-///         monotonic "version", "rows" and content "fingerprint"; in-flight
-///         jobs keep serving the pre-delta snapshot bit-identically.
+///         ("12", "3.5", "Roma", "NULL_7"). Responds with the "dataset", its
+///         new monotonic "version" and its "rows"; in-flight jobs keep
+///         serving the pre-delta snapshot bit-identically.
 ///   {"op":"metrics"}              — serve.* / cycle.* metrics snapshot
 ///   {"op":"telemetry"}            — Prometheus exposition + sampler series
 ///   {"op":"shutdown"}

@@ -31,19 +31,20 @@ ClientQuota::ClientQuota(QuotaOptions options, std::function<int64_t()> now_ns)
 }
 
 Status ClientQuota::Admit() {
-  if (options_.max_in_flight > 0) {
-    // Optimistic reserve: bump, and roll back if that crossed the cap. The
-    // cell is also decremented by scheduler workers, so this stays a single
-    // atomic RMW instead of a CAS loop over a racing value.
-    const int64_t now_holding =
-        in_flight_->fetch_add(1, std::memory_order_relaxed) + 1;
-    if (now_holding > static_cast<int64_t>(options_.max_in_flight)) {
-      in_flight_->fetch_sub(1, std::memory_order_relaxed);
-      VADASA_METRIC_COUNT("serve.quota.rejected.in_flight", 1);
-      return Status::Unavailable(
-          "client quota: " + std::to_string(options_.max_in_flight) +
-          " job(s) already in flight on this connection");
-    }
+  // Every admitted submit holds a slot, capped or not: the scheduler hands
+  // one back for each job that ends. Optimistic reserve: bump, and roll back
+  // if that crossed the cap or the rate refuses. The cell is also
+  // decremented by scheduler workers, so this stays a single atomic RMW
+  // instead of a CAS loop over a racing value.
+  const int64_t now_holding =
+      in_flight_->fetch_add(1, std::memory_order_relaxed) + 1;
+  if (options_.max_in_flight > 0 &&
+      now_holding > static_cast<int64_t>(options_.max_in_flight)) {
+    in_flight_->fetch_sub(1, std::memory_order_relaxed);
+    VADASA_METRIC_COUNT("serve.quota.rejected.in_flight", 1);
+    return Status::Unavailable(
+        "client quota: " + std::to_string(options_.max_in_flight) +
+        " job(s) already in flight on this connection");
   }
   if (options_.submits_per_second > 0.0) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -54,9 +55,7 @@ Status ClientQuota::Admit() {
     tokens_ = std::min(options_.burst,
                        tokens_ + elapsed_s * options_.submits_per_second);
     if (tokens_ < 1.0) {
-      if (options_.max_in_flight > 0) {
-        in_flight_->fetch_sub(1, std::memory_order_relaxed);
-      }
+      in_flight_->fetch_sub(1, std::memory_order_relaxed);
       VADASA_METRIC_COUNT("serve.quota.rejected.rate", 1);
       return Status::Unavailable(
           "client quota: submit rate above " +
@@ -69,9 +68,7 @@ Status ClientQuota::Admit() {
 }
 
 void ClientQuota::Release() {
-  if (options_.max_in_flight > 0) {
-    in_flight_->fetch_sub(1, std::memory_order_relaxed);
-  }
+  in_flight_->fetch_sub(1, std::memory_order_relaxed);
 }
 
 int64_t RetryAfterMs(size_t queue_depth, size_t workers) {

@@ -45,7 +45,9 @@ class ClientQuota {
   ClientQuota& operator=(const ClientQuota&) = delete;
 
   /// Reserves one submit: Unavailable when the connection is at its
-  /// in-flight cap or out of rate tokens; OK reserves the slot. Never blocks.
+  /// in-flight cap or out of rate tokens; OK reserves the slot, whether or
+  /// not a cap is set, so in_flight() counts the connection's unfinished jobs
+  /// exactly. Never blocks.
   Status Admit();
 
   /// Returns the reserved slot without submitting (the scheduler rejected
@@ -59,6 +61,7 @@ class ClientQuota {
     return in_flight_;
   }
 
+  /// Slots reserved and not yet returned: the connection's unfinished jobs.
   int64_t in_flight() const {
     return in_flight_->load(std::memory_order_relaxed);
   }

@@ -106,11 +106,11 @@ std::string CanonicalPolicyKey(const api::SessionOptions& options,
   return key;
 }
 
-std::string ResultCacheKey(uint64_t fingerprint,
+std::string ResultCacheKey(uint64_t generation,
                            const std::string& policy_key) {
   char prefix[24];
   std::snprintf(prefix, sizeof(prefix), "%016llx|",
-                static_cast<unsigned long long>(fingerprint));
+                static_cast<unsigned long long>(generation));
   return prefix + policy_key;
 }
 
@@ -159,8 +159,8 @@ std::string EncodeResult(const api::RiskReport& report) {
 std::string EncodeResult(const api::AnonymizeResponse& response) {
   std::string out = "\"audit\":";
   AppendJsonQuoted(&out, response.ToText());
-  // The CSV text is JSON-escaped one line at a time as it is written, the
-  // way FingerprintTable hashes it, so the table is never held as text.
+  // The CSV text is JSON-escaped one line at a time as it is written, so the
+  // table is never held as text.
   out += ",\"csv\":\"";
   const core::MicrodataTable& table = response.table;
   std::string line;

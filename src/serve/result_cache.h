@@ -14,12 +14,15 @@
 
 namespace vadasa::serve {
 
-/// FNV-1a content fingerprint of a categorized table: attribute schema
-/// (names + categories) plus every cell, via the table's CSV text
+/// FNV-1a content hash of a categorized table: attribute schema (names +
+/// categories) plus every cell, via the table's CSV text
 /// (MicrodataTable::CsvText), hashed a line at a time as it is written.
 /// Editing a single cell, renaming a column or recategorizing an attribute
-/// all change the fingerprint; the dataset's registry name does not — two
-/// names over byte-identical content share cached results safely.
+/// all change it; the table's name does not. It keys nothing: cache keys
+/// lead with the registry's snapshot generation (ResultCacheKey), because a
+/// payload depends on more than the cells (a release's audit names its
+/// dataset) and a 64-bit hash can collide. One O(rows) pass per call; kept
+/// for perfbench's serve.fingerprint_ms probe.
 uint64_t FingerprintTable(const core::MicrodataTable& table);
 
 /// Canonical string form of everything besides the dataset that determines a
@@ -31,8 +34,10 @@ uint64_t FingerprintTable(const core::MicrodataTable& table);
 std::string CanonicalPolicyKey(const api::SessionOptions& options,
                                JobAction action, double quantile, bool explain);
 
-/// The full cache key: hex fingerprint | canonical policy.
-std::string ResultCacheKey(uint64_t fingerprint, const std::string& policy_key);
+/// The full cache key: hex generation | canonical policy. The generation is
+/// the dataset snapshot's (LoadedDataset::generation), unique in the process,
+/// so the key is exact by construction: one snapshot, one policy.
+std::string ResultCacheKey(uint64_t generation, const std::string& policy_key);
 
 /// The JSON members a done job's `result` line carries, encoded once when the
 /// job completes: `"risk":{...}` for a risk report, `"audit":"...","csv":"..."`
@@ -50,12 +55,13 @@ struct ResultCacheOptions {
 };
 
 /// A bounded LRU of encoded job payloads (EncodeResult) keyed on (dataset
-/// content fingerprint, canonical policy). Thread-safe; the scheduler probes it
-/// at admission and fills it after each successful cold run, and the
+/// snapshot generation, canonical policy). Thread-safe; the scheduler probes
+/// it at admission and fills it after each successful cold run, and the
 /// DatasetRegistry invalidates it on delta/replace/quarantine/Clear.
-/// Correctness never depends on invalidation — keys carry the content
-/// fingerprint, so changed data simply misses — but invalidation keeps dead
-/// entries from squatting on the byte budget and is metered:
+/// Correctness never depends on invalidation — every new snapshot has a new
+/// generation, so its submits simply miss, and two names never share one —
+/// but invalidation keeps dead entries from squatting on the byte budget and
+/// is metered:
 /// serve.cache.{hits,misses,evictions,invalidations}, plus
 /// serve.cache.{bytes,entries} gauges.
 ///

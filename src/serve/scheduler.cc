@@ -158,8 +158,8 @@ JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
 JobScheduler::~JobScheduler() { Shutdown(); }
 
 size_t JobScheduler::ShardForLabel(const std::string& label) const {
-  // FNV-1a of the *name*, not the content: a delta or replacement that
-  // changes a dataset's bytes (and so its cache fingerprint) must not
+  // FNV-1a of the *name*, not the snapshot: a delta or replacement that
+  // publishes a new snapshot (and so a new cache generation) must not
   // migrate its in-flight traffic to a different worker pool.
   uint64_t hash = 1469598103934665603ull;
   for (char c : label) {

@@ -52,14 +52,16 @@ struct JobRequest {
   /// per-tuple explanations.
   double quantile = -1.0;
   bool explain = false;
-  /// Operator-facing name (dataset) carried into the slow-request log; also
-  /// the shard-assignment key, so every job against one dataset lands on the
-  /// same worker pool (and stays there across deltas and replacements — the
-  /// name is stable even when the content fingerprint changes).
+  /// Operator-facing name (dataset) carried into the slow-request log, the
+  /// name a cache fill is recorded under (ResultCache::InvalidateDataset),
+  /// and the shard-assignment key, so every job against one dataset lands on
+  /// the same worker pool (and stays there across deltas and replacements —
+  /// the name is stable while each new snapshot gets a new generation).
   std::string label;
-  /// Result-cache key (serve/result_cache.h): dataset content fingerprint +
-  /// canonical policy. Empty = this job never probes or fills the cache.
-  /// Ignored unless the scheduler was built with a result_cache.
+  /// Result-cache key (serve/result_cache.h ResultCacheKey): the generation
+  /// of the dataset snapshot the session reads + canonical policy. Empty =
+  /// this job never probes or fills the cache. Ignored unless the scheduler
+  /// was built with a result_cache.
   std::string cache_key;
 };
 

@@ -311,11 +311,6 @@ void Server::HandleConnection(int fd) {
   }
 }
 
-void Server::AwaitShutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
-}
-
 bool Server::AwaitShutdownFor(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(shutdown_mutex_);
   return shutdown_cv_.wait_for(lock, timeout,

@@ -98,12 +98,10 @@ class Server {
   /// accept loop running on a background thread.
   Status Start();
 
-  /// Blocks until shutdown is requested (protocol op or Stop()).
-  void AwaitShutdown();
-
-  /// Like AwaitShutdown with a timeout; returns whether shutdown was
-  /// requested. Lets a signal-driven main loop poll an atomic flag between
-  /// waits (a signal handler cannot safely notify a condition variable).
+  /// Blocks until shutdown is requested (protocol op or Stop()) or
+  /// `timeout` passes; returns whether shutdown was requested. A bounded wait
+  /// lets a signal-driven main loop poll an atomic flag between waits (a
+  /// signal handler cannot safely notify a condition variable).
   bool AwaitShutdownFor(std::chrono::milliseconds timeout);
 
   /// Idempotent: closes the listener, joins the accept loop and every

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -250,9 +252,13 @@ TEST_F(ProtocolTest, ApplyDeltaRoundTripVersionsTheDataset) {
       R"({"kind":"append","values":["555555","Milano","Construction","0-200","60-90"]},)"
       R"({"kind":"append","values":["666666","NULL_3","Commerce","1000+","0-30"]}]})");
   ASSERT_TRUE(applied.GetBool("ok", false)) << applied.Dump();
+  EXPECT_EQ(applied.GetString("dataset", ""), "fig5");
   EXPECT_EQ(applied.GetInt("version", 0), 2);
   EXPECT_EQ(applied.GetInt("rows", 0), 8);
-  EXPECT_EQ(applied.GetString("fingerprint", "").size(), 16u);
+  std::set<std::string> members;
+  for (const auto& [key, value] : applied.AsObject()) members.insert(key);
+  EXPECT_EQ(members, (std::set<std::string>{"ok", "v", "trace_id", "dataset",
+                                            "version", "rows"}));
 
   // Jobs submitted after the delta run over the post-delta generation.
   const Json submitted =
@@ -267,8 +273,7 @@ TEST_F(ProtocolTest, ApplyDeltaRoundTripVersionsTheDataset) {
       R"({"op":"apply_delta","v":2,"dataset":"fig5","ops":[{"kind":"delete","row":0}]})");
   ASSERT_TRUE(again.GetBool("ok", false));
   EXPECT_EQ(again.GetInt("version", 0), 3) << "versions are monotonic";
-  EXPECT_NE(again.GetString("fingerprint", ""),
-            applied.GetString("fingerprint", ""));
+  EXPECT_EQ(again.GetInt("rows", 0), 7);
 }
 
 TEST_F(ProtocolTest, ApplyDeltaRejectsMalformedBatches) {
@@ -379,7 +384,8 @@ TEST_F(ProtocolIntegerFieldTest, KPastIntIsRefusedNotNarrowed) {
 }
 
 /// Serve-layer coherence: a result-cache entry primed pre-delta must never
-/// be replayed for a post-delta submit — the fresh fingerprint re-keys it.
+/// be replayed for a post-delta submit — the new snapshot's generation
+/// re-keys it.
 TEST(ProtocolDeltaCacheTest, ApplyDeltaNeverServesStaleCachedResults) {
   ResultCache cache;
   DatasetRegistry registry;
@@ -410,7 +416,7 @@ TEST(ProtocolDeltaCacheTest, ApplyDeltaNeverServesStaleCachedResults) {
   EXPECT_EQ(hot["risk"].Dump(), cold["risk"].Dump());
 
   // Delete the Torino singleton: the next submit re-keys on the post-delta
-  // fingerprint and recomputes instead of replaying the 7-row payload.
+  // generation and recomputes instead of replaying the 7-row payload.
   const Json applied = call(
       R"({"op":"apply_delta","v":2,"dataset":"fig5","ops":[{"kind":"delete","row":6}]})");
   ASSERT_TRUE(applied.GetBool("ok", false)) << applied.Dump();
@@ -423,54 +429,120 @@ TEST(ProtocolDeltaCacheTest, ApplyDeltaNeverServesStaleCachedResults) {
   EXPECT_EQ(rehot["risk"].Dump(), fresh["risk"].Dump());
 }
 
-/// Two datasets whose weights differ only past the sixth significant digit
-/// are two cache keys: the second submit of the same policy misses, and its
-/// payload is its own dataset's release, byte for byte.
+/// Two datasets never share a cache entry, whether their weights differ only
+/// past the sixth significant digit or their files are byte-identical: the
+/// second submit of the same policy misses, and its payload is its own
+/// dataset's release, byte for byte, with the audit that names its own path.
 TEST(ProtocolDeltaCacheTest, DatasetsDifferingPastSixDigitsNeverShareResults) {
-  const std::string dir = ::testing::TempDir();
-  const std::string first = dir + "vadasa_protocol_weights_a.csv";
-  const std::string second = dir + "vadasa_protocol_weights_b.csv";
-  for (const auto& [path, weights] :
-       {std::pair{first, std::pair{"26284.5678", "1234567.1"}},
-        std::pair{second, std::pair{"26284.5679", "1234567.2"}}}) {
-    std::ofstream out(path, std::ios::binary);
-    out << "area,sector,weight\nNorth,Bank," << weights.first << "\nNorth,Bank,"
-        << weights.second << "\nSouth,Retail,3\n";
-  }
-  ResultCache cache;
-  DatasetRegistry registry;
-  registry.set_result_cache(&cache);
-  SchedulerOptions options;
-  options.result_cache = &cache;
-  JobScheduler scheduler(options);
-  Protocol protocol(&registry, &scheduler);
-  auto release = [&](const std::string& dataset) {
-    bool shutdown = false;
-    auto submitted = Json::Parse(protocol.Handle(
-        R"({"op":"submit","action":"anonymize","dataset":")" + dataset + "\"}",
-        &shutdown));
-    EXPECT_TRUE(submitted.ok() && submitted->GetBool("ok", false));
-    return protocol.Handle(R"({"op":"result","id":)" +
-                               std::to_string(submitted->GetInt("id", 0)) + "}",
-                           &shutdown);
+  const auto csv = [](const char* first_weight, const char* second_weight) {
+    return std::string("area,sector,weight\nNorth,Bank,") + first_weight +
+           "\nNorth,Bank," + second_weight + "\nSouth,Retail,3\n";
   };
+  const std::pair<std::string, std::string> kInputs[] = {
+      {csv("26284.5678", "1234567.1"), csv("26284.5679", "1234567.2")},
+      {csv("26284.5678", "1234567.1"), csv("26284.5678", "1234567.1")},
+  };
+  for (size_t input = 0; input < std::size(kInputs); ++input) {
+    SCOPED_TRACE(input == 0 ? "past six digits" : "byte-identical");
+    const std::string stem =
+        ::testing::TempDir() + "vadasa_protocol_pair" + std::to_string(input);
+    const std::string first = stem + "_a.csv";
+    const std::string second = stem + "_b.csv";
+    for (const auto& [path, contents] :
+         {std::pair{first, kInputs[input].first},
+          std::pair{second, kInputs[input].second}}) {
+      std::ofstream out(path, std::ios::binary);
+      out << contents;
+    }
+    ResultCache cache;
+    DatasetRegistry registry;
+    registry.set_result_cache(&cache);
+    SchedulerOptions options;
+    options.result_cache = &cache;
+    JobScheduler scheduler(options);
+    Protocol protocol(&registry, &scheduler);
+    auto release = [&](const std::string& dataset) {
+      bool shutdown = false;
+      auto submitted = Json::Parse(protocol.Handle(
+          R"({"op":"submit","action":"anonymize","dataset":")" + dataset + "\"}",
+          &shutdown));
+      EXPECT_TRUE(submitted.ok() && submitted->GetBool("ok", false));
+      return protocol.Handle(R"({"op":"result","id":)" +
+                                 std::to_string(submitted->GetInt("id", 0)) + "}",
+                             &shutdown);
+    };
 
-  const std::string cold = release(first);
-  const std::string other = release(second);
-  auto parsed = Json::Parse(other);
-  ASSERT_TRUE(parsed.ok()) << other;
-  EXPECT_EQ(parsed->GetString("state", ""), "done") << other;
-  EXPECT_FALSE(parsed->GetBool("cached", true))
-      << "the second dataset was served the first one's cached release";
-  auto direct = api::Session::Open(second, {});
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  auto response = direct->Anonymize();
-  ASSERT_TRUE(response.ok());
-  EXPECT_NE(other.find(EncodeResult(*response)), std::string::npos) << other;
-  EXPECT_NE((*parsed)["csv"].AsString().find("26284.5679"), std::string::npos);
-  EXPECT_NE(cold, other);
-  std::remove(first.c_str());
-  std::remove(second.c_str());
+    const std::string cold = release(first);
+    const std::string other = release(second);
+    auto parsed = Json::Parse(other);
+    ASSERT_TRUE(parsed.ok()) << other;
+    EXPECT_EQ(parsed->GetString("state", ""), "done") << other;
+    EXPECT_FALSE(parsed->GetBool("cached", true))
+        << "the second dataset was served the first one's cached release";
+    auto direct = api::Session::Open(second, {});
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    auto response = direct->Anonymize();
+    ASSERT_TRUE(response.ok());
+    EXPECT_NE(other.find(EncodeResult(*response)), std::string::npos) << other;
+    EXPECT_NE((*parsed)["audit"].AsString().find(second), std::string::npos);
+    EXPECT_EQ((*parsed)["audit"].AsString().find(first), std::string::npos);
+    EXPECT_NE(cold, other);
+    if (input == 0) {
+      EXPECT_NE((*parsed)["csv"].AsString().find("26284.5679"), std::string::npos);
+    }
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+  }
+}
+
+/// Two registries serving one cache each publish their own snapshot of one
+/// name over different tables. The generations come from one process-wide
+/// counter, so neither registry is ever served the other's result.
+TEST(ProtocolDeltaCacheTest, RegistriesSharingACacheKeepTheirOwnResults) {
+  // The second table is Figure 5 without its Torino singleton (row 6).
+  const core::MicrodataTable full = core::Figure5Microdata();
+  core::MicrodataTable six(full.name(), full.attributes());
+  for (size_t r = 0; r < 6; ++r) EXPECT_TRUE(six.AddRow(full.row(r)).ok());
+  const core::MicrodataTable tables[] = {full, six};
+  ResultCache cache;
+  DatasetRegistry registries[2];
+  std::vector<std::unique_ptr<JobScheduler>> schedulers;
+  std::vector<std::unique_ptr<Protocol>> protocols;
+  std::string expected[2];
+  for (size_t i = 0; i < 2; ++i) {
+    registries[i].set_result_cache(&cache);
+    ASSERT_TRUE(registries[i].Register("fig5", tables[i]).ok());
+    SchedulerOptions options;
+    options.result_cache = &cache;
+    schedulers.push_back(std::make_unique<JobScheduler>(options));
+    protocols.push_back(std::make_unique<Protocol>(&registries[i], schedulers[i].get()));
+    auto session = registries[i].OpenSession("fig5", {});
+    ASSERT_TRUE(session.ok());
+    auto report = session->Risk(/*quantile=*/-1.0, /*explain=*/false);
+    ASSERT_TRUE(report.ok());
+    expected[i] = EncodeResult(*report);
+  }
+  auto risk = [&](size_t i) {
+    bool shutdown = false;
+    auto submitted = Json::Parse(protocols[i]->Handle(
+        R"({"op":"submit","dataset":"fig5","action":"risk"})", &shutdown));
+    EXPECT_TRUE(submitted.ok() && submitted->GetBool("ok", false));
+    return protocols[i]->Handle(R"({"op":"result","id":)" +
+                                    std::to_string(submitted->GetInt("id", 0)) + "}",
+                                &shutdown);
+  };
+  ASSERT_NE(expected[0], expected[1]) << "the two tables must differ in risk";
+  // Each registry fills once and then hits its own entry.
+  for (const auto& [i, cached] : {std::pair{0, false}, std::pair{1, false},
+                                  std::pair{0, true}, std::pair{1, true}}) {
+    SCOPED_TRACE("registry " + std::to_string(i));
+    const std::string line = risk(i);
+    EXPECT_NE(line.find(expected[i]), std::string::npos) << line;
+    auto parsed = Json::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_EQ(parsed->GetBool("cached", !cached), cached) << line;
+  }
+  EXPECT_EQ(cache.entries(), 2u);
 }
 
 TEST_F(ProtocolTest, CancelUnknownJobFails) {

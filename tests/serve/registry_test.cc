@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/datagen.h"
 
@@ -116,7 +119,7 @@ TEST(DatasetRegistryTest, ApplyDeltaPublishesANewGenerationAndKeepsOldSnapshots)
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ((*after)->version, 2u);
   EXPECT_EQ((*after)->table->num_rows(), 6u);
-  EXPECT_NE((*after)->fingerprint, (*before)->fingerprint);
+  EXPECT_GT((*after)->generation, (*before)->generation);
 
   // The snapshot this test still holds is untouched and keeps serving the
   // exact pre-delta results.
@@ -132,6 +135,57 @@ TEST(DatasetRegistryTest, ApplyDeltaPublishesANewGenerationAndKeepsOldSnapshots)
   auto now = registry.Load("fig5");
   ASSERT_TRUE(now.ok());
   EXPECT_EQ(now->get(), after->get());
+  EXPECT_EQ((*now)->generation, (*after)->generation);
+}
+
+TEST(DatasetRegistryTest, EveryPublishedSnapshotHasItsOwnGeneration) {
+  TempCsv csv(kCsv);
+  DatasetRegistry registry;
+  DatasetRegistry other;
+  std::vector<uint64_t> generations;
+  const auto current = [&](DatasetRegistry& r, const std::string& name) {
+    auto loaded = r.Load(name);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? (*loaded)->generation : 0;
+  };
+  ASSERT_TRUE(registry.Register("fig5", core::Figure5Microdata()).ok());
+  generations.push_back(current(registry, "fig5"));
+  // The same name over the same table in another registry is another snapshot.
+  ASSERT_TRUE(other.Register("fig5", core::Figure5Microdata()).ok());
+  generations.push_back(current(other, "fig5"));
+  ASSERT_TRUE(registry.Replace("fig5", core::Figure5Microdata()).ok());
+  generations.push_back(current(registry, "fig5"));
+  core::DeltaBatchBuilder builder(core::Figure5Microdata().num_columns());
+  builder.Delete(0);
+  auto applied = registry.ApplyDelta("fig5", *builder.Build());
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  generations.push_back((*applied)->generation);
+  // A lookup hands out the published snapshot's generation, not a new one.
+  EXPECT_EQ(current(registry, "fig5"), generations.back());
+  EXPECT_EQ((*applied)->version, 2u) << "a Replace starts the version over";
+
+  // Racing first loads of one path publish one snapshot; every caller gets
+  // it, and a reload after Clear is a new snapshot.
+  std::vector<std::shared_ptr<const LoadedDataset>> raced(4);
+  std::vector<std::thread> loaders;
+  for (auto& slot : raced) {
+    loaders.emplace_back([&registry, &csv, &slot] {
+      auto loaded = registry.Load(csv.path());
+      if (loaded.ok()) slot = *loaded;
+    });
+  }
+  for (std::thread& loader : loaders) loader.join();
+  for (const auto& loaded : raced) {
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(loaded.get(), raced[0].get());
+  }
+  generations.push_back(raced[0]->generation);
+  registry.Clear();
+  generations.push_back(current(registry, csv.path()));
+
+  for (size_t i = 1; i < generations.size(); ++i) {
+    EXPECT_GT(generations[i], generations[i - 1]) << "publish " << i;
+  }
 }
 
 TEST(DatasetRegistryTest, ApplyDeltaValidationLeavesTheSnapshotUntouched) {

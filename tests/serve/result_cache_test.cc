@@ -1,8 +1,9 @@
-// Result-cache unit tests (docs/serving.md): keying (content fingerprint +
-// canonical policy), LRU eviction against the byte budget, invalidation
-// through the registry's quarantine path, and fills raced against reads
-// under the serve.cache.fill failpoint. The end-to-end coherence contract
-// lives in the cached-result-bit-identical property.
+// Result-cache unit tests (docs/serving.md): keying (snapshot generation +
+// canonical policy) and the FingerprintTable content hash, LRU eviction
+// against the byte budget, invalidation through the registry's quarantine
+// path, and fills raced against reads under the serve.cache.fill failpoint.
+// The end-to-end coherence contract lives in the cached-result-bit-identical
+// property.
 
 #include "serve/result_cache.h"
 
@@ -231,7 +232,7 @@ TEST_F(ResultCacheTest, CanonicalPolicyKeySeparatesEveryPolicyField) {
   }
 }
 
-TEST_F(ResultCacheTest, CacheKeyPrefixesTheHexFingerprint) {
+TEST_F(ResultCacheTest, CacheKeyPrefixesTheHexGeneration) {
   const std::string key = ResultCacheKey(0xdeadbeefull, "measure=x");
   EXPECT_EQ(key, "00000000deadbeef|measure=x");
   EXPECT_NE(ResultCacheKey(1, "p"), ResultCacheKey(2, "p"));

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/failpoint.h"
@@ -178,6 +179,54 @@ TEST_F(RobustnessTest, OverQuotaSubmitGetsRetryAfterHintThroughProtocol) {
   ASSERT_TRUE(third.ok());
   EXPECT_TRUE(third->GetBool("ok", false)) << third->Dump();
   scheduler.Shutdown();
+}
+
+TEST_F(RobustnessTest, UncappedQuotasCountEveryUnfinishedJob) {
+  // No cap at all (vadasa_serve's default) and a rate cap alone: Admit still
+  // reserves the slot the scheduler returns when each job ends.
+  QuotaOptions rate_only;
+  rate_only.submits_per_second = 1000.0;
+  for (const QuotaOptions& quota_options : {QuotaOptions{}, rate_only}) {
+    SCOPED_TRACE(quota_options.submits_per_second > 0.0 ? "rate only" : "none");
+    DatasetRegistry registry;
+    ASSERT_TRUE(registry.Register("fig5", Figure5Microdata()).ok());
+    SchedulerOptions options;
+    options.workers = 1;
+    options.start_paused = true;
+    JobScheduler scheduler(options);
+    Protocol protocol(&registry, &scheduler);
+    ClientQuota quota(quota_options);
+    constexpr int kJobs = 3;
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < kJobs; ++i) {
+      bool shutdown = false;
+      auto submitted = Json::Parse(protocol.Handle(
+          "{\"op\":\"submit\",\"dataset\":\"fig5\",\"action\":\"risk\"}",
+          &shutdown, &quota));
+      ASSERT_TRUE(submitted.ok() && submitted->GetBool("ok", false));
+      ids.push_back(static_cast<uint64_t>(submitted->GetInt("id", 0)));
+    }
+    EXPECT_EQ(quota.in_flight(), kJobs);
+    scheduler.Resume();
+    for (const uint64_t id : ids) {
+      auto result = scheduler.Wait(id);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->state, JobState::kDone);
+    }
+    EXPECT_EQ(quota.in_flight(), 0);
+    scheduler.Shutdown();
+  }
+
+  // A rate refusal hands its reservation back.
+  QuotaOptions one_token;
+  one_token.submits_per_second = 1.0;
+  int64_t now_ns = 0;
+  ClientQuota quota(one_token, [&now_ns] { return now_ns; });
+  ASSERT_TRUE(quota.Admit().ok());
+  EXPECT_EQ(quota.Admit().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(quota.in_flight(), 1);
+  quota.Release();
+  EXPECT_EQ(quota.in_flight(), 0);
 }
 
 // --- Watchdog ---------------------------------------------------------------

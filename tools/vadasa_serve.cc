@@ -18,8 +18,9 @@
 // shards its worker pools by dataset (--shards) so one hot dataset cannot
 // starve the rest. Repeated (dataset, policy) requests are answered from a
 // bounded LRU result cache (--cache-mb budget, --no-cache disables; responses
-// carry "cached":true) keyed on the dataset's content fingerprint, so a delta
-// that changes the bytes can never serve a stale payload. Telemetry
+// carry "cached":true) keyed on the generation of the dataset snapshot, so a
+// payload is served only for the snapshot that computed it: never after a
+// delta, and never for another dataset with the same bytes. Telemetry
 // (docs/observability.md): every request line gets a trace id echoed in its
 // responses, --slow-log appends NDJSON lines for jobs slower than --slow-ms,
 // --sample-ms runs the background gauge sampler (0 = off), and on shutdown
