@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -14,6 +15,31 @@ using core::AttributeCategory;
 using core::Hierarchy;
 using core::MicrodataTable;
 using core::OwnershipGraph;
+
+namespace {
+
+/// One of the numeric edges TableGenOptions::numeric_edge_probability lists.
+Value NumericEdgeCell(Rng* rng) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  static const int64_t kInts[] = {kTwo53,
+                                  -kTwo53,
+                                  kTwo53 + 1,
+                                  -kTwo53 - 1,
+                                  std::numeric_limits<int64_t>::max(),
+                                  std::numeric_limits<int64_t>::min()};
+  static const double kDoubles[] = {static_cast<double>(kTwo53),
+                                    -static_cast<double>(kTwo53),
+                                    std::numeric_limits<double>::quiet_NaN(),
+                                    std::numeric_limits<double>::infinity(),
+                                    -std::numeric_limits<double>::infinity(),
+                                    0.0,
+                                    -0.0};
+  const size_t pick = rng->NextBelow(std::size(kInts) + std::size(kDoubles));
+  return pick < std::size(kInts) ? Value::Int(kInts[pick])
+                                 : Value::Double(kDoubles[pick - std::size(kInts)]);
+}
+
+}  // namespace
 
 core::MicrodataTable RandomTable(Rng* rng, const TableGenOptions& options) {
   const size_t rows =
@@ -58,6 +84,12 @@ core::MicrodataTable RandomTable(Rng* rng, const TableGenOptions& options) {
       for (int q = 0; q < num_qi; ++q) {
         const int v = static_cast<int>(
             rng->NextZipf(static_cast<size_t>(domain[q]), options.skew));
+        // Tested first so a probability of 0 draws nothing more.
+        if (options.numeric_edge_probability > 0 &&
+            rng->NextDouble() < options.numeric_edge_probability) {
+          qis.push_back(NumericEdgeCell(rng));
+          continue;
+        }
         qis.push_back(int_column[q] ? Value::Int(v)
                                     : Value::String("v" + std::to_string(v)));
       }
@@ -400,7 +432,7 @@ Value RandomSpellingCell(Rng* rng) {
   static const char* const kStrings[] = {
       "0", "-0",  "1", "7", "1234567", "1.23457e+06", "true", "⊥_1", "a",
       "b", "a\x1f", "\x1f" "b", "\x1f", "v1", "v2"};
-  switch (rng->NextBelow(4)) {
+  switch (rng->NextBelow(5)) {
     case 0:
       return Value::Int(kInts[rng->NextBelow(std::size(kInts))]);
     case 1:
@@ -409,6 +441,8 @@ Value RandomSpellingCell(Rng* rng) {
       return rng->NextDouble() < 0.1 ? Value::Bool(rng->NextDouble() < 0.5)
                                      : Value::String(kStrings[rng->NextBelow(
                                            std::size(kStrings))]);
+    case 3:
+      return NumericEdgeCell(rng);
     default:
       return Value::String("v" + std::to_string(rng->NextZipf(5, 1.1)));
   }

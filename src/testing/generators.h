@@ -31,6 +31,10 @@ struct TableGenOptions {
   double duplicate_probability = 0.25;
   /// Probability that a QI column is integer-valued instead of string-valued.
   double int_column_probability = 0.2;
+  /// Probability that a freshly drawn QI cell is a numeric edge instead:
+  /// ±2^53 (as an int or a double), ±(2^53 + 1), INT64_MAX, INT64_MIN, NaN,
+  /// ±inf or ±0.0, the numbers where exact and double comparison part.
+  double numeric_edge_probability = 0.0;
   bool with_identifier = true;
   bool with_weight = true;
   bool with_non_identifying = true;
@@ -102,8 +106,9 @@ core::MicrodataTable RandomCsvTable(Rng* rng);
 /// A random table whose quasi-identifier cells differ in spelling where they
 /// compare equal, and agree where they differ: Int 1234567 beside Double
 /// 1234567.0, 0 beside -0.0, doubles equal to six digits, strings spelled
-/// like numbers or like labelled nulls, strings holding byte 0x1F, and
-/// labelled nulls in the original. Tables have one to four QIs; about one in
+/// like numbers or like labelled nulls, strings holding byte 0x1F, the
+/// numeric edges of TableGenOptions::numeric_edge_probability, and labelled
+/// nulls in the original. Tables have one to four QIs; about one in
 /// ten has a QI with thousands of distinct values; the non-identifying column
 /// is numeric, a string or absent. Equal cells share a payload only
 /// sometimes. Deterministic in `*rng`.

@@ -1481,6 +1481,7 @@ std::vector<Property> BuildCatalog() {
        [](Rng* rng, uint64_t i) {
          TableGenOptions options;
          options.null_probability = 0.12;  // Exercise the reserved null band.
+         options.numeric_edge_probability = 0.1;
          ReproCase repro =
              TableCase("grouping-matches-naive-oracle", rng, i, options);
          repro.params["measure"] = PickMeasure(rng);

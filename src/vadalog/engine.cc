@@ -397,9 +397,9 @@ Value ComputeAggregate(const CompiledAggregate& agg,
       int64_t isum = 0;
       for (const auto& [k, v] : contribs) {
         (void)k;
-        if (!v.is_int()) all_int = false;
         sum += v.as_double();
-        if (v.is_int()) isum += v.as_int();
+        // An int sum that overflows int64 yields the double sum instead.
+        if (!v.is_int() || __builtin_add_overflow(isum, v.as_int(), &isum)) all_int = false;
       }
       return all_int ? Value::Int(isum) : Value::Double(sum);
     }

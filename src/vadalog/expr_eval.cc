@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/similarity.h"
 #include "common/string_util.h"
@@ -15,6 +16,24 @@ Status ArityError(const std::string& fn, size_t want, size_t got) {
                            " argument(s), got " + std::to_string(got));
 }
 
+Status IntOverflow(const std::string& what) {
+  return Status::InvalidArgument("integer overflow in " + what);
+}
+
+/// a + b, a - b or a * b on int64; an overflow is an error, as division by
+/// zero is.
+Result<Value> IntArithmetic(BinaryOp op, int64_t a, int64_t b) {
+  int64_t r = 0;
+  const bool overflow = op == BinaryOp::kAdd   ? __builtin_add_overflow(a, b, &r)
+                        : op == BinaryOp::kSub ? __builtin_sub_overflow(a, b, &r)
+                                               : __builtin_mul_overflow(a, b, &r);
+  if (overflow) {
+    const char* symbol = op == BinaryOp::kAdd ? " + " : op == BinaryOp::kSub ? " - " : " * ";
+    return IntOverflow(std::to_string(a) + symbol + std::to_string(b));
+  }
+  return Value::Int(r);
+}
+
 Result<Value> EvalBinary(BinaryOp op, const Value& a, const Value& b) {
   if (op == BinaryOp::kAdd && a.is_string() && b.is_string()) {
     return Value::String(a.as_string() + b.as_string());
@@ -24,16 +43,25 @@ Result<Value> EvalBinary(BinaryOp op, const Value& a, const Value& b) {
   const bool both_int = a.is_int() && b.is_int();
   switch (op) {
     case BinaryOp::kAdd:
-      return both_int ? Value::Int(a.as_int() + b.as_int()) : Value::Double(x + y);
+      if (both_int) return IntArithmetic(op, a.as_int(), b.as_int());
+      return Value::Double(x + y);
     case BinaryOp::kSub:
-      return both_int ? Value::Int(a.as_int() - b.as_int()) : Value::Double(x - y);
+      if (both_int) return IntArithmetic(op, a.as_int(), b.as_int());
+      return Value::Double(x - y);
     case BinaryOp::kMul:
-      return both_int ? Value::Int(a.as_int() * b.as_int()) : Value::Double(x * y);
+      if (both_int) return IntArithmetic(op, a.as_int(), b.as_int());
+      return Value::Double(x * y);
     case BinaryOp::kDiv:
       if (y == 0.0) return Status::InvalidArgument("division by zero");
       return Value::Double(x / y);
     case BinaryOp::kMod: {
+      if (!both_int) {
+        return Status::TypeError("mod needs integers, got " + a.ToString() + " and " +
+                                 b.ToString());
+      }
       if (b.as_int() == 0) return Status::InvalidArgument("mod by zero");
+      // INT64_MIN % -1 overflows (and traps); every int mod -1 is 0.
+      if (b.as_int() == -1) return Value::Int(0);
       return Value::Int(a.as_int() % b.as_int());
     }
   }
@@ -59,7 +87,13 @@ Result<Value> EvalCall(const std::string& fn, const std::vector<Value>& a) {
   // --- scalar ---
   if (fn == "abs") {
     VADASA_RETURN_NOT_OK(want(1));
-    if (a[0].is_int()) return Value::Int(std::abs(a[0].as_int()));
+    if (a[0].is_int()) {
+      const int64_t x = a[0].as_int();
+      if (x == std::numeric_limits<int64_t>::min()) {
+        return IntOverflow("abs(" + std::to_string(x) + ")");
+      }
+      return Value::Int(std::abs(x));
+    }
     VADASA_ASSIGN_OR_RETURN(const double x, a[0].ToNumeric());
     return Value::Double(std::fabs(x));
   }
@@ -91,6 +125,10 @@ Result<Value> EvalCall(const std::string& fn, const std::vector<Value>& a) {
     VADASA_ASSIGN_OR_RETURN(const double x, a[0].ToNumeric());
     const double r = fn == "floor" ? std::floor(x) : fn == "ceil" ? std::ceil(x)
                                                                   : std::round(x);
+    // Negated so NaN is refused too; 2^63 itself is one past INT64_MAX.
+    if (!(r >= -9223372036854775808.0 && r < 9223372036854775808.0)) {
+      return IntOverflow(fn + "(" + a[0].ToString() + ")");
+    }
     return Value::Int(static_cast<int64_t>(r));
   }
   // --- logic ---

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -42,6 +43,18 @@ TEST(DictionaryTest, CodeEqualityMatchesValueEqualsAcrossNumericKinds) {
   EXPECT_EQ(i2, d2);
   const uint32_t d25 = dict.Intern(Value::Double(2.5));
   EXPECT_NE(i2, d25);
+
+  // Equality is exact: two ints that round to one double keep two codes,
+  // and NaN is one value of its own, equal to no number.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const uint32_t big = dict.Intern(Value::Int(kTwo53));
+  EXPECT_NE(dict.Intern(Value::Int(kTwo53 + 1)), big);
+  EXPECT_EQ(dict.Intern(Value::Double(static_cast<double>(kTwo53))), big);
+  const uint32_t nan = dict.Intern(Value::Double(std::nan("")));
+  EXPECT_EQ(dict.Intern(Value::Double(-std::nan(""))), nan);
+  EXPECT_NE(nan, i2);
+  EXPECT_NE(nan, d25);
+  EXPECT_EQ(dict.num_values(), 5u);
 }
 
 TEST(DictionaryTest, NullLabelsInternIntoReservedBand) {

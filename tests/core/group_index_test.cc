@@ -1,5 +1,7 @@
 #include "core/group_index.h"
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,6 +96,31 @@ TEST(GroupIndexTest, NullsInDifferentColumns) {
   // covers the other's difference).
   EXPECT_GE(stats.frequency[0], 5.0);
   EXPECT_GE(stats.frequency[1], 3.0);
+}
+
+/// Rows group by exact equality: two ints that round to one double are two
+/// values, and NaN matches only NaN.
+TEST(GroupIndexTest, NumericCellsGroupExactly) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  MicrodataTable t("exact", {{"A", "", AttributeCategory::kQuasiIdentifier},
+                             {"B", "", AttributeCategory::kQuasiIdentifier}});
+  const std::vector<std::vector<Value>> rows = {
+      {Value::String("x"), Value::Int(kTwo53)},
+      {Value::String("x"), Value::Int(kTwo53 + 1)},
+      {Value::String("x"), Value::Int(kTwo53 + 1)},
+      {Value::String("x"), Value::Double(std::nan(""))},
+      {Value::String("x"), Value::Double(std::nan(""))},
+      {Value::String("x"), Value::Int(3)},
+      {Value::String("x"), Value::Double(4.5)},
+  };
+  for (const auto& row : rows) ASSERT_TRUE(t.AddRow(row).ok());
+  const std::vector<double> expected = {1, 2, 2, 2, 2, 1, 1};
+  for (const NullSemantics semantics : {NullSemantics::kMaybeMatch, NullSemantics::kStandard}) {
+    const GroupStats stats = ComputeGroupStats(t, t.QuasiIdentifierColumns(), semantics);
+    for (size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_DOUBLE_EQ(stats.frequency[r], expected[r]) << "row " << r;
+    }
+  }
 }
 
 /// Property: maybe-match group stats computed by the class-projection

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "vadalog/explain.h"
 #include "vadalog/parser.h"
 
@@ -220,6 +223,21 @@ TEST(EngineTest, MonotonicSum) {
   // Sorted by group key: g1 then g2.
   EXPECT_EQ(finals[0][1].as_int(), 30);
   EXPECT_EQ(finals[1][1].as_int(), 5);
+}
+
+TEST(EngineTest, MonotonicSumPastInt64IsTheDoubleSum) {
+  auto db = RunProgram(
+      "item(g, a, 9223372036854775807). item(g, b, 9223372036854775807).\n"
+      "item(h, c, 9223372036854775806). item(h, d, 1).\n"
+      "total(G, S) :- item(G, I, W), S = msum(W, <I>).");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const auto finals = FinalAggregateRows(*db, "total", 1, /*take_max=*/true);
+  ASSERT_EQ(finals.size(), 2u);
+  ASSERT_TRUE(finals[0][1].is_double()) << finals[0][1].ToString();
+  EXPECT_DOUBLE_EQ(finals[0][1].as_double(), 2 * 9223372036854775807.0);
+  // A sum that fits stays an int.
+  ASSERT_TRUE(finals[1][1].is_int()) << finals[1][1].ToString();
+  EXPECT_EQ(finals[1][1].as_int(), std::numeric_limits<int64_t>::max());
 }
 
 TEST(EngineTest, MonotonicCountDistinctContributors) {

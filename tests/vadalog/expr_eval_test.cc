@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "vadalog/parser.h"
@@ -111,6 +114,44 @@ TEST(ExprEvalTest, NullInspection) {
   EXPECT_EQ(Eval("null_label(X)", vars)->as_int(), 9);
   EXPECT_TRUE(Eval("maybe_eq(X, 42)", vars)->as_bool());
   EXPECT_FALSE(Eval("eq(X, 42)", vars)->as_bool());
+}
+
+TEST(ExprEvalTest, ModOfANonIntegerIsATypeError) {
+  for (const char* src : {"mod(7, 2.5)", "mod(7.5, 2)", "mod(\"a\", 2)"}) {
+    const auto r = Eval(src);
+    ASSERT_FALSE(r.ok()) << src << " = " << r->ToString();
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << src;
+  }
+  EXPECT_EQ(Eval("mod(-7, 3)")->as_int(), -1);
+}
+
+TEST(ExprEvalTest, IntOverflowIsAnError) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::map<std::string, Value> vars = {
+      {"X", Value::Int(kMax)}, {"Y", Value::Int(kMin)}, {"S", Value::Int(2)}};
+  for (const char* src : {"X + 1", "Y - 1", "X * S", "Y * -1", "-Y", "abs(Y)",
+                          "floor(P)", "round(P)"}) {
+    std::map<std::string, Value> with_p = vars;
+    with_p["P"] = Value::Double(1e19);
+    const auto r = Eval(src, with_p);
+    ASSERT_FALSE(r.ok()) << src << " = " << r->ToString();
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << src;
+  }
+  EXPECT_EQ(Eval("X - 1 + 1", vars)->as_int(), kMax);
+  EXPECT_EQ(Eval("Y + X", vars)->as_int(), -1);
+  EXPECT_EQ(Eval("abs(Y + 1)", vars)->as_int(), kMax);
+  // A double operand keeps the double arithmetic.
+  EXPECT_DOUBLE_EQ(Eval("X + 1.0", vars)->as_double(), 9223372036854775808.0);
+  EXPECT_FALSE(Eval("ceil(P)", {{"P", Value::Double(std::nan(""))}}).ok());
+}
+
+TEST(ExprEvalTest, MinInt64ModMinusOneIsZero) {
+  const std::map<std::string, Value> vars = {
+      {"X", Value::Int(std::numeric_limits<int64_t>::min())}, {"Y", Value::Int(-1)}};
+  const auto r = Eval("mod(X, Y)", vars);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->as_int(), 0);
 }
 
 TEST(ExprEvalTest, UnknownFunctionFails) {
