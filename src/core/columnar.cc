@@ -10,13 +10,9 @@ namespace vadasa::core {
 namespace {
 
 void RecordInternSeconds(double seconds) {
-#ifndef VADASA_DISABLE_OBS
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().histogram("columnar.intern_seconds");
   histogram->Record(seconds);
-#else
-  (void)seconds;
-#endif
 }
 
 }  // namespace

@@ -40,32 +40,27 @@ bool MaybeMatchesAnyCodes(const CodeRow& pattern, const std::vector<CodeRow>& ot
   return false;
 }
 
-/// Per-run meter set over a local registry — the single source CycleStats is
-/// derived from. Counters are registered up front so the snapshot is complete
-/// even for runs that never touch a path.
-struct CycleMeters {
-  obs::MetricsRegistry registry;
-  obs::Counter* iterations = registry.counter("iterations");
-  obs::Counter* risk_evaluations = registry.counter("risk_evaluations");
-  obs::Counter* anonymization_steps = registry.counter("anonymization_steps");
-  obs::Counter* nulls_injected = registry.counter("nulls_injected");
-  obs::Counter* cells_recoded = registry.counter("cells_recoded");
-  obs::Counter* initial_risky = registry.counter("initial_risky");
-  obs::Counter* unresolved = registry.counter("unresolved");
-  obs::Counter* group_rebuilds = registry.counter("group_rebuilds");
-  obs::Counter* group_updates = registry.counter("group_updates");
-  obs::Counter* log_dropped = registry.counter("log_dropped");
-  obs::Histogram* risk_eval_seconds = registry.histogram("risk_eval_seconds");
-  obs::Histogram* anonymize_seconds = registry.histogram("anonymize_seconds");
-  obs::Histogram* index_update_seconds = registry.histogram("index_update_seconds");
-  obs::Gauge* total_seconds = registry.gauge("total_seconds");
-  obs::Gauge* information_loss = registry.gauge("information_loss");
-};
+/// Adds a completed run to the global registry: each count adds to its
+/// `cycle.*` counter and the run's totals become the gauges' values.
+void ExportCompletedRun(const CycleStats& stats) {
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  global.counter("cycle.iterations")->Add(stats.iterations);
+  global.counter("cycle.risk_evaluations")->Add(stats.risk_evaluations);
+  global.counter("cycle.anonymization_steps")->Add(stats.anonymization_steps);
+  global.counter("cycle.nulls_injected")->Add(stats.nulls_injected);
+  global.counter("cycle.cells_recoded")->Add(stats.cells_recoded);
+  global.counter("cycle.initial_risky")->Add(stats.initial_risky);
+  global.counter("cycle.unresolved")->Add(stats.unresolved);
+  global.counter("cycle.group_rebuilds")->Add(stats.group_rebuilds);
+  global.counter("cycle.group_updates")->Add(stats.group_updates);
+  global.counter("cycle.log_dropped")->Add(stats.log_dropped);
+  global.gauge("cycle.total_seconds")->Set(stats.total_seconds);
+  global.gauge("cycle.information_loss")->Set(stats.information_loss);
+}
 
 /// Appends a log line under the max_log_steps cap; past the cap, appends the
 /// truncation sentinel once and counts the dropped entries.
-void AppendLog(const CycleOptions& options, CycleMeters* meters, CycleStats* stats,
-               std::string line) {
+void AppendLog(const CycleOptions& options, CycleStats* stats, std::string line) {
   if (stats->log.size() < options.max_log_steps) {
     stats->log.push_back(std::move(line));
     return;
@@ -73,7 +68,7 @@ void AppendLog(const CycleOptions& options, CycleMeters* meters, CycleStats* sta
   if (stats->log.size() == options.max_log_steps) {
     stats->log.push_back(kLogTruncatedSentinel);
   }
-  meters->log_dropped->Add(1);
+  ++stats->log_dropped;
 }
 
 }  // namespace
@@ -82,7 +77,6 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
                                            RiskEvalCache* shared_cache) {
   obs::Span run_span("cycle.run");
   const auto t_start = std::chrono::steady_clock::now();
-  CycleMeters meters;
   CycleStats stats;
   VADASA_RETURN_NOT_OK(table->Validate());
   const std::vector<size_t> qis = options_.risk.ResolveQiColumns(*table);
@@ -90,6 +84,14 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
     return Status::FailedPrecondition("microdata DB " + table->name() +
                                       " has no quasi-identifier columns");
   }
+  // Phase times go to the global registry as each phase ends, one sample per
+  // iteration; the counts reach it only with a completed run.
+  static obs::Histogram* const risk_eval_histogram =
+      obs::MetricsRegistry::Global().histogram("cycle.risk_eval_seconds");
+  static obs::Histogram* const anonymize_histogram =
+      obs::MetricsRegistry::Global().histogram("cycle.anonymize_seconds");
+  static obs::Histogram* const index_update_histogram =
+      obs::MetricsRegistry::Global().histogram("cycle.index_update_seconds");
   std::vector<bool> unresolvable(table->num_rows(), false);
 
   // One cache for the whole run: the group index inside is built on first
@@ -105,7 +107,7 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
       VADASA_RETURN_NOT_OK(options_.cancel->Check());
     }
     obs::Span iteration_span("cycle.iteration");
-    meters.iterations->Add(1);
+    ++stats.iterations;
     // --- Risk evaluation (the component Fig. 7e singles out). ---
     const auto t_risk = std::chrono::steady_clock::now();
     std::vector<double> risks;
@@ -125,19 +127,19 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
         }
       }
     }
-    meters.risk_evaluations->Add(1);
-    meters.risk_eval_seconds->Record(SecondsSince(t_risk));
+    const double risk_seconds = SecondsSince(t_risk);
+    ++stats.risk_evaluations;
+    stats.risk_eval_seconds += risk_seconds;
+    risk_eval_histogram->Record(risk_seconds);
 
     std::vector<size_t> risky;
     for (size_t r = 0; r < risks.size(); ++r) {
       if (risks[r] > options_.threshold && !unresolvable[r]) risky.push_back(r);
     }
     if (iter == 0) {
-      size_t initial = 0;
       for (size_t r = 0; r < risks.size(); ++r) {
-        if (risks[r] > options_.threshold) ++initial;
+        if (risks[r] > options_.threshold) ++stats.initial_risky;
       }
-      meters.initial_risky->Add(initial);
     }
     if (risky.empty()) break;
 
@@ -173,7 +175,7 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
         if (col.status().code() == StatusCode::kNotFound) {
           unresolvable[r] = true;
           if (options_.log_steps) {
-            AppendLog(options_, &meters, &stats,
+            AppendLog(options_, &stats,
                       "row " + std::to_string(r) +
                           ": risky but no anonymization applicable; giving up");
           }
@@ -190,57 +192,38 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
       }
       VADASA_ASSIGN_OR_RETURN(const AnonymizationStep step,
                               anonymizer_->Apply(table, r, *col));
-      meters.anonymization_steps->Add(1);
-      meters.nulls_injected->Add(step.nulls_injected);
-      if (step.nulls_injected == 0) meters.cells_recoded->Add(step.affected_rows);
+      ++stats.anonymization_steps;
+      stats.nulls_injected += step.nulls_injected;
+      if (step.nulls_injected == 0) stats.cells_recoded += step.affected_rows;
       progressed = true;
       iteration_changed.insert(iteration_changed.end(), step.changed_rows.begin(),
                                step.changed_rows.end());
       if (options_.log_steps) {
-        AppendLog(options_, &meters, &stats, step.ToString(*table) + "  [" + why + "]");
+        AppendLog(options_, &stats, step.ToString(*table) + "  [" + why + "]");
       }
       if (options_.single_step) break;  // Paper-literal: back to risk eval.
       if (step.affected_rows > 1) break;  // Global recoding: groups shifted broadly.
       touched_codes.push_back(QiCodePattern(*guard_view, *table, qis, r));
     }
-    meters.anonymize_seconds->Record(SecondsSince(t_anon));
+    anonymize_histogram->Record(SecondsSince(t_anon));
     if (!iteration_changed.empty()) {
       obs::Span update_span("cycle.index_update");
       const auto t_update = std::chrono::steady_clock::now();
       cache.NotifyRowsChanged(*table, iteration_changed);
-      meters.index_update_seconds->Record(SecondsSince(t_update));
+      index_update_histogram->Record(SecondsSince(t_update));
     }
     if (!progressed) break;  // Only unresolvable risky tuples remain.
   }
 
-  size_t unresolved = 0;
   for (const bool u : unresolvable) {
-    if (u) ++unresolved;
+    if (u) ++stats.unresolved;
   }
-  meters.unresolved->Add(unresolved);
-  meters.group_rebuilds->Add(cache.full_builds());
-  meters.group_updates->Add(cache.incremental_updates());
-  meters.information_loss->Set(PaperInformationLoss(
-      meters.nulls_injected->value(), meters.initial_risky->value(), qis.size()));
-  meters.total_seconds->Set(SecondsSince(t_start));
-
-  // CycleStats is a view over the meter registry — one snapshot, one truth.
-  stats.iterations = meters.iterations->value();
-  stats.risk_evaluations = meters.risk_evaluations->value();
-  stats.anonymization_steps = meters.anonymization_steps->value();
-  stats.nulls_injected = meters.nulls_injected->value();
-  stats.cells_recoded = meters.cells_recoded->value();
-  stats.initial_risky = meters.initial_risky->value();
-  stats.unresolved = meters.unresolved->value();
-  stats.group_rebuilds = meters.group_rebuilds->value();
-  stats.group_updates = meters.group_updates->value();
-  stats.log_dropped = meters.log_dropped->value();
-  stats.risk_eval_seconds = meters.risk_eval_seconds->sum();
-  stats.total_seconds = meters.total_seconds->value();
-  stats.information_loss = meters.information_loss->value();
-
-  // Fold the run into the process-wide registry for the exporters.
-  meters.registry.MergeInto(&obs::MetricsRegistry::Global(), "cycle.");
+  stats.group_rebuilds = cache.full_builds();
+  stats.group_updates = cache.incremental_updates();
+  stats.information_loss =
+      PaperInformationLoss(stats.nulls_injected, stats.initial_risky, qis.size());
+  stats.total_seconds = SecondsSince(t_start);
+  ExportCompletedRun(stats);
   return stats;
 }
 

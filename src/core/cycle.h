@@ -52,11 +52,12 @@ struct CycleOptions {
 
 /// Outcome and accounting of a cycle run.
 ///
-/// The numeric fields are a *view over the run's metrics registry*: the cycle
-/// meters every counter and timer into a local obs::MetricsRegistry (also
-/// folded into obs::MetricsRegistry::Global() under the "cycle." prefix) and
-/// derives this struct from one snapshot at the end of Run — the struct and
-/// the exported metrics can never disagree. All timers are steady_clock.
+/// Run counts into this struct, then adds a completed run to
+/// obs::MetricsRegistry::Global() once under the "cycle." prefix: each count
+/// adds to its counter, and total_seconds and information_loss become the
+/// gauges' values. The phase-time histograms take one sample per iteration as
+/// each phase ends. A run that fails adds no counts or gauges. All timers are
+/// steady_clock.
 struct CycleStats {
   size_t iterations = 0;
   size_t risk_evaluations = 0;

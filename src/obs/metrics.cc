@@ -60,41 +60,6 @@ void Histogram::Record(double v) {
   RetainLocked(v);
 }
 
-void Histogram::Merge(const Histogram& other) {
-  // Copy under the source lock first; never hold both locks at once.
-  std::vector<double> src_samples;
-  size_t src_count;
-  double src_sum, src_min, src_max;
-  {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    src_samples = other.samples_;
-    src_count = other.count_;
-    src_sum = other.sum_;
-    src_min = other.min_;
-    src_max = other.max_;
-  }
-  if (src_count == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ == 0) {
-    min_ = src_min;
-    max_ = src_max;
-  } else {
-    min_ = std::min(min_, src_min);
-    max_ = std::max(max_, src_max);
-  }
-  sum_ += src_sum;
-  // Feed the source's retained samples through the same reservoir step the
-  // direct Record path uses; count_ advances per sample so replacement
-  // probabilities stay correct.
-  for (const double v : src_samples) {
-    ++count_;
-    RetainLocked(v);
-  }
-  // Source samples past its own cap were dropped there; the aggregate count
-  // still reflects them.
-  count_ += src_count - src_samples.size();
-}
-
 size_t Histogram::count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return count_;
@@ -276,29 +241,6 @@ bool MetricsRegistry::WriteJson(const std::string& path) const {
   if (!out) return false;
   out << ToJson() << "\n";
   return static_cast<bool>(out);
-}
-
-void MetricsRegistry::MergeInto(MetricsRegistry* dst, const std::string& prefix) const {
-  // Collect source entries first; dst->counter() locks dst's mutex and the
-  // global registry may be the destination of many local registries.
-  std::vector<std::pair<std::string, uint64_t>> counter_vals;
-  std::vector<std::pair<std::string, double>> gauge_vals;
-  std::vector<const Histogram*> hist_ptrs;
-  std::vector<std::string> hist_names;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, c] : counters_) counter_vals.emplace_back(name, c->value());
-    for (const auto& [name, g] : gauges_) gauge_vals.emplace_back(name, g->value());
-    for (const auto& [name, h] : histograms_) {
-      hist_names.push_back(name);
-      hist_ptrs.push_back(h.get());
-    }
-  }
-  for (const auto& [name, v] : counter_vals) dst->counter(prefix + name)->Add(v);
-  for (const auto& [name, v] : gauge_vals) dst->gauge(prefix + name)->Set(v);
-  for (size_t i = 0; i < hist_ptrs.size(); ++i) {
-    dst->histogram(prefix + hist_names[i])->Merge(*hist_ptrs[i]);
-  }
 }
 
 }  // namespace vadasa::obs

@@ -59,8 +59,6 @@ class Histogram {
   static constexpr size_t kMaxRetainedSamples = 1 << 16;
 
   void Record(double v);
-  /// Folds another histogram into this one (registry merging).
-  void Merge(const Histogram& other);
 
   size_t count() const;
   double sum() const;
@@ -99,13 +97,11 @@ class Histogram {
 
 /// A named collection of counters, gauges and histograms.
 ///
-/// Two usage patterns:
-///  - `MetricsRegistry::Global()` accumulates process-wide telemetry
-///    (group-index rebuilds, risk-cache hits, engine rounds) and is what the
-///    exporters serialize.
-///  - Local instances scope one run: the anonymization cycle meters each Run
-///    into a local registry, derives `CycleStats` from it, and folds the
-///    result into the global registry under a "cycle." prefix.
+/// `MetricsRegistry::Global()` accumulates process-wide telemetry
+/// (group-index rebuilds, risk-cache hits, engine rounds, each completed
+/// anonymization cycle under "cycle.") and is what the exporters serialize.
+/// A local instance is private to its owner and never exported; tests build
+/// them to check the registry in isolation.
 ///
 /// Metric handles returned by counter()/gauge()/histogram() are stable for
 /// the registry's lifetime; the lookup itself takes a lock, so hot paths
@@ -147,10 +143,6 @@ class MetricsRegistry {
 
   /// Writes ToJson() to `path`. Returns false on I/O failure.
   bool WriteJson(const std::string& path) const;
-
-  /// Folds this registry into `dst`, prefixing every metric name: counters
-  /// add, gauges overwrite, histograms merge.
-  void MergeInto(MetricsRegistry* dst, const std::string& prefix) const;
 
  private:
   mutable std::mutex mutex_;

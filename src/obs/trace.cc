@@ -14,7 +14,7 @@
 
 namespace vadasa::obs {
 
-// --- Trace ids (available in every build, including VADASA_DISABLE_OBS) ----
+// --- Trace ids ---------------------------------------------------------------
 
 namespace {
 
@@ -86,8 +86,6 @@ ScopedTraceId::ScopedTraceId(uint64_t id) : previous_(t_current_trace) {
 }
 
 ScopedTraceId::~ScopedTraceId() { t_current_trace = previous_; }
-
-#ifndef VADASA_DISABLE_OBS
 
 namespace {
 
@@ -268,17 +266,6 @@ bool WriteChromeTrace(const std::string& path) {
   out << ToChromeTraceJson();
   return static_cast<bool>(out);
 }
-
-#else  // VADASA_DISABLE_OBS
-
-bool WriteChromeTrace(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\"traceEvents\": []}\n";
-  return static_cast<bool>(out);
-}
-
-#endif  // VADASA_DISABLE_OBS
 
 TraceArgs ExtractTraceArgs(int* argc, char** argv) {
   TraceArgs args;

@@ -17,10 +17,8 @@
 /// threads is parented to the span open on the submitting thread, so a
 /// Perfetto view attributes parallel sections to the phase that spawned them.
 ///
-/// `VADASA_DISABLE_OBS` compiles the tracer (and the hot-path metric macros
-/// below) out entirely; spans become empty objects the optimizer deletes.
 /// Instrumentation must never alter computation: a run with tracing enabled
-/// is bit-identical to a disabled or compiled-out run (test-enforced).
+/// is bit-identical to one with tracing off (test-enforced).
 
 namespace vadasa::obs {
 
@@ -43,9 +41,8 @@ struct SpanEvent {
 // ScopedTraceId. Every Span opened while a trace id is installed records it,
 // and ThreadPool::ParallelFor carries it to worker shards alongside the span
 // context — so one Chrome-trace export groups queue-wait, warmup and cycle
-// phases by request. Trace ids never alter computation and stay available in
-// VADASA_DISABLE_OBS builds (the protocol still echoes them); only the span
-// recording compiles out.
+// phases by request. Trace ids never alter computation, and the protocol
+// echoes them whether or not tracing is recording.
 
 /// Mints a fresh non-zero trace id. The sequence is seeded from
 /// VADASA_TRACE_SEED when set (deterministic under test), else from the
@@ -76,8 +73,6 @@ class ScopedTraceId {
  private:
   uint64_t previous_ = 0;
 };
-
-#ifndef VADASA_DISABLE_OBS
 
 /// Is tracing currently recording? One relaxed load; callers may use it to
 /// gate timing work that only feeds the trace.
@@ -126,23 +121,6 @@ class Span {
   int64_t start_ns_ = 0;
 };
 
-#else  // VADASA_DISABLE_OBS
-
-inline bool TracingEnabled() { return false; }
-inline void StartTracing() {}
-inline void StopTracing() {}
-inline std::vector<SpanEvent> CollectSpans() { return {}; }
-inline std::string ToChromeTraceJson() { return "{\"traceEvents\": []}\n"; }
-bool WriteChromeTrace(const std::string& path);
-inline void EmitSpan(const char*, int64_t, int64_t) {}
-
-class Span {
- public:
-  explicit Span(const char*) {}
-};
-
-#endif  // VADASA_DISABLE_OBS
-
 /// `--trace=PATH` / `--metrics=PATH` / `--prom=PATH` handling shared by the
 /// CLI and the benchmark binaries: ExtractTraceArgs strips the flags from
 /// argv (so google-benchmark and positional parsing never see them) and
@@ -166,18 +144,12 @@ bool ExportRequested(const TraceArgs& args);
 }  // namespace vadasa::obs
 
 /// Hot-path global counter: resolves the handle once per call site, then
-/// pays one relaxed atomic add. Compiles out under VADASA_DISABLE_OBS.
-#ifndef VADASA_DISABLE_OBS
+/// pays one relaxed atomic add.
 #define VADASA_METRIC_COUNT(metric_name, delta)                      \
   do {                                                               \
     static ::vadasa::obs::Counter* vadasa_metric_counter_ =          \
         ::vadasa::obs::MetricsRegistry::Global().counter(metric_name); \
     vadasa_metric_counter_->Add(delta);                              \
   } while (0)
-#else
-#define VADASA_METRIC_COUNT(metric_name, delta) \
-  do {                                          \
-  } while (0)
-#endif
 
 #endif  // VADASA_OBS_TRACE_H_

@@ -210,9 +210,21 @@ void Server::AcceptLoop() {
       return;
     }
     VADASA_METRIC_COUNT("serve.connections", 1);
+    // Join the connections that ended since the last accept before starting
+    // this one: an unjoined thread keeps its stack mapped.
+    std::vector<std::thread> ended;
+    {
+      std::lock_guard<std::mutex> lock(conn_mutex_);
+      for (const std::thread::id id : ended_) {
+        ended.push_back(std::move(connections_.extract(id).mapped()));
+      }
+      ended_.clear();
+    }
+    for (std::thread& thread : ended) thread.join();
     std::lock_guard<std::mutex> lock(conn_mutex_);
     live_fds_.insert(fd);
-    connections_.emplace_back([this, fd] { HandleConnection(fd); });
+    std::thread connection([this, fd] { HandleConnection(fd); });
+    connections_.emplace(connection.get_id(), std::move(connection));
   }
 }
 
@@ -232,6 +244,9 @@ void Server::HandleConnection(int fd) {
 
   ClientQuota quota(options_.quota);
   std::string buffer;
+  // Leading bytes of `buffer` already searched for '\n': each read resumes
+  // the search there, so framing an L-byte line costs O(L), not O(L^2).
+  size_t searched = 0;
   char chunk[4096];
   bool shutdown_requested = false;
   bool dead = false;       ///< Socket unusable (write failed / oversized line).
@@ -257,9 +272,10 @@ void Server::HandleConnection(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
     size_t newline;
     while (!dead && !shutdown_requested &&
-           (newline = buffer.find('\n')) != std::string::npos) {
+           (newline = buffer.find('\n', searched)) != std::string::npos) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
+      searched = 0;
       if (line.empty()) continue;
       if (line.size() > options_.max_line_bytes) {
         oversized = true;
@@ -283,6 +299,7 @@ void Server::HandleConnection(int fd) {
         break;
       }
     }
+    searched = buffer.size();
     if (!dead && buffer.size() > options_.max_line_bytes) {
       // A partial line already past the limit can never complete legally.
       oversized = true;
@@ -302,6 +319,7 @@ void Server::HandleConnection(int fd) {
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     live_fds_.erase(fd);
+    ended_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
   if (shutdown_requested) {
@@ -324,7 +342,7 @@ void Server::Stop() {
   }
   listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::map<std::thread::id, std::thread> connections;
   {
     // Kick idle connections out of their blocking read; each thread closes
     // its own fd on the way out.
@@ -332,9 +350,7 @@ void Server::Stop() {
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
     connections.swap(connections_);
   }
-  for (std::thread& connection : connections) {
-    if (connection.joinable()) connection.join();
-  }
+  for (auto& connection : connections) connection.second.join();
   {
     std::lock_guard<std::mutex> lock(shutdown_mutex_);
     shutdown_requested_ = true;

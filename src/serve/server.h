@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -125,7 +126,11 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex conn_mutex_;
-  std::vector<std::thread> connections_;
+  /// Connection threads by id. A handler queues its id in ended_ as it
+  /// finishes; AcceptLoop joins those before starting the next connection,
+  /// and Stop() joins the rest.
+  std::map<std::thread::id, std::thread> connections_;
+  std::vector<std::thread::id> ended_;
   std::set<int> live_fds_;  ///< Open connection sockets, for Stop() to poke.
 
   std::mutex shutdown_mutex_;

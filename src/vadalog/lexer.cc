@@ -127,12 +127,18 @@ Result<std::vector<Token>> Lex(std::string_view src) {
       Token t;
       t.line = line;
       const std::string_view text = src.substr(start, i - start);
+      const char* const end = text.data() + text.size();
+      std::from_chars_result parsed{};
       if (is_double) {
         t.kind = TokenKind::kDouble;
-        std::from_chars(text.data(), text.data() + text.size(), t.double_value);
+        parsed = std::from_chars(text.data(), end, t.double_value);
       } else {
         t.kind = TokenKind::kInt;
-        std::from_chars(text.data(), text.data() + text.size(), t.int_value);
+        parsed = std::from_chars(text.data(), end, t.int_value);
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        return Status::ParseError("line " + std::to_string(line) +
+                                  ": numeric literal out of range: " + std::string(text));
       }
       out.push_back(std::move(t));
       continue;

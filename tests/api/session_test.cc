@@ -421,9 +421,6 @@ std::string ReportBytes(const RiskReport& report) {
 }
 
 TEST(SessionTest, ExplainedRiskGroupsTheTableOnce) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "the group-index counters are compiled out";
-#endif
   obs::Counter* partitions =
       obs::MetricsRegistry::Global().counter("group_index.partitions_built");
   SessionOptions options;
@@ -479,9 +476,6 @@ Result<Session> SudaSession() {
 }
 
 TEST(SessionTest, ColdSudaRiskInternsEachQiColumnOnce) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "the columnar counters are compiled out";
-#endif
   obs::Counter* materialized =
       obs::MetricsRegistry::Global().counter("columnar.columns_materialized");
   auto session = SudaSession();
@@ -496,9 +490,6 @@ TEST(SessionTest, ColdSudaRiskInternsEachQiColumnOnce) {
 }
 
 TEST(SessionTest, WarmedSudaRiskNeitherGroupsNorCopies) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "the group-index counters are compiled out";
-#endif
   obs::Counter* partitions =
       obs::MetricsRegistry::Global().counter("group_index.partitions_built");
   obs::Counter* copies = obs::MetricsRegistry::Global().counter("risk_cache.warm_copies");
@@ -534,9 +525,6 @@ TEST(SessionTest, SharedTableServesManySessions) {
 }
 
 TEST(SessionTest, WarmedReleaseCopiesTheWarmIndexInsteadOfGrouping) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "the group-index counters are compiled out";
-#endif
   obs::Counter* partitions =
       obs::MetricsRegistry::Global().counter("group_index.partitions_built");
   const MicrodataTable table = core::GenerateInflationGrowth(

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "core/cycle.h"
 #include "core/datagen.h"
 #include "obs/metrics.h"
@@ -40,7 +41,7 @@ Result<CycleStats> RunCycle(MicrodataTable* t, const CycleOptions& options) {
 TEST(CycleObsTest, TracingDoesNotAlterOutcome) {
   // The observability layer must be a pure observer: a cycle run with
   // tracing recording is bit-identical — same cells, same stats — to one
-  // with tracing off (and to a VADASA_DISABLE_OBS build, which CI covers).
+  // with tracing off.
   MicrodataTable plain = Figure5Microdata();
   auto plain_stats = RunCycle(&plain, KAnonOptions(2));
   ASSERT_TRUE(plain_stats.ok()) << plain_stats.status().ToString();
@@ -62,7 +63,6 @@ TEST(CycleObsTest, TracingDoesNotAlterOutcome) {
   EXPECT_EQ(plain_stats->group_updates, traced_stats->group_updates);
   EXPECT_DOUBLE_EQ(plain_stats->information_loss, traced_stats->information_loss);
 
-#ifndef VADASA_DISABLE_OBS
   // The traced run produced the expected span taxonomy.
   const auto spans = obs::CollectSpans();
   auto count = [&](const std::string& name) {
@@ -76,7 +76,6 @@ TEST(CycleObsTest, TracingDoesNotAlterOutcome) {
   EXPECT_EQ(count("cycle.iteration"), traced_stats->iterations);
   EXPECT_EQ(count("cycle.risk_eval"), traced_stats->risk_evaluations);
   EXPECT_GE(count("risk.compute.k_anonymity"), traced_stats->risk_evaluations);
-#endif
 }
 
 TEST(CycleObsTest, StatsMatchGlobalRegistryView) {
@@ -107,6 +106,73 @@ TEST(CycleObsTest, StatsMatchGlobalRegistryView) {
   EXPECT_LE(stats->risk_eval_seconds, stats->total_seconds);
   EXPECT_EQ(global.histogram("cycle.risk_eval_seconds")->count(),
             stats->risk_evaluations);
+}
+
+TEST(CycleObsTest, GlobalRegistryAccumulatesCompletedRuns) {
+  // Each completed run adds its counts to the cycle.* counters; the gauges
+  // hold the last run's values.
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  global.Reset();
+  MicrodataTable first_table = Figure5Microdata();
+  auto first = RunCycle(&first_table, KAnonOptions(2));
+  ASSERT_TRUE(first.ok());
+  // Standard semantics with a capped log: unresolved tuples and dropped
+  // justifications, so every counter moves in at least one run.
+  MicrodataTable second_table = Figure5Microdata();
+  CycleOptions options = KAnonOptions(2);
+  options.risk.semantics = NullSemantics::kStandard;
+  options.log_steps = true;
+  options.max_log_steps = 2;
+  auto second = RunCycle(&second_table, options);
+  ASSERT_TRUE(second.ok());
+  ASSERT_NE(first->information_loss, second->information_loss);
+
+  auto summed = [&](const std::string& name, size_t CycleStats::*field) {
+    EXPECT_EQ(global.counter("cycle." + name)->value(), (*first).*field + (*second).*field)
+        << name;
+  };
+  summed("iterations", &CycleStats::iterations);
+  summed("risk_evaluations", &CycleStats::risk_evaluations);
+  summed("anonymization_steps", &CycleStats::anonymization_steps);
+  summed("nulls_injected", &CycleStats::nulls_injected);
+  summed("cells_recoded", &CycleStats::cells_recoded);
+  summed("initial_risky", &CycleStats::initial_risky);
+  summed("unresolved", &CycleStats::unresolved);
+  summed("group_rebuilds", &CycleStats::group_rebuilds);
+  summed("group_updates", &CycleStats::group_updates);
+  summed("log_dropped", &CycleStats::log_dropped);
+  EXPECT_GT(second->unresolved, 0u);
+  EXPECT_GT(second->log_dropped, 0u);
+  EXPECT_DOUBLE_EQ(global.gauge("cycle.total_seconds")->value(), second->total_seconds);
+  EXPECT_DOUBLE_EQ(global.gauge("cycle.information_loss")->value(),
+                   second->information_loss);
+  EXPECT_EQ(global.histogram("cycle.risk_eval_seconds")->count(),
+            first->risk_evaluations + second->risk_evaluations);
+}
+
+TEST(CycleObsTest, RunCancelledMidwayKeepsOnlyItsPhaseSamples) {
+  // The token fires during the first iteration's risk evaluation, so the
+  // run fails at the second iteration's check. Its counts and gauges never
+  // reach the registry; the phases it finished keep their samples.
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  global.Reset();
+  CancelToken token;
+  CycleOptions options = KAnonOptions(2);
+  options.cancel = &token;
+  options.risk_transform = [&token](const MicrodataTable&, std::vector<double>*) {
+    token.Cancel();
+  };
+  MicrodataTable t = Figure5Microdata();
+  auto stats = RunCycle(&t, options);
+  ASSERT_EQ(stats.status().code(), StatusCode::kCancelled);
+  for (const char* name : {"cycle.iterations", "cycle.risk_evaluations", "cycle.initial_risky",
+                           "cycle.anonymization_steps", "cycle.nulls_injected"}) {
+    EXPECT_EQ(global.counter(name)->value(), 0u) << name;
+  }
+  EXPECT_EQ(global.gauge("cycle.total_seconds")->value(), 0.0);
+  EXPECT_EQ(global.gauge("cycle.information_loss")->value(), 0.0);
+  EXPECT_EQ(global.histogram("cycle.risk_eval_seconds")->count(), 1u);
+  EXPECT_EQ(global.histogram("cycle.anonymize_seconds")->count(), 1u);
 }
 
 TEST(CycleObsTest, MaxLogStepsTruncatesWithSentinel) {

@@ -76,23 +76,6 @@ TEST(HistogramTest, EmptyHistogramIsAllZero) {
   EXPECT_DOUBLE_EQ(h.Percentile(50.0), 0.0);
 }
 
-TEST(HistogramTest, MergeFoldsCountsSumsAndSamples) {
-  Histogram a, b;
-  a.Record(1.0);
-  a.Record(2.0);
-  b.Record(10.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.sum(), 13.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 10.0);
-  EXPECT_DOUBLE_EQ(a.Percentile(100.0), 10.0);
-  // Merging an empty histogram is a no-op.
-  Histogram empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 3u);
-}
-
 TEST(HistogramTest, RetainsEverySampleUpToTheCap) {
   Histogram h;
   for (size_t i = 0; i < Histogram::kMaxRetainedSamples; ++i) {
@@ -177,20 +160,6 @@ TEST(HistogramTest, ReservoirIsDeterministic) {
   EXPECT_EQ(a.samples(), b.samples());
 }
 
-TEST(HistogramTest, MergePastCapKeepsCountExact) {
-  Histogram dst, src;
-  const size_t n = Histogram::kMaxRetainedSamples / 2 + 100;
-  for (size_t i = 0; i < n; ++i) {
-    dst.Record(1.0);
-    src.Record(2.0);
-  }
-  dst.Merge(src);
-  dst.Merge(src);  // Crosses the cap: 3n > kMaxRetainedSamples.
-  EXPECT_EQ(dst.count(), 3 * n);
-  EXPECT_DOUBLE_EQ(dst.sum(), static_cast<double>(n) * 5.0);
-  EXPECT_EQ(dst.samples().size(), Histogram::kMaxRetainedSamples);
-}
-
 TEST(MetricsRegistryTest, TypedValueViews) {
   MetricsRegistry r;
   r.counter("c")->Add(3);
@@ -265,19 +234,6 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsHandles) {
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(r.counter("x"), c);
   EXPECT_EQ(r.histogram("h")->count(), 0u);
-}
-
-TEST(MetricsRegistryTest, MergeIntoPrefixesAndAccumulates) {
-  MetricsRegistry local, global;
-  local.counter("iterations")->Add(4);
-  local.gauge("total_seconds")->Set(1.25);
-  local.histogram("risk_eval_seconds")->Record(0.5);
-  local.MergeInto(&global, "cycle.");
-  local.MergeInto(&global, "cycle.");  // Two runs accumulate.
-  EXPECT_EQ(global.counter("cycle.iterations")->value(), 8u);
-  EXPECT_DOUBLE_EQ(global.gauge("cycle.total_seconds")->value(), 1.25);
-  EXPECT_EQ(global.histogram("cycle.risk_eval_seconds")->count(), 2u);
-  EXPECT_DOUBLE_EQ(global.histogram("cycle.risk_eval_seconds")->sum(), 1.0);
 }
 
 }  // namespace

@@ -10,10 +10,6 @@
 
 #include "common/thread_pool.h"
 
-// The tracer compiles to no-ops under VADASA_DISABLE_OBS; every assertion
-// here is about the recording build.
-#ifndef VADASA_DISABLE_OBS
-
 namespace vadasa::obs {
 namespace {
 
@@ -288,5 +284,3 @@ TEST(TraceTest, ChromeTraceJsonIsWellFormed) {
 
 }  // namespace
 }  // namespace vadasa::obs
-
-#endif  // VADASA_DISABLE_OBS

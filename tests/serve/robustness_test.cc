@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -567,6 +568,42 @@ TEST_P(TransportTest, ShortReadsAndWritesStillDeliverIntactLines) {
   EXPECT_TRUE(pong->GetBool("ok", false));
   EXPECT_EQ(pong->GetString("op", ""), "ping");
   ::close(fd);
+  server.Stop();
+}
+
+/// This process's virtual size in KiB (the VmSize line of /proc/self/status).
+int64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_P(TransportTest, ClosedConnectionsReleaseTheirThreadStacks) {
+  Stack stack;
+  Server server(&stack.protocol, TransportOptions("stacks"));
+  ASSERT_TRUE(server.Start().ok());
+  auto ping_and_close = [&] {
+    const int fd = Connect(server);
+    ASSERT_TRUE(SendAll(fd, "{\"op\":\"ping\"}\n"));
+    auto pong = Json::Parse(ReadLine(fd));
+    ASSERT_TRUE(pong.ok());
+    EXPECT_TRUE(pong->GetBool("ok", false));
+    // Wait for the server to hang up, so its handler has ended before the
+    // next connection arrives.
+    ::shutdown(fd, SHUT_WR);
+    EXPECT_TRUE(ReadLine(fd).empty());
+    ::close(fd);
+  };
+  ping_and_close();  // Warm-up: the first handler's malloc arena stays mapped.
+  const int64_t before = VmSizeKib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 64; ++i) ping_and_close();
+  // An unjoined handler thread keeps its 8 MiB stack mapped: 64 of them
+  // would grow the process by about 512 MiB.
+  EXPECT_LT(VmSizeKib() - before, 128 * 1024);
   server.Stop();
 }
 

@@ -293,9 +293,6 @@ TEST(JobSchedulerTest, ConcurrentJobsMatchSequentialFacadeCalls) {
 }
 
 TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "the group-index counters are compiled out";
-#endif
   auto& metrics = obs::MetricsRegistry::Global();
   obs::Counter* warmups = metrics.counter("serve.batch.warmups");
   obs::Counter* partitions = metrics.counter("group_index.partitions_built");
@@ -360,9 +357,6 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
 }
 
 TEST(JobSchedulerTest, ConcurrentWarmReleasesShareOneGrouping) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "the group-index counters are compiled out";
-#endif
   obs::Counter* partitions =
       obs::MetricsRegistry::Global().counter("group_index.partitions_built");
   // The serve benchmark's three cache-fill policies, twice each, as
@@ -453,9 +447,6 @@ TEST(JobSchedulerTest, CacheHitSharesTheFilledBytes) {
 }
 
 TEST(JobSchedulerTest, JobSpanIsRecordedBeforeWaitReturns) {
-#ifdef VADASA_DISABLE_OBS
-  GTEST_SKIP() << "spans are compiled out";
-#endif
   // A job's serve.job span closes before its terminal state is published, so
   // a client whose Wait returns always finds it among the recorded spans.
   JobScheduler scheduler;

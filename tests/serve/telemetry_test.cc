@@ -157,8 +157,6 @@ TEST_F(ServeTelemetryTest, SlowLogRecordsTerminalJobs) {
   std::remove(path.c_str());
 }
 
-#ifndef VADASA_DISABLE_OBS
-
 TEST_F(ServeTelemetryTest, ConcurrentRequestsKeepTraceIdsDistinct) {
   // N concurrent clients, each with its own minted trace id: every job span
   // recorded by the scheduler must carry exactly the trace of the request
@@ -225,8 +223,6 @@ TEST_F(ServeTelemetryTest, TracingDoesNotChangeAnonymizationBytes) {
   EXPECT_EQ(traced.GetString("csv", ""), untraced.GetString("csv", ""));
   EXPECT_EQ(traced.GetString("audit", ""), untraced.GetString("audit", ""));
 }
-
-#endif  // VADASA_DISABLE_OBS
 
 }  // namespace
 }  // namespace vadasa::serve

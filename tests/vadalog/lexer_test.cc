@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace vadasa::vadalog {
 namespace {
 
@@ -32,7 +34,7 @@ TEST(LexerTest, VariablesVsConstants) {
 }
 
 TEST(LexerTest, Numbers) {
-  auto tokens = Lex("42 3.25 1e3 7");
+  auto tokens = Lex("42 3.25 1e3 7 9223372036854775807");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].kind, TokenKind::kInt);
   EXPECT_EQ((*tokens)[0].int_value, 42);
@@ -41,6 +43,17 @@ TEST(LexerTest, Numbers) {
   EXPECT_EQ((*tokens)[2].kind, TokenKind::kDouble);
   EXPECT_DOUBLE_EQ((*tokens)[2].double_value, 1000.0);
   EXPECT_EQ((*tokens)[3].int_value, 7);
+  EXPECT_EQ((*tokens)[4].int_value, INT64_MAX);
+}
+
+TEST(LexerTest, OutOfRangeNumbersFail) {
+  for (const char* source : {"p(9223372036854775808).", "q(99999999999999999999).",
+                             "r(1e400)."}) {
+    auto tokens = Lex(source);
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError) << source;
+    EXPECT_NE(tokens.status().message().find("out of range"), std::string::npos)
+        << source << ": " << tokens.status().ToString();
+  }
 }
 
 TEST(LexerTest, StringsWithEscapes) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace vadasa::vadalog {
 namespace {
 
@@ -21,7 +23,7 @@ TEST(ParserTest, FactsAndRules) {
 }
 
 TEST(ParserTest, TypedFactArguments) {
-  const Program p = MustParse("w(\"I&G\", 1, 2.5, -3, true).");
+  const Program p = MustParse("w(\"I&G\", 1, 2.5, -3, true, -9223372036854775807).");
   ASSERT_EQ(p.facts.size(), 1u);
   const auto& args = p.facts[0].args;
   EXPECT_EQ(args[0].constant.as_string(), "I&G");
@@ -29,6 +31,7 @@ TEST(ParserTest, TypedFactArguments) {
   EXPECT_DOUBLE_EQ(args[2].constant.as_double(), 2.5);
   EXPECT_EQ(args[3].constant.as_int(), -3);
   EXPECT_TRUE(args[4].constant.as_bool());
+  EXPECT_EQ(args[5].constant.as_int(), -INT64_MAX);
 }
 
 TEST(ParserTest, NegationAndConditions) {
