@@ -18,6 +18,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,13 @@ DeltaBatch RandomBatch(const MicrodataTable& table, size_t delta_rows,
   for (size_t i = 0; i < delta_rows; ++i) {
     const double r = roll(rng);
     if (r < 0.4) {
-      builder.Update(pick_row(rng), table.row(pick_row(rng)));
+      // The copied row is drawn before the row it replaces.
+      const std::span<const Value> source = table.row(pick_row(rng));
+      const size_t target = pick_row(rng);
+      builder.Update(target, std::vector<Value>(source.begin(), source.end()));
     } else if (r < 0.7) {
-      builder.Append(table.row(pick_row(rng)));
+      const std::span<const Value> source = table.row(pick_row(rng));
+      builder.Append(std::vector<Value>(source.begin(), source.end()));
     } else {
       size_t victim = pick_row(rng);
       while (!deleted.insert(victim).second) victim = pick_row(rng);

@@ -41,16 +41,33 @@ struct ScannedRecord {
 };
 
 /// Scans the record starting at *pos into *record and advances *pos past the
-/// record's trailing newline (if any). A field stays a view of `text` while
-/// its bytes are one run of it; a second run copies it into
+/// record's trailing newline (if any). A record with no quote and no carriage
+/// return before its line break is split at its commas into views of `text`.
+/// Any other record is read by the general loop: a field stays a view of
+/// `text` while its bytes are one run of it; a second run copies it into
 /// `record->assembled`, and those fields get their views once the record is
 /// complete, so no view points into a buffer that can still grow.
 void ScanRecord(std::string_view text, size_t* pos, ScannedRecord* record) {
   record->fields.clear();
-  record->assembled.clear();
-  record->spans.clear();
   const char* const data = text.data();
   const size_t size = text.size();
+  for (size_t begin = *pos, i = *pos;; ++i) {
+    while (i < size && !IsCsvSpecial(data[i])) ++i;
+    if (i < size && data[i] == ',') {
+      record->fields.emplace_back(data + begin, i - begin);
+      begin = i + 1;
+      continue;
+    }
+    if (i == size || data[i] == '\n') {
+      record->fields.emplace_back(data + begin, i - begin);
+      *pos = i == size ? size : i + 1;
+      return;
+    }
+    break;  // A quote or a carriage return: the general loop reads the record.
+  }
+  record->fields.clear();
+  record->assembled.clear();
+  record->spans.clear();
   size_t i = *pos;
   // The current field: the run [run_begin, run_end) of the text or, once
   // `in_buffer`, the bytes of `assembled` from `buffer_offset` on.

@@ -1,7 +1,9 @@
 #include "core/columnar.h"
 
+#include <array>
 #include <chrono>
 
+#include "common/flat_map.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -14,6 +16,46 @@ void RecordInternSeconds(double seconds) {
       obs::MetricsRegistry::Global().histogram("columnar.intern_seconds");
   histogram->Record(seconds);
 }
+
+/// A direct-mapped cache in front of one column's Dictionary for one pass
+/// over a table: a cell whose identity (CellKey) sits in its slot takes the
+/// code stored there, without the dictionary's lock or a hash of the string.
+/// Every code it holds came from Intern, so the codes are those of interning
+/// every cell in row order. A column whose first kSlots cells hit less than
+/// a quarter of the time holds mostly distinct values, and the rest of its
+/// cells go straight to Intern. Identities hold payload addresses, so a
+/// cache lives only while the table it reads does.
+class CodeCache {
+ public:
+  explicit CodeCache(Dictionary* dict) : dict_(dict) {}
+
+  uint32_t Code(const Value& v) {
+    if (bypassed_) return dict_->Intern(v);
+    const CellKey key = CellKey::Of(v);
+    Slot& slot = slots_[CellKeyHash()(key) & (kSlots - 1)];
+    if (slot.filled && slot.key == key) {
+      ++hits_;
+    } else {
+      slot = Slot{key, dict_->Intern(v), true};
+    }
+    if (++lookups_ == kSlots) bypassed_ = hits_ < kSlots / 4;
+    return slot.code;
+  }
+
+ private:
+  static constexpr size_t kSlots = 256;
+  struct Slot {
+    CellKey key;
+    uint32_t code = 0;
+    bool filled = false;
+  };
+
+  Dictionary* dict_;
+  std::array<Slot, kSlots> slots_{};
+  size_t lookups_ = 0;
+  size_t hits_ = 0;
+  bool bypassed_ = false;
+};
 
 }  // namespace
 
@@ -76,9 +118,8 @@ void ColumnarView::EnsureColumns(const MicrodataTable& table,
     if (column.materialized) continue;
     obs::Span span("columnar.materialize_column");
     column.codes.resize(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      column.codes[r] = column.dict.Intern(table.cell(r, c));
-    }
+    CodeCache cache(&column.dict);
+    for (size_t r = 0; r < num_rows_; ++r) column.codes[r] = cache.Code(table.cell(r, c));
     column.materialized = true;
     interned_cells += num_rows_;
     VADASA_METRIC_COUNT("columnar.codes_bytes", num_rows_ * sizeof(uint32_t));

@@ -137,14 +137,14 @@ Result<MicrodataTable> ApplyDeltaToTable(const MicrodataTable& table,
   for (size_t r = 0; r < n; ++r) {
     if (deleted[r]) continue;
     if (update_of[r] != nullptr) {
-      out.rows_.push_back(std::make_shared<std::vector<Value>>(*update_of[r]));
+      out.rows_.push_back(MicrodataTable::SharedRow::Copy(*update_of[r]));
     } else {
       out.rows_.push_back(table.rows_[r]);
     }
   }
   for (const DeltaOp& op : batch.ops()) {
     if (op.kind == DeltaOpKind::kAppend) {
-      out.rows_.push_back(std::make_shared<std::vector<Value>>(op.values));
+      out.rows_.push_back(MicrodataTable::SharedRow::Copy(op.values));
     }
   }
   return out;

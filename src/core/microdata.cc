@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 
+#include "common/flat_map.h"
 #include "common/string_util.h"
 
 namespace vadasa::core {
@@ -40,7 +41,8 @@ Status MicrodataTable::CheckRowWidth(size_t cells) const {
 
 Status MicrodataTable::AddRow(std::vector<Value> row) {
   VADASA_RETURN_NOT_OK(CheckRowWidth(row.size()));
-  rows_.push_back(std::make_shared<std::vector<Value>>(std::move(row)));
+  rows_.push_back(
+      SharedRow::Build(row.size(), [&row](size_t c) { return std::move(row[c]); }));
   return Status::OK();
 }
 
@@ -84,16 +86,17 @@ std::vector<size_t> MicrodataTable::ColumnsWithCategory(
 double MicrodataTable::RowWeight(size_t row) const {
   const int w = weight_column_;
   if (w < 0) return 1.0;
-  const Value& v = (*rows_[row])[static_cast<size_t>(w)];
+  const Value& v = cell(row, static_cast<size_t>(w));
   return v.is_numeric() ? v.as_double() : 1.0;
 }
 
 size_t MicrodataTable::CountNullCells() const {
   size_t count = 0;
   const auto qis = QuasiIdentifierColumns();
-  for (const auto& row : rows_) {
+  for (const SharedRow& row : rows_) {
+    const std::span<const Value> cells = row.cells();
     for (const size_t c : qis) {
-      if ((*row)[c].is_null()) ++count;
+      if (cells[c].is_null()) ++count;
     }
   }
   return count;
@@ -110,10 +113,11 @@ Status MicrodataTable::Validate() const {
   }
   const int w = WeightColumn();
   for (size_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i]->size() != attributes_.size()) {
+    const std::span<const Value> cells = rows_[i].cells();
+    if (cells.size() != attributes_.size()) {
       return Status::FailedPrecondition("row " + std::to_string(i) + " has wrong width");
     }
-    if (w >= 0 && !(*rows_[i])[static_cast<size_t>(w)].is_numeric()) {
+    if (w >= 0 && !cells[static_cast<size_t>(w)].is_numeric()) {
       return Status::TypeError("row " + std::to_string(i) +
                                " has a non-numeric sampling weight");
     }
@@ -121,11 +125,11 @@ Status MicrodataTable::Validate() const {
   return Status::OK();
 }
 
-/// Loads CSV records into a table under FromCsv's rules. Every cell is read
-/// by CellToValue, but each column interns its strings: the trimmed cell text
-/// is looked up before anything is allocated, so a repeated value costs a
-/// refcount instead of a payload of its own. The intern tables live only as
-/// long as the load.
+/// Loads CSV records into a table under FromCsv's rules, each row built in
+/// place in its block. Every cell is read by CellToValue, but each column
+/// interns its strings: the trimmed cell text is looked up before anything is
+/// allocated, so a repeated value costs a refcount instead of a payload of its
+/// own. The intern tables live only as long as the load.
 class MicrodataTable::RowBuilder {
  public:
   RowBuilder(const std::string& name, const std::vector<std::string_view>& header,
@@ -136,10 +140,8 @@ class MicrodataTable::RowBuilder {
 
   Status Add(const std::vector<std::string_view>& record) {
     VADASA_RETURN_NOT_OK(table_.CheckRowWidth(record.size()));
-    auto row = std::make_shared<std::vector<Value>>();
-    row->reserve(record.size());
-    for (size_t c = 0; c < record.size(); ++c) row->push_back(Cell(c, record[c]));
-    table_.rows_.push_back(std::move(row));
+    table_.rows_.push_back(
+        SharedRow::Build(record.size(), [&](size_t c) { return Cell(c, record[c]); }));
     return Status::OK();
   }
 
@@ -170,21 +172,25 @@ class MicrodataTable::RowBuilder {
     return attrs;
   }
 
+  /// Each string value of one column seen so far, keyed by a view of its own
+  /// payload.
+  using InternTable = FlatMap<std::string_view, Value, BytesHash>;
+
   /// Trims the cell once: CellToValue finds nothing left to trim.
   Value Cell(size_t column, std::string_view text) {
     const std::string_view trimmed = TrimView(text);
-    auto& interned = interned_[column];
-    const auto it = interned.find(trimmed);
-    if (it != interned.end()) return it->second;
+    InternTable& interned = interned_[column];
+    if (const Value* hit = interned.Find(trimmed)) return *hit;
     Value value = CellToValue(trimmed);
-    if (value.is_string()) interned.emplace(value.as_string(), value);
+    if (value.is_string()) {
+      bool inserted = false;
+      interned.Emplace(value.as_string(), &inserted) = value;
+    }
     return value;
   }
 
   MicrodataTable table_;
-  /// Per column, each string value seen so far, keyed by a view of its own
-  /// payload.
-  std::vector<std::unordered_map<std::string_view, Value>> interned_;
+  std::vector<InternTable> interned_;
 };
 
 Result<MicrodataTable> MicrodataTable::FromCsv(
@@ -223,10 +229,10 @@ CsvTable MicrodataTable::ToCsv() const {
   for (const Attribute& a : attributes_) csv.header.push_back(a.name);
   csv.rows.reserve(rows_.size());
   std::string scratch;
-  for (const auto& row : rows_) {
+  for (const SharedRow& row : rows_) {
     std::vector<std::string> cells;
-    cells.reserve(row->size());
-    for (const Value& v : *row) cells.emplace_back(ValueToCell(v, &scratch));
+    cells.reserve(row.cells().size());
+    for (const Value& v : row.cells()) cells.emplace_back(ValueToCell(v, &scratch));
     csv.rows.push_back(std::move(cells));
   }
   return csv;
@@ -250,7 +256,7 @@ void MicrodataTable::AppendCsvHeader(std::string* out) const {
 void MicrodataTable::AppendCsvRow(std::string* out, size_t row) const {
   const size_t start = out->size();
   std::string scratch;
-  const std::vector<Value>& cells = *rows_[row];
+  const std::span<const Value> cells = rows_[row].cells();
   for (size_t c = 0; c < cells.size(); ++c) {
     if (c > 0) out->push_back(',');
     AppendCsvField(out, ValueToCell(cells[c], &scratch));
@@ -267,7 +273,7 @@ std::string MicrodataTable::ToText(size_t max_rows) const {
   std::vector<std::vector<std::string>> cells(shown);
   for (size_t r = 0; r < shown; ++r) {
     for (size_t c = 0; c < attributes_.size(); ++c) {
-      std::string s = (*rows_[r])[c].ToString();
+      std::string s = cell(r, c).ToString();
       widths[c] = std::max(widths[c], s.size());
       cells[r].push_back(std::move(s));
     }

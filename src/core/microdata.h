@@ -1,11 +1,16 @@
 #ifndef VADASA_CORE_MICRODATA_H_
 #define VADASA_CORE_MICRODATA_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -48,16 +53,18 @@ class MicrodataTable {
   size_t num_columns() const { return attributes_.size(); }
   size_t num_rows() const { return rows_.size(); }
 
-  const std::vector<Value>& row(size_t i) const { return *rows_[i]; }
-  const Value& cell(size_t row, size_t col) const { return (*rows_[row])[col]; }
+  /// Row `i`'s cells, valid until that row is written (set_cell) or the
+  /// table is destroyed.
+  std::span<const Value> row(size_t i) const { return rows_[i].cells(); }
+  const Value& cell(size_t row, size_t col) const { return rows_[row].cells()[col]; }
 
   /// Overwrites one cell. Rows are structurally shared between table copies
   /// (copying a table is O(rows) refcount bumps, not a deep copy — the delta
   /// rebuild in ApplyDeltaToTable leans on this), so a write to a shared row
-  /// first detaches a private copy of that row. References returned by row()
-  /// for the same index before the write may therefore dangle after it.
+  /// first detaches a private copy of that row. Spans and references returned
+  /// for the same row before the write may therefore dangle after it.
   void set_cell(size_t row, size_t col, Value v) {
-    MutableRow(row)[col] = std::move(v);
+    rows_[row].MutableCells()[col] = std::move(v);
   }
 
   /// Appends a row; must match the column count.
@@ -142,14 +149,82 @@ class MicrodataTable {
   /// always current, so const readers need no lazy state or locking.
   void ReindexSchema();
 
-  /// Copy-on-write access: detaches a private copy of the row when other
-  /// table copies still share it, then returns the (now exclusive) storage.
-  std::vector<Value>& MutableRow(size_t i) {
-    if (rows_[i].use_count() > 1) {
-      rows_[i] = std::make_shared<std::vector<Value>>(*rows_[i]);
+  /// One row's cells in one allocation: a 4-byte reference count, a 4-byte
+  /// width, then the cells, behind a one-pointer handle. Copies of a handle
+  /// share its block, which is how table copies share unchanged rows. The
+  /// count is atomic because the copies of one table (snapshots, delta
+  /// generations, release copies) are made and dropped on any thread.
+  class SharedRow {
+   public:
+    /// A block of `width` cells built in place, cell c from `make(c)`. If a
+    /// cell throws, the cells built before it are destroyed and the block is
+    /// freed.
+    template <typename MakeCell>
+    static SharedRow Build(size_t width, MakeCell&& make) {
+      SharedRow row;
+      row.block_ = new (::operator new(sizeof(Block) + width * sizeof(Value))) Block;
+      Value* const cells = CellsOf(row.block_);
+      // The width counts the cells built so far, so the handle's destructor
+      // frees exactly those if the next one throws.
+      for (size_t c = 0; c < width; ++c) {
+        new (cells + c) Value(make(c));
+        ++row.block_->width;
+      }
+      return row;
     }
-    return *rows_[i];
-  }
+
+    /// A block of its own holding copies of `cells`.
+    static SharedRow Copy(std::span<const Value> cells) {
+      return Build(cells.size(), [cells](size_t c) { return cells[c]; });
+    }
+
+    SharedRow(const SharedRow& other) noexcept : block_(other.block_) {
+      block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    SharedRow(SharedRow&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+    SharedRow& operator=(SharedRow other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~SharedRow() {
+      if (block_ != nullptr) Release(block_);  // Null once moved from.
+    }
+
+    std::span<const Value> cells() const { return {CellsOf(block_), block_->width}; }
+
+    /// The cells for writing (copy-on-write): while another handle shares
+    /// the block, this handle first takes a copy of its own. The load is
+    /// acquire, so the reads other holders made before dropping their
+    /// handles happen before the sole holder's writes.
+    Value* MutableCells() {
+      if (block_->refs.load(std::memory_order_acquire) > 1) *this = Copy(cells());
+      return CellsOf(block_);
+    }
+
+   private:
+    struct Block {
+      std::atomic<uint32_t> refs{1};
+      uint32_t width = 0;
+    };
+    static_assert(sizeof(Block) == 8 && alignof(Value) <= alignof(std::max_align_t) &&
+                      sizeof(Block) % alignof(Value) == 0,
+                  "the cells follow the 8-byte head, aligned");
+
+    SharedRow() = default;
+
+    static Value* CellsOf(Block* block) {
+      return std::launder(reinterpret_cast<Value*>(block + 1));
+    }
+    static void Release(Block* block) noexcept {
+      if (block->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+      std::destroy_n(CellsOf(block), block->width);
+      block->~Block();
+      ::operator delete(block);
+    }
+
+    Block* block_ = nullptr;
+  };
+  static_assert(sizeof(SharedRow) == sizeof(void*), "a row handle is one pointer");
 
   // The delta rebuild aliases unchanged rows from the source table instead
   // of copying them; it needs the shared handles, not just the cell values.
@@ -159,9 +234,10 @@ class MicrodataTable {
 
   std::string name_;
   std::vector<Attribute> attributes_;
-  /// Row storage. shared_ptr per row so copies of the table (snapshots,
-  /// delta generations) share unchanged rows; set_cell copy-on-writes.
-  std::vector<std::shared_ptr<std::vector<Value>>> rows_;
+  /// Row storage. One shared block per row, so copies of the table
+  /// (snapshots, delta generations) share unchanged rows; set_cell
+  /// copy-on-writes.
+  std::vector<SharedRow> rows_;
   std::unordered_map<std::string, int> name_index_;
   int weight_column_ = -1;
 };

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
+
+#include "common/flat_map.h"
 
 namespace vadasa::core {
 
@@ -24,122 +26,6 @@ namespace {
 // order a std::map keyed by spelling visits, so every field is bit-identical
 // to counting spellings in ordered maps (testing::ReferenceMeasureUtility and
 // the utility-matches-reference property).
-
-/// splitmix64's finalizer: the hash of a packed key.
-uint64_t Mix(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// A linear-probing hash table from a trivially copyable key to a counter
-/// slot: the per-cell and per-pair lookups below. Power-of-two capacity,
-/// grows at half load, never erases. Nothing reads it in slot order except
-/// order-free tallies.
-template <typename Key, typename Mapped, typename Hash>
-class FlatMap {
- public:
-  explicit FlatMap(size_t expected) {
-    size_t capacity = 16;
-    while (capacity < 2 * expected) capacity <<= 1;
-    slots_.resize(capacity);
-  }
-
-  /// The slot of `key`, value-initialized (and `*inserted` set) when new.
-  Mapped& Emplace(const Key& key, bool* inserted) {
-    if (2 * (size_ + 1) > slots_.size()) Grow();
-    Slot& slot = slots_[Probe(key)];
-    *inserted = !slot.used;
-    if (!slot.used) {
-      slot = Slot{key, Mapped{}, true};
-      ++size_;
-    }
-    return slot.mapped;
-  }
-
-  /// The slot of `key`, or nullptr when absent.
-  Mapped* Find(const Key& key) {
-    Slot& slot = slots_[Probe(key)];
-    return slot.used ? &slot.mapped : nullptr;
-  }
-
-  template <typename F>
-  void ForEach(F&& f) const {
-    for (const Slot& slot : slots_) {
-      if (slot.used) f(slot.mapped);
-    }
-  }
-
- private:
-  struct Slot {
-    Key key{};
-    Mapped mapped{};
-    bool used = false;
-  };
-
-  size_t Probe(const Key& key) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>(Hash()(key)) & mask;
-    while (slots_[i].used && !(slots_[i].key == key)) i = (i + 1) & mask;
-    return i;
-  }
-
-  void Grow() {
-    const std::vector<Slot> old =
-        std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
-    for (const Slot& slot : old) {
-      if (slot.used) slots_[Probe(slot.key)] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-};
-
-/// A cell's payload identity: its kind and raw payload word (the integer,
-/// the double's bits, or the address of a string's or collection's shared
-/// payload). Equal identities spell equally; unequal ones may still share a
-/// spelling, which the spelling table resolves.
-struct CellKey {
-  uint64_t bits = 0;
-  ValueKind kind = ValueKind::kNull;
-
-  static CellKey Of(const Value& v) {
-    CellKey key;
-    key.kind = v.kind();
-    switch (v.kind()) {
-      case ValueKind::kDouble: {
-        const double d = v.as_double();
-        std::memcpy(&key.bits, &d, sizeof(d));
-        break;
-      }
-      case ValueKind::kString:
-        key.bits = reinterpret_cast<uintptr_t>(&v.as_string());
-        break;
-      case ValueKind::kList:
-      case ValueKind::kSet:
-        key.bits = reinterpret_cast<uintptr_t>(&v.items());
-        break;
-      default:  // Null label, bool and int share the integer payload.
-        key.bits = static_cast<uint64_t>(v.as_int());
-        break;
-    }
-    return key;
-  }
-  bool operator==(const CellKey& other) const {
-    return bits == other.bits && kind == other.kind;
-  }
-};
-
-struct CellKeyHash {
-  uint64_t operator()(const CellKey& key) const {
-    return Mix(key.bits + 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(key.kind) + 1));
-  }
-};
-
-struct WordHash {
-  uint64_t operator()(uint64_t key) const { return Mix(key + 0x9e3779b97f4a7c15ULL); }
-};
 
 /// Dense ids for the spellings of one column's cells, in first-seen order.
 /// Each payload is looked up once per cell by identity; a string is its own
@@ -258,9 +144,9 @@ std::vector<ColumnIds> SpellColumns(const MicrodataTable& original,
     column.anonymized.reserve(n);
   }
   for (size_t r = 0; r < n; ++r) {
-    const std::vector<Value>& before = original.row(r);
-    const std::vector<Value>& after = anonymized.row(r);
-    const bool same = &before == &after;
+    const std::span<const Value> before = original.row(r);
+    const std::span<const Value> after = anonymized.row(r);
+    const bool same = before.data() == after.data();
     for (size_t q = 0; q < qis.size(); ++q) {
       columns[q].Add(before[qis[q]], after[qis[q]], same);
     }

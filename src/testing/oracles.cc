@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -173,7 +174,8 @@ Status CheckSudaPermutationInvariance(const core::MicrodataTable& table,
 
   MicrodataTable permuted(table.name(), table.attributes());
   for (const size_t r : perm) {
-    VADASA_RETURN_NOT_OK(permuted.AddRow(table.row(r)));
+    const std::span<const Value> row = table.row(r);
+    VADASA_RETURN_NOT_OK(permuted.AddRow(std::vector<Value>(row.begin(), row.end())));
   }
   VADASA_ASSIGN_OR_RETURN(const std::vector<double> scores_perm,
                           suda.ComputeScores(permuted, context));
@@ -615,6 +617,10 @@ Status CheckLoadMatchesReference(std::string_view text) {
                                         want.name + "\"");
     }
   }
+  // Per column, the payload of each string read so far: equal strings in a
+  // column must share one.
+  std::vector<std::unordered_map<std::string_view, const std::string*>> payloads(
+      loaded->num_columns());
   for (size_t r = 0; r < loaded->num_rows(); ++r) {
     for (size_t c = 0; c < loaded->num_columns(); ++c) {
       const Value& got = loaded->cell(r, c);
@@ -623,6 +629,14 @@ Status CheckLoadMatchesReference(std::string_view text) {
         return Status::FailedPrecondition("the loader read " + CellTag(r, c) + " as \"" +
                                           got.ToString() + "\", the reference as \"" +
                                           want.ToString() + "\"");
+      }
+      if (!got.is_string()) continue;
+      const std::string* payload = &got.as_string();
+      const auto [first, inserted] = payloads[c].emplace(*payload, payload);
+      if (!inserted && first->second != payload) {
+        return Status::FailedPrecondition("the loader gave " + CellTag(r, c) + " (\"" +
+                                          *payload + "\") a payload of its own, not the "
+                                          "one an earlier row of its column holds");
       }
     }
   }

@@ -141,7 +141,8 @@ uint64_t ReferenceFingerprint(const core::MicrodataTable& table);
 /// ParseCsv and the loader (MicrodataTable::FromCsvText) agree with
 /// ReferenceParseCsv and ReferenceLoadCsv on `text`: each pair fails with the
 /// same status code and message, or yields the same header and fields, and
-/// the same schema and cells (kind and Value::Equals).
+/// the same schema and cells (kind and Value::Equals), where the loader's equal
+/// strings in one column share one payload.
 Status CheckLoadMatchesReference(std::string_view text);
 
 /// A document that loads is stable after one pass: loading the text writer's

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -624,7 +625,8 @@ Status EvalGroupingMatchesNaiveOracle(const ReproCase& repro) {
 std::vector<Value> RandomDeltaRow(Rng* aux, const MicrodataTable& table) {
   std::vector<Value> row;
   if (table.num_rows() > 0 && aux->NextDouble() < 0.8) {
-    row = table.row(aux->NextBelow(table.num_rows()));
+    const std::span<const Value> source = table.row(aux->NextBelow(table.num_rows()));
+    row.assign(source.begin(), source.end());
   } else {
     for (const auto& attribute : table.attributes()) {
       row.push_back(attribute.category == AttributeCategory::kWeight

@@ -1,6 +1,7 @@
 #include "testing/shrink.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/string_util.h"
@@ -15,7 +16,8 @@ MicrodataTable KeepRows(const MicrodataTable& table, const std::vector<bool>& ke
   MicrodataTable out(table.name(), table.attributes());
   for (size_t r = 0; r < table.num_rows(); ++r) {
     if (keep[r]) {
-      Status st = out.AddRow(table.row(r));
+      const std::span<const Value> row = table.row(r);
+      Status st = out.AddRow(std::vector<Value>(row.begin(), row.end()));
       (void)st;
     }
   }

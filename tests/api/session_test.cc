@@ -230,11 +230,13 @@ TEST(SessionTest, ExpiredDeadlineShortCircuitsAnonymize) {
 
 core::DeltaBatch Fig5Delta(const MicrodataTable& t) {
   core::DeltaBatchBuilder builder(t.num_columns());
-  std::vector<Value> updated = t.row(1);
+  const std::span<const Value> row1 = t.row(1);
+  std::vector<Value> updated(row1.begin(), row1.end());
   updated[2] = Value::Null(77);
   builder.Update(1, std::move(updated));
   builder.Delete(4);
-  builder.Append(t.row(0));
+  const std::span<const Value> row0 = t.row(0);
+  builder.Append(std::vector<Value>(row0.begin(), row0.end()));
   auto batch = builder.Build();
   EXPECT_TRUE(batch.ok()) << batch.status().ToString();
   return *batch;

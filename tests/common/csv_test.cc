@@ -132,6 +132,44 @@ TEST(CsvTest, ScanCsvViewsOneRunFieldsInTheTextAndAssemblesTheRest) {
   EXPECT_FALSE(in_text(row[3]));
 }
 
+TEST(CsvTest, PlainAndGeneralRecordsInOneDocumentMatchTheReference) {
+  // A record with no quote and no carriage return before its line break is
+  // split at its commas; any other goes through the general loop. Both kinds
+  // alternate here, with empty fields at either end of a record, blank lines
+  // and a last record with no line break.
+  const std::string text =
+      "area,sector,w\n"
+      "North,Bank,1\n"
+      "South,,\n"
+      ",Bank,2\n"
+      "\"East, upper\",Bank,3\n"
+      " North ,Ban\rk,4\r\n"
+      "\n"
+      "West,\"multi\nline\",5\n"
+      ",,\n"
+      "\r\n"
+      "North,\"say \"\"hi\"\"\",6\n"
+      "South,Bank,";
+  const Result<CsvTable> parsed = ParseCsv(text);
+  const Result<CsvTable> reference = testing::ReferenceParseCsv(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(parsed->header, reference->header);
+  EXPECT_EQ(parsed->rows, reference->rows);
+  EXPECT_EQ(parsed->rows,
+            (std::vector<std::vector<std::string>>{{"North", "Bank", "1"},
+                                                   {"South", "", ""},
+                                                   {"", "Bank", "2"},
+                                                   {"East, upper", "Bank", "3"},
+                                                   {" North ", "Bank", "4"},
+                                                   {"West", "multi\nline", "5"},
+                                                   {"", "", ""},
+                                                   {"North", "say \"hi\"", "6"},
+                                                   {"South", "Bank", ""}}));
+  const Status loaded = testing::CheckLoadMatchesReference(text);
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+}
+
 TEST(CsvTest, ReadTextFileReadsTheWholeFile) {
   const std::string path = ::testing::TempDir() + "/vadasa_csv_text_test.csv";
   std::string contents = "id,area\n";

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -42,6 +43,32 @@ TEST(ColumnarViewTest, MaterializesOnDemandAndEncodesEqualCellsEqually) {
   const std::vector<double>& w = view.Weights();
   ASSERT_EQ(w.size(), 3u);
   EXPECT_DOUBLE_EQ(w[1], 3.0);
+}
+
+TEST(ColumnarViewTest, CodesAreThoseOfInterningEveryCellInRowOrder) {
+  // The materializing pass caches codes by cell identity. Equal values with
+  // different identities (two payloads of one string, Int(2) and
+  // Double(2.0), 0.0 and -0.0), kinds that share a payload word (Int(7),
+  // ⊥_7, Bool) and more distinct strings than the cache has slots must
+  // still get the codes a plain Intern of every cell in row order gives.
+  MicrodataTable t("columnar-cache", {{"Q", "", AttributeCategory::kQuasiIdentifier}});
+  const Value shared = Value::String("north");
+  std::vector<Value> cells = {shared,          Value::String("north"), shared,
+                              Value::Int(2),   Value::Double(2.0),     Value::Double(0.0),
+                              Value::Double(-0.0), Value::Int(7),      Value::Null(7),
+                              Value::Bool(true), Value::Int(1),        Value::Null(7)};
+  for (int i = 0; i < 700; ++i) cells.push_back(Value::String(std::to_string(i % 600) + "s"));
+  for (int i = 0; i < 50; ++i) cells.push_back(cells[static_cast<size_t>(i) * 7 % cells.size()]);
+  for (const Value& v : cells) ASSERT_TRUE(t.AddRow({v}).ok());
+
+  const ColumnarView view(t);
+  view.EnsureColumns(t, {0});
+  Dictionary reference;
+  ASSERT_EQ(view.Codes(0).size(), cells.size());
+  for (size_t r = 0; r < cells.size(); ++r) {
+    EXPECT_EQ(view.Codes(0)[r], reference.Intern(t.cell(r, 0))) << "row " << r;
+  }
+  EXPECT_EQ(view.dict(0).size(), reference.size());
 }
 
 TEST(ColumnarViewTest, UpdateRowsRewritesCodesInPlaceOnSuppression) {
@@ -148,8 +175,10 @@ TEST(ColumnarViewTest, DeltaCloneCompactsDeletesAndReInternsLabelledNulls) {
   // with a fresh label: equal labels must collapse onto the inherited code,
   // distinct labels must not.
   MicrodataTable next("columnar-test", t.attributes());
-  ASSERT_TRUE(next.AddRow(t.row(0)).ok());
-  ASSERT_TRUE(next.AddRow(t.row(2)).ok());
+  for (const size_t r : {0, 2}) {
+    const std::span<const Value> row = t.row(r);
+    ASSERT_TRUE(next.AddRow(std::vector<Value>(row.begin(), row.end())).ok());
+  }
   ASSERT_TRUE(next.AddRow({Value::Null(5), Value::Int(3), Value::Double(1.0)}).ok());
   ASSERT_TRUE(next.AddRow({Value::Null(6), Value::Int(3), Value::Double(1.0)}).ok());
   const ColumnarView child(parent, next, /*deleted_old_rows=*/{1},

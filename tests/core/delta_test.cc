@@ -138,12 +138,15 @@ TEST(GroupIndexDeltaTest, ColumnarPlaneMatchesColdRebuild) {
   (void)base.Stats();  // Warm the projection-index memo pre-delta.
 
   DeltaBatchBuilder builder(t.num_columns());
-  std::vector<Value> moved = t.row(1);
+  const std::span<const Value> row1 = t.row(1);
+  std::vector<Value> moved(row1.begin(), row1.end());
   moved[qis[0]] = Value::Null(41);
   builder.Update(1, std::move(moved));
   builder.Delete(3);
-  builder.Append(t.row(0));
-  std::vector<Value> fresh = t.row(2);
+  const std::span<const Value> row0 = t.row(0);
+  builder.Append(std::vector<Value>(row0.begin(), row0.end()));
+  const std::span<const Value> row2 = t.row(2);
+  std::vector<Value> fresh(row2.begin(), row2.end());
   fresh[qis[1]] = Value::String("brand-new");
   builder.Append(std::move(fresh));
   auto batch = builder.Build();

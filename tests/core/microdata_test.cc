@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <span>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/datagen.h"
 
@@ -167,7 +172,11 @@ TEST(MicrodataTest, FromCsvTextMatchesFromCsv) {
   EXPECT_EQ(streamed->attributes()[0].category, AttributeCategory::kQuasiIdentifier);
   ASSERT_EQ(streamed->num_rows(), reference->num_rows());
   for (size_t r = 0; r < streamed->num_rows(); ++r) {
-    EXPECT_EQ(streamed->row(r), reference->row(r)) << "row " << r;
+    const std::span<const Value> got = streamed->row(r);
+    const std::span<const Value> want = reference->row(r);
+    EXPECT_EQ(std::vector<Value>(got.begin(), got.end()),
+              std::vector<Value>(want.begin(), want.end()))
+        << "row " << r;
   }
   EXPECT_TRUE(streamed->cell(1, 1).is_null());
   EXPECT_EQ(streamed->cell(2, 1).as_string(), "South");
@@ -230,19 +239,60 @@ TEST(MicrodataTest, CopiedTablesShareRowsUntilWritten) {
   // through to every copy.
   MicrodataTable original = TwoColumnTable();
   MicrodataTable copy = original;
-  EXPECT_EQ(&copy.row(0), &original.row(0)) << "copies alias unchanged rows";
+  EXPECT_EQ(copy.row(0).data(), original.row(0).data()) << "copies alias unchanged rows";
 
   copy.set_cell(0, 1, Value::String("East"));
   EXPECT_EQ(copy.cell(0, 1).as_string(), "East");
   EXPECT_EQ(original.cell(0, 1).as_string(), "North")
       << "a write to one copy must never leak into the other";
-  EXPECT_NE(&copy.row(0), &original.row(0));
-  EXPECT_EQ(&copy.row(1), &original.row(1)) << "untouched rows stay shared";
+  EXPECT_NE(copy.row(0).data(), original.row(0).data());
+  EXPECT_EQ(copy.row(1).data(), original.row(1).data()) << "untouched rows stay shared";
 
   // Writing the sole owner must not detach again (no copy churn).
-  const auto* before = &copy.row(0);
+  const auto* before = copy.row(0).data();
   copy.set_cell(0, 1, Value::String("West"));
-  EXPECT_EQ(&copy.row(0), before);
+  EXPECT_EQ(copy.row(0).data(), before);
+}
+
+TEST(MicrodataTest, ConcurrentCopiesWriteOnlyTheirOwnRows) {
+  // Four threads each copy one table (every row handle shared), write their
+  // own copy (each write detaches a row) and read the original while the
+  // others do the same; the row blocks' counts are shared by all of them.
+  const std::string path = TempFile("threads", "area,sector,w\nNorth,Bank,1\nSouth,Bank,2\n"
+                                               "North,Insurance,3\nEast,Bank,4\n");
+  auto loaded = MicrodataTable::LoadCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const MicrodataTable original = std::move(*loaded);
+  const std::string before = original.CsvText();
+  const std::vector<std::string> areas = {"North", "South", "North", "East"};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string mine = std::to_string(t) + "t";
+      for (int round = 0; round < 200; ++round) {
+        MicrodataTable copy = original;
+        for (size_t r = 0; r < copy.num_rows(); ++r) {
+          copy.set_cell(r, 0, Value::String(mine));
+          copy.set_cell(r, 2, Value::Int(round));
+        }
+        for (size_t r = 0; r < copy.num_rows(); ++r) {
+          const bool copy_ok = copy.cell(r, 0).as_string() == mine &&
+                               copy.cell(r, 1) == original.cell(r, 1) &&
+                               copy.cell(r, 2) == Value::Int(round);
+          const bool original_ok =
+              original.cell(r, 0).as_string() == areas[r] &&
+              original.cell(r, 2) == Value::Int(static_cast<int64_t>(r) + 1);
+          if (!copy_ok || !original_ok) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(original.CsvText(), before);
+  EXPECT_EQ(&original.cell(0, 0).as_string(), &original.cell(2, 0).as_string());
 }
 
 }  // namespace

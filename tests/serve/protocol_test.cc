@@ -307,9 +307,11 @@ TEST_F(ProtocolTest, ApplyDeltaRejectsMalformedBatches) {
 class ProtocolIntegerFieldTest : public ProtocolTest {
  protected:
   ProtocolIntegerFieldTest() {
-    core::MicrodataTable three("three", core::Figure5Microdata().attributes());
+    const core::MicrodataTable figure5 = core::Figure5Microdata();
+    core::MicrodataTable three("three", figure5.attributes());
     for (size_t r = 0; r < 3; ++r) {
-      EXPECT_TRUE(three.AddRow(core::Figure5Microdata().row(r)).ok());
+      const std::span<const Value> row = figure5.row(r);
+      EXPECT_TRUE(three.AddRow(std::vector<Value>(row.begin(), row.end())).ok());
     }
     EXPECT_TRUE(registry_.Register("three", three).ok());
     before_ = Snapshot();
@@ -502,7 +504,10 @@ TEST(ProtocolDeltaCacheTest, RegistriesSharingACacheKeepTheirOwnResults) {
   // The second table is Figure 5 without its Torino singleton (row 6).
   const core::MicrodataTable full = core::Figure5Microdata();
   core::MicrodataTable six(full.name(), full.attributes());
-  for (size_t r = 0; r < 6; ++r) EXPECT_TRUE(six.AddRow(full.row(r)).ok());
+  for (size_t r = 0; r < 6; ++r) {
+    const std::span<const Value> row = full.row(r);
+    EXPECT_TRUE(six.AddRow(std::vector<Value>(row.begin(), row.end())).ok());
+  }
   const core::MicrodataTable tables[] = {full, six};
   ResultCache cache;
   DatasetRegistry registries[2];

@@ -77,7 +77,8 @@ TEST_F(ResultCacheTest, FingerprintCoversSchemaButNotTableName) {
   }());
   core::MicrodataTable same_schema("x", table.attributes());
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    const auto& row = table.row(r);
+    const std::span<const Value> cells = table.row(r);
+    const std::vector<Value> row(cells.begin(), cells.end());
     ASSERT_TRUE(renamed.AddRow(row).ok());
     ASSERT_TRUE(renamed_column.AddRow(row).ok());
     ASSERT_TRUE(recategorized.AddRow(row).ok());

@@ -331,7 +331,9 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
   // The next version inherits a delta-patched index: a job on it builds
   // nothing, and its risks equal a cold session over the post-delta table.
   core::DeltaBatchBuilder builder(Figure5Microdata().num_columns());
-  std::vector<Value> row = Figure5Microdata().row(1);
+  const core::MicrodataTable figure5 = Figure5Microdata();
+  const std::span<const Value> source = figure5.row(1);
+  std::vector<Value> row(source.begin(), source.end());
   row[2] = Value::Null(77);
   builder.Update(1, std::move(row));
   auto batch = builder.Build();
