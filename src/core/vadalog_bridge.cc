@@ -76,6 +76,7 @@ struct TupleView {
   Value m;
   NullSemantics semantics;
   const vadalog::Relation* tuples = nullptr;  // The relation last synced.
+  uint64_t substitutions = 0;                 // Its database's count then.
   size_t consumed = 0;
   std::map<int64_t, double> weights;
   std::vector<Value> names;
@@ -85,13 +86,15 @@ struct TupleView {
   std::unique_ptr<GroupIndex> index;  // Built on the first Query.
 
   /// Advances over the tuple facts appended since the last call. A new tuple
-  /// relation (another database) or one that shrank restarts the view.
+  /// relation (another database), one that shrank or one a null substitution
+  /// rewrote restarts the view.
   Status Sync(const Database& db) {
     const vadalog::Relation* now = db.relation("tuple");
     const size_t size = now == nullptr ? 0 : now->size();
-    if (now != tuples || size < consumed) {
+    if (now != tuples || db.substitutions() != substitutions || size < consumed) {
       *this = TupleView(m, semantics);
       tuples = now;
+      substitutions = db.substitutions();
       for (const auto& row : db.Rows("weight")) {
         if (row.size() == 3 && row[0].Equals(m) && row[1].is_int()) {
           weights[row[1].as_int()] = row[2].as_double();
@@ -276,12 +279,13 @@ void VadalogBridge::EncodeMicrodata(const MicrodataTable& table,
   }
   const auto qis = table.QuasiIdentifierColumns();
   const auto identifiers = table.ColumnsWithCategory(AttributeCategory::kIdentifier);
+  std::vector<Value> qi_names;  // One name payload per column, shared by its cells.
+  for (const size_t c : qis) qi_names.push_back(Value::String(table.attributes()[c].name));
   for (size_t r = 0; r < table.num_rows(); ++r) {
     std::vector<Value> pairs;
     pairs.reserve(qis.size());
-    for (const size_t c : qis) {
-      pairs.push_back(Value::List(
-          {Value::String(table.attributes()[c].name), table.cell(r, c)}));
+    for (size_t q = 0; q < qis.size(); ++q) {
+      pairs.push_back(Value::List({qi_names[q], table.cell(r, qis[q])}));
     }
     const Value id = Value::Int(static_cast<int64_t>(r));
     db->AddFact("tuple", {m, id, Value::Set(std::move(pairs))});

@@ -255,6 +255,24 @@ std::string RandomVadalogProgram(Rng* rng, const ProgramGenOptions& options) {
       src += "agg(X, S) :- " + p + "(X), S = mcount(<X>).\n";
     }
   }
+
+  // An EGD over a two-column predicate, after two rules that give one key
+  // both a labelled null and a constant there: the chase unifies the null
+  // and merges the facts built on either.
+  if (!options.positive_fragment_only && options.allow_existentials &&
+      rng->NextDouble() < 0.6) {
+    const size_t first = rng->NextBelow(kPreds.size());
+    const std::string& q = kPreds[rng->NextBelow(kPreds.size())];
+    const std::string& c = kConsts[rng->NextBelow(kConsts.size())];
+    for (size_t k = 0; k < kPreds.size(); ++k) {
+      const std::string& p = kPreds[(first + k) % kPreds.size()];
+      if (arity[p] != 2) continue;
+      const std::string body = q + (arity[q] == 2 ? "(X, Y).\n" : "(X).\n");
+      src += p + "(X, E0) :- " + body + p + "(X, " + c + ") :- " + body;
+      src += "Z1 = Z2 :- " + p + "(X, Z1), " + p + "(X, Z2).\n";
+      break;
+    }
+  }
   return src;
 }
 

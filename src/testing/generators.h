@@ -77,7 +77,8 @@ struct ProgramGenOptions {
 /// A random Vadalog program from a small warded-by-construction grammar:
 /// EDB facts, positive join rules with optional comparisons, optional linear
 /// recursion, and (outside the positive fragment) existential heads,
-/// stratified negation and monotonic aggregation. Deterministic in `*rng`.
+/// stratified negation, monotonic aggregation and an EGD over a two-column
+/// predicate. Deterministic in `*rng`.
 std::string RandomVadalogProgram(Rng* rng, const ProgramGenOptions& options = {});
 
 /// A whitespace-joined soup of Vadalog-ish tokens — parser stress input.

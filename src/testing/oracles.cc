@@ -297,6 +297,66 @@ Status CheckInfoLossMonotone(const core::MicrodataTable& table, size_t steps,
   return Status::OK();
 }
 
+Status CheckChaseProvenance(const vadalog::Program& program, const vadalog::Database& db) {
+  for (vadalog::FactId id = 0; id < db.size(); ++id) {
+    const vadalog::Provenance& prov = db.provenance(id);
+    if (prov.rule_index < 0) continue;  // Asserted.
+    auto fail = [&](const std::string& why) {
+      return Status::FailedPrecondition("fact " + std::to_string(id) + " " +
+                                        db.FactString(id) + ": " + why);
+    };
+    if (prov.rule_index >= static_cast<int>(program.rules.size())) {
+      return fail("cites rule " + std::to_string(prov.rule_index + 1) + " of " +
+                  std::to_string(program.rules.size()));
+    }
+    const vadalog::Rule& rule = program.rules[prov.rule_index];
+    std::vector<const vadalog::Atom*> body;
+    for (const vadalog::Literal& l : rule.body) {
+      if (!l.negated && !l.atom.is_external()) body.push_back(&l.atom);
+    }
+    if (prov.support.size() != body.size()) {
+      return fail("cites " + std::to_string(prov.support.size()) + " facts for the " +
+                  std::to_string(body.size()) + " positive body literals of " +
+                  rule.ToString());
+    }
+    std::map<std::string, Value> binding;
+    for (size_t i = 0; i < body.size(); ++i) {
+      const vadalog::FactId s = prov.support[i];
+      if (s >= id) return fail("cites fact " + std::to_string(s) + ", not an earlier one");
+      const std::vector<Value>& row = db.row(s);
+      bool match = db.predicate(s) == body[i]->predicate && row.size() == body[i]->args.size();
+      for (size_t j = 0; match && j < row.size(); ++j) {
+        const vadalog::Term& t = body[i]->args[j];
+        match = t.is_constant() ? t.constant.Equals(row[j])
+                                : binding.try_emplace(t.var, row[j]).first->second.Equals(row[j]);
+      }
+      if (!match) {
+        return fail("support " + db.FactString(s) + " does not match " +
+                    body[i]->ToString() + " of " + rule.ToString());
+      }
+    }
+    bool action = false;
+    for (const vadalog::Atom& h : rule.head) action |= h.is_external();
+    if (action) continue;
+    const std::vector<Value>& row = db.row(id);
+    bool derived = false;
+    for (const vadalog::Atom& h : rule.head) {
+      bool match = h.predicate == db.predicate(id) && h.args.size() == row.size();
+      for (size_t j = 0; match && j < row.size(); ++j) {
+        if (!h.args[j].is_variable()) continue;
+        auto it = binding.find(h.args[j].var);
+        match = it == binding.end() || it->second.Equals(row[j]);
+      }
+      derived |= match;
+    }
+    if (!derived) {
+      return fail("no head atom of " + rule.ToString() +
+                  " carries its supports' values");
+    }
+  }
+  return Status::OK();
+}
+
 GroupStats NaiveGroupStats(const MicrodataTable& table,
                            const std::vector<size_t>& qi_columns,
                            NullSemantics semantics) {

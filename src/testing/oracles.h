@@ -15,6 +15,8 @@
 #include "core/risk.h"
 #include "core/suda.h"
 #include "core/utility.h"
+#include "vadalog/ast.h"
+#include "vadalog/database.h"
 
 namespace vadasa::testing {
 
@@ -72,6 +74,17 @@ Status CheckClusterRiskBounds(const core::MicrodataTable& table,
 /// suppressions.
 Status CheckInfoLossMonotone(const core::MicrodataTable& table, size_t steps,
                              Rng* rng);
+
+/// Chase provenance is exact (desideratum (vi)), also after EGD merges: for
+/// every fact `db` derived by a rule of `program`,
+///   1. every support id names a fact that precedes it;
+///   2. the supports match the rule's positive internal body literals one to
+///      one, in source order: same predicate and width, equal constants, one
+///      value per variable across them;
+///   3. unless the rule's head holds an action (whose facts the action
+///      chose), some head atom of the fact's predicate and width carries, at
+///      each position holding a body variable, that variable's value.
+Status CheckChaseProvenance(const vadalog::Program& program, const vadalog::Database& db);
 
 /// Linear-scan reference for QI-group statistics — the =⊥ definition of
 /// Section 4.3 evaluated literally. For every row r, frequency[r] counts the

@@ -1270,6 +1270,18 @@ Status EvalVadalogDeterminism(const ReproCase& repro) {
   return Status::OK();
 }
 
+Status EvalChaseProvenanceExact(const ReproCase& repro) {
+  auto program = vadalog::Parse(repro.program);
+  if (!program.ok()) return Status::OK();  // A shrunk fragment may not parse.
+  vadalog::EngineOptions options = BoundedEngineOptions();
+  options.track_provenance = true;
+  options.egd_mode = vadalog::EgdMode::kCollect;
+  vadalog::Engine engine(options);
+  vadalog::Database db;
+  if (!engine.Run(*program, &db).ok()) return Status::OK();  // Out of bounds.
+  return CheckChaseProvenance(*program, db);
+}
+
 Status EvalVadalogRobustness(const ReproCase& repro) {
   // Must not crash; any Status outcome is acceptable.
   auto program = vadalog::Parse(repro.program);
@@ -1601,6 +1613,21 @@ std::vector<Property> BuildCatalog() {
          return repro;
        },
        EvalVadalogDeterminism});
+
+  catalog.push_back(
+      {"chase-provenance-exact",
+       "every derived fact cites earlier facts that match its rule's body and "
+       "carry its head's values, also after an EGD merges facts",
+       true,
+       [](Rng* rng, uint64_t i) {
+         ReproCase repro;
+         repro.property = "chase-provenance-exact";
+         repro.seed = rng->Next();
+         repro.case_index = i;
+         repro.program = RandomVadalogProgram(rng);
+         return repro;
+       },
+       EvalChaseProvenanceExact});
 
   catalog.push_back(
       {"vadalog-robustness",

@@ -1,14 +1,41 @@
 #include "vadalog/database.h"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
 #include <sstream>
 
 namespace vadasa::vadalog {
 
-const std::vector<std::vector<Value>> Database::kEmptyRows = {};
+namespace {
 
-std::string Fact::ToString() const {
+const std::vector<std::vector<Value>> kEmptyRows = {};
+
+/// Rewrites `*v` through `subst`; true when it changed.
+bool SubstituteNullsIn(const NullSubstitution& subst, Value* v) {
+  if (v->is_null()) {
+    bool changed = false;
+    int guard = 0;
+    while (v->is_null() && guard++ < 64) {
+      auto it = subst.find(v->null_label());
+      if (it == subst.end()) break;
+      *v = it->second;
+      changed = true;
+    }
+    return changed;
+  }
+  if (v->is_collection()) {
+    std::vector<Value> items = v->items();
+    bool changed = false;
+    for (Value& item : items) changed |= SubstituteNullsIn(subst, &item);
+    if (changed) {
+      *v = v->is_set() ? Value::Set(std::move(items)) : Value::List(std::move(items));
+    }
+    return changed;
+  }
+  return false;
+}
+
+std::string RowString(const std::string& predicate, const std::vector<Value>& row) {
   std::string out = predicate + "(";
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) out += ",";
@@ -17,9 +44,14 @@ std::string Fact::ToString() const {
   return out + ")";
 }
 
-int64_t Relation::Find(const std::vector<Value>& row) const {
-  const size_t h = HashValues(row);
-  auto it = dedup_.find(h);
+}  // namespace
+
+void SubstituteNullsInRow(const NullSubstitution& subst, std::vector<Value>* row) {
+  for (Value& v : *row) SubstituteNullsIn(subst, &v);
+}
+
+int64_t Relation::Find(const std::vector<Value>& row, size_t hash) const {
+  auto it = dedup_.find(hash);
   if (it == dedup_.end()) return -1;
   for (uint32_t idx : it->second) {
     if (rows_[idx].size() != row.size()) continue;
@@ -36,11 +68,12 @@ int64_t Relation::Find(const std::vector<Value>& row) const {
 }
 
 std::pair<size_t, bool> Relation::Insert(std::vector<Value> row, FactId id) {
-  const int64_t existing = Find(row);
-  if (existing >= 0) return {static_cast<size_t>(existing), false};
   const size_t h = HashValues(row);
+  const int64_t existing = Find(row, h);
+  if (existing >= 0) return {static_cast<size_t>(existing), false};
   const uint32_t idx = static_cast<uint32_t>(rows_.size());
   dedup_[h].push_back(idx);
+  if (row.size() > columns_.size()) columns_.resize(row.size());
   rows_.push_back(std::move(row));
   fact_ids_.push_back(id);
   return {idx, true};
@@ -48,138 +81,105 @@ std::pair<size_t, bool> Relation::Insert(std::vector<Value> row, FactId id) {
 
 const std::vector<uint32_t>& Relation::RowsWithValue(size_t col, const Value& v) const {
   static const std::vector<uint32_t> kEmpty;
-  if (col_index_.empty()) {
-    col_index_.resize(arity_);
-    col_indexed_upto_.assign(arity_, 0);
-  }
-  if (col >= arity_) return kEmpty;
+  if (col >= columns_.size()) return kEmpty;
   // Extend the index incrementally to cover new rows.
-  auto& index = col_index_[col];
-  for (size_t i = col_indexed_upto_[col]; i < rows_.size(); ++i) {
-    index[rows_[i][col].Hash()].push_back(static_cast<uint32_t>(i));
+  ColumnIndex& column = columns_[col];
+  for (size_t i = column.indexed_upto; i < rows_.size(); ++i) {
+    if (col < rows_[i].size()) {
+      column.rows[rows_[i][col].Hash()].push_back(static_cast<uint32_t>(i));
+    }
   }
-  col_indexed_upto_[col] = rows_.size();
-  auto it = index.find(v.Hash());
-  if (it == index.end()) return kEmpty;
+  column.indexed_upto = rows_.size();
+  auto it = column.rows.find(v.Hash());
+  if (it == column.rows.end()) return kEmpty;
   return it->second;
 }
 
-void Relation::RebuildIndexes() {
-  dedup_.clear();
-  col_index_.clear();
-  col_indexed_upto_.clear();
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    dedup_[HashValues(rows_[i])].push_back(i);
-  }
-}
-
-FactId Database::AddFact(const std::string& predicate, std::vector<Value> row,
-                         Provenance prov) {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) {
-    it = relations_.emplace(predicate, Relation(row.size())).first;
-  }
-  const FactId id = static_cast<FactId>(facts_.size());
-  auto [idx, inserted] = it->second.Insert(row, id);
-  if (!inserted) return it->second.fact_id(idx);
-  facts_.push_back(Fact{predicate, it->second.row(idx)});
+FactId Database::AddFact(PredId predicate, std::vector<Value> row, Provenance prov) {
+  Relation& rel = relations_[predicate];
+  const FactId id = static_cast<FactId>(locations_.size());
+  auto [idx, inserted] = rel.Insert(std::move(row), id);
+  if (!inserted) return rel.fact_id(idx);
+  locations_.push_back({predicate, static_cast<uint32_t>(idx)});
   provenance_.push_back(std::move(prov));
   return id;
 }
 
 bool Database::Contains(const std::string& predicate,
                         const std::vector<Value>& row) const {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) return false;
-  return it->second.Find(row) >= 0;
+  const Relation* rel = relation(predicate);
+  return rel != nullptr && rel->Find(row) >= 0;
+}
+
+PredId Database::Intern(const std::string& predicate) {
+  auto [it, inserted] = ids_.try_emplace(predicate, static_cast<PredId>(names_.size()));
+  if (inserted) {
+    names_.push_back(predicate);
+    relations_.emplace_back();
+  }
+  return it->second;
 }
 
 const Relation* Database::relation(const std::string& predicate) const {
-  auto it = relations_.find(predicate);
-  return it == relations_.end() ? nullptr : &it->second;
+  auto it = ids_.find(predicate);
+  if (it == ids_.end() || relations_[it->second].size() == 0) return nullptr;
+  return &relations_[it->second];
 }
 
 const std::vector<std::vector<Value>>& Database::Rows(
     const std::string& predicate) const {
-  auto it = relations_.find(predicate);
-  return it == relations_.end() ? kEmptyRows : it->second.rows();
+  const Relation* rel = relation(predicate);
+  return rel == nullptr ? kEmptyRows : rel->rows();
 }
 
 std::vector<std::string> Database::Predicates() const {
   std::vector<std::string> out;
-  out.reserve(relations_.size());
-  for (const auto& [name, rel] : relations_) {
-    (void)rel;
-    out.push_back(name);
+  for (PredId p = 0; p < relations_.size(); ++p) {
+    if (relations_[p].size() > 0) out.push_back(names_[p]);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-void Database::SubstituteNulls(const std::unordered_map<uint64_t, Value>& subst) {
-  if (subst.empty()) return;
-  // Chase substitutions: follow chains null -> null -> constant, recursing
-  // into collections (VSets hold nulls inside (name,value) pairs).
-  std::function<bool(Value*)> rewrite = [&](Value* v) -> bool {
-    if (v->is_null()) {
-      bool changed = false;
-      int guard = 0;
-      while (v->is_null() && guard++ < 64) {
-        auto it = subst.find(v->null_label());
-        if (it == subst.end()) break;
-        *v = it->second;
-        changed = true;
-      }
-      return changed;
-    }
-    if (v->is_collection()) {
-      std::vector<Value> items = v->items();
-      bool changed = false;
-      for (Value& item : items) changed |= rewrite(&item);
-      if (changed) {
-        *v = v->is_set() ? Value::Set(std::move(items)) : Value::List(std::move(items));
-      }
-      return changed;
-    }
-    return false;
-  };
-  // Rebuild every relation with substituted rows; duplicates collapse.
-  std::unordered_map<std::string, Relation> fresh;
-  std::vector<Fact> new_facts;
-  std::vector<Provenance> new_prov;
-  new_facts.reserve(facts_.size());
-  new_prov.reserve(provenance_.size());
-  for (size_t id = 0; id < facts_.size(); ++id) {
-    std::vector<Value> row = facts_[id].row;
-    for (Value& v : row) rewrite(&v);
-    auto it = fresh.find(facts_[id].predicate);
-    if (it == fresh.end()) {
-      it = fresh.emplace(facts_[id].predicate, Relation(row.size())).first;
-    }
-    const FactId new_id = static_cast<FactId>(new_facts.size());
-    auto [idx, inserted] = it->second.Insert(row, new_id);
+std::string Database::FactString(FactId id) const {
+  return RowString(predicate(id), row(id));
+}
+
+std::vector<FactId> Database::SubstituteNulls(const NullSubstitution& subst) {
+  std::vector<FactId> new_ids(size());
+  std::iota(new_ids.begin(), new_ids.end(), FactId{0});
+  if (subst.empty()) return new_ids;
+  ++substitutions_;
+  // Rebuild every relation with substituted rows, in FactId order;
+  // duplicates collapse into the earliest.
+  std::deque<Relation> fresh(relations_.size());
+  std::vector<Location> locations;
+  std::vector<Provenance> provenance;
+  for (FactId id = 0; id < new_ids.size(); ++id) {
+    const PredId p = locations_[id].predicate;
+    std::vector<Value> row = relations_[p].row(locations_[id].row);
+    SubstituteNullsInRow(subst, &row);
+    const FactId next = static_cast<FactId>(locations.size());
+    auto [idx, inserted] = fresh[p].Insert(std::move(row), next);
+    new_ids[id] = fresh[p].fact_id(idx);
     if (inserted) {
-      new_facts.push_back(Fact{facts_[id].predicate, it->second.row(idx)});
-      new_prov.push_back(provenance_[id]);
+      locations.push_back({p, static_cast<uint32_t>(idx)});
+      provenance.push_back(std::move(provenance_[id]));
     }
+  }
+  // A support precedes what it supports, and so does its survivor.
+  for (Provenance& prov : provenance) {
+    for (FactId& s : prov.support) s = s < new_ids.size() ? new_ids[s] : kInvalidFactId;
   }
   relations_ = std::move(fresh);
-  facts_ = std::move(new_facts);
-  provenance_ = std::move(new_prov);
-  // Note: provenance support ids become approximate after merging; the
-  // explanation module tolerates dangling ids by clamping.
-  for (auto& p : provenance_) {
-    for (auto& s : p.support) {
-      if (s >= facts_.size()) s = kInvalidFactId;
-    }
-  }
+  locations_ = std::move(locations);
+  provenance_ = std::move(provenance);
+  return new_ids;
 }
 
 std::string Database::DumpPredicate(const std::string& predicate) const {
   std::vector<std::string> lines;
-  for (const auto& row : Rows(predicate)) {
-    lines.push_back(Fact{predicate, row}.ToString());
-  }
+  for (const auto& row : Rows(predicate)) lines.push_back(RowString(predicate, row));
   std::sort(lines.begin(), lines.end());
   std::ostringstream os;
   for (const auto& l : lines) os << l << "\n";

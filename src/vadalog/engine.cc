@@ -47,8 +47,8 @@ struct CompiledArg {
 };
 
 struct CompiledAtom {
-  std::string predicate;
-  bool external = false;
+  PredId predicate = 0;  // Internal atoms: the relation read or written.
+  std::string external;  // External atoms: the registered name, with '#'.
   std::vector<CompiledArg> args;
 };
 
@@ -94,10 +94,13 @@ struct CompiledRule {
   std::vector<int> match_steps;
 };
 
-CompiledAtom CompileAtom(const Atom& atom, VarMap* vars) {
+CompiledAtom CompileAtom(const Atom& atom, VarMap* vars, Database* db) {
   CompiledAtom out;
-  out.predicate = atom.predicate;
-  out.external = atom.is_external();
+  if (atom.is_external()) {
+    out.external = atom.predicate;
+  } else {
+    out.predicate = db->Intern(atom.predicate);
+  }
   for (const Term& t : atom.args) {
     CompiledArg a;
     if (t.is_constant()) {
@@ -121,7 +124,7 @@ void ExprSlots(const Expr& e, const VarMap& vars, std::set<int>* out) {
   }
 }
 
-Result<CompiledRule> CompileRule(const Rule& rule, int index) {
+Result<CompiledRule> CompileRule(const Rule& rule, int index, Database* db) {
   CompiledRule cr;
   cr.rule = &rule;
   cr.rule_index = index;
@@ -267,7 +270,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, int index) {
       Step st;
       st.kind = Step::Kind::kNegated;
       st.index = static_cast<int>(i);
-      st.atom = CompileAtom(rule.body[i].atom, &cr.vars);
+      st.atom = CompileAtom(rule.body[i].atom, &cr.vars, db);
       cr.steps.push_back(std::move(st));
       lit_done[i] = true;
       scheduled = true;
@@ -284,7 +287,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, int index) {
       Step st;
       st.kind = Step::Kind::kMatch;
       st.index = static_cast<int>(i);
-      st.atom = CompileAtom(rule.body[i].atom, &cr.vars);
+      st.atom = CompileAtom(rule.body[i].atom, &cr.vars, db);
       for (const CompiledArg& a : st.atom.args) {
         if (!a.is_const) bound.insert(a.slot);
       }
@@ -314,7 +317,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, int index) {
         Step st;
         st.kind = Step::Kind::kExternal;
         st.index = static_cast<int>(i);
-        st.atom = CompileAtom(rule.body[i].atom, &cr.vars);
+        st.atom = CompileAtom(rule.body[i].atom, &cr.vars, db);
         for (const CompiledArg& a : st.atom.args) {
           if (!a.is_const) bound.insert(a.slot);
         }
@@ -351,7 +354,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, int index) {
     head_bound.insert(cr.vars.SlotOf(rule.assignments[i].target));
   }
   for (const Atom& h : rule.head) {
-    CompiledAtom ch = CompileAtom(h, &cr.vars);
+    CompiledAtom ch = CompileAtom(h, &cr.vars, db);
     for (const CompiledArg& a : ch.args) {
       if (!a.is_const && !head_bound.count(a.slot)) {
         cr.existential_slots.insert(a.slot);
@@ -446,7 +449,7 @@ Value ComputeAggregate(const CompiledAggregate& agg,
 // ---------------------------------------------------------------------------
 
 struct PendingFact {
-  std::string predicate;
+  PredId predicate;
   std::vector<Value> row;
   Provenance prov;
 };
@@ -491,7 +494,7 @@ class Evaluator {
     compiled_.reserve(program_.rules.size());
     for (size_t i = 0; i < program_.rules.size(); ++i) {
       VADASA_ASSIGN_OR_RETURN(CompiledRule cr,
-                              CompileRule(program_.rules[i], static_cast<int>(i)));
+                              CompileRule(program_.rules[i], static_cast<int>(i), db_));
       compiled_.push_back(std::move(cr));
     }
     agg_state_.resize(compiled_.size());
@@ -511,16 +514,12 @@ class Evaluator {
   }
 
  private:
-  // Per-predicate row count before the previous round (delta = [prev, cur)).
-  using Watermarks = std::unordered_map<std::string, size_t>;
-
-  size_t RelationSize(const std::string& pred) const {
-    const Relation* rel = db_->relation(pred);
-    return rel == nullptr ? 0 : rel->size();
-  }
+  // Row count per PredId before the previous round (delta = [prev, cur)).
+  // Every compiled atom's predicate is interned before the first snapshot.
+  using Watermarks = std::vector<size_t>;
 
   Status RunStratum(const std::vector<int>& rule_indices) {
-    prev_marks_.clear();
+    prev_marks_.assign(db_->num_predicates(), 0);
     bool first_round = true;
     for (size_t round = 0;; ++round) {
       if (round > options_.max_rounds) {
@@ -530,8 +529,8 @@ class Evaluator {
       obs::Span round_span("engine.round");
       ++stats_.rounds;
       // Snapshot current sizes: rows >= prev_marks_ are the delta.
-      cur_marks_.clear();
-      for (const std::string& p : db_->Predicates()) cur_marks_[p] = RelationSize(p);
+      cur_marks_.resize(db_->num_predicates());
+      for (PredId p = 0; p < cur_marks_.size(); ++p) cur_marks_[p] = db_->relation(p).size();
 
       pending_.clear();
       pending_keys_.clear();
@@ -547,10 +546,8 @@ class Evaluator {
           continue;
         }
         for (const int step_idx : cr.match_steps) {
-          const std::string& pred = cr.steps[step_idx].atom.predicate;
-          const size_t prev = prev_marks_.count(pred) ? prev_marks_[pred] : 0;
-          const size_t cur = cur_marks_.count(pred) ? cur_marks_[pred] : RelationSize(pred);
-          if (!first_round && prev >= cur) continue;  // Empty delta.
+          const PredId pred = cr.steps[step_idx].atom.predicate;
+          if (!first_round && prev_marks_[pred] >= cur_marks_[pred]) continue;  // No delta.
           VADASA_RETURN_NOT_OK(EvaluateRule(&cr, step_idx));
           if (first_round) break;  // Round 0: delta = everything; one pass is enough.
         }
@@ -559,24 +556,20 @@ class Evaluator {
       // Apply EGD substitutions (rewrites the database).
       bool changed = false;
       if (!egd_substitutions_.empty()) {
-        db_->SubstituteNulls(egd_substitutions_);
+        const std::vector<FactId> new_ids = db_->SubstituteNulls(egd_substitutions_);
         stats_.egd_substitutions += egd_substitutions_.size();
         // Conservative restart of the stratum: everything is delta again.
-        prev_marks_.clear();
         for (auto& st : agg_state_) st.clear();
         changed = true;
         first_round = true;
-        // Re-queue pending facts (they may mention substituted nulls).
-        for (PendingFact& pf : pending_) {
-          for (Value& v : pf.row) {
-            int guard = 0;
-            while (v.is_null() && guard++ < 64) {
-              auto it = egd_substitutions_.find(v.null_label());
-              if (it == egd_substitutions_.end()) break;
-              v = it->second;
-            }
-          }
-        }
+        // What this round queued may mention substituted nulls and cite
+        // merged facts.
+        auto resubstitute = [&](std::vector<Value>* row, std::vector<FactId>* support) {
+          SubstituteNullsInRow(egd_substitutions_, row);
+          for (FactId& s : *support) s = new_ids[s];
+        };
+        for (PendingFact& pf : pending_) resubstitute(&pf.row, &pf.prov.support);
+        for (PendingAction& pa : pending_actions_) resubstitute(&pa.args, &pa.support);
       }
 
       // Insert pending head facts.
@@ -626,9 +619,8 @@ class Evaluator {
       if (!changed && !first_round) break;
       if (!changed && first_round && round > 0) break;
       prev_marks_ = cur_marks_;
-      if (!egd_substitutions_.empty()) {
-        prev_marks_.clear();  // After substitution, re-derive from scratch.
-      }
+      // After a substitution, re-derive from scratch.
+      if (!egd_substitutions_.empty()) prev_marks_.assign(prev_marks_.size(), 0);
       if (first_round && egd_substitutions_.empty()) first_round = false;
       if (!changed) break;
     }
@@ -702,17 +694,38 @@ class Evaluator {
     };
   }
 
+  /// Evaluates the steps after `step_idx` under `row` if the step's
+  /// constants and bound slots equal their cells: its free slots are bound
+  /// to theirs for the recursion and unbound after.
+  Status MatchRow(CompiledRule* cr, size_t step_idx, int delta_step,
+                  const std::vector<Value>& row) {
+    const CompiledAtom& atom = cr->steps[step_idx].atom;
+    std::vector<int> newly_bound;
+    bool ok = true;
+    for (size_t i = 0; i < atom.args.size() && ok; ++i) {
+      const CompiledArg& a = atom.args[i];
+      if (a.is_const) {
+        ok = a.constant.Equals(row[i]);
+      } else if (bound_[a.slot]) {
+        ok = slots_[a.slot].Equals(row[i]);
+      } else {
+        slots_[a.slot] = row[i];
+        bound_[a.slot] = true;
+        newly_bound.push_back(a.slot);
+      }
+    }
+    const Status s = ok ? EvalStep(cr, step_idx + 1, delta_step) : Status::OK();
+    for (const int slot : newly_bound) bound_[slot] = false;
+    return s;
+  }
+
   Status EvalMatch(CompiledRule* cr, size_t step_idx, int delta_step) {
     const Step& st = cr->steps[step_idx];
-    const Relation* rel = db_->relation(st.atom.predicate);
-    if (rel == nullptr) return Status::OK();
+    const Relation& rel = db_->relation(st.atom.predicate);
     // Rows visible this round: [0, cur_mark); delta: [prev_mark, cur_mark).
-    const size_t cur =
-        cur_marks_.count(st.atom.predicate) ? cur_marks_[st.atom.predicate] : rel->size();
-    size_t lo = 0;
-    if (static_cast<int>(step_idx) == delta_step) {
-      lo = prev_marks_.count(st.atom.predicate) ? prev_marks_[st.atom.predicate] : 0;
-    }
+    const size_t cur = cur_marks_[st.atom.predicate];
+    const size_t lo =
+        static_cast<int>(step_idx) == delta_step ? prev_marks_[st.atom.predicate] : 0;
     // Candidate selection: first const/bound arg, if any, via column index.
     int sel_col = -1;
     const Value* sel_val = nullptr;
@@ -730,36 +743,16 @@ class Evaluator {
       }
     }
     auto try_row = [&](size_t r) -> Status {
-      const std::vector<Value>& row = rel->row(r);
-      if (row.size() != st.atom.args.size()) return Status::OK();
-      // Verify + bind.
-      std::vector<int> newly_bound;
-      bool ok = true;
-      for (size_t i = 0; i < st.atom.args.size() && ok; ++i) {
-        const CompiledArg& a = st.atom.args[i];
-        if (a.is_const) {
-          ok = a.constant.Equals(row[i]);
-        } else if (bound_[a.slot]) {
-          ok = slots_[a.slot].Equals(row[i]);
-        } else {
-          slots_[a.slot] = row[i];
-          bound_[a.slot] = true;
-          newly_bound.push_back(a.slot);
-        }
-      }
-      Status s = Status::OK();
-      if (ok) {
-        support_.push_back(rel->fact_id(r));
-        s = EvalStep(cr, step_idx + 1, delta_step);
-        support_.pop_back();
-      }
-      for (const int slot : newly_bound) bound_[slot] = false;
+      if (rel.row(r).size() != st.atom.args.size()) return Status::OK();
+      support_.push_back(rel.fact_id(r));
+      const Status s = MatchRow(cr, step_idx, delta_step, rel.row(r));
+      support_.pop_back();
       return s;
     };
     if (sel_col >= 0) {
-      // Hash candidates (may contain collisions; try_row verifies).
+      // Hash candidates (may contain collisions; MatchRow verifies).
       const std::vector<uint32_t>& candidates =
-          rel->RowsWithValue(static_cast<size_t>(sel_col), *sel_val);
+          rel.RowsWithValue(static_cast<size_t>(sel_col), *sel_val);
       for (const uint32_t r : candidates) {
         if (r < lo || r >= cur) continue;
         VADASA_RETURN_NOT_OK(try_row(r));
@@ -774,9 +767,9 @@ class Evaluator {
 
   Status EvalExternal(CompiledRule* cr, size_t step_idx, int delta_step) {
     const Step& st = cr->steps[step_idx];
-    const ExternalPredicateFn* fn = externals_.FindPredicate(st.atom.predicate);
+    const ExternalPredicateFn* fn = externals_.FindPredicate(st.atom.external);
     if (fn == nullptr) {
-      return Status::NotFound("external predicate not registered: " + st.atom.predicate);
+      return Status::NotFound("external predicate not registered: " + st.atom.external);
     }
     std::vector<std::optional<Value>> bound_args(st.atom.args.size());
     for (size_t i = 0; i < st.atom.args.size(); ++i) {
@@ -790,27 +783,10 @@ class Evaluator {
     VADASA_ASSIGN_OR_RETURN(auto rows, (*fn)(bound_args, *db_));
     for (const std::vector<Value>& row : rows) {
       if (row.size() != st.atom.args.size()) {
-        return Status::Internal("external " + st.atom.predicate +
+        return Status::Internal("external " + st.atom.external +
                                 " returned a row of wrong arity");
       }
-      std::vector<int> newly_bound;
-      bool ok = true;
-      for (size_t i = 0; i < st.atom.args.size() && ok; ++i) {
-        const CompiledArg& a = st.atom.args[i];
-        if (a.is_const) {
-          ok = a.constant.Equals(row[i]);
-        } else if (bound_[a.slot]) {
-          ok = slots_[a.slot].Equals(row[i]);
-        } else {
-          slots_[a.slot] = row[i];
-          bound_[a.slot] = true;
-          newly_bound.push_back(a.slot);
-        }
-      }
-      Status s = Status::OK();
-      if (ok) s = EvalStep(cr, step_idx + 1, delta_step);
-      for (const int slot : newly_bound) bound_[slot] = false;
-      VADASA_RETURN_NOT_OK(s);
+      VADASA_RETURN_NOT_OK(MatchRow(cr, step_idx, delta_step, row));
     }
     return Status::OK();
   }
@@ -1013,7 +989,8 @@ class Evaluator {
       std::vector<Value> frontier;
       frontier.reserve(cr->frontier_slots.size());
       for (const int s : cr->frontier_slots) frontier.push_back(slots_[s]);
-      if (options_.restricted_chase && cr->head.size() == 1 && !cr->head[0].external) {
+      if (options_.restricted_chase && cr->head.size() == 1 &&
+          cr->head[0].external.empty()) {
         // The termination check is only timed under tracing: two clock reads
         // per emission are measurable on the existential hot path.
         if (obs::TracingEnabled()) {
@@ -1054,8 +1031,8 @@ class Evaluator {
       for (const CompiledArg& a : h.args) {
         row.push_back(a.is_const ? a.constant : slots_[a.slot]);
       }
-      if (h.external) {
-        QueueAction(cr, h.predicate, std::move(row));
+      if (!h.external.empty()) {
+        QueueAction(cr, h.external, std::move(row));
       } else {
         QueueFact(cr, h.predicate, std::move(row));
       }
@@ -1068,7 +1045,7 @@ class Evaluator {
   /// atom with the current universal bindings (existential positions free)?
   bool HeadSatisfied(CompiledRule* cr) {
     const CompiledAtom& h = cr->head[0];
-    const Relation* rel = db_->relation(h.predicate);
+    const Relation& rel = db_->relation(h.predicate);
     auto row_matches = [&](const std::vector<Value>& row) {
       if (row.size() != h.args.size()) return false;
       for (size_t i = 0; i < h.args.size(); ++i) {
@@ -1081,31 +1058,29 @@ class Evaluator {
       }
       return true;
     };
-    if (rel != nullptr) {
-      // Use an index on the first universal position if possible.
-      int sel_col = -1;
-      const Value* sel_val = nullptr;
-      for (size_t i = 0; i < h.args.size(); ++i) {
-        const CompiledArg& a = h.args[i];
-        if (a.is_const) {
-          sel_col = static_cast<int>(i);
-          sel_val = &a.constant;
-          break;
-        }
-        if (!cr->existential_slots.count(a.slot)) {
-          sel_col = static_cast<int>(i);
-          sel_val = &slots_[a.slot];
-          break;
-        }
+    // Use an index on the first universal position if possible.
+    int sel_col = -1;
+    const Value* sel_val = nullptr;
+    for (size_t i = 0; i < h.args.size(); ++i) {
+      const CompiledArg& a = h.args[i];
+      if (a.is_const) {
+        sel_col = static_cast<int>(i);
+        sel_val = &a.constant;
+        break;
       }
-      if (sel_col >= 0) {
-        for (const uint32_t r : rel->RowsWithValue(sel_col, *sel_val)) {
-          if (row_matches(rel->row(r))) return true;
-        }
-      } else {
-        for (const auto& row : rel->rows()) {
-          if (row_matches(row)) return true;
-        }
+      if (!cr->existential_slots.count(a.slot)) {
+        sel_col = static_cast<int>(i);
+        sel_val = &slots_[a.slot];
+        break;
+      }
+    }
+    if (sel_col >= 0) {
+      for (const uint32_t r : rel.RowsWithValue(sel_col, *sel_val)) {
+        if (row_matches(rel.row(r))) return true;
+      }
+    } else {
+      for (const auto& row : rel.rows()) {
+        if (row_matches(row)) return true;
       }
     }
     // Facts still pending in this round are not scanned: re-derivations of
@@ -1116,10 +1091,10 @@ class Evaluator {
     return false;
   }
 
-  void QueueFact(CompiledRule* cr, const std::string& predicate, std::vector<Value> row) {
+  void QueueFact(CompiledRule* cr, PredId predicate, std::vector<Value> row) {
     if (db_->Contains(predicate, row)) return;
     // Dedup within the round (hash first, verify on hit).
-    const size_t key = std::hash<std::string>()(predicate) * 31 + HashValues(row);
+    const size_t key = HashValues(row) * 31 + predicate;
     if (pending_keys_.count(key) > 0) {
       for (const PendingFact& pf : pending_) {
         if (pf.predicate != predicate || pf.row.size() != row.size()) continue;
@@ -1196,7 +1171,7 @@ class Evaluator {
   std::vector<PendingFact> pending_;
   std::unordered_set<size_t> pending_keys_;
   std::vector<PendingAction> pending_actions_;
-  std::unordered_map<uint64_t, Value> egd_substitutions_;
+  NullSubstitution egd_substitutions_;
 
   RunStats stats_;
 };

@@ -10,13 +10,12 @@ namespace {
 void ExplainRec(const Database& db, const Program& program, FactId id, int depth,
                 int max_depth, std::ostringstream* os) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  if (id == kInvalidFactId || id >= db.size()) {
-    *os << indent << "(fact merged away by EGD unification)\n";
+  if (id >= db.size()) {
+    *os << indent << "(no such fact)\n";
     return;
   }
-  const Fact& fact = db.fact(id);
   const Provenance& prov = db.provenance(id);
-  *os << indent << fact.ToString();
+  *os << indent << db.FactString(id);
   if (prov.rule_index < 0) {
     *os << "  [asserted]\n";
     return;
@@ -82,7 +81,7 @@ std::string RuleLabel(const Program& program, int rule_index) {
 }
 
 void CollectDag(const Database& db, FactId id, std::set<FactId>* seen) {
-  if (id == kInvalidFactId || id >= db.size() || seen->count(id)) return;
+  if (id >= db.size() || seen->count(id)) return;
   seen->insert(id);
   for (const FactId s : db.provenance(id).support) {
     CollectDag(db, s, seen);
@@ -91,12 +90,12 @@ void CollectDag(const Database& db, FactId id, std::set<FactId>* seen) {
 
 void JsonRec(const Database& db, const Program& program, FactId id, int depth,
              int max_depth, std::ostringstream* os) {
-  if (id == kInvalidFactId || id >= db.size()) {
+  if (id >= db.size()) {
     *os << "{\"fact\":null}";
     return;
   }
   const Provenance& prov = db.provenance(id);
-  *os << "{\"fact\":\"" << EscapeForJson(db.fact(id).ToString()) << "\",";
+  *os << "{\"fact\":\"" << EscapeForJson(db.FactString(id)) << "\",";
   if (prov.rule_index < 0) {
     *os << "\"rule\":null,\"support\":[]}";
     return;
@@ -121,13 +120,13 @@ std::string ExplainFactDot(const Database& db, const Program& program, FactId id
   os << "digraph explanation {\n  rankdir=BT;\n";
   for (const FactId n : nodes) {
     const bool asserted = db.provenance(n).rule_index < 0;
-    os << "  f" << n << " [label=\"" << EscapeForDot(db.fact(n).ToString()) << "\""
+    os << "  f" << n << " [label=\"" << EscapeForDot(db.FactString(n)) << "\""
        << (asserted ? ", shape=box" : ", shape=ellipse") << "];\n";
   }
   for (const FactId n : nodes) {
     const Provenance& prov = db.provenance(n);
     for (const FactId s : prov.support) {
-      if (s == kInvalidFactId || s >= db.size()) continue;
+      if (s >= db.size()) continue;
       os << "  f" << s << " -> f" << n << " [label=\""
          << EscapeForDot(RuleLabel(program, prov.rule_index)) << "\"];\n";
     }

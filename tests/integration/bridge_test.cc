@@ -140,6 +140,43 @@ TEST(BridgeTest, CategorizationProgramViaEngine) {
                                       Value::String("Quasi-identifier")}));
 }
 
+TEST(BridgeTest, CategorizationExplainsFeedbackByTheCategoryItCopies) {
+  // Rule 4 merges each borrowed category with Rule 1's null, renumbering the
+  // facts after it; every expbase(A, C) that Rule 3 derived must still cite
+  // a cat(_, A, C).
+  vadalog::Engine engine;
+  VadalogBridge bridge;
+  bridge.RegisterExternals(&engine, nullptr);
+  vadalog::Database db;
+  for (const char* name :
+       {"Sector", "zorblax", "Residential Rev.", "Company Name", "Region"}) {
+    db.AddFact("att", {Value::String("I&G"), Value::String(name)});
+  }
+  db.AddFact("expbase", {Value::String("sector"), Value::String("Quasi-identifier")});
+  db.AddFact("expbase", {Value::String("residential revenue"),
+                         Value::String("Quasi-identifier")});
+  db.AddFact("expbase", {Value::String("company name"), Value::String("Identifier")});
+  auto stats =
+      vadalog::RunSource(VadalogBridge::CategorizationProgram(), &db, &engine);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_GE(stats->egd_substitutions, 1u);
+  EXPECT_EQ(db.Rows("cat").size(), 5u);
+  size_t feedback = 0;
+  for (vadalog::FactId id = 0; id < db.size(); ++id) {
+    if (db.predicate(id) != "expbase" || db.provenance(id).rule_index != 1) continue;
+    ++feedback;
+    const std::vector<vadalog::FactId>& support = db.provenance(id).support;
+    ASSERT_EQ(support.size(), 1u);
+    ASSERT_LT(support[0], id);
+    EXPECT_EQ(db.predicate(support[0]), "cat");
+    const std::vector<Value>& cat = db.row(support[0]);
+    ASSERT_EQ(cat.size(), 3u);
+    EXPECT_TRUE(cat[1].Equals(db.row(id)[0]) && cat[2].Equals(db.row(id)[1]))
+        << db.FactString(id) << " cites " << db.FactString(support[0]);
+  }
+  EXPECT_EQ(feedback, 5u);
+}
+
 TEST(BridgeTest, CategorizationUnknownAttributeKeepsNull) {
   vadalog::Engine engine;
   VadalogBridge bridge;

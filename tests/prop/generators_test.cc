@@ -118,6 +118,7 @@ TEST(RandomProgramTest, PositiveFragmentStaysPositive) {
     EXPECT_EQ(src.find("not "), std::string::npos) << src;
     EXPECT_EQ(src.find("mcount"), std::string::npos) << src;
     EXPECT_EQ(src.find("E0"), std::string::npos) << src;
+    EXPECT_EQ(src.find("Z1 = Z2"), std::string::npos) << src;
   }
 }
 

@@ -7,6 +7,8 @@
 #include "common/random.h"
 #include "core/group_index.h"
 #include "core/microdata.h"
+#include "vadalog/engine.h"
+#include "vadalog/parser.h"
 
 namespace vadasa::testing {
 namespace {
@@ -113,6 +115,38 @@ TEST(ReferenceUtilityTest, KeysPairsByBothSpellings) {
   ASSERT_TRUE(measured.ok());
   EXPECT_EQ(reference->disturbed_pairs_fraction, 1.0);
   EXPECT_EQ(measured->disturbed_pairs_fraction, reference->disturbed_pairs_fraction);
+}
+
+TEST(ChaseProvenanceOracleTest, AcceptsAChaseAndRejectsEachKindOfWrongSupport) {
+  auto program = vadalog::Parse("e(1, 2).\nf(X, Y) :- e(X, Y).\ng(X) :- f(X, 2).");
+  ASSERT_TRUE(program.ok());
+  vadalog::Engine engine;
+  vadalog::Database chased;
+  ASSERT_TRUE(engine.Run(*program, &chased).ok());
+  EXPECT_TRUE(CheckChaseProvenance(*program, chased).ok());
+
+  // Each database asserts e(1,2) and e(3,4), then derives one fact.
+  auto derive = [](const std::string& predicate, std::vector<Value> row,
+                   vadalog::Provenance prov) {
+    vadalog::Database db;
+    db.AddFact("e", {Value::Int(1), Value::Int(2)});
+    db.AddFact("e", {Value::Int(3), Value::Int(4)});
+    db.AddFact(predicate, std::move(row), std::move(prov));
+    return db;
+  };
+  const std::vector<Value> f12 = {Value::Int(1), Value::Int(2)};
+  EXPECT_TRUE(CheckChaseProvenance(*program, derive("f", f12, {0, {0}})).ok());
+  // A support that does not precede the fact.
+  EXPECT_FALSE(CheckChaseProvenance(*program, derive("f", f12, {0, {2}})).ok());
+  // Too few supports.
+  EXPECT_FALSE(CheckChaseProvenance(*program, derive("f", f12, {0, {}})).ok());
+  // A support whose values are not the head's.
+  EXPECT_FALSE(CheckChaseProvenance(*program, derive("f", f12, {0, {1}})).ok());
+  // A support of another predicate, and one failing the body's constant.
+  EXPECT_FALSE(CheckChaseProvenance(*program, derive("g", {Value::Int(1)}, {1, {0}})).ok());
+  vadalog::Database db = derive("f", {Value::Int(3), Value::Int(4)}, {0, {1}});
+  db.AddFact("g", {Value::Int(3)}, {1, {2}});
+  EXPECT_FALSE(CheckChaseProvenance(*program, db).ok());
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "testing/harness.h"
+#include "vadalog/engine.h"
+#include "vadalog/parser.h"
 
 namespace vadasa::testing {
 namespace {
@@ -207,6 +209,43 @@ TEST(PropCatalogTest, UtilityMatchesReferenceWideSweep) {
   EXPECT_EQ(report.failures, 0u)
       << "the utility report diverged from the reference on " << report.failures
       << "/" << report.cases_run << " cases" << diagnostics;
+}
+
+/// The provenance acceptance bar: 220 generated programs chased with
+/// provenance on and EGD violations collected, where every derived fact must
+/// cite earlier facts that match its rule. The sweep is only worth its cases
+/// if a tenth of them, or more, merge facts through an EGD.
+TEST(PropCatalogTest, ChaseProvenanceExactWideSweep) {
+  const Property* property = FindProperty("chase-provenance-exact");
+  ASSERT_NE(property, nullptr);
+  HarnessOptions options;
+  options.cases_per_property = 220;
+  // Re-chase the sweep's programs, drawn as RunProperty draws them.
+  Rng rng(options.seed ^ std::hash<std::string>{}(property->name));
+  size_t substituting = 0;
+  for (uint64_t i = 0; i < options.cases_per_property; ++i) {
+    auto program = vadalog::Parse(property->generate(&rng, i).program);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    vadalog::EngineOptions engine_options;
+    engine_options.max_rounds = 200;
+    engine_options.max_facts = 20000;
+    engine_options.egd_mode = vadalog::EgdMode::kCollect;
+    vadalog::Engine engine(engine_options);
+    vadalog::Database db;
+    auto stats = engine.Run(*program, &db);
+    if (stats.ok() && stats->egd_substitutions > 0) ++substituting;
+  }
+  EXPECT_GE(substituting * 10, options.cases_per_property)
+      << "only " << substituting << " of 220 chases substituted a null";
+  const HarnessReport report = RunProperty(*property, options);
+  EXPECT_EQ(report.cases_run, 220u);
+  std::string diagnostics;
+  for (const ReproCase& repro : report.repros) {
+    diagnostics += "\n--- shrunk repro ---\n" + ReproToString(repro);
+  }
+  EXPECT_EQ(report.failures, 0u)
+      << "chase provenance was wrong on " << report.failures << "/"
+      << report.cases_run << " cases" << diagnostics;
 }
 
 /// One discovered ctest entry per property; each runs its full generated-case

@@ -11,7 +11,7 @@ TEST(DatabaseTest, AddAndContains) {
   EXPECT_TRUE(db.Contains("edge", {Value::String("a"), Value::String("b")}));
   EXPECT_FALSE(db.Contains("edge", {Value::String("b"), Value::String("a")}));
   EXPECT_FALSE(db.Contains("node", {Value::String("a")}));
-  EXPECT_EQ(db.fact(id).predicate, "edge");
+  EXPECT_EQ(db.predicate(id), "edge");
   EXPECT_EQ(db.size(), 1u);
 }
 

@@ -213,6 +213,76 @@ TEST(EngineTest, EgdUnifiesTwoNulls) {
   EXPECT_TRUE(r[0][1].Equals(s[0][1]));
 }
 
+TEST(EngineTest, EgdMergeKeepsExplanationsOnSurvivingFacts) {
+  // p(1, ⊥) merges into p(1, 5) while c1(1, 5) and w(1) are derived; the
+  // facts after them shift down, and u(1) must still cite w(1).
+  Engine engine;
+  Database db;
+  auto program = Parse(
+      "a(1). c0(1, 5).\n"
+      "p(X, Z) :- a(X).\n"
+      "c1(X, V) :- c0(X, V).\n"
+      "p(X, V) :- c1(X, V).\n"
+      "w(X) :- c1(X, V).\n"
+      "u(X) :- w(X).\n"
+      "Z1 = Z2 :- p(X, Z1), p(X, Z2).");
+  ASSERT_TRUE(program.ok());
+  auto stats = engine.Run(*program, &db);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_GE(stats->egd_substitutions, 1u);
+  const FactId u = FindFact(db, "u", {Value::Int(1)});
+  const FactId w = FindFact(db, "w", {Value::Int(1)});
+  const FactId c1 = FindFact(db, "c1", {Value::Int(1), Value::Int(5)});
+  ASSERT_NE(u, kInvalidFactId);
+  EXPECT_EQ(db.provenance(u).support, std::vector<FactId>{w});
+  EXPECT_EQ(db.provenance(w).support, std::vector<FactId>{c1});
+  const std::string explanation = ExplainFact(db, *program, u);
+  EXPECT_EQ(explanation.rfind("u(1)"), 0u) << explanation;
+  EXPECT_NE(explanation.find("\n  w(1)  [by rule 4"), std::string::npos) << explanation;
+  EXPECT_NE(explanation.find("\n    c1(1,5)  [by rule 2"), std::string::npos)
+      << explanation;
+  EXPECT_NE(explanation.find("\n      c0(1,5)  [asserted]"), std::string::npos)
+      << explanation;
+}
+
+TEST(EngineTest, EgdReachesNullsInsidePendingCollections) {
+  // s(1, {(k, ⊥)}) is queued in the round whose EGD equates ⊥ with 5.
+  auto db = RunProgram(
+      "a(1). b(1).\n"
+      "p(X, Z) :- a(X).\n"
+      "p(X, 5) :- b(X).\n"
+      "t(X, Z) :- p(X, Z).\n"
+      "s(X, S) :- p(X, Z), S = set(list(\"k\", Z)).\n"
+      "Z1 = Z2 :- p(X, Z1), p(X, Z2).");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->DumpPredicate("t"), "t(1,5)\n");
+  ASSERT_EQ(db->Rows("s").size(), 1u) << db->DumpPredicate("s");
+  EXPECT_TRUE(db->Contains(
+      "s", {Value::Int(1), Value::Set({Value::List({Value::String("k"), Value::Int(5)})})}));
+}
+
+TEST(EngineTest, ExplainingAnUnknownFactSaysSo) {
+  Engine engine;
+  Database db;
+  auto program = Parse("e(1).\nf(X) :- e(X).");
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(engine.Run(*program, &db).ok());
+  const std::string explanation = ExplainFact(db, *program, 99);
+  EXPECT_EQ(explanation, "(no such fact)\n");
+}
+
+TEST(EngineTest, JoinSkipsRowsTooNarrowForTheIndexedColumn) {
+  auto db = RunProgram("p(1, 2). p(3). r(2).\nq(X) :- r(Y), p(X, Y).");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->DumpPredicate("q"), "q(1)\n");
+}
+
+TEST(EngineTest, JoinIndexesColumnsPastTheFirstRowsWidth) {
+  auto db = RunProgram("p(1). p(1, 2). r(2).\nq(Y) :- r(Y), p(X, Y).");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->DumpPredicate("q"), "q(2)\n");
+}
+
 TEST(EngineTest, MonotonicSum) {
   auto db = RunProgram(
       "item(g1, a, 10). item(g1, b, 20). item(g2, c, 5).\n"
