@@ -2,6 +2,14 @@
 
 namespace vadasa::core {
 
+namespace {
+
+/// Category assigned when nothing matches (the ∃C of Rule 1 resolved
+/// conservatively: unknown attributes are treated as quasi-identifying).
+constexpr AttributeCategory kDefaultCategory = AttributeCategory::kQuasiIdentifier;
+
+}  // namespace
+
 AttributeCategorizer::AttributeCategorizer(CategorizerOptions options)
     : options_(std::move(options)) {
   if (!options_.similarity) options_.similarity = AttributeNameSimilarity;
@@ -25,7 +33,7 @@ CategorizationDecision AttributeCategorizer::Categorize(const std::string& attri
   const ExperienceEntry* best_entry = nullptr;
   for (const ExperienceEntry& e : experience_) {
     const double sim = options_.similarity(attribute, e.attribute);
-    if (sim < options_.similarity_threshold) continue;
+    if (sim < kSimilarityThreshold) continue;
     if (best_entry != nullptr && e.category != best_entry->category) {
       // Two sufficiently-similar entries with different categories: the EGD
       // fires. Record for manual inspection; the better match wins.
@@ -44,8 +52,8 @@ CategorizationDecision AttributeCategorizer::Categorize(const std::string& attri
     decision.matched_entry = best_entry->attribute;
     decision.similarity = best;
   } else {
-    // Rule 1's existential, resolved by the configured default.
-    decision.category = options_.default_category;
+    // Rule 1's existential, resolved by the default.
+    decision.category = kDefaultCategory;
     decision.defaulted = true;
   }
   // Rule 3: recursive feedback into the experience base (human-gated).

@@ -40,13 +40,13 @@ struct CategorizationConflict {
   std::string second_entry;
 };
 
+/// Minimum `∼` similarity to borrow a category (Rule 2). The Vadalog bridge's
+/// #similar applies the same bound, so the native and declarative runs of
+/// Algorithm 1 agree.
+inline constexpr double kSimilarityThreshold = 0.82;
+
 /// Knobs of the categorizer.
 struct CategorizerOptions {
-  /// Minimum `∼` similarity to borrow a category.
-  double similarity_threshold = 0.82;
-  /// Category assigned when nothing matches (the ∃C of Rule 1 resolved
-  /// conservatively: unknown attributes are treated as quasi-identifying).
-  AttributeCategory default_category = AttributeCategory::kQuasiIdentifier;
   /// Pluggable ∼ function.
   SimilarityFn similarity = nullptr;
   /// Human-in-the-loop hook: whether to consolidate a decision into the

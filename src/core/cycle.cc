@@ -11,6 +11,9 @@ namespace vadasa::core {
 
 namespace {
 
+/// Outer-iteration guard of the cycle.
+constexpr size_t kMaxIterations = 10000;
+
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -102,7 +105,7 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table,
   RiskEvalCache local_cache;
   RiskEvalCache& cache = shared_cache != nullptr ? *shared_cache : local_cache;
 
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
+  for (size_t iter = 0; iter < kMaxIterations; ++iter) {
     if (options_.cancel != nullptr) {
       VADASA_RETURN_NOT_OK(options_.cancel->Check());
     }

@@ -27,8 +27,6 @@ struct CycleOptions {
   RiskContext risk;
   TupleOrder tuple_order = TupleOrder::kLessSignificantFirst;
   QiChoice qi_choice = QiChoice::kMostRiskyFirst;
-  /// Outer-iteration guard.
-  size_t max_iterations = 10000;
   /// Paper-literal mode: re-evaluate risk after every single anonymization
   /// step. Slower; the default batches steps within an iteration and skips
   /// tuples whose group was already touched, which yields the same greedy

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/similarity.h"
+#include "core/categorize.h"
 #include "core/group_index.h"
 #include "core/risk.h"
 #include "obs/trace.h"
@@ -440,7 +441,7 @@ void RegisterBridgeExternals(const BridgeOptions& options, vadalog::Engine* engi
           return std::vector<std::vector<Value>>{};
         }
         if (AttributeNameSimilarity(args[0]->as_string(), args[1]->as_string()) >=
-            0.82) {
+            kSimilarityThreshold) {
           return std::vector<std::vector<Value>>{{*args[0], *args[1]}};
         }
         return std::vector<std::vector<Value>>{};

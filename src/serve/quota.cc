@@ -17,16 +17,20 @@ int64_t SteadyNowNs() {
       .count();
 }
 
+/// Token-bucket capacity, the largest burst a connection may submit at once:
+/// one second of its rate, and at least one token so a rate below 1/s admits.
+double BucketCapacity(double submits_per_second) {
+  return std::max(1.0, submits_per_second);
+}
+
 }  // namespace
 
 ClientQuota::ClientQuota(QuotaOptions options, std::function<int64_t()> now_ns)
     : options_(options),
       now_ns_(now_ns ? std::move(now_ns) : SteadyNowNs),
       in_flight_(std::make_shared<std::atomic<int64_t>>(0)) {
-  if (options_.submits_per_second > 0.0 && options_.burst <= 0.0) {
-    options_.burst = std::max(1.0, options_.submits_per_second);
-  }
-  tokens_ = options_.burst;  // A fresh connection starts with a full bucket.
+  // A fresh connection starts with a full bucket.
+  tokens_ = BucketCapacity(options_.submits_per_second);
   last_refill_ns_ = now_ns_();
 }
 
@@ -52,7 +56,7 @@ Status ClientQuota::Admit() {
     const double elapsed_s =
         static_cast<double>(std::max<int64_t>(0, now - last_refill_ns_)) * 1e-9;
     last_refill_ns_ = now;
-    tokens_ = std::min(options_.burst,
+    tokens_ = std::min(BucketCapacity(options_.submits_per_second),
                        tokens_ + elapsed_s * options_.submits_per_second);
     if (tokens_ < 1.0) {
       in_flight_->fetch_sub(1, std::memory_order_relaxed);

@@ -13,10 +13,10 @@
 /// (docs/robustness.md). The scheduler's bounded queue protects the process;
 /// quotas protect it from any *single* client: a connection may hold at most
 /// `max_in_flight` unfinished jobs and submit at most `submits_per_second`
-/// jobs sustained (token bucket, so short bursts up to `burst` pass). Over-
-/// quota submits are rejected immediately with Unavailable — never blocked —
-/// and the protocol attaches a `retry_after_ms` backoff hint scaled by how
-/// backed up the scheduler is.
+/// jobs sustained (a token bucket holding one second of submits, and at least
+/// one, so short bursts pass). Over-quota submits are rejected immediately
+/// with Unavailable — never blocked — and the protocol attaches a
+/// `retry_after_ms` backoff hint scaled by how backed up the scheduler is.
 
 namespace vadasa::serve {
 
@@ -25,9 +25,6 @@ struct QuotaOptions {
   size_t max_in_flight = 0;
   /// Sustained submit rate per connection, jobs/second. 0 = no cap.
   double submits_per_second = 0.0;
-  /// Token-bucket capacity (burst size). <= 0 defaults to
-  /// max(1, submits_per_second).
-  double burst = 0.0;
 };
 
 /// One connection's quota state. Admit() consumes a rate token and reserves

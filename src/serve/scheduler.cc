@@ -121,34 +121,16 @@ struct JobScheduler::Job {
   int64_t submitted_ns = 0;
   int64_t started_ns = 0;
   bool watchdog_flagged = false;  ///< The watchdog flags a job at most once.
-  size_t shard = 0;               ///< Ready-queue shard (label-hashed).
 };
 
 JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_queue < 1) options_.max_queue = 1;
-  // Every shard needs at least one dedicated worker or its queue would
-  // never drain.
-  if (options_.shards < 1) options_.shards = 1;
-  if (options_.shards > options_.workers) options_.shards = options_.workers;
   paused_ = options_.start_paused;
   ServeMeters::Get().workers->Set(static_cast<double>(options_.workers));
-  shards_.reserve(options_.shards);
-  auto& registry = obs::MetricsRegistry::Global();
-  for (size_t i = 0; i < options_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // Bounded cardinality: one gauge per shard, shards <= workers.
-    shard->depth_gauge =
-        registry.gauge("serve.shard." + std::to_string(i) + ".queue_depth");
-    shard->depth_gauge->Set(0.0);
-    shards_.push_back(std::move(shard));
-  }
   workers_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
-    // Round-robin worker->shard assignment: every shard gets
-    // floor(workers/shards) threads, the first (workers % shards) one more.
-    const size_t shard_index = i % shards_.size();
-    workers_.emplace_back([this, shard_index] { WorkerLoop(shard_index); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.watchdog_interval_ms > 0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
@@ -157,33 +139,8 @@ JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
 
 JobScheduler::~JobScheduler() { Shutdown(); }
 
-size_t JobScheduler::ShardForLabel(const std::string& label) const {
-  // FNV-1a of the *name*, not the snapshot: a delta or replacement that
-  // publishes a new snapshot (and so a new cache generation) must not
-  // migrate its in-flight traffic to a different worker pool.
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : label) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return static_cast<size_t>(hash % shards_.size());
-}
-
-size_t JobScheduler::TotalQueuedLocked() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->queue.size();
-  return total;
-}
-
-void JobScheduler::UpdateDepthGaugesLocked(size_t shard_index) {
-  shards_[shard_index]->depth_gauge->Set(
-      static_cast<double>(shards_[shard_index]->queue.size()));
-  ServeMeters::Get().queue_depth->Set(
-      static_cast<double>(TotalQueuedLocked()));
-}
-
-void JobScheduler::NotifyAllShards() {
-  for (auto& shard : shards_) shard->work_cv.notify_all();
+void JobScheduler::UpdateDepthGaugeLocked() {
+  ServeMeters::Get().queue_depth->Set(static_cast<double>(queue_.size()));
 }
 
 Status ValidateJobOptions(const JobOptions& options) {
@@ -226,16 +183,14 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
     meters.rejected->Add(1);
     return Status::Unavailable("scheduler is shutting down");
   }
-  const size_t queued = TotalQueuedLocked();
-  if (hit == nullptr && queued >= options_.max_queue) {
+  if (hit == nullptr && queue_.size() >= options_.max_queue) {
     meters.rejected->Add(1);
     return Status::Unavailable(
-        "admission queue full (" + std::to_string(queued) + "/" +
+        "admission queue full (" + std::to_string(queue_.size()) + "/" +
         std::to_string(options_.max_queue) + " jobs queued)");
   }
   const uint64_t id = next_id_++;
   job->result.id = id;
-  job->shard = ShardForLabel(job->request.label);
   jobs_.emplace(id, job);
   meters.admitted->Add(1);
   if (hit != nullptr) {
@@ -246,11 +201,10 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
     released = FinishLocked(job.get(), Status::OK());
     return id;
   }
-  Shard& shard = *shards_[job->shard];
-  shard.queue.emplace(QueueKey(job->options.priority, id), job);
-  UpdateDepthGaugesLocked(job->shard);
+  queue_.emplace(QueueKey(job->options.priority, id), job);
+  UpdateDepthGaugeLocked();
   lock.unlock();
-  shard.work_cv.notify_one();
+  work_cv_.notify_one();
   return id;
 }
 
@@ -283,9 +237,8 @@ Status JobScheduler::Cancel(uint64_t id) {
   }
   Job* job = it->second.get();
   if (job->result.state == JobState::kQueued) {
-    shards_[job->shard]->queue.erase(
-        QueueKey(job->options.priority, job->result.id));
-    UpdateDepthGaugesLocked(job->shard);
+    queue_.erase(QueueKey(job->options.priority, job->result.id));
+    UpdateDepthGaugeLocked();
     released = FinishLocked(job, Status::Cancelled("cancelled while queued"));
     return Status::OK();
   }
@@ -307,23 +260,21 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;    // No new admissions while we wait.
   paused_ = false;     // A paused scheduler still has to run out its queue.
-  NotifyAllShards();
+  work_cv_.notify_all();
   const bool drained = done_cv_.wait_until(lock, deadline, [&] {
-    return TotalQueuedLocked() == 0 && running_.empty();
+    return queue_.empty() && running_.empty();
   });
   if (!drained) {
     // Budget exhausted: queued jobs are cancelled outright, running jobs get
     // a cooperative cancel and are still joined below (they unwind at their
     // next iteration boundary).
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      for (auto& [key, job] : shards_[i]->queue) {
-        (void)key;
-        released.push_back(FinishLocked(
-            job.get(), Status::Cancelled("cancelled: drain budget exhausted")));
-      }
-      shards_[i]->queue.clear();
-      UpdateDepthGaugesLocked(i);
+    for (auto& [key, job] : queue_) {
+      (void)key;
+      released.push_back(FinishLocked(
+          job.get(), Status::Cancelled("cancelled: drain budget exhausted")));
     }
+    queue_.clear();
+    UpdateDepthGaugeLocked();
     for (auto& [id, job] : running_) {
       (void)id;
       job->cancel.Cancel();
@@ -338,7 +289,7 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
 void JobScheduler::JoinThreadsLocked(std::unique_lock<std::mutex>* lock) {
   shutdown_ = true;
   lock->unlock();
-  NotifyAllShards();
+  work_cv_.notify_all();
   watchdog_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -351,12 +302,12 @@ void JobScheduler::Resume() {
     std::lock_guard<std::mutex> lock(mutex_);
     paused_ = false;
   }
-  NotifyAllShards();
+  work_cv_.notify_all();
 }
 
 size_t JobScheduler::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return TotalQueuedLocked();
+  return queue_.size();
 }
 
 api::Session JobScheduler::FinishLocked(Job* job, Status status) {
@@ -429,28 +380,23 @@ void JobScheduler::WatchdogLoop() {
   }
 }
 
-void JobScheduler::WorkerLoop(size_t shard_index) {
+void JobScheduler::WorkerLoop() {
   auto& meters = ServeMeters::Get();
-  Shard& shard = *shards_[shard_index];
   for (;;) {
     std::shared_ptr<Job> job;
     api::Session released;  // Destroyed after the lock is dropped.
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      // shutdown_ overrides paused_ so a drain always completes. Each worker
-      // only ever pops its own shard's queue — a hot dataset flooding one
-      // shard cannot consume another shard's threads.
-      shard.work_cv.wait(lock, [&] {
-        return shutdown_ || (!paused_ && !shard.queue.empty());
-      });
-      if (shard.queue.empty()) {
+      // shutdown_ overrides paused_ so a drain always completes.
+      work_cv_.wait(lock, [&] { return shutdown_ || (!paused_ && !queue_.empty()); });
+      if (queue_.empty()) {
         if (shutdown_) return;  // Drained: nothing left to run.
         continue;
       }
-      auto it = shard.queue.begin();
+      auto it = queue_.begin();
       job = it->second;
-      shard.queue.erase(it);
-      UpdateDepthGaugesLocked(shard_index);
+      queue_.erase(it);
+      UpdateDepthGaugeLocked();
       job->started_ns = NowNs();
       job->result.queued_ns = job->started_ns - job->submitted_ns;
       meters.queue_wait_ms->Record(static_cast<double>(job->result.queued_ns) / 1e6);

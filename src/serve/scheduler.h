@@ -17,7 +17,6 @@
 #include "common/result.h"
 
 namespace vadasa::obs {
-class Gauge;
 class RequestLog;
 }
 
@@ -52,11 +51,8 @@ struct JobRequest {
   /// per-tuple explanations.
   double quantile = -1.0;
   bool explain = false;
-  /// Operator-facing name (dataset) carried into the slow-request log, the
-  /// name a cache fill is recorded under (ResultCache::InvalidateDataset),
-  /// and the shard-assignment key, so every job against one dataset lands on
-  /// the same worker pool (and stays there across deltas and replacements —
-  /// the name is stable while each new snapshot gets a new generation).
+  /// Operator-facing name (dataset) carried into the slow-request log and
+  /// the name a cache fill is recorded under (ResultCache::InvalidateDataset).
   std::string label;
   /// Result-cache key (serve/result_cache.h ResultCacheKey): the generation
   /// of the dataset snapshot the session reads + canonical policy. Empty =
@@ -110,8 +106,9 @@ struct JobResult {
 };
 
 struct SchedulerOptions {
-  /// Executor threads. Each runs one job at a time; the data-parallel work
-  /// inside a job still rides ThreadPool::Global()'s deterministic shards.
+  /// Executor threads, all popping the one ready queue. Each runs one job at
+  /// a time; the data-parallel work inside a job still rides
+  /// ThreadPool::Global()'s deterministic shards.
   size_t workers = 2;
   /// Bound of the admission queue (jobs queued, not counting running ones).
   /// Submission beyond it is *rejected* with Unavailable, never blocked —
@@ -124,14 +121,6 @@ struct SchedulerOptions {
   /// line (trace_id, op, dataset, queue_ms, run_ms, outcome). Not owned;
   /// must outlive the scheduler.
   obs::RequestLog* slow_log = nullptr;
-  /// Worker-pool shards. Datasets are hash-assigned by label (FNV-1a of the
-  /// name, stable across deltas and replacements), each shard owns its own
-  /// ready queue and `workers/shards` threads, so a flood of jobs against one
-  /// hot dataset saturates only its shard instead of starving every other
-  /// dataset's queue position. Clamped to [1, workers]; 1 = the classic
-  /// single shared queue. Admission (`max_queue`) stays a global bound.
-  /// Per-shard depth gauges: serve.shard.<i>.queue_depth.
-  size_t shards = 1;
   /// When set, Submit probes it by JobRequest::cache_key and a hit completes
   /// the job immediately (kDone, JobResult::from_cache) without queueing;
   /// each successful cold run fills it. Not owned; must outlive the
@@ -147,13 +136,16 @@ struct SchedulerOptions {
 };
 
 /// A bounded, prioritized, cancellable job executor over api::Session calls —
-/// the long-lived serving core. Admission control rejects overflow instead of
-/// blocking; per-job CancelTokens give cooperative cancellation and deadline
-/// enforcement; each job warms its session's shared WarmState, so jobs on one
-/// dataset version build its group index once between them. Every job ends
-/// in one terminal transition, which derives its state from its final Status
-/// after the job's serve.job span has closed, and drops its session. All
-/// serve.* metrics flow through obs::MetricsRegistry::Global().
+/// the long-lived serving core. Every worker pops one priority/FIFO ready
+/// queue, so any idle worker takes the next job whatever its dataset.
+/// Admission control rejects overflow instead of blocking; isolating one
+/// client is the per-connection quotas' job (serve/quota.h). Per-job
+/// CancelTokens give cooperative cancellation and deadline enforcement; each
+/// job warms its session's shared WarmState, so jobs on one dataset version
+/// build its group index once between them. Every job ends in one terminal
+/// transition, which derives its state from its final Status after the job's
+/// serve.job span has closed, and drops its session. All serve.* metrics flow
+/// through obs::MetricsRegistry::Global().
 class JobScheduler {
  public:
   explicit JobScheduler(SchedulerOptions options = {});
@@ -198,26 +190,10 @@ class JobScheduler {
   size_t queue_depth() const;
   const SchedulerOptions& options() const { return options_; }
 
-  /// Shards actually built (options().shards after clamping to workers).
-  size_t shard_count() const { return shards_.size(); }
-
  private:
   struct Job;
 
-  /// One worker pool: its own ready queue and wakeup cv (still under the
-  /// scheduler-wide mutex_ — sharding isolates *scheduling*, not locking;
-  /// queue operations are microseconds against multi-ms jobs).
-  struct Shard {
-    /// Ready queue keyed by QueueKey (-priority, admission seq): begin() is
-    /// next.
-    std::map<std::pair<int64_t, uint64_t>, std::shared_ptr<Job>> queue;
-    std::condition_variable work_cv;  ///< Workers: queue non-empty / shutdown.
-    obs::Gauge* depth_gauge = nullptr;  ///< serve.shard.<i>.queue_depth.
-  };
-
-  /// The shard a dataset label hash-assigns to.
-  size_t ShardForLabel(const std::string& label) const;
-  void WorkerLoop(size_t shard_index);
+  void WorkerLoop();
   void WatchdogLoop();
   void Execute(const std::shared_ptr<Job>& job);
   void WarmUp(Job* job);
@@ -229,23 +205,22 @@ class JobScheduler {
   /// reference to a dataset version and its warm index.
   [[nodiscard]] api::Session FinishLocked(Job* job, Status status);
   void JoinThreadsLocked(std::unique_lock<std::mutex>* lock);
-  /// Sum of shard queue depths; caller holds mutex_.
-  size_t TotalQueuedLocked() const;
-  /// Refreshes one shard's depth gauge and the global queue-depth gauge;
-  /// caller holds mutex_.
-  void UpdateDepthGaugesLocked(size_t shard_index);
-  void NotifyAllShards();
+  /// Publishes queue_'s size to serve.queue_depth; caller holds mutex_.
+  void UpdateDepthGaugeLocked();
 
   SchedulerOptions options_;
 
   mutable std::mutex mutex_;
+  std::condition_variable work_cv_;   ///< Workers: queue non-empty / shutdown.
   std::condition_variable done_cv_;   ///< Waiters: some job reached terminal.
   /// Admission order within a priority band; also the id source.
   uint64_t next_id_ = 1;
   bool draining_ = false;   ///< Admission closed.
   bool shutdown_ = false;   ///< Workers told to exit once the queue is empty.
   bool paused_ = false;     ///< Workers admit but do not pop until Resume.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// The one ready queue, shared by every worker, keyed by QueueKey
+  /// (-priority, admission seq): begin() is next.
+  std::map<std::pair<int64_t, uint64_t>, std::shared_ptr<Job>> queue_;
   std::map<uint64_t, std::shared_ptr<Job>> jobs_;
   /// The jobs a worker is executing, by id: all the watchdog, the bounded
   /// drain and the serve.running gauge read. jobs_ keeps every job admitted.

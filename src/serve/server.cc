@@ -20,6 +20,9 @@ namespace vadasa::serve {
 
 namespace {
 
+/// The listen(2) backlog of a Server's socket.
+constexpr int kListenBacklog = 16;
+
 /// Writes the whole buffer, riding out EINTR and short writes. Failpoints:
 /// serve.sock.write (a fire is an injected EPIPE — the caller must treat the
 /// connection as dead), serve.sock.write.short (a fire truncates this pass
@@ -193,7 +196,7 @@ Status Server::Start() {
   obs::MetricsRegistry::Global().counter("serve.quota.admitted");
   obs::MetricsRegistry::Global().counter("serve.quota.rejected.in_flight");
   obs::MetricsRegistry::Global().counter("serve.quota.rejected.rate");
-  VADASA_RETURN_NOT_OK(listener_.Bind(spec, options_.backlog));
+  VADASA_RETURN_NOT_OK(listener_.Bind(spec, kListenBacklog));
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }

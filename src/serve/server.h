@@ -70,8 +70,6 @@ class Listener {
 struct ServerOptions {
   /// Where to listen.
   ListenSpec listen;
-  /// listen(2) backlog.
-  int backlog = 16;
   /// Per-connection admission quota (docs/robustness.md); the zero defaults
   /// leave connections unmetered.
   QuotaOptions quota;

@@ -179,11 +179,21 @@ std::string RandomVadalogProgram(Rng* rng, const ProgramGenOptions& options) {
     src += ").\n";
   }
 
-  const size_t num_rules = 1 + rng->NextBelow(options.max_rules);
-  for (size_t i = 0; i < num_rules; ++i) {
-    const size_t body_len = 1 + rng->NextBelow(3);
+  // Rules are drawn first and written last: a negated literal names only a
+  // predicate no rule derives, so every program stratifies.
+  struct RuleDraw {
+    std::string head;
     std::vector<std::string> body;
     std::vector<std::string> bound_vars;
+    bool negated = false;
+    std::string condition;
+  };
+  std::vector<RuleDraw> rules;
+  std::set<std::string> derived;
+  const size_t num_rules = 1 + rng->NextBelow(options.max_rules);
+  for (size_t i = 0; i < num_rules; ++i) {
+    RuleDraw rule;
+    const size_t body_len = 1 + rng->NextBelow(3);
     for (size_t b = 0; b < body_len; ++b) {
       const std::string& p = kPreds[rng->NextBelow(kPreds.size())];
       std::string atom = p + "(";
@@ -192,67 +202,54 @@ std::string RandomVadalogProgram(Rng* rng, const ProgramGenOptions& options) {
         if (rng->NextDouble() < 0.8) {
           const std::string& v = kVars[rng->NextBelow(kVars.size())];
           atom += v;
-          bound_vars.push_back(v);
+          rule.bound_vars.push_back(v);
         } else {
           atom += kConsts[rng->NextBelow(kConsts.size())];
         }
       }
       atom += ")";
-      body.push_back(std::move(atom));
+      rule.body.push_back(std::move(atom));
     }
-    if (bound_vars.empty()) continue;  // Head would be ground; skip.
+    if (rule.bound_vars.empty()) continue;  // Head would be ground; skip.
+    const std::vector<std::string>& bound_vars = rule.bound_vars;
 
-    // Negated extra literal: stratified by construction when it only guards
-    // (its variables are already positively bound).
-    if (!options.positive_fragment_only && options.allow_negation &&
-        rng->NextDouble() < 0.25) {
-      const std::string& p = kPreds[rng->NextBelow(kPreds.size())];
-      std::string atom = "not " + p + "(";
-      for (int a = 0; a < arity[p]; ++a) {
-        if (a > 0) atom += ", ";
-        atom += bound_vars[rng->NextBelow(bound_vars.size())];
-      }
-      atom += ")";
-      body.push_back(std::move(atom));
-    }
+    // A negated extra literal only guards: its variables are already bound.
+    rule.negated = !options.positive_fragment_only && options.allow_negation &&
+                   rng->NextDouble() < 0.25;
 
-    std::string condition;
     if (bound_vars.size() >= 2 && rng->NextDouble() < 0.4) {
       const char* ops[] = {"!=", "==", "<", ">="};
-      condition = ", " + bound_vars[rng->NextBelow(bound_vars.size())] + " " +
-                  ops[rng->NextBelow(4)] + " " +
-                  bound_vars[rng->NextBelow(bound_vars.size())];
+      rule.condition = ", " + bound_vars[rng->NextBelow(bound_vars.size())] + " " +
+                       ops[rng->NextBelow(4)] + " " +
+                       bound_vars[rng->NextBelow(bound_vars.size())];
     }
 
     const std::string& h = kPreds[rng->NextBelow(kPreds.size())];
-    std::string head = h + "(";
+    derived.insert(h);
+    rule.head = h + "(";
     for (int a = 0; a < arity[h]; ++a) {
-      if (a > 0) head += ", ";
+      if (a > 0) rule.head += ", ";
       if (!options.positive_fragment_only && options.allow_existentials &&
           rng->NextDouble() < 0.15) {
-        head += "E" + std::to_string(rng->NextBelow(3));  // Existential variable.
+        rule.head += "E" + std::to_string(rng->NextBelow(3));  // Existential variable.
       } else {
-        head += bound_vars[rng->NextBelow(bound_vars.size())];
+        rule.head += bound_vars[rng->NextBelow(bound_vars.size())];
       }
     }
-    head += ")";
-    src += head + " :- ";
-    for (size_t b = 0; b < body.size(); ++b) {
-      if (b > 0) src += ", ";
-      src += body[b];
-    }
-    src += condition + ".\n";
+    rule.head += ")";
+    rules.push_back(std::move(rule));
   }
 
+  std::string tail;
   // One msum aggregation over a fresh output predicate — monotone, so it
   // cannot interfere with the rules above.
   if (!options.positive_fragment_only && options.allow_aggregates &&
       rng->NextDouble() < 0.3) {
     const std::string& p = kPreds[rng->NextBelow(kPreds.size())];
     if (arity[p] == 2) {
-      src += "agg(X, S) :- " + p + "(X, Y), S = mcount(<Y>).\n";
+      tail += "agg(X, S) :- " + p + "(X, Y), S = mcount(<Y>).\n";
     } else {
-      src += "agg(X, S) :- " + p + "(X), S = mcount(<X>).\n";
+      tail += "agg(X, S) :- " + p + "(X), S = mcount(<X>).\n";
     }
   }
 
@@ -268,12 +265,49 @@ std::string RandomVadalogProgram(Rng* rng, const ProgramGenOptions& options) {
       const std::string& p = kPreds[(first + k) % kPreds.size()];
       if (arity[p] != 2) continue;
       const std::string body = q + (arity[q] == 2 ? "(X, Y).\n" : "(X).\n");
-      src += p + "(X, E0) :- " + body + p + "(X, " + c + ") :- " + body;
-      src += "Z1 = Z2 :- " + p + "(X, Z1), " + p + "(X, Z2).\n";
+      tail += p + "(X, E0) :- " + body + p + "(X, " + c + ") :- " + body;
+      tail += "Z1 = Z2 :- " + p + "(X, Z1), " + p + "(X, Z2).\n";
+      derived.insert(p);
       break;
     }
   }
-  return src;
+
+  // An EGD that fires rounds after the facts it merges: m(X, null) and
+  // m(X, c) arrive a round apart, w(X) is stored after m(X, c), u(X) cites
+  // w(X), and the EGD waits for u(X). Merging the two m facts renumbers
+  // w(X) under the stored u(X), whose support must follow it.
+  if (!options.positive_fragment_only && options.allow_existentials &&
+      rng->NextDouble() < 0.3) {
+    const std::string& q = kPreds[rng->NextBelow(kPreds.size())];
+    const std::string& c = kConsts[rng->NextBelow(kConsts.size())];
+    const std::string body = q + (arity[q] == 2 ? "(X, Y).\n" : "(X).\n");
+    tail += "m(X, E1) :- " + body + "c1(X, " + c + ") :- " + body;
+    tail += "m(X, V) :- c1(X, V).\nw(X) :- c1(X, V).\nu(X) :- w(X).\n";
+    tail += "Z1 = Z2 :- m(X, Z1), m(X, Z2), u(X).\n";
+  }
+
+  std::vector<std::string> underived;
+  for (const std::string& p : kPreds) {
+    if (derived.count(p) == 0) underived.push_back(p);
+  }
+  for (RuleDraw& rule : rules) {
+    if (rule.negated && !underived.empty()) {
+      const std::string& p = underived[rng->NextBelow(underived.size())];
+      std::string atom = "not " + p + "(";
+      for (int a = 0; a < arity[p]; ++a) {
+        if (a > 0) atom += ", ";
+        atom += rule.bound_vars[rng->NextBelow(rule.bound_vars.size())];
+      }
+      rule.body.push_back(atom + ")");
+    }
+    src += rule.head + " :- ";
+    for (size_t b = 0; b < rule.body.size(); ++b) {
+      if (b > 0) src += ", ";
+      src += rule.body[b];
+    }
+    src += rule.condition + ".\n";
+  }
+  return src + tail;
 }
 
 std::string RandomTokenSoup(Rng* rng, size_t max_tokens) {

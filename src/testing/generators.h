@@ -77,8 +77,9 @@ struct ProgramGenOptions {
 /// A random Vadalog program from a small warded-by-construction grammar:
 /// EDB facts, positive join rules with optional comparisons, optional linear
 /// recursion, and (outside the positive fragment) existential heads,
-/// stratified negation, monotonic aggregation and an EGD over a two-column
-/// predicate. Deterministic in `*rng`.
+/// negation of predicates no rule derives (so it always stratifies),
+/// monotonic aggregation, an EGD over a two-column predicate, and an EGD
+/// that fires rounds after the facts it merges. Deterministic in `*rng`.
 std::string RandomVadalogProgram(Rng* rng, const ProgramGenOptions& options = {});
 
 /// A whitespace-joined soup of Vadalog-ish tokens — parser stress input.

@@ -806,7 +806,6 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
 
   const size_t storm = ParamU64(repro, "njobs", 4);
   const size_t workers = ParamU64(repro, "workers", 2);
-  const size_t shards = ParamU64(repro, "shards", 1);
 
   // The one-cell edit for the replace phase. Tables with no editable QI cell
   // skip that phase; the prime/storm interleaving checks still run.
@@ -889,7 +888,6 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
     VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
     serve::SchedulerOptions scheduler_options;
     scheduler_options.workers = workers;
-    scheduler_options.shards = shards;
     scheduler_options.max_queue = storm + 4;
     serve::JobScheduler scheduler(scheduler_options);
     serve::Protocol protocol(&registry, &scheduler);
@@ -919,7 +917,6 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
   VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
   serve::SchedulerOptions scheduler_options;
   scheduler_options.workers = workers;
-  scheduler_options.shards = shards;
   scheduler_options.max_queue = storm + 4;
   scheduler_options.result_cache = &cache;
   serve::JobScheduler scheduler(scheduler_options);
@@ -1302,6 +1299,27 @@ const char* PickSemantics(Rng* rng, double maybe_probability) {
   return rng->NextDouble() < maybe_probability ? "maybe" : "standard";
 }
 
+/// A case over an Inflation & Growth table of `min_rows`-`max_rows` rows, 2-5
+/// QIs and any distribution shape: each shape leaves some rows risky under
+/// both PickMeasure measures.
+ReproCase InflationGrowthCase(const std::string& property, Rng* rng, uint64_t i,
+                              size_t min_rows, size_t max_rows) {
+  ReproCase repro;
+  repro.property = property;
+  repro.seed = rng->Next();
+  repro.case_index = i;
+  using core::DistributionKind;
+  const DistributionKind shapes[] = {DistributionKind::kRealWorld,
+                                     DistributionKind::kUnbalanced,
+                                     DistributionKind::kVeryUnbalanced};
+  const DistributionKind shape = shapes[rng->NextBelow(3)];
+  const size_t rows = min_rows + rng->NextBelow(max_rows - min_rows + 1);
+  const int qis = static_cast<int>(rng->NextInt(2, 5));
+  repro.table = core::GenerateInflationGrowth("prop", rows, qis, shape, rng->Next());
+  repro.params["distribution"] = core::DistributionKindToString(shape);
+  return repro;
+}
+
 std::vector<Property> BuildCatalog() {
   std::vector<Property> catalog;
 
@@ -1404,22 +1422,8 @@ std::vector<Property> BuildCatalog() {
        "agree on the release contract",
        false,
        [](Rng* rng, uint64_t i) {
-         ReproCase repro;
-         repro.property = "cycle-differential-at-scale";
-         repro.seed = rng->Next();
-         repro.case_index = i;
-         // Inflation & Growth tables of every distribution shape: each leaves
-         // some rows risky under both measures.
-         using core::DistributionKind;
-         const DistributionKind shapes[] = {DistributionKind::kRealWorld,
-                                            DistributionKind::kUnbalanced,
-                                            DistributionKind::kVeryUnbalanced};
-         const DistributionKind shape = shapes[rng->NextBelow(3)];
-         const size_t rows = 1000 + rng->NextBelow(1001);
-         const int qis = static_cast<int>(rng->NextInt(2, 5));
-         repro.table =
-             core::GenerateInflationGrowth("prop", rows, qis, shape, rng->Next());
-         repro.params["distribution"] = core::DistributionKindToString(shape);
+         ReproCase repro =
+             InflationGrowthCase("cycle-differential-at-scale", rng, i, 1000, 2000);
          repro.params["measure"] = PickMeasure(rng);
          repro.params["k"] = std::to_string(rng->NextInt(2, 3));
          repro.params["threshold"] =
@@ -1460,6 +1464,26 @@ std::vector<Property> BuildCatalog() {
          repro.params["njobs"] = std::to_string(rng->NextInt(2, 6));
          repro.params["workers"] = std::to_string(rng->NextInt(1, 4));
          repro.params["threads"] = std::to_string(rng->NextInt(2, 5));
+         return repro;
+       },
+       EvalServeConcurrentBitIdentical});
+
+  catalog.push_back(
+      {"serve-concurrent-jobs-bit-identical-at-scale",
+       "on 5,000-25,000-row tables N concurrent scheduler jobs match N "
+       "sequential facade calls byte-for-byte",
+       false,
+       [](Rng* rng, uint64_t i) {
+         ReproCase repro = InflationGrowthCase(
+             "serve-concurrent-jobs-bit-identical-at-scale", rng, i, 5000, 25000);
+         repro.params["measure"] = PickMeasure(rng);
+         repro.params["k"] = std::to_string(rng->NextInt(2, 4));
+         repro.params["threshold"] =
+             std::to_string(rng->NextDouble() < 0.5 ? 0.34 : 0.5);
+         repro.params["semantics"] = PickSemantics(rng, 0.5);
+         repro.params["njobs"] = std::to_string(rng->NextInt(2, 6));
+         repro.params["workers"] = std::to_string(rng->NextInt(2, 4));
+         repro.params["threads"] = std::to_string(rng->NextInt(2, 4));
          return repro;
        },
        EvalServeConcurrentBitIdentical});
@@ -1549,7 +1573,6 @@ std::vector<Property> BuildCatalog() {
          repro.params["semantics"] = PickSemantics(rng, 0.5);
          repro.params["njobs"] = std::to_string(rng->NextInt(3, 6));
          repro.params["workers"] = std::to_string(rng->NextInt(1, 3));
-         repro.params["shards"] = std::to_string(rng->NextInt(1, 3));
          return repro;
        },
        EvalCachedResultBitIdentical});

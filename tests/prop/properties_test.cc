@@ -214,7 +214,9 @@ TEST(PropCatalogTest, UtilityMatchesReferenceWideSweep) {
 /// The provenance acceptance bar: 220 generated programs chased with
 /// provenance on and EGD violations collected, where every derived fact must
 /// cite earlier facts that match its rule. The sweep is only worth its cases
-/// if a tenth of them, or more, merge facts through an EGD.
+/// if every program reaches the chase (none is refused as unstratified), a
+/// fifth of them or more carry a negated literal, and a tenth or more merge
+/// facts through an EGD.
 TEST(PropCatalogTest, ChaseProvenanceExactWideSweep) {
   const Property* property = FindProperty("chase-provenance-exact");
   ASSERT_NE(property, nullptr);
@@ -223,8 +225,11 @@ TEST(PropCatalogTest, ChaseProvenanceExactWideSweep) {
   // Re-chase the sweep's programs, drawn as RunProperty draws them.
   Rng rng(options.seed ^ std::hash<std::string>{}(property->name));
   size_t substituting = 0;
+  size_t negating = 0;
   for (uint64_t i = 0; i < options.cases_per_property; ++i) {
-    auto program = vadalog::Parse(property->generate(&rng, i).program);
+    const std::string source = property->generate(&rng, i).program;
+    if (source.find("not ") != std::string::npos) ++negating;
+    auto program = vadalog::Parse(source);
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     vadalog::EngineOptions engine_options;
     engine_options.max_rounds = 200;
@@ -233,8 +238,12 @@ TEST(PropCatalogTest, ChaseProvenanceExactWideSweep) {
     vadalog::Engine engine(engine_options);
     vadalog::Database db;
     auto stats = engine.Run(*program, &db);
+    EXPECT_TRUE(stats.ok() || stats.status().code() == StatusCode::kLimitExceeded)
+        << stats.status().ToString() << "\n" << source;
     if (stats.ok() && stats->egd_substitutions > 0) ++substituting;
   }
+  EXPECT_GE(negating * 5, options.cases_per_property)
+      << "only " << negating << " of 220 programs negate a literal";
   EXPECT_GE(substituting * 10, options.cases_per_property)
       << "only " << substituting << " of 220 chases substituted a null";
   const HarnessReport report = RunProperty(*property, options);

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/datagen.h"
 #include "core/delta.h"
 #include "obs/metrics.h"
@@ -251,6 +252,43 @@ TEST(JobSchedulerTest, ExtremePrioritiesQueueAndCancel) {
   ASSERT_TRUE(high_result.ok());
   EXPECT_EQ(low_result->state, JobState::kCancelled);
   EXPECT_EQ(high_result->state, JobState::kDone);
+}
+
+TEST(JobSchedulerTest, EveryWorkerServesOneHotDataset) {
+  // One ready queue: an idle worker takes the next job whatever its dataset,
+  // so three jobs on one dataset run on three workers at once.
+  failpoint::ScopedFailpoints slow_runs("serve.scheduler.run=delay(300)");
+  SchedulerOptions options;
+  options.workers = 3;
+  JobScheduler scheduler(options);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    JobRequest request = RiskJob(Fig5Session());
+    request.label = "hot";
+    auto id = scheduler.Submit(std::move(request));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  // Poll until all three run at once, or until all have finished.
+  size_t most_running = 0;
+  for (size_t finished = 0; most_running < ids.size() && finished < ids.size();) {
+    size_t running = 0;
+    finished = 0;
+    for (uint64_t id : ids) {
+      auto result = scheduler.Peek(id);
+      ASSERT_TRUE(result.ok());
+      running += result->state == JobState::kRunning;
+      finished += result->state != JobState::kQueued && result->state != JobState::kRunning;
+    }
+    most_running = std::max(most_running, running);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(most_running, ids.size()) << "jobs on one dataset ran on fewer workers";
+  for (uint64_t id : ids) {
+    auto result = scheduler.Wait(id);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->state, JobState::kDone) << result->status.ToString();
+  }
 }
 
 TEST(JobSchedulerTest, UnknownIdsReportNotFound) {

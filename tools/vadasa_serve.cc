@@ -1,7 +1,7 @@
 // vadasa_serve — the long-lived anonymization job service (docs/serving.md):
 //
 //   vadasa_serve --listen=unix:PATH|tcp:HOST:PORT
-//                [--workers=N] [--shards=N] [--max-queue=N]
+//                [--workers=N] [--max-queue=N]
 //                [--cache-mb=N] [--no-cache]
 //                [--trace=out.json] [--metrics=out.json]
 //                [--prom=out.prom] [--slow-log=out.ndjson] [--slow-ms=MS]
@@ -14,17 +14,17 @@
 // the registry and shared across jobs, with one warm state per dataset
 // version: its group index is built once, by the first job that needs it, and
 // an apply_delta patches it into the next version instead of rebuilding. The
-// scheduler bounds admission, honors per-job priorities and deadlines, and
-// shards its worker pools by dataset (--shards) so one hot dataset cannot
-// starve the rest. Repeated (dataset, policy) requests are answered from a
-// bounded LRU result cache (--cache-mb budget, --no-cache disables; responses
-// carry "cached":true) keyed on the generation of the dataset snapshot, so a
-// payload is served only for the snapshot that computed it: never after a
-// delta, and never for another dataset with the same bytes. Telemetry
-// (docs/observability.md): every request line gets a trace id echoed in its
-// responses, --slow-log appends NDJSON lines for jobs slower than --slow-ms,
-// --sample-ms runs the background gauge sampler (0 = off), and on shutdown
-// --trace/--metrics/--prom export.
+// scheduler bounds admission and honors per-job priorities and deadlines;
+// every worker pops one shared ready queue, so any idle worker takes the next
+// job whatever its dataset. Repeated (dataset, policy) requests are answered
+// from a bounded LRU result cache (--cache-mb budget, --no-cache disables;
+// responses carry "cached":true) keyed on the generation of the dataset
+// snapshot, so a payload is served only for the snapshot that computed it:
+// never after a delta, and never for another dataset with the same bytes.
+// Telemetry (docs/observability.md): every request line gets a trace id echoed
+// in its responses, --slow-log appends NDJSON lines for jobs slower than
+// --slow-ms, --sample-ms runs the background gauge sampler (0 = off), and on
+// shutdown --trace/--metrics/--prom export.
 //
 // Robustness (docs/robustness.md): --max-in-flight/--submit-rate meter each
 // connection (over-quota submits get Unavailable + retry_after_ms),
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   api::FlagParser parser;
   parser.Path("listen", "listen spec: unix:PATH or tcp:HOST:PORT (0 = ephemeral)")
       .Int("workers", "executor threads", 1, 256)
-      .Int("shards", "dataset-hashed worker-pool shards (<= workers)", 1, 256)
       .Int("max-queue", "admission queue bound (reject beyond)", 1, 1 << 20)
       .Int("cache-mb", "result-cache byte budget, MiB", 1, 1 << 20)
       .Bool("no-cache", "disable the result cache")
@@ -141,7 +140,6 @@ int main(int argc, char** argv) {
   registry.set_result_cache(cache.get());
   serve::SchedulerOptions scheduler_options;
   scheduler_options.workers = static_cast<size_t>(flags->GetInt("workers", 2));
-  scheduler_options.shards = static_cast<size_t>(flags->GetInt("shards", 1));
   scheduler_options.max_queue =
       static_cast<size_t>(flags->GetInt("max-queue", 64));
   scheduler_options.result_cache = cache.get();
@@ -178,10 +176,8 @@ int main(int argc, char** argv) {
   // Print the resolved endpoint (an ephemeral tcp:HOST:0 bind resolves to
   // its real port) so harnesses can scrape it from stderr.
   std::fprintf(stderr,
-               "vadasa_serve: listening on %s (%zu workers, %zu shards, "
-               "queue %zu, cache %s)\n",
-               server.listen_spec().ToString().c_str(),
-               scheduler_options.workers, scheduler.shard_count(),
+               "vadasa_serve: listening on %s (%zu workers, queue %zu, cache %s)\n",
+               server.listen_spec().ToString().c_str(), scheduler_options.workers,
                scheduler_options.max_queue,
                cache != nullptr
                    ? (std::to_string(cache->byte_budget() >> 20) + " MiB").c_str()

@@ -6,9 +6,9 @@
 // --socket accepts a bare Unix path, unix:PATH, or tcp:HOST:PORT — the same
 // endpoints vadasa_serve --listen binds. Each frame opens a connection,
 // issues {"op":"telemetry"} and renders the response: the sampler's recent
-// gauge series (queue depth, running jobs, RSS) as sparklines, per-shard
-// queue depths, result-cache hit/miss counters, and a per-op latency table
-// decoded from the Prometheus exposition. --frames bounds the number of
+// gauge series (queue depth, running jobs, RSS) as sparklines, fault and
+// result-cache counters, and a per-op latency table decoded from the
+// Prometheus exposition. --frames bounds the number of
 // refreshes (0 = until the server goes away; CI uses --frames=1 as a scrape
 // smoke test).
 //
@@ -203,20 +203,6 @@ double PromValue(const std::string& prom, const std::string& family,
   return fallback;
 }
 
-/// Queue depth per scheduler shard, scanned from the contiguous
-/// vadasa_serve_shard_<i>_queue_depth gauge families.
-std::vector<double> ShardDepths(const std::string& prom) {
-  std::vector<double> depths;
-  for (int i = 0;; ++i) {
-    const std::string family =
-        "vadasa_serve_shard_" + std::to_string(i) + "_queue_depth";
-    const double v = PromValue(prom, family, -1.0);
-    if (v < 0.0) break;
-    depths.push_back(v);
-  }
-  return depths;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -284,16 +270,6 @@ int main(int argc, char** argv) {
         PromValue(prom, "vadasa_serve_quota_rejected_in_flight", 0) +
             PromValue(prom, "vadasa_serve_quota_rejected_rate", 0),
         PromValue(prom, "vadasa_serve_drain_ms", 0));
-    // Dataset-sharded worker pools: one hot shard with an idle neighbor is
-    // the isolation working as intended; every shard deep means saturation.
-    const std::vector<double> shard_depths = ShardDepths(prom);
-    if (shard_depths.size() > 1) {
-      std::printf("  shards ");
-      for (size_t i = 0; i < shard_depths.size(); ++i) {
-        std::printf(" %zu:%.0f", i, shard_depths[i]);
-      }
-      std::printf("\n");
-    }
     const double cache_hits = PromValue(prom, "vadasa_serve_cache_hits", -1.0);
     if (cache_hits >= 0.0) {
       std::printf(
